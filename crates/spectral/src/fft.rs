@@ -2,8 +2,9 @@
 //!
 //! * Power-of-two lengths use an iterative radix-2 Cooley–Tukey FFT.
 //! * Smooth composite lengths (products of primes <= 13 — every image size
-//!   the framework meets in practice) use the cached
-//!   [`crate::mixed_radix::MixedRadixPlan`].
+//!   the framework meets in practice) use the cached iterative
+//!   [`crate::mixed_radix::MixedRadixPlan`], in place with per-thread
+//!   scratch.
 //! * Remaining lengths use Bluestein's chirp-z transform, which re-expresses
 //!   an N-point DFT as a convolution computed with a padded power-of-two FFT
 //!   (chirps and kernel FFTs are plan-cached per thread).
@@ -27,12 +28,12 @@ use std::f64::consts::PI;
 /// assert!((data[0].re - 4.0).abs() < 1e-12);
 /// assert!(data[1].norm() < 1e-12);
 /// ```
-pub fn fft(data: &mut Vec<Complex64>) {
+pub fn fft(data: &mut [Complex64]) {
     transform(data, Direction::Forward);
 }
 
 /// In-place inverse DFT of `data` (any length), normalised by `1/N`.
-pub fn ifft(data: &mut Vec<Complex64>) {
+pub fn ifft(data: &mut [Complex64]) {
     transform(data, Direction::Inverse);
     let n = data.len() as f64;
     for v in data.iter_mut() {
@@ -71,7 +72,7 @@ impl Direction {
     }
 }
 
-fn transform(data: &mut Vec<Complex64>, dir: Direction) {
+fn transform(data: &mut [Complex64], dir: Direction) {
     let n = data.len();
     if n <= 1 {
         return;
@@ -89,12 +90,18 @@ thread_local! {
     static MIXED_PLANS: std::cell::RefCell<
         std::collections::HashMap<usize, std::rc::Rc<crate::mixed_radix::MixedRadixPlan>>,
     > = std::cell::RefCell::new(std::collections::HashMap::new());
+    /// The permutation buffer every mixed-radix transform on this thread
+    /// shares.
+    static MIXED_SCRATCH: std::cell::RefCell<Vec<Complex64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Smooth-length transform through a cached [`MixedRadixPlan`].
+/// Smooth-length transform of `data`, in place, through a cached
+/// [`MixedRadixPlan`]. The unnormalised inverse is the forward transform
+/// of the conjugate, conjugated back (`ifft` applies the `1/N` itself).
 ///
 /// [`MixedRadixPlan`]: crate::mixed_radix::MixedRadixPlan
-fn mixed_radix_cached(data: &mut Vec<Complex64>, dir: Direction) {
+fn mixed_radix_cached(data: &mut [Complex64], dir: Direction) {
     let n = data.len();
     let plan = MIXED_PLANS.with(|cache| {
         cache
@@ -103,17 +110,14 @@ fn mixed_radix_cached(data: &mut Vec<Complex64>, dir: Direction) {
             .or_insert_with(|| std::rc::Rc::new(crate::mixed_radix::MixedRadixPlan::new(n)))
             .clone()
     });
-    let out = match dir {
-        Direction::Forward => plan.forward(data),
-        // The shared `ifft` applies the 1/N normalisation itself, so use
-        // the unnormalised inverse: conjugate trick via forward transform
-        // of the conjugated input.
-        Direction::Inverse => {
-            let conj: Vec<Complex64> = data.iter().map(|v| v.conj()).collect();
-            plan.forward(&conj).into_iter().map(|v| v.conj()).collect()
-        }
-    };
-    *data = out;
+    let conjugate = |data: &mut [Complex64]| data.iter_mut().for_each(|v| *v = v.conj());
+    if dir == Direction::Inverse {
+        conjugate(data);
+    }
+    MIXED_SCRATCH.with(|scratch| plan.forward(data, &mut scratch.borrow_mut()));
+    if dir == Direction::Inverse {
+        conjugate(data);
+    }
 }
 
 /// Per-stage twiddle tables of one `(length, direction)` radix-2 transform.

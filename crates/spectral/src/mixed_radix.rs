@@ -2,20 +2,31 @@
 //!
 //! The image sizes this framework meets in practice (336, 392, 448, 504,
 //! 560, 616, …) are highly composite: products of 2, 3, 5 and 7. The
-//! recursive Cooley–Tukey decomposition `N = r * m` reduces such lengths
-//! to tiny prime-length DFTs plus twiddle multiplications in
-//! `O(N log N)`, avoiding the ~3x padded-transform overhead of Bluestein's
-//! algorithm. Lengths with a large prime factor still fall back to
-//! Bluestein (handled by [`crate::fft`]).
+//! Cooley–Tukey decomposition `N = r * m` reduces such lengths to tiny
+//! prime-length DFTs plus twiddle multiplications in `O(N log N)`, avoiding
+//! the ~3x padded-transform overhead of Bluestein's algorithm. Lengths with
+//! a large prime factor still fall back to Bluestein (handled by
+//! [`crate::fft`]).
 //!
-//! The implementation is a textbook decimation-in-time recursion:
+//! Each decimation-in-time level splits a block of length `len = r * m`
+//! into `r` interleaved subsequences and combines their spectra:
 //!
 //! ```text
-//! X[k1 + r*k2] = Σ_{n1=0}^{r-1} e^{-2πi n1 (k1 + r k2)/N}
-//!                · (DFT_m of the n1-th decimated subsequence)[k1]
+//! X[k1 + m*j] = Σ_{n1=0}^{r-1} e^{-2πi n1 (k1 + m j)/len}
+//!               · (DFT_m of the n1-th decimated subsequence)[k1]
 //! ```
 //!
-//! with the prime-radix butterflies evaluated directly.
+//! The plan runs that decomposition iteratively and in place. A
+//! mixed-radix digit-reversal permutation puts every input sample where the
+//! length-1 leaves of the recursion would put it; then one stage per prime
+//! factor runs, deepest (smallest blocks) first. For a fixed `k1` the
+//! combine reads the `r` slots `n1*m + k1` and writes the same `r` slots
+//! `k1 + m*j`, so each butterfly loads its inputs before storing its
+//! outputs and no second buffer is needed. Every output is the sum
+//! `acc = 0; acc += x[n1] * w` in ascending `n1`, with `w` read from a
+//! per-stage table holding exactly the twiddle the recursion used, so the
+//! results are bit-identical to the textbook recursion (kept as the oracle
+//! in the property suite).
 
 use crate::Complex64;
 use std::f64::consts::PI;
@@ -54,14 +65,27 @@ pub fn is_smooth(n: usize) -> bool {
     m == 1
 }
 
-/// Precomputed recursion plan for one length.
+/// One butterfly stage: every block of `radix * span` samples combines
+/// `radix` sub-spectra of length `span`.
+#[derive(Debug)]
+struct Stage {
+    radix: usize,
+    /// Sub-spectrum length `m`: the distance between a butterfly's inputs.
+    span: usize,
+    /// `twiddles[(n1 * radix + j) * span + k1]` multiplies input `n1` of
+    /// butterfly `k1` into output `j`. Consecutive `k1` (and, at span 1,
+    /// consecutive `j`) sit side by side, as the AVX lanes read them.
+    twiddles: Vec<Complex64>,
+}
+
+/// Precomputed iterative plan for one length.
 #[derive(Debug)]
 pub struct MixedRadixPlan {
     n: usize,
-    /// Prime factors in recursion order.
-    factors: Vec<usize>,
-    /// Twiddle table: e^{-2πi k / N} for k in 0..N (forward direction).
-    twiddles: Vec<Complex64>,
+    /// `gather[p]` is the input index the digit reversal places at `p`.
+    gather: Vec<usize>,
+    /// Butterfly stages, deepest first.
+    stages: Vec<Stage>,
 }
 
 impl MixedRadixPlan {
@@ -73,6 +97,7 @@ impl MixedRadixPlan {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "length must be non-zero");
         assert!(is_smooth(n), "length {n} has a prime factor > {MAX_SMALL_PRIME}");
+        // Prime factors in decimation order: level 0 splits by the first.
         let mut factors = Vec::new();
         let mut m = n;
         while m > 1 {
@@ -80,9 +105,44 @@ impl MixedRadixPlan {
             factors.push(p);
             m /= p;
         }
-        let twiddles =
+        let roots: Vec<Complex64> =
             (0..n).map(|k| Complex64::from_polar_unit(-2.0 * PI * k as f64 / n as f64)).collect();
-        Self { n, factors, twiddles }
+
+        // The level splitting blocks of `len` reads W_len^{n1 k}, which is
+        // entry `n1 * k * (n / len) mod n` of the length-`n` root table.
+        let mut stages = Vec::with_capacity(factors.len());
+        let mut len = n;
+        for &radix in &factors {
+            let span = len / radix;
+            let unit = n / len;
+            let mut twiddles = Vec::with_capacity(radix * radix * span);
+            for n1 in 0..radix {
+                for j in 0..radix {
+                    for k1 in 0..span {
+                        twiddles.push(roots[(n1 * (k1 + span * j) * unit) % n]);
+                    }
+                }
+            }
+            stages.push(Stage { radix, span, twiddles });
+            len = span;
+        }
+        stages.reverse();
+
+        // A leaf reached through digits (n1_0, n1_1, …) sits at
+        // Σ n1_d · (n / (r_0 ⋯ r_d)) and reads input Σ n1_d · (r_0 ⋯ r_{d-1}).
+        let gather = (0..n)
+            .map(|position| {
+                let (mut rest, mut len, mut stride, mut source) = (position, n, 1, 0);
+                for &radix in &factors {
+                    len /= radix;
+                    source += rest / len * stride;
+                    rest %= len;
+                    stride *= radix;
+                }
+                source
+            })
+            .collect();
+        Self { n, gather, stages }
     }
 
     /// The transform length.
@@ -95,101 +155,197 @@ impl MixedRadixPlan {
         self.n <= 1
     }
 
-    /// Twiddle `e^{-2πi k / N}` (forward) or its conjugate (inverse).
-    #[inline]
-    fn twiddle(&self, k: usize, forward: bool) -> Complex64 {
-        let t = self.twiddles[k % self.n];
-        if forward {
-            t
-        } else {
-            t.conj()
-        }
-    }
-
-    /// Forward transform (no normalisation), out of place.
-    pub fn forward(&self, input: &[Complex64]) -> Vec<Complex64> {
-        self.transform(input, true)
-    }
-
-    /// Inverse transform including the `1/N` normalisation, out of place.
-    pub fn inverse(&self, input: &[Complex64]) -> Vec<Complex64> {
-        let mut out = self.transform(input, false);
-        let scale = 1.0 / self.n as f64;
-        for v in out.iter_mut() {
-            *v = *v * scale;
-        }
-        out
-    }
-
-    /// Shared transform body: allocates the output and one scratch buffer
-    /// up front; the recursion ping-pongs between them instead of building
-    /// per-level subsequence vectors.
-    fn transform(&self, input: &[Complex64], forward: bool) -> Vec<Complex64> {
-        assert_eq!(input.len(), self.n, "input length mismatch");
-        let mut out = vec![Complex64::ZERO; self.n];
-        let mut scratch = vec![Complex64::ZERO; self.n];
-        self.recurse(input, 0, 1, &mut out, &mut scratch, self.n, 0, forward);
-        out
-    }
-
-    /// Recursive decimation-in-time over the subsequence
-    /// `input[offset + i*stride]` of logical length `len`, writing the
-    /// spectrum contiguously into `out[..len]` with `scratch[..len]` as
-    /// workspace; `depth` indexes into the factor list.
+    /// Forward transform (no normalisation) of `data`, in place. `scratch`
+    /// is resized as needed; passing the same buffer to every call keeps
+    /// repeated transforms allocation-free.
     ///
-    /// Children write into disjoint `m`-length windows of `scratch`, each
-    /// borrowing the matching window of `out` as its own workspace (the
-    /// roles swap every level), so the whole recursion runs in the two
-    /// buffers allocated by [`Self::transform`]. The combine step reads the
-    /// subsequence spectra from `scratch` in ascending `n1` order starting
-    /// from zero — the same accumulation sequence as the historical
-    /// per-level `Vec<Vec<_>>` formulation, hence bit-identical results.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        &self,
-        input: &[Complex64],
-        offset: usize,
-        stride: usize,
-        out: &mut [Complex64],
-        scratch: &mut [Complex64],
-        len: usize,
-        depth: usize,
-        forward: bool,
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan length.
+    pub fn forward(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>) {
+        assert_eq!(data.len(), self.n, "input length mismatch");
+        scratch.clear();
+        scratch.extend_from_slice(data);
+        for (slot, &source) in data.iter_mut().zip(&self.gather) {
+            *slot = scratch[source];
+        }
+        for stage in &self.stages {
+            match stage.radix {
+                2 => run_stage::<2>(data, stage),
+                3 => run_stage::<3>(data, stage),
+                5 => run_stage::<5>(data, stage),
+                7 => run_stage::<7>(data, stage),
+                11 => run_stage::<11>(data, stage),
+                13 => run_stage::<13>(data, stage),
+                radix => unreachable!("radix {radix} is not a prime <= {MAX_SMALL_PRIME}"),
+            }
+        }
+    }
+}
+
+/// Runs every radix-`R` butterfly of one stage over `data`, in place.
+fn run_stage<const R: usize>(data: &mut [Complex64], stage: &Stage) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[allow(unsafe_code)]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX support was just verified at runtime.
+        unsafe {
+            if stage.span == 1 {
+                avx::butterflies_across_outputs::<R>(data, &stage.twiddles);
+            } else {
+                avx::butterflies_across_k1::<R>(data, stage.span, &stage.twiddles);
+            }
+        }
+        return;
+    }
+    for block in data.chunks_exact_mut(R * stage.span) {
+        for k1 in 0..stage.span {
+            butterfly::<R>(block, stage.span, &stage.twiddles, k1);
+        }
+    }
+}
+
+/// Butterfly `k1` of one `R * span` block, in place: loads the inputs
+/// `block[n1 * span + k1]`, then writes output `j` to `block[k1 + span * j]`
+/// as `acc = 0; acc += x[n1] * w` in ascending `n1` — the exact operation
+/// sequence of the recursive combine step.
+fn butterfly<const R: usize>(
+    block: &mut [Complex64],
+    span: usize,
+    twiddles: &[Complex64],
+    k1: usize,
+) {
+    let x: [Complex64; R] = std::array::from_fn(|n1| block[n1 * span + k1]);
+    for j in 0..R {
+        let mut acc = Complex64::ZERO;
+        for (n1, &v) in x.iter().enumerate() {
+            acc += v * twiddles[(n1 * R + j) * span + k1];
+        }
+        block[k1 + span * j] = acc;
+    }
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
+mod avx {
+    //! Explicit AVX butterflies for [`super::run_stage`].
+    //!
+    //! Two complex numbers per 256-bit register as interleaved
+    //! `[re0, im0, re1, im1]` lanes (`Complex64` is `#[repr(C)]`). The
+    //! complex product is the radix-2 path's mul/mul/addsub sequence: each
+    //! lane computes `re·wr − im·wi` and `im·wr + re·wi`, two multiplies
+    //! then one add/subtract and never an FMA, so it equals the scalar
+    //! `Mul` bit for bit. Accumulators start at `+0.0` and add products in
+    //! ascending `n1`, as the scalar loop does. Every load and store is
+    //! unaligned (`Complex64` is only 8-byte aligned).
+
+    use super::Complex64;
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_castpd128_pd256, _mm256_insertf128_pd,
+        _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm_loadu_pd,
+    };
+
+    /// `x · w` per lane, with `x_swap` the re/im swap of `x`.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn cmul(x: __m256d, x_swap: __m256d, w: __m256d) -> __m256d {
+        let w_re = _mm256_movedup_pd(w);
+        let w_im = _mm256_permute_pd::<0xF>(w);
+        _mm256_addsub_pd(_mm256_mul_pd(x, w_re), _mm256_mul_pd(x_swap, w_im))
+    }
+
+    /// A span ≥ 2 stage with lanes across consecutive butterflies `k1`; an
+    /// odd `span` leaves its last butterfly to the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn butterflies_across_k1<const R: usize>(
+        data: &mut [Complex64],
+        span: usize,
+        twiddles: &[Complex64],
     ) {
-        if len == 1 {
-            out[0] = input[offset];
-            return;
-        }
-        let r = self.factors[depth];
-        let m = len / r;
-
-        // Transform each of the r decimated subsequences of length m.
-        for n1 in 0..r {
-            self.recurse(
-                input,
-                offset + n1 * stride,
-                stride * r,
-                &mut scratch[n1 * m..(n1 + 1) * m],
-                &mut out[n1 * m..(n1 + 1) * m],
-                m,
-                depth + 1,
-                forward,
-            );
-        }
-
-        // Combine: X[k1 + m*j] = Σ_{n1} W_N^{n1 (k1 + m j)} · S_{n1}[k1].
-        // Twiddle index scaled by the global stride of this recursion level:
-        // this level's W_N uses N = len, so global k = index * (self.n/len).
-        let unit = self.n / len;
-        for k1 in 0..m {
-            for j in 0..r {
-                let k = k1 + m * j;
-                let mut acc = Complex64::ZERO;
-                for n1 in 0..r {
-                    let tw = self.twiddle(n1 * k * unit, forward);
-                    acc += scratch[n1 * m + k1] * tw;
+        assert!(span >= 2 && twiddles.len() == R * R * span, "stage table shape");
+        let pairs = span / 2 * 2;
+        let t = twiddles.as_ptr() as *const f64;
+        for block in data.chunks_exact_mut(R * span) {
+            let p = block.as_mut_ptr() as *mut f64;
+            let mut k1 = 0;
+            while k1 < pairs {
+                let mut x = [_mm256_setzero_pd(); R];
+                let mut x_swap = [_mm256_setzero_pd(); R];
+                for n1 in 0..R {
+                    // SAFETY: `n1 * span + k1 + 1 < R * span == block.len()`.
+                    x[n1] = unsafe { _mm256_loadu_pd(p.add(2 * (n1 * span + k1))) };
+                    x_swap[n1] = _mm256_permute_pd::<0x5>(x[n1]);
                 }
-                out[k] = acc;
+                for j in 0..R {
+                    let mut acc = _mm256_setzero_pd();
+                    for n1 in 0..R {
+                        // SAFETY: `(n1 * R + j) * span + k1 + 1 < R * R * span`,
+                        // the table length asserted above.
+                        let w = unsafe { _mm256_loadu_pd(t.add(2 * ((n1 * R + j) * span + k1))) };
+                        acc = _mm256_add_pd(acc, cmul(x[n1], x_swap[n1], w));
+                    }
+                    // SAFETY: `k1 + span * j + 1 < R * span`; every input of
+                    // this butterfly pair is already in `x`.
+                    unsafe { _mm256_storeu_pd(p.add(2 * (k1 + span * j)), acc) };
+                }
+                k1 += 2;
+            }
+            if pairs < span {
+                super::butterfly::<R>(block, span, twiddles, pairs);
+            }
+        }
+    }
+
+    /// A span-1 stage (one `R`-point DFT per block) with lanes across
+    /// consecutive outputs `j`; an odd `R` computes its last output in
+    /// scalar.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn butterflies_across_outputs<const R: usize>(
+        data: &mut [Complex64],
+        twiddles: &[Complex64],
+    ) {
+        assert_eq!(twiddles.len(), R * R, "stage table shape");
+        let pairs = R / 2 * 2;
+        let t = twiddles.as_ptr() as *const f64;
+        for block in data.chunks_exact_mut(R) {
+            let inputs: [Complex64; R] = std::array::from_fn(|n1| block[n1]);
+            let src = inputs.as_ptr() as *const f64;
+            let mut x = [_mm256_setzero_pd(); R];
+            let mut x_swap = [_mm256_setzero_pd(); R];
+            for n1 in 0..R {
+                // SAFETY: `n1 < R == inputs.len()`.
+                let v = unsafe { _mm_loadu_pd(src.add(2 * n1)) };
+                x[n1] = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(v), v);
+                x_swap[n1] = _mm256_permute_pd::<0x5>(x[n1]);
+            }
+            let p = block.as_mut_ptr() as *mut f64;
+            let mut j = 0;
+            while j < pairs {
+                let mut acc = _mm256_setzero_pd();
+                for n1 in 0..R {
+                    // SAFETY: `n1 * R + j + 1 < R * R`, the asserted length.
+                    let w = unsafe { _mm256_loadu_pd(t.add(2 * (n1 * R + j))) };
+                    acc = _mm256_add_pd(acc, cmul(x[n1], x_swap[n1], w));
+                }
+                // SAFETY: `j + 1 < R == block.len()`.
+                unsafe { _mm256_storeu_pd(p.add(2 * j), acc) };
+                j += 2;
+            }
+            if pairs < R {
+                let mut acc = Complex64::ZERO;
+                for (n1, &v) in inputs.iter().enumerate() {
+                    acc += v * twiddles[n1 * R + pairs];
+                }
+                block[pairs] = acc;
             }
         }
     }
@@ -204,6 +360,12 @@ mod tests {
         (0..n)
             .map(|i| Complex64::new((i as f64 * 0.61).sin() * 5.0, (i as f64 * 1.7).cos()))
             .collect()
+    }
+
+    fn forward(plan: &MixedRadixPlan, input: &[Complex64]) -> Vec<Complex64> {
+        let mut data = input.to_vec();
+        plan.forward(&mut data, &mut Vec::new());
+        data
     }
 
     fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
@@ -226,12 +388,10 @@ mod tests {
 
     #[test]
     fn matches_naive_dft_for_smooth_lengths() {
-        for n in [2usize, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 21, 35, 36, 60, 112] {
+        for n in [2usize, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 21, 35, 36, 60, 112, 143, 169] {
             let plan = MixedRadixPlan::new(n);
             let input = signal(n);
-            let fast = plan.forward(&input);
-            let naive = dft_naive(&input);
-            assert_close(&fast, &naive, 1e-8 * n as f64);
+            assert_close(&forward(&plan, &input), &dft_naive(&input), 1e-8 * n as f64);
         }
     }
 
@@ -240,25 +400,29 @@ mod tests {
         for n in [336usize, 448] {
             let plan = MixedRadixPlan::new(n);
             let input = signal(n);
-            assert_close(&plan.forward(&input), &dft_naive(&input), 1e-7 * n as f64);
+            assert_close(&forward(&plan, &input), &dft_naive(&input), 1e-7 * n as f64);
         }
     }
 
     #[test]
-    fn inverse_undoes_forward() {
-        for n in [6usize, 35, 112, 336] {
-            let plan = MixedRadixPlan::new(n);
-            let input = signal(n);
-            let back = plan.inverse(&plan.forward(&input));
-            assert_close(&back, &input, 1e-9 * n as f64);
-        }
+    fn scratch_is_reused_across_transforms() {
+        let plan = MixedRadixPlan::new(60);
+        let mut scratch = Vec::new();
+        let input = signal(60);
+        let mut first = input.clone();
+        plan.forward(&mut first, &mut scratch);
+        let capacity = scratch.capacity();
+        let mut second = input;
+        plan.forward(&mut second, &mut scratch);
+        assert_eq!(first, second);
+        assert_eq!(scratch.capacity(), capacity);
     }
 
     #[test]
     fn length_one_is_identity() {
         let plan = MixedRadixPlan::new(1);
         let input = vec![Complex64::new(3.0, -4.0)];
-        assert_eq!(plan.forward(&input), input);
+        assert_eq!(forward(&plan, &input), input);
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 1);
     }
@@ -270,13 +434,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_factorisation_is_complete() {
+    fn plan_covers_every_factor_and_sample() {
         let plan = MixedRadixPlan::new(360);
-        let product: usize = plan.factors.iter().product();
+        let product: usize = plan.stages.iter().map(|s| s.radix).product();
         assert_eq!(product, 360);
-        for &f in &plan.factors {
-            assert!(f <= MAX_SMALL_PRIME);
+        for stage in &plan.stages {
+            assert!(stage.radix <= MAX_SMALL_PRIME);
+            assert_eq!(stage.twiddles.len(), stage.radix * stage.radix * stage.span);
         }
+        assert_eq!(plan.stages[0].span, 1, "the deepest stage runs first");
+        let mut sources = plan.gather.clone();
+        sources.sort_unstable();
+        assert!(sources.iter().copied().eq(0..360), "the gather is a permutation");
     }
 
     #[test]
@@ -286,9 +455,9 @@ mod tests {
         let a = signal(n);
         let b: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 1.0)).collect();
         let combined: Vec<Complex64> = a.iter().zip(&b).map(|(x, y)| *x * 2.0 + *y * 0.5).collect();
-        let fa = plan.forward(&a);
-        let fb = plan.forward(&b);
-        let fc = plan.forward(&combined);
+        let fa = forward(&plan, &a);
+        let fb = forward(&plan, &b);
+        let fc = forward(&plan, &combined);
         for i in 0..n {
             let expected = fa[i] * 2.0 + fb[i] * 0.5;
             assert!((fc[i] - expected).norm() < 1e-8);

@@ -5,7 +5,7 @@ use decamouflage_spectral::components::{count_components, label_components, Conn
 use decamouflage_spectral::csp::{count_csp, count_csp_planned, CspConfig};
 use decamouflage_spectral::dft2d::{centered_spectrum, dft2, dft2_planned, idft2};
 use decamouflage_spectral::fft::{dft_naive, fft, ifft};
-use decamouflage_spectral::mixed_radix::{is_smooth, MixedRadixPlan};
+use decamouflage_spectral::mixed_radix::{is_smooth, MixedRadixPlan, MAX_SMALL_PRIME};
 use decamouflage_spectral::radial::radial_profile;
 use decamouflage_spectral::spectrum::{binarize, fill_ratio, low_pass_mask};
 use decamouflage_spectral::Complex64;
@@ -73,8 +73,8 @@ proptest! {
         let signal: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new(((seed + i as u64) % 97) as f64, (i as f64 * 0.3).sin()))
             .collect();
-        let plan = MixedRadixPlan::new(n);
-        let fast = plan.forward(&signal);
+        let mut fast = signal.clone();
+        MixedRadixPlan::new(n).forward(&mut fast, &mut Vec::new());
         let naive = dft_naive(&signal);
         for (a, b) in fast.iter().zip(naive.iter()) {
             prop_assert!((*a - *b).norm() < 1e-7 * n as f64);
@@ -132,21 +132,6 @@ proptest! {
     }
 
     #[test]
-    fn planned_dft2_is_bit_identical_to_dft2(img in arb_image()) {
-        // The scratch-reusing plan path behind the engine's steganalysis
-        // scoring must match the plain transform bit for bit, including
-        // non-power-of-two (Bluestein) sizes, which `arb_image`'s prime
-        // dimensions exercise.
-        let plain = dft2(&img);
-        let planned = dft2_planned(&img);
-        prop_assert_eq!(planned.width(), plain.width());
-        prop_assert_eq!(planned.height(), plain.height());
-        for (a, b) in planned.as_slice().iter().zip(plain.as_slice()) {
-            prop_assert!(a.re == b.re && a.im == b.im, "{a:?} != {b:?}");
-        }
-    }
-
-    #[test]
     fn planned_csp_matches_staged_pipeline(img in arb_image(), threshold in 0.3f64..0.95) {
         let mut config = CspConfig::default();
         config.binarize_threshold = threshold;
@@ -174,11 +159,6 @@ fn planned_paths_match_on_large_bluestein_sizes() {
     // 97 and 31 are primes well past the small mixed-radix factors, so both
     // axes go through the Bluestein fallback.
     let img = Image::from_fn_gray(97, 31, |x, y| ((x * 13 + y * 29) % 251) as f64);
-    let plain = dft2(&img);
-    let planned = dft2_planned(&img);
-    for (a, b) in planned.as_slice().iter().zip(plain.as_slice()) {
-        assert!(a.re == b.re && a.im == b.im, "{a:?} != {b:?}");
-    }
     let config = CspConfig::default();
     assert_eq!(count_csp_planned(&img, &config).count, count_csp(&img, &config).count);
 }
@@ -289,5 +269,281 @@ proptest! {
         prop_assert_eq!(fused.count, staged.count);
         prop_assert_eq!(fused.components, staged.components);
         prop_assert!(staged.count <= img.width() * img.height());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mixed-radix bit-identity suite: the iterative in-place plan behind `fft`
+// (scalar or AVX butterflies) against the historical recursive plan, on
+// every smooth length up to 1200, on poisoned signals, and through the
+// 2-D row-pair/column sequence at the paper's Table 7 sizes.
+// ---------------------------------------------------------------------------
+
+/// The historical recursive mixed-radix plan, kept verbatim (minus its
+/// unused inverse) as the bit-identity reference for the iterative plan.
+#[derive(Debug)]
+struct RecursiveMixedRadixPlan {
+    n: usize,
+    /// Prime factors in recursion order.
+    factors: Vec<usize>,
+    /// Twiddle table: e^{-2πi k / N} for k in 0..N (forward direction).
+    twiddles: Vec<Complex64>,
+}
+
+/// Returns the smallest prime factor of `n` (n >= 2).
+fn smallest_prime_factor(n: usize) -> usize {
+    if n.is_multiple_of(2) {
+        return 2;
+    }
+    let mut p = 3;
+    while p * p <= n {
+        if n.is_multiple_of(p) {
+            return p;
+        }
+        p += 2;
+    }
+    n
+}
+
+impl RecursiveMixedRadixPlan {
+    fn new(n: usize) -> Self {
+        assert!(n > 0, "length must be non-zero");
+        assert!(is_smooth(n), "length {n} has a prime factor > {MAX_SMALL_PRIME}");
+        let mut factors = Vec::new();
+        let mut m = n;
+        while m > 1 {
+            let p = smallest_prime_factor(m);
+            factors.push(p);
+            m /= p;
+        }
+        let twiddles =
+            (0..n).map(|k| Complex64::from_polar_unit(-2.0 * PI * k as f64 / n as f64)).collect();
+        Self { n, factors, twiddles }
+    }
+
+    /// Twiddle `e^{-2πi k / N}` (forward) or its conjugate (inverse).
+    #[inline]
+    fn twiddle(&self, k: usize, forward: bool) -> Complex64 {
+        let t = self.twiddles[k % self.n];
+        if forward {
+            t
+        } else {
+            t.conj()
+        }
+    }
+
+    /// Forward transform (no normalisation), out of place.
+    fn forward(&self, input: &[Complex64]) -> Vec<Complex64> {
+        self.transform(input, true)
+    }
+
+    /// Shared transform body: allocates the output and one scratch buffer
+    /// up front; the recursion ping-pongs between them instead of building
+    /// per-level subsequence vectors.
+    fn transform(&self, input: &[Complex64], forward: bool) -> Vec<Complex64> {
+        assert_eq!(input.len(), self.n, "input length mismatch");
+        let mut out = vec![Complex64::ZERO; self.n];
+        let mut scratch = vec![Complex64::ZERO; self.n];
+        self.recurse(input, 0, 1, &mut out, &mut scratch, self.n, 0, forward);
+        out
+    }
+
+    /// Recursive decimation-in-time over the subsequence
+    /// `input[offset + i*stride]` of logical length `len`, writing the
+    /// spectrum contiguously into `out[..len]` with `scratch[..len]` as
+    /// workspace; `depth` indexes into the factor list.
+    #[allow(clippy::too_many_arguments)]
+    fn recurse(
+        &self,
+        input: &[Complex64],
+        offset: usize,
+        stride: usize,
+        out: &mut [Complex64],
+        scratch: &mut [Complex64],
+        len: usize,
+        depth: usize,
+        forward: bool,
+    ) {
+        if len == 1 {
+            out[0] = input[offset];
+            return;
+        }
+        let r = self.factors[depth];
+        let m = len / r;
+
+        // Transform each of the r decimated subsequences of length m.
+        for n1 in 0..r {
+            self.recurse(
+                input,
+                offset + n1 * stride,
+                stride * r,
+                &mut scratch[n1 * m..(n1 + 1) * m],
+                &mut out[n1 * m..(n1 + 1) * m],
+                m,
+                depth + 1,
+                forward,
+            );
+        }
+
+        // Combine: X[k1 + m*j] = Σ_{n1} W_N^{n1 (k1 + m j)} · S_{n1}[k1].
+        // Twiddle index scaled by the global stride of this recursion level:
+        // this level's W_N uses N = len, so global k = index * (self.n/len).
+        let unit = self.n / len;
+        for k1 in 0..m {
+            for j in 0..r {
+                let k = k1 + m * j;
+                let mut acc = Complex64::ZERO;
+                for n1 in 0..r {
+                    let tw = self.twiddle(n1 * k * unit, forward);
+                    acc += scratch[n1 * m + k1] * tw;
+                }
+                out[k] = acc;
+            }
+        }
+    }
+}
+
+/// The forward DFT of `input` through the historical recursion.
+fn mixed_radix_recursive_reference(input: &[Complex64]) -> Vec<Complex64> {
+    RecursiveMixedRadixPlan::new(input.len()).forward(input)
+}
+
+/// Smooth lengths up to `max` that are not powers of two: every length
+/// `fft` sends down the mixed-radix path.
+fn smooth_non_pow2_lengths(max: usize) -> Vec<usize> {
+    (3..=max).filter(|&n| is_smooth(n) && !n.is_power_of_two()).collect()
+}
+
+fn assert_bits_identical(fast: &[Complex64], reference: &[Complex64], what: &str) {
+    assert_eq!(fast.len(), reference.len(), "{what}: length");
+    for (i, (a, b)) in fast.iter().zip(reference).enumerate() {
+        assert!(
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+            "{what} bin {i}: {a:?} vs {b:?}"
+        );
+    }
+}
+
+#[test]
+fn mixed_radix_is_bit_identical_to_the_recursion_on_every_smooth_length() {
+    let lengths = smooth_non_pow2_lengths(1200);
+    assert_eq!(lengths.len(), 256);
+    for n in lengths {
+        let signals: [Vec<Complex64>; 3] = [
+            // Smooth complex tones.
+            (0..n)
+                .map(|i| Complex64::new((i as f64 * 0.61).sin() * 5.0, (i as f64 * 1.7).cos()))
+                .collect(),
+            // Pixel-like real samples: zero imaginary parts exercise the
+            // signed-zero arithmetic of the `acc = 0` start.
+            (0..n).map(|i| Complex64::from_real(((i * 7919 + n * 31) % 256) as f64)).collect(),
+            // Wide dynamic range with sign changes.
+            (0..n)
+                .map(|i| {
+                    let t = (i as f64 + 0.5) / n as f64;
+                    Complex64::new((t * 40.0).tan(), -1e-3 / t)
+                })
+                .collect(),
+        ];
+        for (s, signal) in signals.iter().enumerate() {
+            let mut fast = signal.clone();
+            fft(&mut fast);
+            assert_bits_identical(
+                &fast,
+                &mixed_radix_recursive_reference(signal),
+                &format!("n={n} signal {s}"),
+            );
+        }
+    }
+}
+
+/// `dft2_planned`'s row-pair and column sequence, with every 1-D transform
+/// taken by the recursive reference.
+fn dft2_through_the_recursion(img: &Image) -> Vec<Complex64> {
+    let (w, h) = (img.width(), img.height());
+    let mut grid: Vec<Complex64> = img.luma().iter().map(|&v| Complex64::from_real(v)).collect();
+    let mut pair = 0;
+    while pair + 1 < h {
+        let (ya, yb) = (pair, pair + 1);
+        let packed: Vec<Complex64> =
+            (0..w).map(|x| Complex64::new(grid[ya * w + x].re, grid[yb * w + x].re)).collect();
+        let packed = mixed_radix_recursive_reference(&packed);
+        for k in 0..w {
+            let z_k = packed[k];
+            let z_nk = packed[(w - k) % w].conj();
+            let a = (z_k + z_nk) * 0.5;
+            let b = Complex64::new(0.5 * (z_k.im - z_nk.im), 0.5 * (z_nk.re - z_k.re));
+            grid[ya * w + k] = a;
+            grid[yb * w + k] = b;
+        }
+        pair += 2;
+    }
+    if pair < h {
+        let row = mixed_radix_recursive_reference(&grid[pair * w..(pair + 1) * w]);
+        grid[pair * w..(pair + 1) * w].copy_from_slice(&row);
+    }
+    for x in 0..w {
+        let col: Vec<Complex64> = (0..h).map(|y| grid[y * w + x]).collect();
+        for (y, v) in mixed_radix_recursive_reference(&col).into_iter().enumerate() {
+            grid[y * w + x] = v;
+        }
+    }
+    grid
+}
+
+#[test]
+fn dft2_is_bit_identical_to_the_recursion_at_paper_sizes() {
+    for (w, h) in [(336usize, 336usize), (448, 448), (560, 560), (336, 560)] {
+        let img = Image::from_fn_gray(w, h, |x, y| ((x * 131 + y * 71 + x * y) % 256) as f64);
+        assert_bits_identical(
+            dft2_planned(&img).as_slice(),
+            &dft2_through_the_recursion(&img),
+            &format!("{w}x{h}"),
+        );
+    }
+}
+
+#[test]
+fn ifft_round_trips_at_paper_sizes() {
+    for n in [336usize, 448, 560] {
+        let signal: Vec<Complex64> = (0..n)
+            .map(|i| Complex64::new(((i * 37) % 256) as f64, (i as f64 * 0.3).sin()))
+            .collect();
+        let mut data = signal.clone();
+        fft(&mut data);
+        ifft(&mut data);
+        for (i, (a, b)) in data.iter().zip(&signal).enumerate() {
+            assert!((*a - *b).norm() < 1e-9 * n as f64, "n={n} sample {i}: {a} vs {b}");
+        }
+    }
+}
+
+fn arb_poisoned_smooth_signal() -> impl Strategy<Value = Vec<Complex64>> {
+    const LENGTHS: [usize; 12] = [3, 6, 7, 12, 15, 21, 35, 45, 77, 143, 169, 336];
+    (0usize..LENGTHS.len()).prop_flat_map(|i| {
+        proptest::collection::vec((arb_poisoned_component(), arb_poisoned_component()), LENGTHS[i])
+            .prop_map(|pairs| pairs.into_iter().map(|(re, im)| Complex64::new(re, im)).collect())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn mixed_radix_matches_the_recursion_on_poisoned_signals(
+        input in arb_poisoned_smooth_signal(),
+    ) {
+        let reference = mixed_radix_recursive_reference(&input);
+        let mut fast = input;
+        fft(&mut fast);
+        for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
+            prop_assert!(
+                bits_match(a.re, b.re) && bits_match(a.im, b.im),
+                "element {}: {:?} vs {:?}",
+                i,
+                a,
+                b
+            );
+        }
     }
 }
