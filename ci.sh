@@ -18,55 +18,12 @@ cargo test -q --workspace --no-default-features
 cargo build --release --workspace --features simd
 cargo test -q --workspace --features simd
 
-echo "== cargo test fault_injection =="
-cargo test -p decamouflage-core --test fault_injection
-
-echo "== cargo test telemetry =="
-cargo test -p decamouflage-telemetry
-cargo test -p decamouflage-core --test telemetry --test threads_warning
-
-echo "== metrics smoke: scan --metrics-out round-trips the parser =="
-cargo test --test cli -- stats_emits_a_parseable_prometheus_exposition \
-    scan_metrics_out_round_trips_through_the_parser
-
-echo "== bounded-memory smoke: scan --chunk-size 1 over 64 images matches eager =="
-cargo test --test cli -- scan_chunk_size_one_matches_default_chunking
-cargo test -p decamouflage-core --test stream_equivalence
-
-echo "== shard smoke: sharded + resumed + merged scan is bit-identical to unsharded =="
-# CLI end to end: a 64-image corpus scanned as 1 shard and as 3 shards (one
-# killed mid-scan and --resume'd) must merge to byte-identical reports; plus
-# the library-level property test over shard counts x kill points x chunk sizes.
-cargo test --test cli -- sharded_resumed_merged_scan_matches_the_unsharded_report \
-    resume_refuses_a_checkpoint_from_a_different_corpus \
-    unknown_flags_are_rejected_by_every_command
-cargo test -p decamouflage-core --test shard_merge_equivalence
-
-echo "== service smoke: serve under mixed traffic + SIGTERM drain =="
-# The real binary on an ephemeral port: concurrent valid/malformed/oversized
-# requests, shed/4xx/5xx accounting asserted in /metrics, then SIGTERM and a
-# clean drained exit inside the drain deadline. Parser fuzz + in-process
-# server e2e ride along from the serve crate's own suite.
-cargo test --test service_smoke
-cargo test -p decamouflage-serve --test http_parser_props --test server_e2e
-
-echo "== codec totality: hostile-input property suites + mixed-dir smoke =="
-# The decoders are the trust boundary: truncations, bit flips, spliced
-# garbage and magic-prefixed noise must return typed errors, never panic.
-# The CLI smoke streams a mixed BMP/PNM/PNG/JPEG directory with corrupt
-# files riding along — they quarantine their own slots, nothing crashes —
-# and the container-equivalence test pins BMP-vs-PNG scores bit-identical.
-cargo test -p decamouflage-imaging --test codec_props
-cargo test --test codec_equivalence
-cargo test --test cli -- scan_streams_a_mixed_format_directory_and_quarantines_the_corrupt_file
-
-echo "== planar equivalence: golden engine scores + interleaved<->planar round-trips =="
-# The planar-layout contract: engine ScoreVectors bit-identical to the
-# interleaved seed fixture (tests/golden_scores_v1.txt), exact round-trip
-# properties over from_interleaved/to_interleaved and from_planes/into_planes,
-# and borrow-only luma. Runs inside `cargo test --workspace` too; pinned here
-# so a fixture regression fails loudly under its own heading.
-cargo test --test planar_equivalence
+echo "== planar equivalence (release, simd): golden engine scores =="
+# The planar-layout contract under optimised AVX kernels: engine
+# ScoreVectors bit-identical to the interleaved seed fixture
+# (tests/golden_scores_v1.txt). The debug runs of this suite, and of every
+# fault-injection, telemetry, CLI, streaming, shard, service and codec
+# suite, happen inside the workspace test runs above.
 cargo test --release --test planar_equivalence --features simd
 
 echo "== codec bench: decode-stage latency per format -> BENCH_codecs.json =="

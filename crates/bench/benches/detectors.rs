@@ -4,17 +4,18 @@
 //!
 //! Unlike the other benches this one has a hand-written `main`: after the
 //! Criterion groups it runs a throughput comparison — cold per-detector
-//! scoring versus one engine pass versus the batch `score_images` API over a
-//! 64-image synthetic corpus — verifies the engine scores are bit-identical
-//! to the naive detectors, and writes the numbers to `BENCH_detectors.json`
-//! at the repository root.
+//! scoring ([`DetectionEngine::reference_score`]) versus one engine pass
+//! versus the batch `score_images` API over a 64-image synthetic corpus —
+//! verifies the engine scores are bit-identical to the naive references,
+//! and writes the numbers to `BENCH_detectors.json` at the repository root.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use decamouflage_bench::corpus::{DetectorSet, MixedAttackGenerator};
-use decamouflage_core::ensemble::Ensemble;
+use decamouflage_core::ensemble::{DegradePolicy, Ensemble};
 use decamouflage_core::parallel::default_threads;
+use decamouflage_core::persist::ThresholdSet;
 use decamouflage_core::{
-    Detector, Direction, EngineScores, MethodId, MetricKind, SliceSource, SteganalysisDetector,
+    DetectionEngine, Direction, EngineScores, MethodId, SliceSource, SteganalysisDetector,
     StreamConfig, Threshold,
 };
 use decamouflage_datasets::DatasetProfile;
@@ -39,9 +40,8 @@ fn bench_detection_methods(c: &mut Criterion) {
     for image in &images {
         let label = format!("{}x{}", image.width(), image.height());
         for &id in MethodId::ALL {
-            let det = detectors.engine().build_detector(id);
             group.bench_with_input(BenchmarkId::new(bench_label(id), &label), image, |b, img| {
-                b.iter(|| det.score(img).unwrap())
+                b.iter(|| detectors.engine().reference_score(id, img).unwrap())
             });
         }
         group.bench_with_input(BenchmarkId::new("engine_all_methods", &label), image, |b, img| {
@@ -54,27 +54,22 @@ fn bench_detection_methods(c: &mut Criterion) {
 fn bench_ensemble(c: &mut Criterion) {
     let profile = DatasetProfile::neurips_like();
     let generator = MixedAttackGenerator::new(profile.clone());
-    let detectors = DetectorSet::new(&profile);
     let image = generator.benign(0);
 
-    let ensemble = Ensemble::new()
-        .with_member(
-            detectors.scaling(MetricKind::Mse).clone(),
-            Threshold::new(100.0, Direction::AboveIsAttack),
-        )
-        .with_member(
-            detectors.filtering(MetricKind::Ssim).clone(),
-            Threshold::new(0.6, Direction::BelowIsAttack),
-        )
-        .with_member(
-            SteganalysisDetector::for_target(profile.target_size),
-            SteganalysisDetector::universal_threshold(),
-        );
+    let thresholds: ThresholdSet = [
+        (MethodId::ScalingMse, Threshold::new(100.0, Direction::AboveIsAttack)),
+        (MethodId::FilteringSsim, Threshold::new(0.6, Direction::BelowIsAttack)),
+        (MethodId::Csp, SteganalysisDetector::universal_threshold()),
+    ]
+    .into_iter()
+    .collect();
+    let ensemble = Ensemble::paper(profile.target_size, &thresholds, DegradePolicy::Strict)
+        .expect("every paper member has a threshold");
 
     let mut group = c.benchmark_group("ensemble");
     group.sample_size(10);
     group.bench_function("majority_vote_full_system", |b| {
-        b.iter(|| ensemble.is_attack(&image).unwrap())
+        b.iter(|| ensemble.decide(&image).unwrap().is_attack)
     });
     group.finish();
 }
@@ -106,17 +101,12 @@ fn time_pass(images: &[Image], repeats: usize, mut score: impl FnMut(&[Image])) 
     best
 }
 
-/// One standalone detector per registry method, built once (so timing
-/// measures scoring, not construction).
-fn naive_detectors(detectors: &DetectorSet) -> Vec<(MethodId, Box<dyn Detector>)> {
-    MethodId::ALL.iter().map(|&id| (id, detectors.engine().build_detector(id))).collect()
-}
-
-/// Scores one image the pre-engine way: each naive detector from scratch.
-fn cold_scores(naive: &[(MethodId, Box<dyn Detector>)], image: &Image) -> EngineScores {
+/// Scores one image the pre-engine way: each method's naive reference
+/// from scratch.
+fn cold_scores(engine: &DetectionEngine, image: &Image) -> EngineScores {
     let mut scores = EngineScores::splat(f64::NAN);
-    for (id, det) in naive {
-        scores.set(*id, det.score(image).unwrap());
+    for &id in MethodId::ALL {
+        scores.set(id, engine.reference_score(id, image).unwrap());
     }
     scores
 }
@@ -142,40 +132,38 @@ fn run_throughput() -> Throughput {
         .flat_map(|i| [generator.benign(i), generator.attack(i)])
         .collect();
 
-    let naive = naive_detectors(&detectors);
-
     // Correctness gate: the engine's shared-intermediate path must match
-    // the naive detectors exactly on every corpus image — including the
+    // the naive references exactly on every corpus image — including the
     // peak-excess score, which the engine derives from the spectrum it
     // already planned for CSP.
     for image in &images {
         assert_eq!(
             engine.score(image).unwrap(),
-            cold_scores(&naive, image),
-            "engine diverged from the naive detectors"
+            cold_scores(engine, image),
+            "engine diverged from the naive references"
         );
     }
 
     let repeats = 5;
     // Per-detector cold latency, one detector at a time, straight off the
     // method registry.
-    let per_detector_s: Vec<(String, f64)> = naive
+    let per_detector_s: Vec<(String, f64)> = MethodId::ALL
         .iter()
-        .map(|(id, det)| {
+        .map(|&id| {
             let secs = time_pass(&images, repeats, |imgs| {
                 for img in imgs {
-                    let _ = det.score(img).unwrap();
+                    let _ = engine.reference_score(id, img).unwrap();
                 }
             });
-            (bench_label(*id), secs)
+            (bench_label(id), secs)
         })
         .collect();
 
-    // Every registry score per image: cold (standalone detectors) vs one
+    // Every registry score per image: cold (naive references) vs one
     // engine pass.
     let cold_s = time_pass(&images, repeats, |imgs| {
         for img in imgs {
-            let _ = cold_scores(&naive, img);
+            let _ = cold_scores(engine, img);
         }
     });
     let engine_s = time_pass(&images, repeats, |imgs| {

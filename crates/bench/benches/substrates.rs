@@ -10,7 +10,7 @@ use decamouflage_imaging::scale::{resize, ScaleAlgorithm, Scaler};
 use decamouflage_imaging::{Image, Size};
 use decamouflage_metrics::{mse, ssim, SsimConfig};
 use decamouflage_spectral::csp::{count_csp, CspConfig};
-use decamouflage_spectral::dft2d::dft2;
+use decamouflage_spectral::dft2d::dft2_planned;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,8 +65,8 @@ fn bench_spectral(c: &mut Criterion) {
     let arb = test_image(448); // Bluestein path
     let mut group = c.benchmark_group("spectral");
     group.sample_size(10);
-    group.bench_function("dft2_512_radix2", |b| b.iter(|| dft2(&pow2)));
-    group.bench_function("dft2_448_bluestein", |b| b.iter(|| dft2(&arb)));
+    group.bench_function("dft2_512_radix2", |b| b.iter(|| dft2_planned(&pow2)));
+    group.bench_function("dft2_448_bluestein", |b| b.iter(|| dft2_planned(&arb)));
     group.bench_function("csp_448_full_pipeline", |b| {
         b.iter(|| count_csp(&arb, &CspConfig::default()))
     });

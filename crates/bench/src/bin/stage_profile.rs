@@ -50,7 +50,6 @@ fn main() {
 /// The 128² stage profile and its SSIM-share gate; `false` when the gate
 /// fails.
 fn ssim_share_gate(repeats: usize) -> bool {
-
     let mut profile = DatasetProfile::tiny();
     profile.name = "stage-profile";
     profile.source_sizes = vec![Size::square(128)];

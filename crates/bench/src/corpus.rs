@@ -1,14 +1,9 @@
 //! Corpus construction and one-pass multi-detector scoring.
 
-use decamouflage_core::engine::EngineDetectors;
 use decamouflage_core::parallel::{default_threads, parallel_map_indices};
-use decamouflage_core::peak_excess::PeakExcessDetector;
 use decamouflage_core::pipeline::ScoredCorpus;
 use decamouflage_core::stream::ChunkDriver;
-use decamouflage_core::{
-    DetectionEngine, FilteringDetector, FnSource, MethodId, MetricKind, ScalingDetector,
-    ScoreError, SteganalysisDetector, StreamConfig,
-};
+use decamouflage_core::{DetectionEngine, FnSource, MethodId, ScoreError, StreamConfig};
 use decamouflage_datasets::{DatasetProfile, SampleGenerator};
 use decamouflage_imaging::scale::ScaleAlgorithm;
 use decamouflage_imaging::Image;
@@ -62,7 +57,6 @@ impl MixedAttackGenerator {
 #[derive(Debug)]
 pub struct DetectorSet {
     engine: DetectionEngine,
-    detectors: EngineDetectors,
 }
 
 /// Index of `scaling/mse` in a [`ScoreSet`].
@@ -108,9 +102,7 @@ impl DetectorSet {
     /// defender's round trip uses bilinear scaling (a deployment choice,
     /// independent of the attacker's algorithm).
     pub fn new(profile: &DatasetProfile) -> Self {
-        let engine = DetectionEngine::new(profile.target_size);
-        let detectors = engine.detectors();
-        Self { engine, detectors }
+        Self { engine: DetectionEngine::new(profile.target_size) }
     }
 
     /// The shared-intermediate engine behind [`DetectorSet::score_all`].
@@ -118,36 +110,10 @@ impl DetectorSet {
         &self.engine
     }
 
-    /// The scaling detector with the given metric.
-    pub fn scaling(&self, metric: MetricKind) -> &ScalingDetector {
-        match metric {
-            MetricKind::Mse => &self.detectors.scaling_mse,
-            MetricKind::Ssim => &self.detectors.scaling_ssim,
-        }
-    }
-
-    /// The filtering detector with the given metric.
-    pub fn filtering(&self, metric: MetricKind) -> &FilteringDetector {
-        match metric {
-            MetricKind::Mse => &self.detectors.filtering_mse,
-            MetricKind::Ssim => &self.detectors.filtering_ssim,
-        }
-    }
-
-    /// The steganalysis detector.
-    pub fn steganalysis(&self) -> &SteganalysisDetector {
-        &self.detectors.steganalysis
-    }
-
-    /// The Fourier peak-excess detector.
-    pub fn peak_excess(&self) -> &PeakExcessDetector {
-        &self.detectors.peak_excess
-    }
-
     /// Scores one image with all scorers in `IDX_*` order, in one engine
     /// pass: every registry method comes from
-    /// [`DetectionEngine::score_with_artifacts`] (bit-identical to the
-    /// individual detectors), and the PSNR / colour-histogram negative
+    /// [`DetectionEngine::score_with_artifacts`] (bit-identical to
+    /// [`DetectionEngine::reference_score`]), and the PSNR / colour-histogram negative
     /// results reuse the engine's round-tripped and filtered intermediates.
     ///
     /// # Panics
@@ -341,7 +307,6 @@ pub fn score_profile(profile: &DatasetProfile, config: HarnessConfig) -> ScoreSe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decamouflage_core::Detector;
 
     fn tiny_context(count: usize) -> ExperimentContext {
         ExperimentContext::with_profiles(
@@ -430,7 +395,7 @@ mod tests {
         let g = MixedAttackGenerator::new(profile);
         let image = g.benign(1);
         let row = detectors.score_all(&image);
-        let standalone = detectors.peak_excess().score(&image).unwrap();
+        let standalone = detectors.engine().reference_score(MethodId::PeakExcess, &image).unwrap();
         assert_eq!(row[IDX_PEAK_EXCESS], standalone);
     }
 }

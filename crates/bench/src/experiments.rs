@@ -5,12 +5,16 @@ use crate::corpus::{
     ExperimentContext, IDX_COLORHIST, IDX_FILTERING_MSE, IDX_FILTERING_PSNR, IDX_FILTERING_SSIM,
     IDX_PEAK_EXCESS, IDX_SCALING_MSE, IDX_SCALING_PSNR, IDX_SCALING_SSIM, IDX_STEGANALYSIS,
 };
+use decamouflage_core::persist::ThresholdSet;
 use decamouflage_core::pipeline::{
     evaluate_ensemble, evaluate_threshold, run_blackbox, run_whitebox,
 };
 use decamouflage_core::report::{number, percent, MarkdownTable};
-use decamouflage_core::threshold::Direction;
-use decamouflage_core::{EvalMetrics, ModelInputSize, SteganalysisDetector};
+use decamouflage_core::threshold::{search_whitebox, Direction};
+use decamouflage_core::{
+    DegradePolicy, DetectError, DetectionEngine, Ensemble, EvalMetrics, MethodId, MethodSet,
+    ModelInputSize, SteganalysisDetector,
+};
 use decamouflage_datasets::SampleGenerator;
 use decamouflage_imaging::scale::ScaleAlgorithm;
 use decamouflage_metrics::{Histogram, SampleSummary};
@@ -608,29 +612,31 @@ fn ablate_robust_scaler(ctx: &ExperimentContext) -> String {
     )
 }
 
+/// The paper's ensemble for the training profile, with the scaling and
+/// filtering thresholds searched white-box on the training scores and the
+/// universal `CSP_T = 2`.
+fn whitebox_ensemble(ctx: &ExperimentContext) -> Result<Ensemble, DetectError> {
+    let train = ctx.train();
+    let search = |idx: usize, direction| {
+        search_whitebox(&train.of(idx).benign, &train.of(idx).attack, direction)
+            .map(|search| search.threshold)
+    };
+    let thresholds: ThresholdSet = [
+        (MethodId::ScalingMse, search(IDX_SCALING_MSE, Direction::AboveIsAttack)?),
+        (MethodId::FilteringSsim, search(IDX_FILTERING_SSIM, Direction::BelowIsAttack)?),
+        (MethodId::Csp, SteganalysisDetector::universal_threshold()),
+    ]
+    .into_iter()
+    .collect();
+    Ensemble::paper(ctx.train_profile.target_size, &thresholds, DegradePolicy::Strict)
+}
+
 /// Discussion-section ablation: adaptive attacks vs. the ensemble.
-fn ablate_adaptive(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectError> {
-    use crate::corpus::DetectorSet;
+fn ablate_adaptive(ctx: &ExperimentContext) -> Result<String, DetectError> {
     use decamouflage_attack::adaptive::jitter_camouflage;
-    use decamouflage_core::Detector;
 
     let count = ctx.config.count.clamp(1, 25);
-    let train = ctx.train();
-    let scaling_t = decamouflage_core::threshold::search_whitebox(
-        &train.of(IDX_SCALING_MSE).benign,
-        &train.of(IDX_SCALING_MSE).attack,
-        Direction::AboveIsAttack,
-    )?
-    .threshold;
-    let filtering_t = decamouflage_core::threshold::search_whitebox(
-        &train.of(IDX_FILTERING_SSIM).benign,
-        &train.of(IDX_FILTERING_SSIM).attack,
-        Direction::BelowIsAttack,
-    )?
-    .threshold;
-    let stego_t = SteganalysisDetector::universal_threshold();
-
-    let detectors = DetectorSet::new(&ctx.train_profile);
+    let ensemble = whitebox_ensemble(ctx)?;
     let g = SampleGenerator::new(ctx.train_profile.clone(), ScaleAlgorithm::Bilinear);
 
     let mut t = MarkdownTable::new(vec![
@@ -646,20 +652,11 @@ fn ablate_adaptive(ctx: &ExperimentContext) -> Result<String, decamouflage_core:
             let crafted = g.attack(i as u64).expect("crafting succeeds");
             let image = jitter_camouflage(&crafted.image, &g.scaler(i as u64), strength, i as u64)
                 .expect("jitter parameters are valid");
-            let votes = [
-                scaling_t.is_attack(
-                    detectors.scaling(decamouflage_core::MetricKind::Mse).score(&image)?,
-                ),
-                filtering_t.is_attack(
-                    detectors.filtering(decamouflage_core::MetricKind::Ssim).score(&image)?,
-                ),
-                stego_t.is_attack(detectors.steganalysis().score(&image)?),
-            ];
-            for (k, &v) in votes.iter().enumerate() {
-                hits[k] += usize::from(v);
+            let decision = ensemble.decide(&image)?;
+            for (k, &(_, vote)) in decision.votes.iter().enumerate() {
+                hits[k] += usize::from(vote);
             }
-            let majority = votes.iter().filter(|&&v| v).count() >= 2;
-            hits[3] += usize::from(majority);
+            hits[3] += usize::from(decision.is_attack);
         }
         t.push_row(vec![
             format!("{strength}"),
@@ -824,11 +821,10 @@ fn ablate_prevention(ctx: &ExperimentContext) -> Result<String, decamouflage_cor
 /// CSP parameter-sensitivity sweep: detection quality across binarisation
 /// thresholds, with the fixed `CSP_T = 2` decision rule.
 fn ablate_csp_sensitivity(ctx: &ExperimentContext) -> String {
-    use decamouflage_core::Detector;
-    use decamouflage_core::SteganalysisDetector;
     let count = ctx.config.count.clamp(1, 30);
     let g = crate::corpus::MixedAttackGenerator::new(ctx.train_profile.clone());
     let target = ctx.train_profile.target_size;
+    let engine = DetectionEngine::new(target).with_methods(MethodSet::of(&[MethodId::Csp]));
 
     let mut t = MarkdownTable::new(vec![
         "binarize threshold",
@@ -836,16 +832,16 @@ fn ablate_csp_sensitivity(ctx: &ExperimentContext) -> String {
         "attacks caught (recall)",
     ]);
     for thr in [0.58, 0.62, 0.66, 0.70, 0.74] {
-        let mut det = SteganalysisDetector::for_target(target);
-        let mut cfg = det.config().clone();
+        let mut cfg = SteganalysisDetector::for_target(target).config().clone();
         cfg.binarize_threshold = thr;
-        det = SteganalysisDetector::with_config(cfg);
+        let engine = engine.clone().with_csp_config(cfg);
         let rule = SteganalysisDetector::universal_threshold();
+        let flags = |image| rule.is_attack(engine.score(&image).expect("csp works").csp());
         let mut frr = 0usize;
         let mut caught = 0usize;
         for i in 0..count as u64 {
-            frr += usize::from(rule.is_attack(det.score(&g.benign(i)).expect("csp works")));
-            caught += usize::from(rule.is_attack(det.score(&g.attack(i)).expect("csp works")));
+            frr += usize::from(flags(g.benign(i)));
+            caught += usize::from(flags(g.attack(i)));
         }
         t.push_row(vec![format!("{thr}"), format!("{frr}/{count}"), format!("{caught}/{count}")]);
     }
@@ -973,28 +969,12 @@ pub fn fig4(ctx: &ExperimentContext) -> String {
 /// with partial-strength attacks: sweeping the blend factor `alpha` from
 /// full strength towards benign, detection and attack efficacy collapse
 /// *together*.
-pub fn table9_missed(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectError> {
-    use crate::corpus::DetectorSet;
+pub fn table9_missed(ctx: &ExperimentContext) -> Result<String, DetectError> {
     use decamouflage_attack::adaptive::blend_target;
     use decamouflage_attack::{craft_attack, verify_attack, AttackConfig, VerifyConfig};
-    use decamouflage_core::Detector;
 
     let count = ctx.config.count.clamp(2, 20);
-    let train = ctx.train();
-    let scaling_t = decamouflage_core::threshold::search_whitebox(
-        &train.of(IDX_SCALING_MSE).benign,
-        &train.of(IDX_SCALING_MSE).attack,
-        Direction::AboveIsAttack,
-    )?
-    .threshold;
-    let filtering_t = decamouflage_core::threshold::search_whitebox(
-        &train.of(IDX_FILTERING_SSIM).benign,
-        &train.of(IDX_FILTERING_SSIM).attack,
-        Direction::BelowIsAttack,
-    )?
-    .threshold;
-    let stego_t = SteganalysisDetector::universal_threshold();
-    let detectors = DetectorSet::new(&ctx.train_profile);
+    let ensemble = whitebox_ensemble(ctx)?;
     let g = SampleGenerator::new(ctx.train_profile.clone(), ScaleAlgorithm::Bilinear);
 
     let mut t = MarkdownTable::new(vec![
@@ -1018,18 +998,7 @@ pub fn table9_missed(ctx: &ExperimentContext) -> Result<String, decamouflage_cor
                 .map_err(|e| decamouflage_core::DetectError::InvalidConfig {
                     message: e.to_string(),
                 })?;
-            let votes = [
-                scaling_t.is_attack(
-                    detectors.scaling(decamouflage_core::MetricKind::Mse).score(&crafted.image)?,
-                ),
-                filtering_t.is_attack(
-                    detectors
-                        .filtering(decamouflage_core::MetricKind::Ssim)
-                        .score(&crafted.image)?,
-                ),
-                stego_t.is_attack(detectors.steganalysis().score(&crafted.image)?),
-            ];
-            let flagged = votes.iter().filter(|&&v| v).count() >= 2;
+            let flagged = ensemble.decide(&crafted.image)?.is_attack;
             // Efficacy is judged against the attacker's *real* goal: the
             // full-strength target.
             let verdict = verify_attack(
@@ -1070,10 +1039,8 @@ pub fn table9_missed(ctx: &ExperimentContext) -> Result<String, decamouflage_cor
 /// pixel, so the perturbation is enormous and trivially visible; from
 /// factor 3 upward the attack is stealthy — and every Decamouflage method
 /// still detects it.
-pub fn ablate_factor(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectError> {
-    use crate::corpus::DetectorSet;
+pub fn ablate_factor(ctx: &ExperimentContext) -> Result<String, DetectError> {
     use decamouflage_attack::{verify_attack, VerifyConfig};
-    use decamouflage_core::Detector;
     use decamouflage_imaging::Size;
 
     let count = ctx.config.count.clamp(2, 8);
@@ -1089,7 +1056,8 @@ pub fn ablate_factor(ctx: &ExperimentContext) -> Result<String, decamouflage_cor
     for factor in [2usize, 3, 4, 5, 6] {
         let mut profile = ctx.train_profile.clone();
         profile.source_sizes = vec![Size::square(target * factor)];
-        let detectors = DetectorSet::new(&profile);
+        let engine = DetectionEngine::new(profile.target_size)
+            .with_methods(MethodSet::of(&[MethodId::ScalingMse, MethodId::Csp]));
         let g = SampleGenerator::new(profile, ScaleAlgorithm::Bilinear);
         let mut stealthy = 0usize;
         let mut perturbation = 0.0f64;
@@ -1108,11 +1076,10 @@ pub fn ablate_factor(ctx: &ExperimentContext) -> Result<String, decamouflage_cor
             .expect("shapes are consistent");
             stealthy += usize::from(v.visually_stealthy);
             perturbation += v.perturbation_mse;
-            let sd = detectors.scaling(decamouflage_core::MetricKind::Mse);
-            let benign_score = sd.score(&original)?.max(1e-9);
-            ratio_sum += sd.score(&crafted.image)? / benign_score;
-            let csp = detectors.steganalysis().score(&crafted.image)?;
-            csp_hits += usize::from(csp >= 2.0);
+            let benign_score = engine.score(&original)?.scaling_mse().max(1e-9);
+            let attack = engine.score(&crafted.image)?;
+            ratio_sum += attack.scaling_mse() / benign_score;
+            csp_hits += usize::from(attack.csp() >= 2.0);
         }
         let n = count as f64;
         t.push_row(vec![
@@ -1142,27 +1109,11 @@ pub fn ablate_factor(ctx: &ExperimentContext) -> Result<String, decamouflage_cor
 /// originals. Decamouflage triages the submission queue offline; a single
 /// missed poison plants the backdoor, so the FAR on poison samples is the
 /// security-critical number.
-pub fn ablate_backdoor(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectError> {
-    use crate::corpus::DetectorSet;
-    use decamouflage_core::Detector;
+pub fn ablate_backdoor(ctx: &ExperimentContext) -> Result<String, DetectError> {
     use decamouflage_datasets::backdoor::{craft_poison_sample, Trigger};
 
     let count = ctx.config.count.clamp(2, 25);
-    let train = ctx.train();
-    let scaling_t = decamouflage_core::threshold::search_whitebox(
-        &train.of(IDX_SCALING_MSE).benign,
-        &train.of(IDX_SCALING_MSE).attack,
-        Direction::AboveIsAttack,
-    )?
-    .threshold;
-    let filtering_t = decamouflage_core::threshold::search_whitebox(
-        &train.of(IDX_FILTERING_SSIM).benign,
-        &train.of(IDX_FILTERING_SSIM).attack,
-        Direction::BelowIsAttack,
-    )?
-    .threshold;
-    let stego_t = SteganalysisDetector::universal_threshold();
-    let detectors = DetectorSet::new(&ctx.train_profile);
+    let ensemble = whitebox_ensemble(ctx)?;
     let g = SampleGenerator::new(ctx.train_profile.clone(), ScaleAlgorithm::Bilinear);
     let trigger = Trigger::default();
 
@@ -1175,15 +1126,7 @@ pub fn ablate_backdoor(ctx: &ExperimentContext) -> Result<String, decamouflage_c
         // Confirm the poison actually carries the trigger for the model.
         let model_view = g.scaler(i).apply(&poison)?;
         payload_confirmed += usize::from(trigger.is_present(&model_view));
-        let votes = [
-            scaling_t
-                .is_attack(detectors.scaling(decamouflage_core::MetricKind::Mse).score(&poison)?),
-            filtering_t.is_attack(
-                detectors.filtering(decamouflage_core::MetricKind::Ssim).score(&poison)?,
-            ),
-            stego_t.is_attack(detectors.steganalysis().score(&poison)?),
-        ];
-        quarantined += usize::from(votes.iter().filter(|&&v| v).count() >= 2);
+        quarantined += usize::from(ensemble.decide(&poison)?.is_attack);
     }
     let mut t = MarkdownTable::new(vec!["Quantity", "Count"]);
     t.push_row(vec![

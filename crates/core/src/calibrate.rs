@@ -1,183 +1,88 @@
-//! High-level calibration: turn a [`Detector`] plus sample images directly
-//! into a calibrated threshold (and optionally an ensemble member),
+//! High-level calibration: stream sample images through the engine and
+//! turn every enabled method's score column into a calibrated threshold,
 //! without touching score vectors by hand.
+//!
+//! Two entry points, one per threat model: [`calibrate_whitebox`]
+//! (labelled benign + attack samples, optimal threshold search) and
+//! [`calibrate_blackbox`] (benign samples only, percentile threshold).
+//! Both stream arbitrary [`ImageSource`]s chunk by chunk, quarantine
+//! unusable samples into a ledger instead of aborting, and score each
+//! image once for all methods.
 //!
 //! ```
 //! use decamouflage_core::calibrate::calibrate_whitebox;
-//! use decamouflage_core::{MetricKind, ScalingDetector};
-//! use decamouflage_imaging::{Image, Size, scale::ScaleAlgorithm};
+//! use decamouflage_core::{DetectionEngine, MethodId, MethodSet, SliceSource, StreamConfig};
+//! use decamouflage_imaging::{Image, Size};
 //!
 //! # fn main() -> Result<(), decamouflage_core::DetectError> {
-//! let detector = ScalingDetector::new(Size::square(8), ScaleAlgorithm::Bilinear, MetricKind::Mse);
+//! let engine =
+//!     DetectionEngine::new(Size::square(8)).with_methods(MethodSet::of(&[MethodId::ScalingMse]));
 //! let benign: Vec<Image> =
 //!     (0..4).map(|i| Image::from_fn_gray(32, 32, |x, y| ((x + y + i) % 200) as f64)).collect();
 //! let attacks: Vec<Image> =
 //!     (0..4).map(|i| Image::from_fn_gray(32, 32, |x, y| ((x * y + i * 7) % 256) as f64)).collect();
-//! let calibration = calibrate_whitebox(&detector, &benign, &attacks)?;
-//! assert!(calibration.train_accuracy > 0.5);
+//! let calibration = calibrate_whitebox(
+//!     &engine,
+//!     &mut SliceSource::new(&benign),
+//!     &mut SliceSource::new(&attacks),
+//!     &StreamConfig::default(),
+//! )?;
+//! assert!(calibration.get(MethodId::ScalingMse).unwrap().train_accuracy > 0.5);
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::detector::Detector;
 use crate::engine::DetectionEngine;
-use crate::ensemble::EnsembleMember;
-use crate::method::ScoreColumns;
+use crate::method::{MethodId, ScoreColumns};
 use crate::persist::ThresholdSet;
-use crate::stream::{ImageSource, SliceSource, StreamConfig};
+use crate::stream::{ImageSource, StreamConfig};
 use crate::threshold::{percentile_blackbox, search_whitebox, Threshold};
 use crate::{DetectError, ScoreError};
-use decamouflage_imaging::Image;
 
-/// Result of a white-box calibration run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Calibration {
+/// One method's calibrated threshold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MethodCalibration {
+    /// The calibrated method.
+    pub method: MethodId,
     /// The selected threshold.
     pub threshold: Threshold,
-    /// Accuracy over the calibration samples at that threshold.
+    /// Accuracy over the calibration samples at that threshold (for
+    /// black-box calibration: the benign pass rate, `1 - FRR`).
     pub train_accuracy: f64,
-    /// Scores of the benign calibration images (for reporting).
-    pub benign_scores: Vec<f64>,
-    /// Scores of the attack calibration images (empty for black-box).
-    pub attack_scores: Vec<f64>,
 }
 
-fn score_all<D: Detector>(detector: &D, images: &[Image]) -> Result<Vec<f64>, DetectError> {
-    images.iter().map(|img| detector.score(img)).collect()
-}
-
-/// White-box calibration: score both sample sets and run the optimal
-/// threshold search.
-///
-/// # Errors
-///
-/// Propagates scoring failures and calibration-input errors (empty sets).
-pub fn calibrate_whitebox<D: Detector>(
-    detector: &D,
-    benign: &[Image],
-    attacks: &[Image],
-) -> Result<Calibration, DetectError> {
-    let benign_scores = score_all(detector, benign)?;
-    let attack_scores = score_all(detector, attacks)?;
-    let search = search_whitebox(&benign_scores, &attack_scores, detector.direction())?;
-    Ok(Calibration {
-        threshold: search.threshold,
-        train_accuracy: search.train_accuracy,
-        benign_scores,
-        attack_scores,
-    })
-}
-
-/// Black-box calibration: score the benign set only and place the
-/// threshold at the `tail_percent` percentile on the attack side.
-///
-/// # Errors
-///
-/// Propagates scoring failures and calibration-input errors.
-pub fn calibrate_blackbox<D: Detector>(
-    detector: &D,
-    benign: &[Image],
-    tail_percent: f64,
-) -> Result<Calibration, DetectError> {
-    let benign_scores = score_all(detector, benign)?;
-    let threshold = percentile_blackbox(&benign_scores, tail_percent, detector.direction())?;
-    // Training accuracy on benign only: 1 - FRR at this threshold.
-    let frr = benign_scores.iter().filter(|&&s| threshold.is_attack(s)).count() as f64
-        / benign_scores.len() as f64;
-    Ok(Calibration {
-        threshold,
-        train_accuracy: 1.0 - frr,
-        benign_scores,
-        attack_scores: Vec::new(),
-    })
-}
-
-/// Convenience: white-box calibrate a detector and wrap it as an ensemble
-/// member in one step.
-///
-/// # Errors
-///
-/// Propagates calibration failures.
-pub fn calibrated_member<D: Detector + 'static>(
-    detector: D,
-    benign: &[Image],
-    attacks: &[Image],
-) -> Result<EnsembleMember, DetectError> {
-    let calibration = calibrate_whitebox(&detector, benign, attacks)?;
-    Ok(EnsembleMember::new(detector, calibration.threshold))
-}
-
-/// Streams `source` through the engine, accumulating the per-method score
-/// columns in one pass and failing fast on the first quarantined position
-/// (in stream order) — the strict calibration contract.
-fn score_source_strict(
-    engine: &DetectionEngine,
-    source: &mut dyn ImageSource,
-    config: &StreamConfig,
-) -> Result<ScoreColumns, DetectError> {
-    let mut columns = ScoreColumns::new(engine.methods());
-    let mut first_err: Option<ScoreError> = None;
-    engine.score_stream(source, config, |_, result| match result {
-        Ok(scores) if first_err.is_none() => columns.push(&scores),
-        Err(err) if first_err.is_none() => first_err = Some(err),
-        _ => {}
-    });
-    match first_err {
-        Some(err) => Err(err.into()),
-        None => Ok(columns),
-    }
-}
-
-/// Runs the white-box threshold search of every enabled engine method over
-/// pre-transposed score columns.
-fn search_column_set(
-    engine: &DetectionEngine,
-    benign: &ScoreColumns,
-    attacks: &ScoreColumns,
-) -> Result<ThresholdSet, DetectError> {
-    let mut set = ThresholdSet::new();
-    for id in engine.methods().iter() {
-        let search = search_whitebox(benign.column(id), attacks.column(id), id.direction())?;
-        set.insert(id, search.threshold);
-    }
-    Ok(set)
-}
-
-/// White-box calibration of **every enabled engine method** in one engine
-/// pass per image: each image is scored once, the per-method columns are
-/// accumulated in a single pass ([`ScoreColumns`]), and each method's
-/// threshold comes from its own column under its registry direction
-/// ([`crate::MethodId::direction`]). A facade over the streaming path with
-/// a slice-backed source.
-///
-/// # Errors
-///
-/// Propagates scoring failures and calibration-input errors (empty sets).
-pub fn calibrate_engine_whitebox(
-    engine: &DetectionEngine,
-    benign: &[Image],
-    attacks: &[Image],
-) -> Result<ThresholdSet, DetectError> {
-    let config = StreamConfig::default();
-    let benign_columns = score_source_strict(engine, &mut SliceSource::new(benign), &config)?;
-    let attack_columns = score_source_strict(engine, &mut SliceSource::new(attacks), &config)?;
-    search_column_set(engine, &benign_columns, &attack_columns)
-}
-
-/// A [`calibrate_engine_whitebox`] run that survived bad samples: the
-/// thresholds from the surviving images plus the quarantine ledger.
+/// Result of a calibration run: per-method thresholds, the score columns
+/// they came from, and the quarantine ledger of the samples that could
+/// not be scored.
 #[derive(Debug)]
-pub struct ResilientCalibration {
-    /// Per-method thresholds from the images that scored successfully.
-    pub thresholds: ThresholdSet,
+pub struct Calibration {
+    /// One entry per enabled engine method, in canonical method order.
+    pub methods: Vec<MethodCalibration>,
+    /// Scores of the surviving benign samples, per method.
+    pub benign_scores: ScoreColumns,
+    /// Scores of the surviving attack samples, per method (empty for
+    /// black-box calibration).
+    pub attack_scores: ScoreColumns,
     /// The quarantine errors of the benign samples, `(sample index, error)`.
-    pub benign_quarantined: Vec<(usize, crate::ScoreError)>,
+    pub benign_quarantined: Vec<(usize, ScoreError)>,
     /// The quarantine errors of the attack samples, `(sample index, error)`.
-    pub attack_quarantined: Vec<(usize, crate::ScoreError)>,
+    pub attack_quarantined: Vec<(usize, ScoreError)>,
 }
 
-impl ResilientCalibration {
-    /// Total number of quarantined calibration samples.
+impl Calibration {
+    /// The calibration of one method, if the engine enabled it.
+    pub fn get(&self, id: MethodId) -> Option<&MethodCalibration> {
+        self.methods.iter().find(|m| m.method == id)
+    }
+
+    /// The thresholds as a persistable [`ThresholdSet`].
+    pub fn thresholds(&self) -> ThresholdSet {
+        self.methods.iter().map(|m| (m.method, m.threshold)).collect()
+    }
+
+    /// Total number of quarantined calibration samples. Inspect it before
+    /// trusting the thresholds: a heavily quarantined corpus is itself a
+    /// signal.
     pub fn quarantined(&self) -> usize {
         self.benign_quarantined.len() + self.attack_quarantined.len()
     }
@@ -186,190 +91,190 @@ impl ResilientCalibration {
 /// Streams `source` through the engine resiliently: survivors accumulate
 /// into one-pass score columns, quarantined positions land in the ledger
 /// with their stream index.
-fn score_source_resilient(
+///
+/// # Errors
+///
+/// [`DetectError::InvalidCalibration`] when no `class` sample survived.
+fn score_class(
     engine: &DetectionEngine,
     source: &mut dyn ImageSource,
     config: &StreamConfig,
-    quarantined: &mut Vec<(usize, ScoreError)>,
-) -> ScoreColumns {
+    class: &str,
+) -> Result<(ScoreColumns, Vec<(usize, ScoreError)>), DetectError> {
     let mut columns = ScoreColumns::new(engine.methods());
+    let mut quarantined = Vec::new();
     engine.score_stream(source, config, |index, result| match result {
         Ok(scores) => columns.push(&scores),
         Err(err) => quarantined.push((index, err)),
     });
-    columns
+    if columns.is_empty() {
+        return Err(DetectError::InvalidCalibration {
+            message: format!("no {class} sample survived scoring"),
+        });
+    }
+    Ok((columns, quarantined))
 }
 
-/// White-box calibration over arbitrary [`ImageSource`]s with bounded
-/// memory: both streams are scored chunk by chunk
-/// ([`DetectionEngine::score_stream`]), survivors feed the one-pass score
-/// columns, and quarantined positions are collected with their stream
-/// index. This is the calibration entry point for corpora that do not fit
-/// in memory — directories stream through
-/// [`DirectorySource`](crate::stream::DirectorySource), synthetic corpora
-/// through [`FnSource`](crate::stream::FnSource).
+/// White-box calibration of **every enabled engine method**: both sample
+/// streams are scored once per image (chunk by chunk, with bounded
+/// memory), the per-method columns accumulate in a single pass, and each
+/// method's threshold comes from the accuracy-maximising search over its
+/// own columns under its registry direction ([`MethodId::direction`]).
+/// Eager callers pass a [`SliceSource`](crate::stream::SliceSource),
+/// directories stream through
+/// [`DirectorySource`](crate::stream::DirectorySource).
 ///
 /// # Errors
 ///
 /// Returns [`DetectError::InvalidCalibration`] when either class has no
 /// surviving samples; propagates threshold-search errors.
-pub fn calibrate_engine_whitebox_sources(
+pub fn calibrate_whitebox(
     engine: &DetectionEngine,
     benign: &mut dyn ImageSource,
     attacks: &mut dyn ImageSource,
     config: &StreamConfig,
-) -> Result<ResilientCalibration, DetectError> {
-    let mut benign_quarantined = Vec::new();
-    let mut attack_quarantined = Vec::new();
-    let benign_columns = score_source_resilient(engine, benign, config, &mut benign_quarantined);
-    let attack_columns = score_source_resilient(engine, attacks, config, &mut attack_quarantined);
-    let thresholds = search_column_set(engine, &benign_columns, &attack_columns)?;
-    Ok(ResilientCalibration { thresholds, benign_quarantined, attack_quarantined })
-}
-
-/// White-box calibration that quarantines unusable samples instead of
-/// aborting: every image streams through the resilient scoring path,
-/// failures are collected with their sample index, and the threshold
-/// search runs on whatever survived. One corrupt file in a calibration
-/// corpus no longer costs the whole run — but inspect
-/// [`ResilientCalibration::quarantined`] before trusting the thresholds,
-/// because a heavily quarantined corpus is itself a signal. A facade over
-/// [`calibrate_engine_whitebox_sources`] with slice-backed sources.
-///
-/// # Errors
-///
-/// Returns [`DetectError::InvalidCalibration`] when either class has no
-/// surviving samples; propagates threshold-search errors.
-pub fn calibrate_engine_whitebox_resilient(
-    engine: &DetectionEngine,
-    benign: &[Image],
-    attacks: &[Image],
-) -> Result<ResilientCalibration, DetectError> {
-    calibrate_engine_whitebox_sources(
-        engine,
-        &mut SliceSource::new(benign),
-        &mut SliceSource::new(attacks),
-        &StreamConfig::default(),
-    )
-}
-
-/// Black-box calibration over an arbitrary benign [`ImageSource`] with
-/// bounded memory; strict — the first unscorable position aborts.
-///
-/// # Errors
-///
-/// Propagates scoring failures and calibration-input errors.
-pub fn calibrate_engine_blackbox_source(
-    engine: &DetectionEngine,
-    benign: &mut dyn ImageSource,
-    tail_percent: f64,
-    config: &StreamConfig,
-) -> Result<ThresholdSet, DetectError> {
-    let benign_columns = score_source_strict(engine, benign, config)?;
-    let mut set = ThresholdSet::new();
-    for id in engine.methods().iter() {
-        let threshold = match id.fixed_blackbox_threshold() {
-            Some(fixed) => fixed,
-            None => percentile_blackbox(benign_columns.column(id), tail_percent, id.direction())?,
-        };
-        set.insert(id, threshold);
-    }
-    Ok(set)
+) -> Result<Calibration, DetectError> {
+    let (benign_scores, benign_quarantined) = score_class(engine, benign, config, "benign")?;
+    let (attack_scores, attack_quarantined) = score_class(engine, attacks, config, "attack")?;
+    let methods = engine
+        .methods()
+        .iter()
+        .map(|id| {
+            let search = search_whitebox(
+                benign_scores.column(id),
+                attack_scores.column(id),
+                id.direction(),
+            )?;
+            Ok(MethodCalibration {
+                method: id,
+                threshold: search.threshold,
+                train_accuracy: search.train_accuracy,
+            })
+        })
+        .collect::<Result<_, DetectError>>()?;
+    Ok(Calibration {
+        methods,
+        benign_scores,
+        attack_scores,
+        benign_quarantined,
+        attack_quarantined,
+    })
 }
 
 /// Black-box calibration of every enabled engine method from benign
 /// samples only. Methods carrying a universal threshold
-/// ([`crate::MethodId::fixed_blackbox_threshold`] — the paper's
-/// `CSP_T = 2`) keep it without touching the scores; every other method
-/// gets the `tail_percent` benign percentile under its registry direction.
-/// A facade over [`calibrate_engine_blackbox_source`] with a slice-backed
-/// source.
+/// ([`MethodId::fixed_blackbox_threshold`] — the paper's `CSP_T = 2`) keep
+/// it; every other method gets the `tail_percent` benign percentile under
+/// its registry direction. Streams and quarantines like
+/// [`calibrate_whitebox`].
 ///
 /// # Errors
 ///
-/// Propagates scoring failures and calibration-input errors.
-pub fn calibrate_engine_blackbox(
+/// Returns [`DetectError::InvalidCalibration`] when no benign sample
+/// survives; propagates percentile errors.
+pub fn calibrate_blackbox(
     engine: &DetectionEngine,
-    benign: &[Image],
+    benign: &mut dyn ImageSource,
     tail_percent: f64,
-) -> Result<ThresholdSet, DetectError> {
-    calibrate_engine_blackbox_source(
-        engine,
-        &mut SliceSource::new(benign),
-        tail_percent,
-        &StreamConfig::default(),
-    )
+    config: &StreamConfig,
+) -> Result<Calibration, DetectError> {
+    let (benign_scores, benign_quarantined) = score_class(engine, benign, config, "benign")?;
+    let methods = engine
+        .methods()
+        .iter()
+        .map(|id| {
+            let column = benign_scores.column(id);
+            let threshold = match id.fixed_blackbox_threshold() {
+                Some(fixed) => fixed,
+                None => percentile_blackbox(column, tail_percent, id.direction())?,
+            };
+            let rejected = column.iter().filter(|&&s| threshold.is_attack(s)).count();
+            let train_accuracy = 1.0 - rejected as f64 / column.len() as f64;
+            Ok(MethodCalibration { method: id, threshold, train_accuracy })
+        })
+        .collect::<Result<_, DetectError>>()?;
+    Ok(Calibration {
+        methods,
+        attack_scores: ScoreColumns::new(engine.methods()),
+        benign_scores,
+        benign_quarantined,
+        attack_quarantined: Vec::new(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::MethodSet;
+    use crate::steganalysis::SteganalysisDetector;
+    use crate::stream::SliceSource;
     use crate::threshold::Direction;
-
-    /// Scores an image by its mean (deterministic, fast).
-    struct MeanDetector;
-
-    impl Detector for MeanDetector {
-        fn score(&self, image: &Image) -> Result<f64, DetectError> {
-            Ok(image.mean_sample())
-        }
-        fn direction(&self) -> Direction {
-            Direction::AboveIsAttack
-        }
-        fn name(&self) -> String {
-            "mean".into()
-        }
-    }
+    use decamouflage_imaging::{Channels, Image, Size};
 
     fn flats(levels: &[f64]) -> Vec<Image> {
-        levels
-            .iter()
-            .map(|&v| Image::filled(2, 2, decamouflage_imaging::Channels::Gray, v))
-            .collect()
+        levels.iter().map(|&v| Image::filled(2, 2, Channels::Gray, v)).collect()
+    }
+
+    /// An engine scoring only the test-only mean-intensity method.
+    fn mean_engine() -> DetectionEngine {
+        DetectionEngine::new(Size::square(2)).with_methods(MethodSet::of(&[MethodId::DummyMean]))
+    }
+
+    fn whitebox(
+        engine: &DetectionEngine,
+        benign: &[Image],
+        attacks: &[Image],
+    ) -> Result<Calibration, DetectError> {
+        calibrate_whitebox(
+            engine,
+            &mut SliceSource::new(benign),
+            &mut SliceSource::new(attacks),
+            &StreamConfig::default(),
+        )
+    }
+
+    fn blackbox(
+        engine: &DetectionEngine,
+        benign: &[Image],
+        tail_percent: f64,
+    ) -> Result<Calibration, DetectError> {
+        let config = StreamConfig::default();
+        calibrate_blackbox(engine, &mut SliceSource::new(benign), tail_percent, &config)
     }
 
     #[test]
     fn whitebox_separates_flat_levels() {
         let benign = flats(&[10.0, 20.0, 30.0]);
         let attacks = flats(&[200.0, 210.0]);
-        let c = calibrate_whitebox(&MeanDetector, &benign, &attacks).unwrap();
-        assert_eq!(c.train_accuracy, 1.0);
-        assert!(c.threshold.value() > 30.0 && c.threshold.value() <= 200.0);
-        assert_eq!(c.benign_scores.len(), 3);
+        let c = whitebox(&mean_engine(), &benign, &attacks).unwrap();
+        let mean = c.get(MethodId::DummyMean).unwrap();
+        assert_eq!(mean.train_accuracy, 1.0);
+        assert!(mean.threshold.value() > 30.0 && mean.threshold.value() <= 200.0);
+        assert_eq!(c.benign_scores.column(MethodId::DummyMean), [10.0, 20.0, 30.0]);
         assert_eq!(c.attack_scores.len(), 2);
+        assert_eq!(c.thresholds().get(MethodId::DummyMean), Some(mean.threshold));
     }
 
     #[test]
     fn blackbox_uses_percentile_of_benign() {
         let benign = flats(&(1..=100).map(f64::from).collect::<Vec<_>>());
-        let c = calibrate_blackbox(&MeanDetector, &benign, 2.0).unwrap();
+        let c = blackbox(&mean_engine(), &benign, 2.0).unwrap();
         assert!(c.attack_scores.is_empty());
-        assert!(c.threshold.value() > 97.0);
-        assert!(c.train_accuracy >= 0.97);
-    }
-
-    #[test]
-    fn calibrated_member_votes_correctly() {
-        let benign = flats(&[10.0, 20.0]);
-        let attacks = flats(&[200.0, 220.0]);
-        let member = calibrated_member(MeanDetector, &benign, &attacks).unwrap();
-        assert!(!member
-            .is_attack(&Image::filled(2, 2, decamouflage_imaging::Channels::Gray, 15.0))
-            .unwrap());
-        assert!(member
-            .is_attack(&Image::filled(2, 2, decamouflage_imaging::Channels::Gray, 210.0))
-            .unwrap());
-        assert_eq!(member.name(), "mean");
+        let mean = c.get(MethodId::DummyMean).unwrap();
+        assert!(mean.threshold.value() > 97.0);
+        assert!(mean.train_accuracy >= 0.97);
     }
 
     #[test]
     fn empty_sets_are_rejected() {
-        assert!(calibrate_whitebox(&MeanDetector, &[], &flats(&[1.0])).is_err());
-        assert!(calibrate_blackbox(&MeanDetector, &[], 1.0).is_err());
+        assert!(whitebox(&mean_engine(), &[], &flats(&[1.0])).is_err());
+        assert!(blackbox(&mean_engine(), &[], 1.0).is_err());
+        // Even with only a fixed threshold to hand out, no survivors is an
+        // error.
+        let csp =
+            DetectionEngine::new(Size::square(8)).with_methods(MethodSet::of(&[MethodId::Csp]));
+        assert!(blackbox(&csp, &[], 1.0).is_err());
     }
-
-    use crate::method::MethodId;
-    use decamouflage_imaging::Size;
 
     fn scenes(shift: f64, count: usize) -> Vec<Image> {
         (0..count)
@@ -390,7 +295,7 @@ mod tests {
         let engine = DetectionEngine::new(Size::square(8));
         let benign = scenes(0.0, 3);
         let attacks: Vec<Image> = scenes(40.0, 3).iter().map(|i| i.map(|v| 255.0 - v)).collect();
-        let set = calibrate_engine_whitebox(&engine, &benign, &attacks).unwrap();
+        let set = whitebox(&engine, &benign, &attacks).unwrap().thresholds();
         assert_eq!(set.len(), engine.methods().len());
         for id in engine.methods().iter() {
             let t = set.get(id).expect("every enabled method is calibrated");
@@ -405,7 +310,7 @@ mod tests {
     fn engine_blackbox_keeps_fixed_csp_threshold() {
         let engine = DetectionEngine::new(Size::square(8));
         let benign = scenes(0.0, 4);
-        let set = calibrate_engine_blackbox(&engine, &benign, 5.0).unwrap();
+        let set = blackbox(&engine, &benign, 5.0).unwrap().thresholds();
         assert_eq!(set.len(), engine.methods().len());
         assert_eq!(set.get(MethodId::Csp), Some(SteganalysisDetector::universal_threshold()));
         let peak = set.get(MethodId::PeakExcess).unwrap();
@@ -413,43 +318,31 @@ mod tests {
         assert!(peak.value().is_finite());
     }
 
-    use crate::steganalysis::SteganalysisDetector;
-
     #[test]
-    fn resilient_whitebox_skips_quarantined_samples() {
+    fn whitebox_skips_quarantined_samples() {
         let engine = DetectionEngine::new(Size::square(8));
         let mut benign = scenes(0.0, 3);
         // Poison one benign sample with a NaN pixel.
         benign[1].set(2, 2, 0, f64::NAN);
         let attacks: Vec<Image> = scenes(40.0, 3).iter().map(|i| i.map(|v| 255.0 - v)).collect();
 
-        let resilient = calibrate_engine_whitebox_resilient(&engine, &benign, &attacks).unwrap();
+        let resilient = whitebox(&engine, &benign, &attacks).unwrap();
         assert_eq!(resilient.quarantined(), 1);
         assert_eq!(resilient.benign_quarantined[0].0, 1, "sample index is reported");
         assert!(resilient.attack_quarantined.is_empty());
 
-        // The thresholds match a strict calibration on the clean subset.
+        // The thresholds match a calibration on the clean subset.
         let clean: Vec<Image> = vec![benign[0].clone(), benign[2].clone()];
-        let strict = calibrate_engine_whitebox(&engine, &clean, &attacks).unwrap();
-        for id in engine.methods().iter() {
-            assert_eq!(resilient.thresholds.get(id), strict.get(id));
-        }
-
-        // The strict path refuses the same poisoned corpus outright.
-        assert!(calibrate_engine_whitebox(&engine, &benign, &attacks).is_err());
+        let reference = whitebox(&engine, &clean, &attacks).unwrap();
+        assert_eq!(resilient.methods, reference.methods);
 
         // A class with no survivors fails the calibration.
         let mut all_bad = scenes(0.0, 2);
         for image in &mut all_bad {
             image.set(0, 0, 0, f64::NAN);
         }
-        assert!(calibrate_engine_whitebox_resilient(&engine, &all_bad, &attacks).is_err());
-    }
-
-    #[test]
-    fn engine_calibration_rejects_empty_sets() {
-        let engine = DetectionEngine::new(Size::square(8));
-        assert!(calibrate_engine_whitebox(&engine, &[], &scenes(0.0, 2)).is_err());
-        assert!(calibrate_engine_blackbox(&engine, &[], 1.0).is_err());
+        let err = whitebox(&engine, &all_bad, &attacks).unwrap_err();
+        assert!(err.to_string().contains("no benign sample survived"), "{err}");
+        assert!(blackbox(&engine, &all_bad, 5.0).is_err());
     }
 }

@@ -22,30 +22,24 @@
 //! The methods themselves live in the typed registry
 //! ([`MethodId`]): scores come back as a dense
 //! [`ScoreVector`] and the set of methods to run is a [`MethodSet`]
-//! ([`DetectionEngine::with_methods`]). A method without a fused fast path
-//! falls back to its registry-constructed detector
-//! ([`DetectionEngine::build_detector`] — the single constructor site a new
-//! method has to touch).
+//! ([`DetectionEngine::with_methods`]).
 //!
 //! Every shared path is bit-identical to its staged counterpart, so engine
-//! scores equal the individual [`Detector`]
-//! implementations exactly — asserted by the tests in this module and the
-//! crate's property tests. The naive detectors stay as the reference
-//! implementation (and the honest cold baseline for the benchmark suite).
+//! scores equal the naive per-method detectors exactly — asserted against
+//! [`DetectionEngine::reference_score`] by the tests in this module and the
+//! crate's property tests. The naive detectors stay as that reference (and
+//! the honest cold baseline for the benchmark suite); production code
+//! scores only through the engine pass.
 
-use crate::detector::{Detector, MetricKind};
-use crate::ensemble::EnsembleDecision;
 use crate::error::{ScoreError, ScoreFault};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::filtering::FilteringDetector;
-use crate::method::{MethodId, MethodSet, ScoreVector};
+use crate::method::{MethodId, MethodSet, MetricKind, ScoreVector};
 use crate::parallel::parallel_map_indices;
 use crate::peak_excess::PeakExcessDetector;
-use crate::persist::ThresholdSet;
 use crate::scaling::ScalingDetector;
 use crate::steganalysis::SteganalysisDetector;
 use crate::stream::{ChunkDriver, FnSource, ImageSource, StreamConfig, StreamSummary};
-use crate::threshold::Threshold;
 use crate::DetectError;
 use decamouflage_imaging::filter::{rank_filter, RankKind};
 use decamouflage_imaging::scale::{ScaleAlgorithm, ScalerCache};
@@ -238,82 +232,6 @@ impl BatchOutcome {
     }
 }
 
-/// The naive single-method detectors equivalent to one engine
-/// configuration. Scoring with any of them matches the corresponding
-/// [`ScoreVector`] slot exactly.
-#[derive(Debug, Clone)]
-pub struct EngineDetectors {
-    /// Scaling detection with the MSE metric.
-    pub scaling_mse: ScalingDetector,
-    /// Scaling detection with the SSIM metric.
-    pub scaling_ssim: ScalingDetector,
-    /// Filtering detection with the MSE metric.
-    pub filtering_mse: FilteringDetector,
-    /// Filtering detection with the SSIM metric.
-    pub filtering_ssim: FilteringDetector,
-    /// Steganalysis (CSP counting).
-    pub steganalysis: SteganalysisDetector,
-    /// Radial peak excess on the engine's peak window.
-    pub peak_excess: PeakExcessDetector,
-}
-
-/// Calibrated thresholds for [`DetectionEngine::decide`]: a
-/// [`MethodId`]-keyed map. Methods without an entry simply don't vote, so
-/// the paper's three-member ensemble is a three-entry map.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EngineThresholds {
-    entries: [Option<Threshold>; MethodId::COUNT],
-}
-
-impl EngineThresholds {
-    /// Creates an empty threshold map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder-style insert.
-    #[must_use]
-    pub fn with(mut self, id: MethodId, threshold: Threshold) -> Self {
-        self.set(id, threshold);
-        self
-    }
-
-    /// Sets the threshold of one method, returning the previous value.
-    pub fn set(&mut self, id: MethodId, threshold: Threshold) -> Option<Threshold> {
-        self.entries[id as usize].replace(threshold)
-    }
-
-    /// The threshold of one method, if set.
-    pub fn get(&self, id: MethodId) -> Option<Threshold> {
-        self.entries[id as usize]
-    }
-
-    /// Iterates `(id, threshold)` entries in canonical method order.
-    pub fn iter(&self) -> impl Iterator<Item = (MethodId, Threshold)> + '_ {
-        MethodId::ALL.iter().filter_map(move |&id| self.entries[id as usize].map(|t| (id, t)))
-    }
-
-    /// Number of thresholds set.
-    pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// Whether no threshold is set.
-    pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(|e| e.is_none())
-    }
-
-    /// Builds the map from a persisted [`ThresholdSet`].
-    pub fn from_threshold_set(set: &ThresholdSet) -> Self {
-        set.iter().fold(Self::new(), |map, (id, t)| map.with(id, t))
-    }
-
-    /// Converts the map into a persistable [`ThresholdSet`].
-    pub fn to_threshold_set(&self) -> ThresholdSet {
-        self.iter().collect()
-    }
-}
-
 /// Scores one image with every enabled detection method while sharing
 /// intermediates (see the module docs).
 ///
@@ -467,62 +385,40 @@ impl DetectionEngine {
         self.methods
     }
 
-    /// Constructs the naive standalone detector for one method under this
-    /// engine's configuration.
+    /// The naive reference score of one method under this engine's
+    /// configuration: the standalone detector computed from scratch, with
+    /// no shared intermediates. Every engine score equals it bit for bit;
+    /// it exists as the oracle the engine is tested against and as the
+    /// cold baseline of the benchmarks, and scores `id` whether or not the
+    /// engine enables it.
     ///
-    /// This is the registry's **single constructor site**: a new
-    /// [`MethodId`] variant needs an arm here and nothing else — scoring
-    /// (via the generic fallback), calibration, persistence, ensembles and
-    /// the experiment harness all enumerate the registry.
-    pub fn build_detector(&self, id: MethodId) -> Box<dyn Detector> {
+    /// # Errors
+    ///
+    /// Propagates the detector's imaging and metric failures.
+    pub fn reference_score(&self, id: MethodId, image: &Image) -> Result<f64, DetectError> {
+        let scaling = |metric| {
+            ScalingDetector::new(self.target, self.algorithm, metric)
+                .with_ssim_config(self.ssim_config.clone())
+        };
+        let filtering = |metric| {
+            FilteringDetector::new(metric)
+                .with_window(self.filter_window)
+                .with_rank(self.filter_rank)
+                .with_ssim_config(self.ssim_config.clone())
+        };
         match id {
-            MethodId::ScalingMse => Box::new(
-                ScalingDetector::new(self.target, self.algorithm, MetricKind::Mse)
-                    .with_ssim_config(self.ssim_config.clone()),
-            ),
-            MethodId::ScalingSsim => Box::new(
-                ScalingDetector::new(self.target, self.algorithm, MetricKind::Ssim)
-                    .with_ssim_config(self.ssim_config.clone()),
-            ),
-            MethodId::FilteringMse => Box::new(
-                FilteringDetector::new(MetricKind::Mse)
-                    .with_window(self.filter_window)
-                    .with_rank(self.filter_rank)
-                    .with_ssim_config(self.ssim_config.clone()),
-            ),
-            MethodId::FilteringSsim => Box::new(
-                FilteringDetector::new(MetricKind::Ssim)
-                    .with_window(self.filter_window)
-                    .with_rank(self.filter_rank)
-                    .with_ssim_config(self.ssim_config.clone()),
-            ),
-            MethodId::Csp => Box::new(SteganalysisDetector::with_config(self.csp_config.clone())),
-            MethodId::PeakExcess => {
-                Box::new(PeakExcessDetector::for_target(self.target).with_window(self.peak_window))
+            MethodId::ScalingMse => scaling(MetricKind::Mse).score(image),
+            MethodId::ScalingSsim => scaling(MetricKind::Ssim).score(image),
+            MethodId::FilteringMse => filtering(MetricKind::Mse).score(image),
+            MethodId::FilteringSsim => filtering(MetricKind::Ssim).score(image),
+            MethodId::Csp => {
+                SteganalysisDetector::with_config(self.csp_config.clone()).score(image)
             }
+            MethodId::PeakExcess => PeakExcessDetector::for_target(self.target)
+                .with_window(self.peak_window)
+                .score(image),
             #[cfg(test)]
-            MethodId::DummyMean => Box::new(crate::method::DummyMeanDetector),
-        }
-    }
-
-    /// The equivalent naive detectors for this configuration, for threshold
-    /// calibration, ensembles over `dyn Detector` and equality testing.
-    pub fn detectors(&self) -> EngineDetectors {
-        EngineDetectors {
-            scaling_mse: ScalingDetector::new(self.target, self.algorithm, MetricKind::Mse)
-                .with_ssim_config(self.ssim_config.clone()),
-            scaling_ssim: ScalingDetector::new(self.target, self.algorithm, MetricKind::Ssim)
-                .with_ssim_config(self.ssim_config.clone()),
-            filtering_mse: FilteringDetector::new(MetricKind::Mse)
-                .with_window(self.filter_window)
-                .with_rank(self.filter_rank)
-                .with_ssim_config(self.ssim_config.clone()),
-            filtering_ssim: FilteringDetector::new(MetricKind::Ssim)
-                .with_window(self.filter_window)
-                .with_rank(self.filter_rank)
-                .with_ssim_config(self.ssim_config.clone()),
-            steganalysis: SteganalysisDetector::with_config(self.csp_config.clone()),
-            peak_excess: PeakExcessDetector::for_target(self.target).with_window(self.peak_window),
+            MethodId::DummyMean => Ok(dummy_mean(image)),
         }
     }
 
@@ -553,17 +449,14 @@ impl DetectionEngine {
         };
 
         let mut scores = ScoreVector::splat(f64::NAN);
-        let mut fused = MethodSet::empty();
 
         if self.methods.contains(MethodId::ScalingMse) {
             let _method = self.metrics.method(MethodId::ScalingMse).span();
             scores.set(MethodId::ScalingMse, mse(image, &round_tripped)?);
-            fused.insert(MethodId::ScalingMse);
         }
         if self.methods.contains(MethodId::FilteringMse) {
             let _method = self.metrics.method(MethodId::FilteringMse).span();
             scores.set(MethodId::FilteringMse, mse(image, &filtered)?);
-            fused.insert(MethodId::FilteringMse);
         }
         if self.methods.contains(MethodId::ScalingSsim)
             || self.methods.contains(MethodId::FilteringSsim)
@@ -576,12 +469,10 @@ impl DetectionEngine {
             if self.methods.contains(MethodId::ScalingSsim) {
                 let _method = self.metrics.method(MethodId::ScalingSsim).span();
                 scores.set(MethodId::ScalingSsim, reference.score_against(&round_tripped)?);
-                fused.insert(MethodId::ScalingSsim);
             }
             if self.methods.contains(MethodId::FilteringSsim) {
                 let _method = self.metrics.method(MethodId::FilteringSsim).span();
                 scores.set(MethodId::FilteringSsim, reference.score_against(&filtered)?);
-                fused.insert(MethodId::FilteringSsim);
             }
         }
 
@@ -619,7 +510,6 @@ impl DetectionEngine {
                     count_csp_in_spectrum_with_mags(&spectrum, &mags, &self.csp_config).count
                         as f64,
                 );
-                fused.insert(MethodId::Csp);
             }
             if self.methods.contains(MethodId::PeakExcess) {
                 let _method = self.metrics.method(MethodId::PeakExcess).span();
@@ -637,19 +527,12 @@ impl DetectionEngine {
                 let (min_r, max_r) = peak.radii_for(image);
                 scores.set(MethodId::PeakExcess, peak_excess(&centred, min_r.max(1), max_r.max(2)));
                 centered_spectrum = Some(centred);
-                fused.insert(MethodId::PeakExcess);
             }
         }
 
-        // Generic fallback: any enabled method without a fused fast path
-        // above is scored through its registry-constructed detector. This
-        // is what makes a freshly registered method work end-to-end before
-        // (or without) anyone writing a shared-intermediate path for it.
-        for id in self.methods.iter() {
-            if !fused.contains(id) {
-                let _method = self.metrics.method(id).span();
-                scores.set(id, self.build_detector(id).score(image)?);
-            }
+        #[cfg(test)]
+        if self.methods.contains(MethodId::DummyMean) {
+            scores.set(MethodId::DummyMean, dummy_mean(image));
         }
 
         self.metrics.scored_total.inc();
@@ -938,38 +821,6 @@ impl DetectionEngine {
         })
     }
 
-    /// Majority vote over the thresholded methods, scored in one engine
-    /// pass. Every threshold whose method is enabled contributes one vote
-    /// (named after [`MethodId::name`]); thresholds of disabled methods are
-    /// ignored. The decision matches an [`Ensemble`](crate::Ensemble)
-    /// built from the same detectors and thresholds.
-    ///
-    /// # Errors
-    ///
-    /// [`DetectError::InvalidConfig`] if no threshold applies to an
-    /// enabled method; otherwise the same conditions as
-    /// [`DetectionEngine::score_with_artifacts`].
-    pub fn decide(
-        &self,
-        image: &Image,
-        thresholds: &EngineThresholds,
-    ) -> Result<EnsembleDecision, DetectError> {
-        let scores = self.score(image)?;
-        let votes: Vec<(String, bool)> = thresholds
-            .iter()
-            .filter(|(id, _)| self.methods.contains(*id))
-            .map(|(id, t)| (id.name().to_string(), t.is_attack(scores.get(id))))
-            .collect();
-        if votes.is_empty() {
-            return Err(DetectError::InvalidConfig {
-                message: "no threshold applies to an enabled engine method".into(),
-            });
-        }
-        let attack_votes = votes.iter().filter(|(_, vote)| *vote).count();
-        let is_attack = 2 * attack_votes > votes.len();
-        Ok(EnsembleDecision { votes, unavailable: Vec::new(), is_attack })
-    }
-
     /// Scores `count` benign and `count` attack images in a single
     /// `2 * count` fan-out over the worker pool (benign indices first), so
     /// both halves of the corpus share one batch. This is the fail-fast
@@ -991,11 +842,23 @@ impl DetectionEngine {
     }
 }
 
+/// The score of the test-only [`MethodId::DummyMean`]: the image's mean
+/// intensity over all channels.
+#[cfg(test)]
+fn dummy_mean(image: &Image) -> f64 {
+    if image.plane_len() == 0 {
+        0.0
+    } else {
+        image.mean_sample()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensemble::Ensemble;
-    use crate::threshold::Direction;
+    use crate::ensemble::{DegradePolicy, Ensemble};
+    use crate::persist::ThresholdSet;
+    use crate::threshold::{Direction, Threshold};
     use decamouflage_attack::{craft_attack, AttackConfig};
     use decamouflage_imaging::scale::Scaler;
     use decamouflage_spectral::dft2d::centered_spectrum;
@@ -1028,7 +891,7 @@ mod tests {
             for &id in MethodId::ALL {
                 assert_eq!(
                     scores.get(id),
-                    engine.build_detector(id).score(&image).unwrap(),
+                    engine.reference_score(id, &image).unwrap(),
                     "{id} diverged on {}x{}",
                     image.width(),
                     image.height()
@@ -1043,11 +906,10 @@ mod tests {
             [WindowKind::Rectangular, WindowKind::Hann, WindowKind::Hamming, WindowKind::Blackman]
         {
             let engine = DetectionEngine::new(Size::square(16)).with_peak_window(window);
-            let standalone = PeakExcessDetector::for_target(Size::square(16)).with_window(window);
             for image in [smooth(64), attack_image(64, 16), smooth_rgb(48)] {
                 assert_eq!(
                     engine.score(&image).unwrap().peak_excess(),
-                    standalone.score(&image).unwrap(),
+                    engine.reference_score(MethodId::PeakExcess, &image).unwrap(),
                     "window {window:?}"
                 );
             }
@@ -1057,11 +919,13 @@ mod tests {
     #[test]
     fn artifacts_match_detector_intermediates() {
         let engine = DetectionEngine::new(Size::square(16));
-        let detectors = engine.detectors();
         let image = smooth(48);
         let artifacts = engine.score_with_artifacts(&image).unwrap();
-        assert_eq!(artifacts.round_tripped, detectors.scaling_mse.round_tripped(&image).unwrap());
-        assert_eq!(artifacts.filtered, detectors.filtering_mse.filtered(&image).unwrap());
+        let scaling =
+            ScalingDetector::new(Size::square(16), ScaleAlgorithm::Bilinear, MetricKind::Mse);
+        assert_eq!(artifacts.round_tripped, scaling.round_tripped(&image).unwrap());
+        let filtering = FilteringDetector::new(MetricKind::Mse);
+        assert_eq!(artifacts.filtered, filtering.filtered(&image).unwrap());
         assert_eq!(artifacts.downscaled.size(), Size::square(16));
         // The rectangular peak window shares the CSP spectrum, and the
         // shared spectrum equals the staged centered_spectrum bit-for-bit.
@@ -1277,66 +1141,7 @@ mod tests {
     }
 
     #[test]
-    fn decide_matches_equivalent_ensemble() {
-        let engine = DetectionEngine::new(Size::square(16));
-        let detectors = engine.detectors();
-        let thresholds = EngineThresholds::new()
-            .with(MethodId::ScalingMse, Threshold::new(200.0, Direction::AboveIsAttack))
-            .with(MethodId::FilteringSsim, Threshold::new(0.6, Direction::BelowIsAttack))
-            .with(MethodId::Csp, SteganalysisDetector::universal_threshold());
-        let ensemble = Ensemble::new()
-            .with_member(
-                detectors.scaling_mse.clone(),
-                thresholds.get(MethodId::ScalingMse).unwrap(),
-            )
-            .with_member(
-                detectors.filtering_ssim.clone(),
-                thresholds.get(MethodId::FilteringSsim).unwrap(),
-            )
-            .with_member(detectors.steganalysis.clone(), thresholds.get(MethodId::Csp).unwrap());
-        for image in [smooth(64), attack_image(64, 16)] {
-            assert_eq!(
-                engine.decide(&image, &thresholds).unwrap(),
-                ensemble.decide(&image).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn decide_ignores_disabled_methods_and_rejects_empty_votes() {
-        let engine = DetectionEngine::new(Size::square(16))
-            .with_methods(MethodSet::of(&[MethodId::ScalingMse]));
-        let thresholds = EngineThresholds::new()
-            .with(MethodId::ScalingMse, Threshold::new(200.0, Direction::AboveIsAttack))
-            .with(MethodId::Csp, SteganalysisDetector::universal_threshold());
-        let decision = engine.decide(&smooth(48), &thresholds).unwrap();
-        assert_eq!(decision.votes.len(), 1, "CSP is disabled, so only scaling votes");
-        assert_eq!(decision.votes[0].0, "scaling/mse");
-
-        let none = EngineThresholds::new()
-            .with(MethodId::Csp, SteganalysisDetector::universal_threshold());
-        assert!(engine.decide(&smooth(48), &none).is_err());
-    }
-
-    #[test]
-    fn thresholds_bridge_to_persisted_sets() {
-        let thresholds = EngineThresholds::new()
-            .with(MethodId::ScalingMse, Threshold::new(400.0, Direction::AboveIsAttack))
-            .with(MethodId::PeakExcess, Threshold::new(0.4, Direction::AboveIsAttack));
-        assert_eq!(thresholds.len(), 2);
-        assert!(!thresholds.is_empty());
-        let set = thresholds.to_threshold_set();
-        assert_eq!(set.len(), 2);
-        let back = EngineThresholds::from_threshold_set(&set);
-        assert_eq!(back, thresholds);
-        assert_eq!(
-            thresholds.iter().map(|(id, _)| id).collect::<Vec<_>>(),
-            vec![MethodId::ScalingMse, MethodId::PeakExcess]
-        );
-    }
-
-    #[test]
-    fn builders_propagate_into_detectors() {
+    fn builders_propagate_into_reference_scores() {
         let mut csp = CspConfig::default();
         csp.binarize_threshold = 0.5;
         let mut ssim = SsimConfig::default();
@@ -1345,47 +1150,47 @@ mod tests {
             .with_algorithm(ScaleAlgorithm::Nearest)
             .with_ssim_config(ssim)
             .with_filter(3, RankKind::Median)
-            .with_csp_config(csp.clone())
+            .with_csp_config(csp)
             .with_peak_window(WindowKind::Hann);
         assert_eq!(engine.algorithm(), ScaleAlgorithm::Nearest);
         assert_eq!(engine.target(), Size::square(8));
         assert_eq!(engine.peak_window(), WindowKind::Hann);
         assert_eq!(engine.methods(), MethodSet::all());
-        let detectors = engine.detectors();
-        assert_eq!(detectors.steganalysis.config(), &csp);
-        assert_eq!(detectors.filtering_mse.window(), 3);
-        assert_eq!(detectors.peak_excess.window(), WindowKind::Hann);
-        // Scores still agree under the customised configuration.
+        // Scores still agree with the references under the customised
+        // configuration, so every builder reached both paths.
         let image = smooth(32);
         let scores = engine.score(&image).unwrap();
-        assert_eq!(scores.scaling_mse(), detectors.scaling_mse.score(&image).unwrap());
-        assert_eq!(scores.filtering_ssim(), detectors.filtering_ssim.score(&image).unwrap());
-        assert_eq!(scores.csp(), detectors.steganalysis.score(&image).unwrap());
-        assert_eq!(scores.peak_excess(), detectors.peak_excess.score(&image).unwrap());
+        for &id in MethodId::ALL {
+            assert_eq!(scores.get(id), engine.reference_score(id, &image).unwrap(), "{id}");
+        }
     }
 
     /// The one-registration contract, end to end: `DummyMean` exists only
-    /// as a `MethodId` variant and a [`DetectionEngine::build_detector`]
-    /// arm, yet it scores, votes, calibrates and persists without any
-    /// layer-specific wiring.
+    /// as a `MethodId` variant, one engine-pass arm and one
+    /// [`DetectionEngine::reference_score`] arm, yet it scores, votes,
+    /// calibrates and persists without any layer-specific wiring.
     #[test]
-    fn dummy_method_flows_through_engine_decide_and_persistence() {
+    fn dummy_method_flows_through_engine_vote_and_persistence() {
         let engine = DetectionEngine::new(Size::square(8));
         let image = smooth(24);
         let scores = engine.score(&image).unwrap();
         let mean = image.mean_sample();
-        assert_eq!(scores.get(MethodId::DummyMean), mean, "generic fallback scored the dummy");
+        assert_eq!(scores.get(MethodId::DummyMean), mean, "the engine pass scored the dummy");
+        assert_eq!(engine.reference_score(MethodId::DummyMean, &image).unwrap(), mean);
 
         // Votes under its registry name, together with a paper method.
-        let thresholds = EngineThresholds::new()
-            .with(MethodId::DummyMean, Threshold::new(0.0, Direction::AboveIsAttack))
-            .with(MethodId::Csp, SteganalysisDetector::universal_threshold());
-        let decision = engine.decide(&image, &thresholds).unwrap();
-        assert!(decision.votes.iter().any(|(name, vote)| name == "test/dummy-mean" && *vote));
+        let thresholds: ThresholdSet = [
+            (MethodId::DummyMean, Threshold::new(0.0, Direction::AboveIsAttack)),
+            (MethodId::Csp, SteganalysisDetector::universal_threshold()),
+        ]
+        .into_iter()
+        .collect();
+        let ensemble = Ensemble::new(engine, thresholds.iter(), DegradePolicy::Strict);
+        let decision = ensemble.vote(Ok(&scores)).unwrap();
+        assert!(decision.votes.contains(&(MethodId::DummyMean, true)));
 
         // Persists and loads through the typed text format untouched.
-        let set = thresholds.to_threshold_set();
-        let restored = ThresholdSet::from_text(&set.to_text()).unwrap();
+        let restored = ThresholdSet::from_text(&thresholds.to_text()).unwrap();
         assert_eq!(restored.get(MethodId::DummyMean), thresholds.get(MethodId::DummyMean));
     }
 }

@@ -1,89 +1,38 @@
-//! Majority-vote ensemble of calibrated detectors (the full *Decamouflage*
+//! Majority-vote ensemble over engine methods (the full *Decamouflage*
 //! system of the paper's Figure 6 and Table "ensemble").
 //!
-//! Members can be *engine-backed*: bind a member to a [`MethodId`] and
-//! attach a shared [`DetectionEngine`], and [`Ensemble::decide`] scores the
-//! image **once** through the engine's [`ScoreVector`] instead of running
-//! one full detector per member. Unbound members keep their own detector.
+//! An [`Ensemble`] is one [`DetectionEngine`], a list of
+//! `(MethodId, Threshold)` members and a [`DegradePolicy`].
+//! [`Ensemble::decide`] scores an image **once** through the engine and
+//! hands the [`ScoreVector`] to [`Ensemble::vote`], the one place the
+//! voting rules live. Callers that already hold scores — batch scans, the
+//! HTTP service, the experiments — call [`Ensemble::vote`] directly.
 
-use crate::detector::Detector;
 use crate::engine::DetectionEngine;
-use crate::method::{MethodId, ScoreVector};
+use crate::error::{ScoreError, ScoreFault};
+use crate::method::{MethodId, MethodSet, ScoreVector};
+use crate::persist::ThresholdSet;
 use crate::threshold::Threshold;
 use crate::DetectError;
-use decamouflage_imaging::Image;
+use decamouflage_imaging::{Image, Size};
 use decamouflage_telemetry::Telemetry;
 
-/// A detector paired with its calibrated threshold, as a named ensemble
-/// member.
-pub struct EnsembleMember {
-    name: String,
-    detector: Box<dyn Detector>,
-    threshold: Threshold,
-    method: Option<MethodId>,
-}
-
-impl EnsembleMember {
-    /// Wraps a detector and its threshold.
-    pub fn new(detector: impl Detector + 'static, threshold: Threshold) -> Self {
-        Self { name: detector.name(), detector: Box::new(detector), threshold, method: None }
-    }
-
-    /// Binds the member to a registry method, so an ensemble with a shared
-    /// [`DetectionEngine`] reads this member's score from the engine's
-    /// [`ScoreVector`] instead of invoking the member's own detector.
-    #[must_use]
-    pub fn with_method(mut self, id: MethodId) -> Self {
-        self.method = Some(id);
-        self
-    }
-
-    /// The registry method this member is bound to, if any.
-    pub const fn method(&self) -> Option<MethodId> {
-        self.method
-    }
-
-    /// The member's detector name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The member's calibrated threshold.
-    pub const fn threshold(&self) -> Threshold {
-        self.threshold
-    }
-
-    /// Scores and classifies one image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the detector's [`DetectError`].
-    pub fn is_attack(&self, image: &Image) -> Result<bool, DetectError> {
-        Ok(self.threshold.is_attack(self.detector.score(image)?))
-    }
-}
-
-impl std::fmt::Debug for EnsembleMember {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnsembleMember")
-            .field("name", &self.name)
-            .field("threshold", &self.threshold)
-            .field("method", &self.method)
-            .finish()
-    }
-}
+/// The paper's three ensemble members: scaling/MSE, filtering/SSIM and
+/// the CSP count.
+pub const PAPER_METHODS: &[MethodId] =
+    &[MethodId::ScalingMse, MethodId::FilteringSsim, MethodId::Csp];
 
 /// Per-member votes plus the majority decision for one image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnsembleDecision {
-    /// `(member name, voted attack?)` in member order. Members that could
-    /// not vote (see [`EnsembleDecision::unavailable`]) are absent.
-    pub votes: Vec<(String, bool)>,
-    /// `(member name, reason)` for every member whose score was missing,
-    /// non-finite or errored, in member order. Always empty under
-    /// [`DegradePolicy::Strict`], which turns the first such member into an
-    /// error instead.
-    pub unavailable: Vec<(String, String)>,
+    /// `(member, voted attack?)` in member order. Members that could not
+    /// vote (see [`EnsembleDecision::unavailable`]) are absent.
+    pub votes: Vec<(MethodId, bool)>,
+    /// `(member, reason)` for every member whose score was non-finite,
+    /// whose method the engine disables, or whose engine pass failed, in
+    /// member order. Always empty under [`DegradePolicy::Strict`], which
+    /// turns the first such member into an error instead.
+    pub unavailable: Vec<(MethodId, String)>,
     /// The verdict: a strict majority of the voting members under
     /// [`DegradePolicy::Strict`] / [`DegradePolicy::MajorityOfAvailable`];
     /// forced to `true` by [`DegradePolicy::FailClosed`] when any member is
@@ -98,9 +47,9 @@ impl EnsembleDecision {
     }
 }
 
-/// What [`Ensemble::decide`] does when a member cannot vote — its score is
-/// missing (method disabled in the attached engine), non-finite, or its
-/// detector returned an error.
+/// What [`Ensemble::vote`] does when a member cannot vote — its score is
+/// non-finite, its method is disabled in the engine, or the engine pass
+/// failed.
 ///
 /// NaN scores deserve emphasis: a threshold comparison against NaN is
 /// always `false`, so before this policy existed a NaN-scoring member
@@ -142,230 +91,190 @@ impl DegradePolicy {
 /// The paper combines the three detection methods so that an adaptive
 /// attacker must defeat a majority of them *simultaneously*; with the
 /// default three members, two votes decide.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 pub struct Ensemble {
-    members: Vec<EnsembleMember>,
-    engine: Option<DetectionEngine>,
+    engine: DetectionEngine,
+    members: Vec<(MethodId, Threshold)>,
     policy: DegradePolicy,
     telemetry: Telemetry,
 }
 
 impl Ensemble {
-    /// Creates an empty ensemble recording into the process-global
-    /// telemetry handle (disabled unless
+    /// An ensemble voting `members` over scores from `engine`, recording
+    /// into the process-global telemetry handle (disabled unless
     /// [`decamouflage_telemetry::install_global`] ran first).
-    pub fn new() -> Self {
-        Self { telemetry: decamouflage_telemetry::global(), ..Self::default() }
+    pub fn new(
+        engine: DetectionEngine,
+        members: impl IntoIterator<Item = (MethodId, Threshold)>,
+        policy: DegradePolicy,
+    ) -> Self {
+        Self {
+            engine,
+            members: members.into_iter().collect(),
+            policy,
+            telemetry: decamouflage_telemetry::global(),
+        }
+    }
+
+    /// The paper's ensemble for a CNN input size: the [`PAPER_METHODS`]
+    /// members with their thresholds from `thresholds`, scored by an
+    /// engine that runs exactly those methods.
+    ///
+    /// # Errors
+    ///
+    /// [`DetectError::InvalidConfig`] naming the first member missing from
+    /// `thresholds`.
+    pub fn paper(
+        target: Size,
+        thresholds: &ThresholdSet,
+        policy: DegradePolicy,
+    ) -> Result<Self, DetectError> {
+        let members = PAPER_METHODS
+            .iter()
+            .map(|&id| {
+                thresholds.get(id).map(|threshold| (id, threshold)).ok_or_else(|| {
+                    DetectError::InvalidConfig {
+                        message: format!("thresholds are missing an entry for {:?}", id.name()),
+                    }
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let engine = DetectionEngine::new(target).with_methods(MethodSet::of(PAPER_METHODS));
+        Ok(Self::new(engine, members, policy))
     }
 
     /// Attaches a [`Telemetry`] handle: an enabled handle records votes
     /// by member, unavailable members, degrade-policy activations and
-    /// verdict counts. Telemetry never changes decisions — only observes
-    /// them.
+    /// verdict counts from [`Ensemble::decide`]. Telemetry never changes
+    /// decisions — only observes them.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
     }
 
-    /// Sets the degradation policy for members that cannot vote
-    /// (default: [`DegradePolicy::Strict`]).
-    #[must_use]
-    pub fn with_degrade_policy(mut self, policy: DegradePolicy) -> Self {
-        self.policy = policy;
-        self
+    /// The engine the members' scores come from.
+    pub fn engine(&self) -> &DetectionEngine {
+        &self.engine
     }
 
-    /// The active degradation policy.
+    /// The `(method, threshold)` members, in voting order.
+    pub fn members(&self) -> &[(MethodId, Threshold)] {
+        &self.members
+    }
+
+    /// The degradation policy for members that cannot vote.
     pub const fn degrade_policy(&self) -> DegradePolicy {
         self.policy
     }
 
-    /// Attaches a shared engine: method-bound members are scored through
-    /// one engine pass per image instead of one detector run per member.
-    #[must_use]
-    pub fn with_engine(mut self, engine: DetectionEngine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Adds a calibrated member (builder style).
-    #[must_use]
-    pub fn with_member(mut self, detector: impl Detector + 'static, threshold: Threshold) -> Self {
-        self.members.push(EnsembleMember::new(detector, threshold));
-        self
-    }
-
-    /// Adds a member for one registry method of the attached engine
-    /// (builder style): the detector comes from
-    /// [`DetectionEngine::build_detector`] and the member is bound to `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no engine was attached with [`Ensemble::with_engine`]
-    /// first.
-    #[must_use]
-    pub fn with_engine_member(mut self, id: MethodId, threshold: Threshold) -> Self {
-        let engine = self.engine.as_ref().expect("attach an engine with with_engine() first");
-        let member = EnsembleMember::new(engine.build_detector(id), threshold).with_method(id);
-        self.members.push(member);
-        self
-    }
-
-    /// Adds a calibrated member.
-    pub fn push(&mut self, member: EnsembleMember) {
-        self.members.push(member);
-    }
-
-    /// The members, in insertion order.
-    pub fn members(&self) -> &[EnsembleMember] {
-        &self.members
-    }
-
-    /// The shared engine, if one is attached.
-    pub fn engine(&self) -> Option<&DetectionEngine> {
-        self.engine.as_ref()
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the ensemble has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Classifies an image by strict majority vote, degrading per the
-    /// configured [`DegradePolicy`] when a member cannot vote.
-    ///
-    /// With an attached engine, all method-bound members share one
-    /// [`DetectionEngine::score`] pass; only unbound members invoke their
-    /// own detector. A non-finite member score never votes benign
-    /// silently — it is handled by the policy like a member error.
+    /// Votes on the outcome of one engine pass: each member thresholds its
+    /// method's score, and a strict majority of the voting members
+    /// decides. A member is unavailable when its score is non-finite, when
+    /// the engine disables its method, or when `pass` failed; the
+    /// [`DegradePolicy`] decides what that means. Pure: no scoring, no
+    /// telemetry.
     ///
     /// # Errors
     ///
-    /// Returns [`DetectError::InvalidConfig`] for an empty ensemble. Under
-    /// [`DegradePolicy::Strict`] (the default), additionally propagates the
-    /// first member failure — a detector error, a non-finite score, or a
-    /// bound method the attached engine disables. The other policies fold
-    /// those members into [`EnsembleDecision::unavailable`] instead.
-    pub fn decide(&self, image: &Image) -> Result<EnsembleDecision, DetectError> {
+    /// [`DetectError::InvalidConfig`] for an ensemble without members.
+    /// Under [`DegradePolicy::Strict`] additionally the failed pass's own
+    /// error, [`DetectError::InvalidConfig`] for a disabled method, or a
+    /// [`DetectError::Score`] with a
+    /// [`ScoreFault::NonFiniteScore`] cause attributed to the member.
+    pub fn vote(
+        &self,
+        pass: Result<&ScoreVector, DetectError>,
+    ) -> Result<EnsembleDecision, DetectError> {
         if self.members.is_empty() {
             return Err(DetectError::InvalidConfig { message: "ensemble has no members".into() });
         }
-        let wants_shared = self.members.iter().any(|m| m.method.is_some());
-        let shared: Option<(crate::method::MethodSet, Option<ScoreVector>)> = match &self.engine {
-            Some(engine) if wants_shared => {
-                // Under a degrading policy an engine failure degrades every
-                // bound member instead of killing the decision.
-                let scores = match engine.score(image) {
-                    Ok(scores) => Some(scores),
-                    Err(err) if self.policy == DegradePolicy::Strict => return Err(err),
-                    Err(_) => None,
-                };
-                Some((engine.methods(), scores))
-            }
-            _ => None,
+        let strict = self.policy == DegradePolicy::Strict;
+        let scores = match pass {
+            Ok(scores) => Ok(scores),
+            Err(err) if strict => return Err(err),
+            Err(err) => Err(format!("engine pass failed: {err}")),
         };
         let mut votes = Vec::with_capacity(self.members.len());
         let mut unavailable = Vec::new();
-        let mut attack_votes = 0usize;
-        for member in &self.members {
-            let score: Result<f64, DetectError> = match (member.method, &shared) {
-                (Some(id), Some((methods, scores))) => {
-                    if !methods.contains(id) {
-                        Err(DetectError::InvalidConfig {
-                            message: format!(
-                                "member {:?} is bound to {id}, which the attached engine disables",
-                                member.name
-                            ),
-                        })
-                    } else {
-                        match scores {
-                            Some(scores) => Ok(scores.get(id)),
-                            None => Err(DetectError::InvalidConfig {
-                                message: "shared engine pass failed".into(),
-                            }),
-                        }
+        for &(id, threshold) in &self.members {
+            let reason = match scores {
+                Err(ref failure) => failure.clone(),
+                Ok(_) if !self.engine.methods().contains(id) => {
+                    if strict {
+                        return Err(DetectError::InvalidConfig {
+                            message: format!("member {id} is disabled in the engine"),
+                        });
                     }
+                    "method disabled in the engine".into()
                 }
-                _ => member.detector.score(image),
-            };
-            let reason = match score {
-                Ok(s) if s.is_finite() => {
-                    let vote = member.threshold.is_attack(s);
-                    attack_votes += usize::from(vote);
-                    votes.push((member.name.clone(), vote));
-                    continue;
-                }
-                Ok(s) => {
-                    if self.policy == DegradePolicy::Strict {
-                        return Err(DetectError::Score(Box::new(crate::ScoreError::new(
-                            crate::ScoreFault::NonFiniteScore { score: s },
-                        ))));
+                Ok(scores) => {
+                    let score = scores.get(id);
+                    if score.is_finite() {
+                        votes.push((id, threshold.is_attack(score)));
+                        continue;
                     }
-                    format!("non-finite score {s}")
-                }
-                Err(err) => {
-                    if self.policy == DegradePolicy::Strict {
-                        return Err(err);
+                    let fault = ScoreFault::NonFiniteScore { score };
+                    if strict {
+                        let err = ScoreError::new(fault).for_method(id);
+                        return Err(DetectError::Score(Box::new(err)));
                     }
-                    err.to_string()
+                    fault.to_string()
                 }
             };
-            unavailable.push((member.name.clone(), reason));
+            unavailable.push((id, reason));
         }
+        let attack_votes = votes.iter().filter(|(_, vote)| *vote).count();
         let is_attack = match self.policy {
             DegradePolicy::FailClosed if !unavailable.is_empty() => true,
-            // All members unavailable: nothing could score the image, so a
-            // degrading ensemble refuses to accept it.
+            // Nobody voted: nothing could score the image, so a degrading
+            // ensemble refuses to accept it.
             _ if votes.is_empty() => true,
             _ => 2 * attack_votes > votes.len(),
         };
-        self.record_decision(&votes, &unavailable, is_attack);
         Ok(EnsembleDecision { votes, unavailable, is_attack })
+    }
+
+    /// Classifies an image: one [`DetectionEngine::score`] pass, then
+    /// [`Ensemble::vote`]. Records the decision's telemetry.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Ensemble::vote`].
+    pub fn decide(&self, image: &Image) -> Result<EnsembleDecision, DetectError> {
+        let decision = match self.engine.score(image) {
+            Ok(scores) => self.vote(Ok(&scores)),
+            Err(err) => self.vote(Err(err)),
+        }?;
+        self.record_decision(&decision);
+        Ok(decision)
     }
 
     /// Records one decision's telemetry: votes by member, unavailable
     /// members, a degrade activation when any member could not vote, and
     /// the verdict. A no-op with disabled telemetry.
-    fn record_decision(
-        &self,
-        votes: &[(String, bool)],
-        unavailable: &[(String, String)],
-        is_attack: bool,
-    ) {
+    fn record_decision(&self, decision: &EnsembleDecision) {
         if !self.telemetry.is_enabled() {
             return;
         }
-        for (member, vote) in votes {
+        for (member, vote) in &decision.votes {
             let vote = if *vote { "attack" } else { "benign" };
             self.telemetry
-                .counter("decam_ensemble_votes_total", &[("member", member), ("vote", vote)])
+                .counter("decam_ensemble_votes_total", &[("member", member.name()), ("vote", vote)])
                 .inc();
         }
-        for (member, _) in unavailable {
-            self.telemetry.counter("decam_ensemble_unavailable_total", &[("member", member)]).inc();
+        for (member, _) in &decision.unavailable {
+            self.telemetry
+                .counter("decam_ensemble_unavailable_total", &[("member", member.name())])
+                .inc();
         }
-        if !unavailable.is_empty() {
+        if !decision.is_complete() {
             self.telemetry
                 .counter("decam_ensemble_degraded_total", &[("policy", self.policy.name())])
                 .inc();
         }
-        let verdict = if is_attack { "attack" } else { "benign" };
+        let verdict = if decision.is_attack { "attack" } else { "benign" };
         self.telemetry.counter("decam_ensemble_decisions_total", &[("verdict", verdict)]).inc();
-    }
-
-    /// Convenience: the majority verdict only.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ensemble::decide`].
-    pub fn is_attack(&self, image: &Image) -> Result<bool, DetectError> {
-        Ok(self.decide(image)?.is_attack)
     }
 }
 
@@ -373,133 +282,106 @@ impl Ensemble {
 mod tests {
     use super::*;
     use crate::threshold::Direction;
-    use decamouflage_imaging::Size;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    struct FixedScore(f64, &'static str);
-
-    impl Detector for FixedScore {
-        fn score(&self, _image: &Image) -> Result<f64, DetectError> {
-            Ok(self.0)
-        }
-        fn direction(&self) -> Direction {
-            Direction::AboveIsAttack
-        }
-        fn name(&self) -> String {
-            self.1.into()
-        }
-    }
-
-    struct FailingDetector;
-
-    impl Detector for FailingDetector {
-        fn score(&self, _image: &Image) -> Result<f64, DetectError> {
-            Err(DetectError::InvalidConfig { message: "boom".into() })
-        }
-        fn direction(&self) -> Direction {
-            Direction::AboveIsAttack
-        }
-        fn name(&self) -> String {
-            "failing".into()
-        }
-    }
-
-    /// Wraps a detector and counts how often `score` runs.
-    struct CountingDetector<D> {
-        inner: D,
-        calls: Arc<AtomicUsize>,
-    }
-
-    impl<D: Detector> Detector for CountingDetector<D> {
-        fn score(&self, image: &Image) -> Result<f64, DetectError> {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            self.inner.score(image)
-        }
-        fn direction(&self) -> Direction {
-            self.inner.direction()
-        }
-        fn name(&self) -> String {
-            self.inner.name()
-        }
-    }
-
-    fn img() -> Image {
-        Image::zeros(2, 2, decamouflage_imaging::Channels::Gray)
-    }
 
     fn above(v: f64) -> Threshold {
         Threshold::new(v, Direction::AboveIsAttack)
     }
 
-    #[test]
-    fn two_of_three_majority_flags_attack() {
-        let e = Ensemble::new()
-            .with_member(FixedScore(10.0, "a"), above(5.0)) // votes attack
-            .with_member(FixedScore(10.0, "b"), above(5.0)) // votes attack
-            .with_member(FixedScore(1.0, "c"), above(5.0)); // votes benign
-        let d = e.decide(&img()).unwrap();
-        assert!(d.is_attack);
-        assert_eq!(d.votes.len(), 3);
-        assert_eq!(d.votes[2], ("c".to_string(), false));
+    /// The paper ensemble over hand-set thresholds, on an engine enabling
+    /// `methods`.
+    fn ensemble(methods: MethodSet, policy: DegradePolicy) -> Ensemble {
+        let engine = DetectionEngine::new(Size::square(16)).with_methods(methods);
+        let members = [
+            (MethodId::ScalingMse, above(200.0)),
+            (MethodId::FilteringSsim, Threshold::new(0.6, Direction::BelowIsAttack)),
+            (MethodId::Csp, above(2.0)),
+        ];
+        Ensemble::new(engine, members, policy)
     }
 
+    /// Scores voting benign, attack, benign: a benign 1-of-3 verdict.
+    fn scores() -> ScoreVector {
+        let mut scores = ScoreVector::splat(f64::NAN);
+        scores.set(MethodId::ScalingMse, 100.0);
+        scores.set(MethodId::FilteringSsim, 0.3);
+        scores.set(MethodId::Csp, 1.0);
+        scores
+    }
+
+    /// Every degrade policy against each way a member can be unavailable.
+    /// `None` is an error; `Some((is_attack, unavailable))` a decision.
     #[test]
-    fn one_of_three_is_benign() {
-        let e = Ensemble::new()
-            .with_member(FixedScore(10.0, "a"), above(5.0))
-            .with_member(FixedScore(1.0, "b"), above(5.0))
-            .with_member(FixedScore(1.0, "c"), above(5.0));
-        assert!(!e.is_attack(&img()).unwrap());
+    fn vote_table() {
+        use DegradePolicy::{FailClosed, MajorityOfAvailable, Strict};
+        let paper = MethodSet::of(PAPER_METHODS);
+        let mut nan = scores();
+        nan.set(MethodId::FilteringSsim, f64::NAN);
+        let failed = || Err(DetectError::InvalidConfig { message: "boom".into() });
+        type Row = (&'static str, MethodSet, DegradePolicy, Option<(bool, usize)>);
+        let rows: [Row; 12] = [
+            ("finite", paper, Strict, Some((false, 0))),
+            ("finite", paper, MajorityOfAvailable, Some((false, 0))),
+            ("finite", paper, FailClosed, Some((false, 0))),
+            // The attack voter abstains; the two benign voters remain.
+            ("nan", paper, Strict, None),
+            ("nan", paper, MajorityOfAvailable, Some((false, 1))),
+            ("nan", paper, FailClosed, Some((true, 1))),
+            // CSP abstains; the remaining 1-1 split is no strict majority.
+            ("disabled", paper.without(MethodId::Csp), Strict, None),
+            ("disabled", paper.without(MethodId::Csp), MajorityOfAvailable, Some((false, 1))),
+            ("disabled", paper.without(MethodId::Csp), FailClosed, Some((true, 1))),
+            // Nobody can vote: every degrading policy fails closed.
+            ("failed", paper, Strict, None),
+            ("failed", paper, MajorityOfAvailable, Some((true, 3))),
+            ("failed", paper, FailClosed, Some((true, 3))),
+        ];
+        for (case, methods, policy, expected) in rows {
+            let ensemble = ensemble(methods, policy);
+            let outcome = match case {
+                "nan" => ensemble.vote(Ok(&nan)),
+                "failed" => ensemble.vote(failed()),
+                _ => ensemble.vote(Ok(&scores())),
+            };
+            let what = format!("{case} under {policy:?}");
+            let Some((is_attack, unavailable)) = expected else {
+                let err = outcome.expect_err(&what).to_string();
+                let cause = match case {
+                    "nan" => "non-finite score NaN",
+                    "disabled" => "disabled",
+                    _ => "boom",
+                };
+                assert!(err.contains(cause), "{what}: {err}");
+                continue;
+            };
+            let decision = outcome.expect(&what);
+            assert_eq!(decision.is_attack, is_attack, "{what}");
+            assert_eq!(decision.unavailable.len(), unavailable, "{what}");
+            assert_eq!(decision.votes.len() + unavailable, 3, "{what}");
+            let reason = match case {
+                "nan" => "non-finite score NaN",
+                "disabled" => "disabled",
+                _ => "engine pass failed: invalid config: boom",
+            };
+            assert!(decision.unavailable.iter().all(|(_, r)| r.contains(reason)), "{what}");
+        }
     }
 
     #[test]
     fn tie_on_even_ensemble_is_benign() {
         // Strict majority: 1 of 2 does not flag.
-        let e = Ensemble::new()
-            .with_member(FixedScore(10.0, "a"), above(5.0))
-            .with_member(FixedScore(1.0, "b"), above(5.0));
-        assert!(!e.is_attack(&img()).unwrap());
+        let engine = DetectionEngine::new(Size::square(16));
+        let members = [(MethodId::ScalingMse, above(50.0)), (MethodId::Csp, above(2.0))];
+        let e = Ensemble::new(engine, members, DegradePolicy::Strict);
+        let decision = e.vote(Ok(&scores())).unwrap();
+        assert_eq!(decision.votes, vec![(MethodId::ScalingMse, true), (MethodId::Csp, false)]);
+        assert!(!decision.is_attack);
     }
 
     #[test]
     fn empty_ensemble_errors() {
-        let e = Ensemble::new();
-        assert!(e.is_empty());
-        assert!(e.decide(&img()).is_err());
-    }
-
-    #[test]
-    fn member_failure_propagates() {
-        let e = Ensemble::new()
-            .with_member(FailingDetector, above(5.0))
-            .with_member(FixedScore(10.0, "b"), above(5.0));
-        assert!(e.decide(&img()).is_err());
-    }
-
-    #[test]
-    fn member_accessors() {
-        let mut e = Ensemble::new();
-        e.push(EnsembleMember::new(FixedScore(1.0, "solo"), above(0.5)));
-        assert_eq!(e.len(), 1);
-        assert_eq!(e.members()[0].name(), "solo");
-        assert_eq!(e.members()[0].threshold().value(), 0.5);
-        assert_eq!(e.members()[0].method(), None);
-        assert!(e.engine().is_none());
-        assert!(!format!("{e:?}").is_empty());
-    }
-
-    #[test]
-    fn below_direction_members_vote_correctly() {
-        let e = Ensemble::new()
-            .with_member(
-                FixedScore(0.3, "ssim-like"),
-                Threshold::new(0.5, Direction::BelowIsAttack),
-            )
-            .with_member(FixedScore(9.0, "mse-like"), above(5.0))
-            .with_member(FixedScore(1.0, "csp-like"), above(2.0));
-        // Votes: attack, attack, benign -> attack.
-        assert!(e.is_attack(&img()).unwrap());
+        let e = Ensemble::new(DetectionEngine::new(Size::square(16)), [], DegradePolicy::Strict);
+        assert!(e.members().is_empty());
+        assert!(e.vote(Ok(&scores())).is_err());
     }
 
     fn scene() -> Image {
@@ -509,199 +391,39 @@ mod tests {
     }
 
     #[test]
-    fn engine_backed_members_skip_their_own_detectors() {
-        let engine = DetectionEngine::new(Size::square(16));
-        let calls = Arc::new(AtomicUsize::new(0));
-        let mut bound = Ensemble::new().with_engine(engine.clone());
-        let mut unbound = Ensemble::new();
-        for (id, threshold) in [
-            (MethodId::ScalingMse, above(200.0)),
-            (MethodId::Csp, above(2.0)),
-            (MethodId::PeakExcess, above(0.5)),
-        ] {
-            let counting =
-                CountingDetector { inner: engine.build_detector(id), calls: Arc::clone(&calls) };
-            bound.push(EnsembleMember::new(counting, threshold).with_method(id));
-            let counting =
-                CountingDetector { inner: engine.build_detector(id), calls: Arc::clone(&calls) };
-            unbound.push(EnsembleMember::new(counting, threshold));
-        }
+    fn decide_is_one_engine_pass_then_vote() {
+        let e = ensemble(MethodSet::of(PAPER_METHODS), DegradePolicy::Strict);
         let image = scene();
+        let scores = e.engine().score(&image).unwrap();
+        assert_eq!(e.decide(&image).unwrap(), e.vote(Ok(&scores)).unwrap());
+        assert!(!e.decide(&image).unwrap().is_attack, "benign scene should pass");
 
-        // Regression: with an engine and bound members, the per-member
-        // detectors are never invoked — one engine pass serves all votes.
-        let bound_decision = bound.decide(&image).unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "members re-scored the image");
-
-        // Without bindings every member runs its own detector...
-        let unbound_decision = unbound.decide(&image).unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), unbound.len());
-        // ...and (bit-identical scores) both routes agree vote-for-vote.
-        assert_eq!(bound_decision, unbound_decision);
-    }
-
-    #[test]
-    fn with_engine_member_builds_bound_members() {
-        let engine = DetectionEngine::new(Size::square(16));
-        let e = Ensemble::new()
-            .with_engine(engine)
-            .with_engine_member(MethodId::ScalingMse, above(200.0))
-            .with_engine_member(
-                MethodId::FilteringSsim,
-                Threshold::new(0.6, Direction::BelowIsAttack),
-            )
-            .with_engine_member(MethodId::Csp, above(2.0));
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.members()[0].method(), Some(MethodId::ScalingMse));
-        assert_eq!(e.members()[0].name(), "scaling/mse");
-        let d = e.decide(&scene()).unwrap();
-        assert_eq!(d.votes.len(), 3);
-        assert!(!d.is_attack, "benign scene should pass");
-    }
-
-    #[test]
-    fn bound_member_with_disabled_method_errors() {
-        let engine = DetectionEngine::new(Size::square(16))
-            .with_methods(crate::method::MethodSet::of(&[MethodId::ScalingMse]));
-        let e = Ensemble::new()
-            .with_engine(engine)
-            .with_engine_member(MethodId::ScalingMse, above(200.0))
-            .with_engine_member(MethodId::Csp, above(2.0));
-        assert!(e.decide(&scene()).is_err());
-    }
-
-    #[test]
-    fn strict_policy_errors_on_nan_score_instead_of_voting_benign() {
-        // Regression for the silent-benign hole: threshold(NaN) is always
-        // false, so a NaN voter used to pass attacks. Strict now errors.
-        let e = Ensemble::new()
-            .with_member(FixedScore(f64::NAN, "nan"), above(5.0))
-            .with_member(FixedScore(10.0, "b"), above(5.0))
-            .with_member(FixedScore(10.0, "c"), above(5.0));
-        assert_eq!(e.degrade_policy(), DegradePolicy::Strict);
-        let err = e.decide(&img()).unwrap_err();
-        assert!(err.to_string().contains("non-finite score"), "{err}");
-    }
-
-    #[test]
-    fn majority_of_available_votes_on_the_remaining_members() {
-        // One voter down, the other two agree on attack -> attack.
-        let e = Ensemble::new()
-            .with_degrade_policy(DegradePolicy::MajorityOfAvailable)
-            .with_member(FailingDetector, above(5.0))
-            .with_member(FixedScore(10.0, "b"), above(5.0))
-            .with_member(FixedScore(10.0, "c"), above(5.0));
-        let d = e.decide(&img()).unwrap();
-        assert!(d.is_attack);
-        assert!(!d.is_complete());
-        assert_eq!(d.votes.len(), 2);
-        assert_eq!(d.unavailable.len(), 1);
-        assert_eq!(d.unavailable[0].0, "failing");
-        assert!(d.unavailable[0].1.contains("boom"), "{}", d.unavailable[0].1);
-
-        // One voter down, the other two split 1-1: no strict majority.
-        let e = Ensemble::new()
-            .with_degrade_policy(DegradePolicy::MajorityOfAvailable)
-            .with_member(FixedScore(f64::NAN, "nan"), above(5.0))
-            .with_member(FixedScore(10.0, "b"), above(5.0))
-            .with_member(FixedScore(1.0, "c"), above(5.0));
-        let d = e.decide(&img()).unwrap();
-        assert!(!d.is_attack);
-        assert_eq!(d.unavailable[0].1, "non-finite score NaN");
-    }
-
-    #[test]
-    fn majority_of_available_fails_closed_when_nobody_can_vote() {
-        let e = Ensemble::new()
-            .with_degrade_policy(DegradePolicy::MajorityOfAvailable)
-            .with_member(FailingDetector, above(5.0))
-            .with_member(FixedScore(f64::INFINITY, "inf"), above(5.0));
-        let d = e.decide(&img()).unwrap();
-        assert!(d.is_attack, "an image nothing could score must not pass");
-        assert!(d.votes.is_empty());
-        assert_eq!(d.unavailable.len(), 2);
-    }
-
-    #[test]
-    fn fail_closed_flags_attack_on_any_unavailable_member() {
-        // Both surviving voters say benign; the failed one decides anyway.
-        let e = Ensemble::new()
-            .with_degrade_policy(DegradePolicy::FailClosed)
-            .with_member(FailingDetector, above(5.0))
-            .with_member(FixedScore(1.0, "b"), above(5.0))
-            .with_member(FixedScore(1.0, "c"), above(5.0));
-        let d = e.decide(&img()).unwrap();
-        assert!(d.is_attack);
-        assert_eq!(d.votes, vec![("b".to_string(), false), ("c".to_string(), false)]);
-
-        // With every member healthy, FailClosed is an ordinary majority.
-        let e = Ensemble::new()
-            .with_degrade_policy(DegradePolicy::FailClosed)
-            .with_member(FixedScore(1.0, "a"), above(5.0))
-            .with_member(FixedScore(1.0, "b"), above(5.0))
-            .with_member(FixedScore(10.0, "c"), above(5.0));
-        let d = e.decide(&img()).unwrap();
-        assert!(!d.is_attack);
-        assert!(d.is_complete());
-    }
-
-    #[test]
-    fn degraded_policies_tolerate_a_disabled_bound_method() {
-        let engine = DetectionEngine::new(Size::square(16))
-            .with_methods(crate::method::MethodSet::of(&[MethodId::ScalingMse]));
-        let e = Ensemble::new()
-            .with_engine(engine)
-            .with_engine_member(MethodId::ScalingMse, above(200.0))
-            .with_engine_member(MethodId::Csp, above(2.0))
-            .with_degrade_policy(DegradePolicy::MajorityOfAvailable);
-        let d = e.decide(&scene()).unwrap();
-        assert_eq!(d.votes.len(), 1, "only the enabled binding votes");
-        assert_eq!(d.unavailable.len(), 1);
-        assert!(d.unavailable[0].1.contains("disables"), "{}", d.unavailable[0].1);
-    }
-
-    #[test]
-    fn degraded_policies_survive_a_failed_shared_engine_pass() {
-        // A sigma of zero makes every SSIM scoring pass fail, which under a
-        // degrading policy marks all bound members unavailable instead of
-        // erroring the decision.
+        // A sigma of zero makes every SSIM pass fail: Strict propagates
+        // the engine's own error, FailClosed flags the image.
         let mut bad_ssim = decamouflage_metrics::SsimConfig::default();
         bad_ssim.sigma = 0.0;
-        let engine = DetectionEngine::new(Size::square(16)).with_ssim_config(bad_ssim);
-        let e = Ensemble::new()
-            .with_engine(engine)
-            .with_engine_member(
-                MethodId::ScalingSsim,
-                Threshold::new(0.6, Direction::BelowIsAttack),
-            )
-            .with_degrade_policy(DegradePolicy::FailClosed)
-            .with_member(FixedScore(1.0, "healthy"), above(5.0));
-        let d = e.decide(&scene()).unwrap();
-        assert!(d.is_attack, "FailClosed flags the failed engine pass");
-        assert_eq!(d.votes, vec![("healthy".to_string(), false)]);
-        assert_eq!(d.unavailable.len(), 1);
-
-        // Strict still propagates the same failure as an error.
-        let strict = Ensemble::new()
-            .with_engine({
-                let mut bad_ssim = decamouflage_metrics::SsimConfig::default();
-                bad_ssim.sigma = 0.0;
-                DetectionEngine::new(Size::square(16)).with_ssim_config(bad_ssim)
-            })
-            .with_engine_member(
-                MethodId::ScalingSsim,
-                Threshold::new(0.6, Direction::BelowIsAttack),
-            );
-        assert!(strict.decide(&scene()).is_err());
+        let broken = DetectionEngine::new(Size::square(16)).with_ssim_config(bad_ssim);
+        let strict = Ensemble::new(broken.clone(), e.members().to_vec(), DegradePolicy::Strict);
+        assert!(strict.decide(&image).is_err());
+        let closed = Ensemble::new(broken, e.members().to_vec(), DegradePolicy::FailClosed);
+        let decision = closed.decide(&image).unwrap();
+        assert!(decision.is_attack);
+        assert!(decision.votes.is_empty());
+        assert_eq!(decision.unavailable.len(), 3);
     }
 
     #[test]
-    fn bound_members_without_engine_fall_back_to_their_detector() {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counting = CountingDetector { inner: FixedScore(10.0, "a"), calls: Arc::clone(&calls) };
-        let mut e = Ensemble::new();
-        e.push(EnsembleMember::new(counting, above(5.0)).with_method(MethodId::ScalingMse));
-        assert!(e.is_attack(&img()).unwrap());
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    fn paper_ensemble_names_the_first_missing_threshold() {
+        let mut set = ThresholdSet::new();
+        set.insert(MethodId::ScalingMse, above(400.0));
+        set.insert(MethodId::FilteringSsim, Threshold::new(0.55, Direction::BelowIsAttack));
+        let err = Ensemble::paper(Size::square(16), &set, DegradePolicy::Strict).unwrap_err();
+        assert!(err.to_string().contains("\"steganalysis/csp\""), "{err}");
+
+        set.insert(MethodId::Csp, above(2.0));
+        let e = Ensemble::paper(Size::square(16), &set, DegradePolicy::FailClosed).unwrap();
+        assert_eq!(e.engine().methods(), MethodSet::of(PAPER_METHODS));
+        assert_eq!(e.members().iter().map(|(id, _)| *id).collect::<Vec<_>>(), PAPER_METHODS);
+        assert_eq!(e.degrade_policy(), DegradePolicy::FailClosed);
     }
 }

@@ -1,28 +1,21 @@
 //! Deterministic fault injection for testing the quarantine layer.
 //!
-//! A production screening deployment has to keep serving when one image —
-//! or one detector — misbehaves. Proving that requires *causing* the
-//! misbehaviour on demand: this module provides a seed-driven, fully
-//! deterministic [`FaultPlan`] (which scoring indices fail, and how) plus
-//! two injection points that consume it:
-//!
-//! * [`DetectionEngine::with_fault_plan`](crate::DetectionEngine::with_fault_plan)
-//!   fires plan entries by batch fan-out index inside
-//!   [`score_corpus_resilient`](crate::DetectionEngine::score_corpus_resilient),
-//!   so an injected panic travels the exact worker-pool → `catch_unwind` →
-//!   quarantine path a real deep panic would;
-//! * [`FaultyDetector`] wraps any [`Detector`] and fires plan entries by
-//!   call sequence number, for ensemble-level degradation tests.
+//! A production screening deployment has to keep serving when one image
+//! misbehaves. Proving that requires *causing* the misbehaviour on demand:
+//! this module provides a seed-driven, fully deterministic [`FaultPlan`]
+//! (which scoring indices fail, and how), consumed by
+//! [`DetectionEngine::with_fault_plan`](crate::DetectionEngine::with_fault_plan).
+//! The engine fires plan entries by stream / batch fan-out index inside
+//! [`score_stream`](crate::DetectionEngine::score_stream) and its eager
+//! facade [`score_corpus_resilient`](crate::DetectionEngine::score_corpus_resilient),
+//! so an injected panic travels the exact worker-pool → `catch_unwind` →
+//! quarantine path a real deep panic would, and an injected NaN score
+//! reaches [`Ensemble::vote`](crate::Ensemble::vote) like a real one.
 //!
 //! Nothing here is test-gated: fault injection is a first-class operational
 //! tool (staging canaries, chaos drills), not a unit-test convenience.
 
-use crate::detector::Detector;
-use crate::threshold::Direction;
-use crate::DetectError;
-use decamouflage_imaging::Image;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What an armed fault site does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,78 +124,9 @@ fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A [`Detector`] wrapper that fires a [`FaultPlan`] entry on the matching
-/// `score` call (0-based call sequence), delegating to the inner detector
-/// otherwise. The call counter is atomic, so a `FaultyDetector` shared
-/// across worker threads still fires each armed site exactly once.
-#[derive(Debug)]
-pub struct FaultyDetector<D> {
-    inner: D,
-    plan: FaultPlan,
-    calls: AtomicUsize,
-}
-
-impl<D: Detector> FaultyDetector<D> {
-    /// Wraps `inner`, arming `plan` by call sequence.
-    pub fn new(inner: D, plan: FaultPlan) -> Self {
-        Self { inner, plan, calls: AtomicUsize::new(0) }
-    }
-
-    /// Number of `score` calls observed so far.
-    pub fn calls(&self) -> usize {
-        self.calls.load(Ordering::SeqCst)
-    }
-
-    /// The wrapped detector.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-}
-
-impl<D: Detector> Detector for FaultyDetector<D> {
-    fn score(&self, image: &Image) -> Result<f64, DetectError> {
-        let call = self.calls.fetch_add(1, Ordering::SeqCst);
-        match self.plan.get(call) {
-            Some(FaultKind::Panic) => panic!("injected panic at scoring call {call}"),
-            Some(FaultKind::Error) => Err(DetectError::from(crate::ScoreError::injected(call))),
-            Some(FaultKind::NanScore) => Ok(f64::NAN),
-            None => self.inner.score(image),
-        }
-    }
-
-    fn direction(&self) -> Direction {
-        self.inner.direction()
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decamouflage_imaging::{Channels, Image};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    #[derive(Debug)]
-    struct MeanDetector;
-
-    impl Detector for MeanDetector {
-        fn score(&self, image: &Image) -> Result<f64, DetectError> {
-            Ok(image.mean_sample())
-        }
-        fn direction(&self) -> Direction {
-            Direction::AboveIsAttack
-        }
-        fn name(&self) -> String {
-            "mean".into()
-        }
-    }
-
-    fn img(v: f64) -> Image {
-        Image::filled(2, 2, Channels::Gray, v)
-    }
 
     #[test]
     fn empty_plan_never_fires() {
@@ -243,24 +167,5 @@ mod tests {
     #[should_panic(expected = "cannot scatter")]
     fn scattered_rejects_impossible_counts() {
         let _ = FaultPlan::scattered(1, 9, 8, FaultKind::Error);
-    }
-
-    #[test]
-    fn faulty_detector_fires_by_call_sequence() {
-        let plan = FaultPlan::new()
-            .with(1, FaultKind::Error)
-            .with(2, FaultKind::NanScore)
-            .with(3, FaultKind::Panic);
-        let d = FaultyDetector::new(MeanDetector, plan);
-        assert_eq!(d.score(&img(10.0)).unwrap(), 10.0);
-        assert!(d.score(&img(10.0)).is_err());
-        assert!(d.score(&img(10.0)).unwrap().is_nan());
-        let panicked = catch_unwind(AssertUnwindSafe(|| d.score(&img(10.0))));
-        assert!(panicked.is_err(), "armed Panic site must unwind");
-        assert_eq!(d.score(&img(4.0)).unwrap(), 4.0, "past the plan it delegates again");
-        assert_eq!(d.calls(), 5);
-        assert_eq!(d.name(), "mean");
-        assert_eq!(d.direction(), Direction::AboveIsAttack);
-        assert_eq!(d.inner().name(), "mean");
     }
 }

@@ -5,8 +5,7 @@
 //! an otherwise smooth neighbourhood, so the filter changes an attack image
 //! far more than a benign one.
 
-use crate::detector::{Detector, MetricKind};
-use crate::threshold::Direction;
+use crate::method::MetricKind;
 use crate::DetectError;
 use decamouflage_imaging::filter::{rank_filter, RankKind};
 use decamouflage_imaging::Image;
@@ -77,24 +76,17 @@ impl FilteringDetector {
     pub fn filtered(&self, image: &Image) -> Result<Image, DetectError> {
         Ok(rank_filter(image, self.window, self.kind)?)
     }
-}
 
-impl Detector for FilteringDetector {
-    fn score(&self, image: &Image) -> Result<f64, DetectError> {
+    /// The naive reference score, computed from scratch; production code
+    /// reaches it only through
+    /// [`DetectionEngine::reference_score`](crate::DetectionEngine::reference_score).
+    pub(crate) fn score(&self, image: &Image) -> Result<f64, DetectError> {
         let filtered = self.filtered(image)?;
         let value = match self.metric {
             MetricKind::Mse => mse(image, &filtered)?,
             MetricKind::Ssim => ssim(image, &filtered, &self.ssim_config)?,
         };
         Ok(value)
-    }
-
-    fn direction(&self) -> Direction {
-        self.metric.direction()
-    }
-
-    fn name(&self) -> String {
-        format!("filtering/{}", self.metric)
     }
 }
 
@@ -132,13 +124,6 @@ mod tests {
         let benign = det.score(&smooth(64)).unwrap();
         let attack = det.score(&attack_image(64, 16)).unwrap();
         assert!(attack < benign, "benign {benign}, attack {attack}");
-    }
-
-    #[test]
-    fn directions_and_names() {
-        assert_eq!(FilteringDetector::new(MetricKind::Mse).direction(), Direction::AboveIsAttack);
-        assert_eq!(FilteringDetector::new(MetricKind::Ssim).direction(), Direction::BelowIsAttack);
-        assert_eq!(FilteringDetector::new(MetricKind::Mse).name(), "filtering/mse");
     }
 
     #[test]

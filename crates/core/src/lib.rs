@@ -8,16 +8,22 @@
 //!
 //! | Method | Signal | Metric | Attack indication |
 //! |---|---|---|---|
-//! | [`ScalingDetector`] | downscale→upscale round trip | MSE / SSIM | large MSE / small SSIM |
-//! | [`FilteringDetector`] | minimum-filter residual | MSE / SSIM | large MSE / small SSIM |
-//! | [`SteganalysisDetector`] | centered spectrum points | CSP count | `>= 2` points |
-//! | [`PeakExcessDetector`] | radial spectrum peak excess | log-magnitude excess | large excess |
+//! | scaling ([`ScalingDetector`]) | downscale→upscale round trip | MSE / SSIM | large MSE / small SSIM |
+//! | filtering ([`FilteringDetector`]) | minimum-filter residual | MSE / SSIM | large MSE / small SSIM |
+//! | steganalysis ([`SteganalysisDetector`]) | centered spectrum points | CSP count | `>= 2` points |
+//! | peak excess ([`PeakExcessDetector`]) | radial spectrum peak excess | log-magnitude excess | large excess |
 //! | [`Ensemble`] | majority vote of the above | — | majority of members vote attack |
 //!
 //! Each method is registered once in the typed [`MethodId`] registry
 //! ([`method`] module); scores travel as a dense, id-indexed
 //! [`ScoreVector`] and every layer (calibration, persistence, evaluation,
 //! reports) enumerates [`MethodId::ALL`] instead of hardcoded lists.
+//!
+//! One scoring path serves every layer: [`DetectionEngine`] scores an
+//! image with all enabled methods in one pass over shared intermediates.
+//! The per-method detector structs hold each method's configuration and
+//! the naive from-scratch reference the engine is tested against
+//! ([`DetectionEngine::reference_score`]).
 //!
 //! Thresholds come from two calibration modes mirroring the paper's threat
 //! model: **white-box** ([`threshold::search_whitebox`], labelled
@@ -28,13 +34,13 @@
 //! # Example
 //!
 //! ```
-//! use decamouflage_core::{Detector, MetricKind, ScalingDetector, Threshold, Direction};
-//! use decamouflage_imaging::{Image, Size, scale::ScaleAlgorithm};
+//! use decamouflage_core::{DetectionEngine, Direction, MethodId, Threshold};
+//! use decamouflage_imaging::{Image, Size};
 //!
 //! # fn main() -> Result<(), decamouflage_core::DetectError> {
-//! let detector = ScalingDetector::new(Size::square(16), ScaleAlgorithm::Bilinear, MetricKind::Mse);
+//! let engine = DetectionEngine::new(Size::square(16));
 //! let benign = Image::from_fn_gray(64, 64, |x, y| (((x + y) * 2) % 200) as f64 + 20.0);
-//! let score = detector.score(&benign)?;
+//! let score = engine.score(&benign)?.get(MethodId::ScalingMse);
 //! let threshold = Threshold::new(1500.0, Direction::AboveIsAttack);
 //! assert!(!threshold.is_attack(score));
 //! # Ok(())
@@ -46,7 +52,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod detector;
 mod error;
 
 pub mod calibrate;
@@ -72,7 +77,6 @@ pub mod stream;
 pub mod threshold;
 
 pub use config::ModelInputSize;
-pub use detector::{Detector, MetricKind};
 pub use engine::{
     BatchCounts, BatchOutcome, DetectionEngine, EngineArtifacts, EngineCorpus, EngineScores,
 };
@@ -80,7 +84,7 @@ pub use ensemble::{DegradePolicy, Ensemble};
 pub use error::{DetectError, ScoreError, ScoreFault};
 pub use eval::{evaluate_batch_outcome, evaluate_decisions, ConfusionCounts, EvalMetrics};
 pub use filtering::FilteringDetector;
-pub use method::{MethodId, MethodSet, ScoreColumns, ScoreVector};
+pub use method::{MethodId, MethodSet, MetricKind, ScoreColumns, ScoreVector};
 pub use peak_excess::PeakExcessDetector;
 pub use persist::checkpoint::{CorpusFingerprint, QuarantineRecord, ScanCheckpoint};
 pub use scaling::ScalingDetector;

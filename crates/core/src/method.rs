@@ -8,8 +8,10 @@
 //! methods through a [`MethodSet`] bitset.
 //!
 //! Adding a method is a *one-registration* change: add the variant here
-//! (name + direction) and give it a constructor arm in
-//! [`DetectionEngine::build_detector`](crate::engine::DetectionEngine::build_detector).
+//! (name + direction), give it an arm in the engine pass
+//! ([`DetectionEngine::score`](crate::engine::DetectionEngine::score)) and
+//! one in its naive reference
+//! ([`DetectionEngine::reference_score`](crate::engine::DetectionEngine::reference_score)).
 //! Every other layer — calibration, persistence, ensembles, evaluation,
 //! ROC, reports, the experiment harness — iterates [`MethodId::ALL`] and
 //! picks the new method up automatically.
@@ -27,10 +29,42 @@
 //! assert_eq!(MethodId::ALL.len(), MethodId::COUNT);
 //! ```
 
-use crate::detector::MetricKind;
 use crate::threshold::{Direction, Threshold};
 use std::fmt;
 use std::str::FromStr;
+
+/// The similarity metric a spatial-domain method compares with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MetricKind {
+    /// Mean squared error — large values indicate an attack.
+    Mse,
+    /// Structural similarity — small values indicate an attack.
+    Ssim,
+}
+
+impl MetricKind {
+    /// The decision direction this metric implies.
+    pub const fn direction(&self) -> Direction {
+        match self {
+            MetricKind::Mse => Direction::AboveIsAttack,
+            MetricKind::Ssim => Direction::BelowIsAttack,
+        }
+    }
+
+    /// Stable lowercase name used in reports.
+    pub const fn name(&self) -> &'static str {
+        match self {
+            MetricKind::Mse => "mse",
+            MetricKind::Ssim => "ssim",
+        }
+    }
+}
+
+impl fmt::Display for MetricKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Identifier of one detection method: the paper's five `(method, metric)`
 /// pairs plus the continuous peak-excess extension.
@@ -434,31 +468,6 @@ impl ScoreColumns {
     }
 }
 
-/// Test-only detector behind [`MethodId::DummyMean`]: the image's mean
-/// intensity over all channels. Exists to prove that a new method needs
-/// only a `MethodId` variant and one constructor arm.
-#[cfg(test)]
-#[derive(Debug, Clone, Default)]
-pub struct DummyMeanDetector;
-
-#[cfg(test)]
-impl crate::detector::Detector for DummyMeanDetector {
-    fn score(&self, image: &decamouflage_imaging::Image) -> Result<f64, crate::DetectError> {
-        if image.plane_len() == 0 {
-            return Ok(0.0);
-        }
-        Ok(image.mean_sample())
-    }
-
-    fn direction(&self) -> Direction {
-        MethodId::DummyMean.direction()
-    }
-
-    fn name(&self) -> String {
-        MethodId::DummyMean.name().into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,11 +589,13 @@ mod tests {
         assert!(MethodId::ALL.contains(&MethodId::DummyMean));
         assert_eq!(MethodId::from_name("test/dummy-mean"), Some(MethodId::DummyMean));
         assert!(MethodId::DummyMean.fixed_blackbox_threshold().is_none());
-        use crate::detector::Detector;
-        let det = DummyMeanDetector;
-        let img =
-            decamouflage_imaging::Image::filled(2, 2, decamouflage_imaging::Channels::Gray, 7.0);
-        assert_eq!(det.score(&img).unwrap(), 7.0);
-        assert_eq!(det.name(), "test/dummy-mean");
+    }
+
+    #[test]
+    fn metric_kind_directions() {
+        assert_eq!(MetricKind::Mse.direction(), Direction::AboveIsAttack);
+        assert_eq!(MetricKind::Ssim.direction(), Direction::BelowIsAttack);
+        assert_eq!(MetricKind::Mse.to_string(), "mse");
+        assert_eq!(MetricKind::Ssim.name(), "ssim");
     }
 }

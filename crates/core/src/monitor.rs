@@ -4,14 +4,13 @@
 //! calibrated offline. Deployments additionally need to notice when the
 //! *benign* traffic drifts away from the calibration distribution (new
 //! camera, new content mix), because percentile thresholds silently rot.
-//! [`DetectionMonitor`] wraps a calibrated detector, keeps rolling
-//! statistics of recent scores and verdicts, and raises a drift warning
-//! when the recent benign-score mean wanders too many calibration standard
-//! deviations from the calibration mean.
+//! [`DetectionMonitor`] screens with one calibrated engine method, keeps
+//! rolling statistics of recent scores and verdicts, and raises a drift
+//! warning when the recent benign-score mean wanders too many calibration
+//! standard deviations from the calibration mean.
 
-use crate::detector::Detector;
 use crate::engine::DetectionEngine;
-use crate::method::MethodId;
+use crate::method::{MethodId, MethodSet};
 use crate::stream::ImageSource;
 use crate::threshold::Threshold;
 use crate::DetectError;
@@ -22,7 +21,7 @@ use std::collections::VecDeque;
 /// Verdict plus bookkeeping for one screened image.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorVerdict {
-    /// The detector score.
+    /// The monitored method's score.
     pub score: f64,
     /// Whether the threshold flags the image as an attack.
     pub is_attack: bool,
@@ -37,7 +36,7 @@ pub struct MonitorStats {
     pub screened: usize,
     /// Images flagged as attacks in total.
     pub flagged: usize,
-    /// Images quarantined in total: the detector errored or produced a
+    /// Images quarantined in total: the engine pass errored or produced a
     /// non-finite score. Quarantined images are counted here only — they
     /// are neither screened, nor flagged, nor admitted to the rolling
     /// drift window.
@@ -49,7 +48,7 @@ pub struct MonitorStats {
 }
 
 /// Pre-resolved telemetry handles for one monitor, labelled with the
-/// wrapped detector's name. All no-ops under a disabled [`Telemetry`].
+/// monitored method's name. All no-ops under a disabled [`Telemetry`].
 #[derive(Debug, Clone, Default)]
 struct MonitorMetrics {
     telemetry: Telemetry,
@@ -77,10 +76,12 @@ impl MonitorMetrics {
     }
 }
 
-/// A calibrated detector wrapped with rolling statistics and drift
+/// One calibrated engine method with rolling statistics and drift
 /// detection.
-pub struct DetectionMonitor<D> {
-    detector: D,
+#[derive(Debug)]
+pub struct DetectionMonitor {
+    engine: DetectionEngine,
+    method: MethodId,
     threshold: Threshold,
     calibration_mean: f64,
     calibration_std: f64,
@@ -93,8 +94,10 @@ pub struct DetectionMonitor<D> {
     metrics: MonitorMetrics,
 }
 
-impl<D: Detector> DetectionMonitor<D> {
-    /// Wraps a calibrated detector.
+impl DetectionMonitor {
+    /// Monitors method `id` of `engine`'s configuration. The monitor scores
+    /// with a copy of the engine restricted to `id`, so each screen pays
+    /// for one method only.
     ///
     /// `calibration_mean` / `calibration_std` describe the benign score
     /// distribution observed during calibration (e.g. from
@@ -103,16 +106,23 @@ impl<D: Detector> DetectionMonitor<D> {
     ///
     /// # Errors
     ///
-    /// Returns [`DetectError::InvalidConfig`] for a zero window, negative
-    /// `drift_sigmas` or non-finite calibration statistics.
+    /// Returns [`DetectError::InvalidConfig`] when the engine has the
+    /// method disabled, for a zero window, negative `drift_sigmas` or
+    /// non-finite calibration statistics.
     pub fn new(
-        detector: D,
+        engine: &DetectionEngine,
+        id: MethodId,
         threshold: Threshold,
         calibration_mean: f64,
         calibration_std: f64,
         window: usize,
         drift_sigmas: f64,
     ) -> Result<Self, DetectError> {
+        if !engine.methods().contains(id) {
+            return Err(DetectError::InvalidConfig {
+                message: format!("engine has method {} disabled", id.name()),
+            });
+        }
         if window == 0 {
             return Err(DetectError::InvalidConfig { message: "window must be >= 1".into() });
         }
@@ -127,9 +137,9 @@ impl<D: Detector> DetectionMonitor<D> {
                 message: "drift parameters must be positive and finite".into(),
             });
         }
-        let metrics = MonitorMetrics::new(decamouflage_telemetry::global(), &detector.name());
         Ok(Self {
-            detector,
+            engine: engine.clone().with_methods(MethodSet::of(&[id])),
+            method: id,
             threshold,
             calibration_mean,
             calibration_std,
@@ -139,25 +149,25 @@ impl<D: Detector> DetectionMonitor<D> {
             screened: 0,
             flagged: 0,
             quarantined: 0,
-            metrics,
+            metrics: MonitorMetrics::new(decamouflage_telemetry::global(), id.name()),
         })
     }
 
     /// Attaches a [`Telemetry`] handle: an enabled handle mirrors the
     /// monitor's screened/flagged/quarantined counters, drift alerts,
     /// and rolling-window statistics into its registry (labelled
-    /// `detector=<name>`). The default is the process-global handle at
-    /// construction time. Telemetry never changes verdicts.
+    /// `detector=<method name>`). The default is the process-global handle
+    /// at construction time. Telemetry never changes verdicts.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.metrics = MonitorMetrics::new(telemetry, &self.detector.name());
+        self.metrics = MonitorMetrics::new(telemetry, self.method.name());
         self
     }
 
-    /// Screens one image: scores it, classifies it, and (for accepted
-    /// images) updates the rolling benign window.
+    /// Screens one image: scores it with one engine pass, classifies it,
+    /// and (for accepted images) updates the rolling benign window.
     ///
-    /// A failing or non-finite score quarantines the image instead: the
+    /// A failed pass or non-finite score quarantines the image instead: the
     /// [`MonitorStats::quarantined`] counter is bumped, an error is
     /// returned, and neither the screened/flagged counters nor the drift
     /// window move — a burst of quarantined inputs cannot mask or fake a
@@ -165,13 +175,13 @@ impl<D: Detector> DetectionMonitor<D> {
     ///
     /// # Errors
     ///
-    /// Propagates the detector's [`DetectError`]; a non-finite score is
+    /// Propagates the engine's [`DetectError`]; a non-finite score is
     /// reported as [`DetectError::Score`] with a
     /// [`ScoreFault::NonFiniteScore`](crate::ScoreFault::NonFiniteScore)
     /// cause.
     pub fn screen(&mut self, image: &Image) -> Result<MonitorVerdict, DetectError> {
-        let score = match self.detector.score(image) {
-            Ok(score) => score,
+        let score = match self.engine.score(image) {
+            Ok(scores) => scores.get(self.method),
             Err(err) => {
                 self.quarantined += 1;
                 self.metrics.quarantined.inc();
@@ -221,7 +231,7 @@ impl<D: Detector> DetectionMonitor<D> {
     /// through a small internal [`BufferPool`](crate::stream::BufferPool)
     /// — the monitor never holds more than one decoded image at once. A
     /// source item that failed to pull (unreadable file, decode error)
-    /// counts as quarantined, exactly like a failing detector score.
+    /// counts as quarantined, exactly like a failed engine pass.
     ///
     /// Returns the monitor's statistics after the stream is drained; the
     /// per-image verdicts feed the same counters and drift window as
@@ -271,9 +281,9 @@ impl<D: Detector> DetectionMonitor<D> {
         }
     }
 
-    /// The wrapped detector.
-    pub fn detector(&self) -> &D {
-        &self.detector
+    /// The monitored method.
+    pub const fn method(&self) -> MethodId {
+        self.method
     }
 
     /// The active threshold.
@@ -291,79 +301,23 @@ impl<D: Detector> DetectionMonitor<D> {
     }
 }
 
-impl DetectionMonitor<Box<dyn Detector>> {
-    /// Builds a monitor for one registry method, using the engine's
-    /// configuration ([`DetectionEngine::build_detector`]) as the single
-    /// construction site — no per-method wiring in the monitoring layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectError::InvalidConfig`] when the engine has the
-    /// method disabled, plus everything [`DetectionMonitor::new`] rejects.
-    pub fn for_engine_method(
-        engine: &DetectionEngine,
-        id: MethodId,
-        threshold: Threshold,
-        calibration_mean: f64,
-        calibration_std: f64,
-        window: usize,
-        drift_sigmas: f64,
-    ) -> Result<Self, DetectError> {
-        if !engine.methods().contains(id) {
-            return Err(DetectError::InvalidConfig {
-                message: format!("engine has method {} disabled", id.name()),
-            });
-        }
-        Self::new(
-            engine.build_detector(id),
-            threshold,
-            calibration_mean,
-            calibration_std,
-            window,
-            drift_sigmas,
-        )
-    }
-}
-
-impl<D: std::fmt::Debug> std::fmt::Debug for DetectionMonitor<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DetectionMonitor")
-            .field("detector", &self.detector)
-            .field("threshold", &self.threshold)
-            .field("screened", &self.screened)
-            .field("flagged", &self.flagged)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::threshold::Direction;
-    use decamouflage_imaging::Channels;
+    use decamouflage_imaging::filter::RankKind;
+    use decamouflage_imaging::{Channels, Size};
 
-    #[derive(Debug)]
-    struct MeanDetector;
-
-    impl Detector for MeanDetector {
-        fn score(&self, image: &Image) -> Result<f64, DetectError> {
-            Ok(image.mean_sample())
-        }
-        fn direction(&self) -> Direction {
-            Direction::AboveIsAttack
-        }
-        fn name(&self) -> String {
-            "mean".into()
-        }
-    }
-
+    /// The test-only method scores an image's mean intensity, so flat
+    /// images score their level and NaN-filled ones a non-finite score.
     fn flat(v: f64) -> Image {
         Image::filled(2, 2, Channels::Gray, v)
     }
 
-    fn monitor(window: usize) -> DetectionMonitor<MeanDetector> {
+    fn monitor(window: usize) -> DetectionMonitor {
         DetectionMonitor::new(
-            MeanDetector,
+            &DetectionEngine::new(Size::square(2)),
+            MethodId::DummyMean,
             Threshold::new(100.0, Direction::AboveIsAttack),
             50.0, // calibration mean
             5.0,  // calibration std
@@ -436,60 +390,44 @@ mod tests {
 
     #[test]
     fn constructor_validates() {
+        let engine = DetectionEngine::new(Size::square(2));
         let t = Threshold::new(1.0, Direction::AboveIsAttack);
-        assert!(DetectionMonitor::new(MeanDetector, t, 0.0, 1.0, 0, 3.0).is_err());
-        assert!(DetectionMonitor::new(MeanDetector, t, 0.0, 1.0, 4, -1.0).is_err());
-        assert!(DetectionMonitor::new(MeanDetector, t, f64::NAN, 1.0, 4, 3.0).is_err());
+        let id = MethodId::DummyMean;
+        assert!(DetectionMonitor::new(&engine, id, t, 0.0, 1.0, 0, 3.0).is_err());
+        assert!(DetectionMonitor::new(&engine, id, t, 0.0, 1.0, 4, -1.0).is_err());
+        assert!(DetectionMonitor::new(&engine, id, t, f64::NAN, 1.0, 4, 3.0).is_err());
     }
 
     #[test]
     fn engine_method_monitor_matches_standalone_detector() {
-        use crate::engine::DetectionEngine;
-        use crate::method::{MethodId, MethodSet};
-        use decamouflage_imaging::Size;
-
         let engine = DetectionEngine::new(Size::square(8));
         let t = Threshold::new(1e9, Direction::AboveIsAttack);
         let mut m =
-            DetectionMonitor::for_engine_method(&engine, MethodId::ScalingMse, t, 0.0, 1.0, 4, 3.0)
-                .unwrap();
+            DetectionMonitor::new(&engine, MethodId::ScalingMse, t, 0.0, 1.0, 4, 3.0).unwrap();
         let image = Image::from_fn_gray(24, 24, |x, y| ((x * 7 + y * 3) % 211) as f64);
         let verdict = m.screen(&image).unwrap();
-        let standalone = engine.build_detector(MethodId::ScalingMse).score(&image).unwrap();
+        let standalone = engine.reference_score(MethodId::ScalingMse, &image).unwrap();
         assert_eq!(verdict.score, standalone);
-        assert_eq!(m.detector().name(), MethodId::ScalingMse.name());
+        assert_eq!(m.method(), MethodId::ScalingMse);
 
         // A disabled method is rejected up front.
         let gated =
             DetectionEngine::new(Size::square(8)).with_methods(MethodSet::of(&[MethodId::Csp]));
-        let err =
-            DetectionMonitor::for_engine_method(&gated, MethodId::ScalingMse, t, 0.0, 1.0, 4, 3.0)
-                .err()
-                .expect("disabled method must be rejected");
+        let err = DetectionMonitor::new(&gated, MethodId::ScalingMse, t, 0.0, 1.0, 4, 3.0)
+            .err()
+            .expect("disabled method must be rejected");
         assert!(err.to_string().contains("scaling/mse"));
     }
 
     #[test]
     fn quarantined_images_are_counted_separately() {
-        use crate::faults::FaultyDetector;
-        use crate::faults::{FaultKind, FaultPlan};
-
-        // Calls 1 and 3 fail (typed error / NaN score); 0, 2, 4 are clean.
-        let plan = FaultPlan::new().with(1, FaultKind::Error).with(3, FaultKind::NanScore);
-        let mut m = DetectionMonitor::new(
-            FaultyDetector::new(MeanDetector, plan),
-            Threshold::new(100.0, Direction::AboveIsAttack),
-            50.0,
-            5.0,
-            4,
-            3.0,
-        )
-        .unwrap();
-
+        // NaN images score a non-finite mean and quarantine; 48, 150 and
+        // 52 are clean.
+        let mut m = monitor(4);
         assert!(!m.screen(&flat(48.0)).unwrap().is_attack);
-        assert!(m.screen(&flat(48.0)).is_err(), "injected error quarantines");
+        assert!(m.screen(&flat(f64::NAN)).is_err(), "a NaN score quarantines");
         assert!(m.screen(&flat(150.0)).unwrap().is_attack);
-        let nan_err = m.screen(&flat(48.0)).unwrap_err();
+        let nan_err = m.screen(&flat(f64::NAN)).unwrap_err();
         assert!(nan_err.to_string().contains("non-finite score"), "{nan_err}");
         m.screen(&flat(52.0)).unwrap();
 
@@ -498,33 +436,27 @@ mod tests {
         assert_eq!(stats.screened, 3, "quarantined images are not screened");
         assert_eq!(stats.flagged, 1);
         assert_eq!(stats.window_len, 2, "only accepted images reach the window");
+
+        // A failed engine pass quarantines the same way.
+        let broken = DetectionEngine::new(Size::square(2)).with_filter(0, RankKind::Minimum);
+        let t = Threshold::new(100.0, Direction::AboveIsAttack);
+        let mut m = DetectionMonitor::new(&broken, MethodId::DummyMean, t, 50.0, 5.0, 4, 3.0)
+            .expect("monitor");
+        assert!(m.screen(&flat(48.0)).is_err());
+        assert_eq!(m.stats().quarantined, 1);
+        assert_eq!(m.stats().screened, 0);
     }
 
     #[test]
     fn drift_alert_ignores_quarantined_samples() {
-        use crate::faults::{FaultKind, FaultPlan, FaultyDetector};
-
-        // Every odd call reports NaN. If those samples leaked into the
+        // Every other image scores NaN. If those samples leaked into the
         // window they would stall it below capacity (or poison its mean);
         // the accepted in-distribution traffic must still never alert.
-        let plan = FaultPlan::new()
-            .with(1, FaultKind::NanScore)
-            .with(3, FaultKind::NanScore)
-            .with(5, FaultKind::NanScore)
-            .with(7, FaultKind::NanScore);
-        let mut m = DetectionMonitor::new(
-            FaultyDetector::new(MeanDetector, plan),
-            Threshold::new(100.0, Direction::AboveIsAttack),
-            50.0,
-            5.0,
-            4,
-            3.0,
-        )
-        .unwrap();
-        for v in [48.0, 0.0, 52.0, 0.0, 49.0, 0.0, 51.0, 0.0, 50.0] {
-            match m.screen(&flat(v)) {
-                Ok(verdict) => assert!(!verdict.drift_alert, "false drift alarm at {v}"),
-                Err(_) => {}
+        let mut m = monitor(4);
+        let nan = f64::NAN;
+        for v in [48.0, nan, 52.0, nan, 49.0, nan, 51.0, nan, 50.0] {
+            if let Ok(verdict) = m.screen(&flat(v)) {
+                assert!(!verdict.drift_alert, "false drift alarm at {v}");
             }
         }
         assert!(!m.drift_alert());
@@ -572,7 +504,7 @@ mod tests {
     fn accessors_and_debug() {
         let m = monitor(2);
         assert_eq!(m.threshold().value(), 100.0);
-        assert_eq!(m.detector().name(), "mean");
+        assert_eq!(m.method(), MethodId::DummyMean);
         assert!(format!("{m:?}").contains("DetectionMonitor"));
     }
 }

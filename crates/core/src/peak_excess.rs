@@ -8,8 +8,6 @@
 //! black-box machinery as the spatial methods and a useful fourth ensemble
 //! member against adaptive attackers.
 
-use crate::detector::Detector;
-use crate::threshold::Direction;
 use crate::DetectError;
 use decamouflage_imaging::{Image, Size};
 use decamouflage_spectral::dft2d::centered_spectrum;
@@ -69,16 +67,11 @@ impl PeakExcessDetector {
             ((half_min * self.min_radius_frac) as usize, (half_min * self.max_radius_frac) as usize)
         }
     }
-}
 
-impl Default for PeakExcessDetector {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Detector for PeakExcessDetector {
-    fn score(&self, image: &Image) -> Result<f64, DetectError> {
+    /// The naive reference score, computed from scratch; production code
+    /// reaches it only through
+    /// [`DetectionEngine::reference_score`](crate::DetectionEngine::reference_score).
+    pub(crate) fn score(&self, image: &Image) -> Result<f64, DetectError> {
         // Gray inputs are windowed in place — no luma copy; RGB pays one
         // fused luma pass.
         let gray_storage;
@@ -93,13 +86,11 @@ impl Detector for PeakExcessDetector {
         let (min_r, max_r) = self.radii_for(image);
         Ok(peak_excess(&spectrum, min_r.max(1), max_r.max(2)))
     }
+}
 
-    fn direction(&self) -> Direction {
-        Direction::AboveIsAttack
-    }
-
-    fn name(&self) -> String {
-        "steganalysis/peak-excess".into()
+impl Default for PeakExcessDetector {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -128,13 +119,6 @@ mod tests {
         let benign = det.score(&smooth(128)).unwrap();
         let attack = det.score(&attack_image(128, 32)).unwrap();
         assert!(attack > benign + 0.05, "benign {benign:.3}, attack {attack:.3}");
-    }
-
-    #[test]
-    fn direction_and_name() {
-        let det = PeakExcessDetector::new();
-        assert_eq!(det.direction(), Direction::AboveIsAttack);
-        assert_eq!(det.name(), "steganalysis/peak-excess");
     }
 
     #[test]

@@ -1,23 +1,16 @@
-//! Experiment pipeline: score corpora once, then calibrate and evaluate in
+//! Experiment pipeline: calibrate and evaluate already-scored corpora in
 //! the white-box and black-box modes.
 //!
-//! The pipeline is deliberately decoupled from any dataset crate: images
-//! are supplied through closures `index -> Image`, so the same machinery
-//! works for synthetic corpora, files on disk, or fixtures in tests. Scores
-//! are computed once per `(detector, corpus)` and reused across threshold
-//! modes, percentiles and the ensemble — mirroring how the paper's offline
-//! calibration amortises work. For corpora that do not fit in memory,
-//! [`score_source`] scores a streaming [`ImageSource`] with bounded
-//! residency, and the engine-level equivalents live in
-//! [`crate::engine::DetectionEngine::score_stream`].
+//! Scores come from one engine pass per image
+//! ([`DetectionEngine::score_corpus`](crate::DetectionEngine::score_corpus)
+//! or [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream))
+//! and are reused here across threshold modes, percentiles and the
+//! ensemble — mirroring how the paper's offline calibration amortises
+//! work.
 
-use crate::detector::Detector;
 use crate::eval::{ConfusionCounts, EvalMetrics};
-use crate::parallel::parallel_map_indices;
-use crate::stream::{BufferPool, ImageSource};
 use crate::threshold::{percentile_blackbox, search_whitebox, Direction, SearchPoint, Threshold};
 use crate::DetectError;
-use decamouflage_imaging::Image;
 use decamouflage_metrics::SampleSummary;
 
 /// Detection scores of one corpus: parallel benign and attack score
@@ -51,70 +44,6 @@ impl ScoredCorpus {
         SampleSummary::from_samples(&self.benign)
             .map_err(|e| DetectError::InvalidCalibration { message: e.to_string() })
     }
-}
-
-/// Scores `count` benign and `count` attack images with `detector`, fanning
-/// out over `threads` workers. `benign_of` / `attack_of` map a sample index
-/// to its image.
-///
-/// Both halves go out in a single `2 * count` fan-out (benign indices
-/// first), so workers stay busy across the benign/attack boundary instead
-/// of re-synchronising between two batches.
-///
-/// # Errors
-///
-/// Propagates the first scoring failure in index order (all benign indices
-/// before all attack indices).
-pub fn score_corpus<D: Detector>(
-    detector: &D,
-    benign_of: impl Fn(u64) -> Image + Sync,
-    attack_of: impl Fn(u64) -> Image + Sync,
-    count: usize,
-    threads: usize,
-) -> Result<ScoredCorpus, DetectError> {
-    let results = parallel_map_indices(2 * count, threads, |i| {
-        if i < count {
-            detector.score(&benign_of(i as u64))
-        } else {
-            detector.score(&attack_of((i - count) as u64))
-        }
-    });
-    let mut benign = Vec::with_capacity(count);
-    let mut attack = Vec::with_capacity(count);
-    for (i, result) in results.into_iter().enumerate() {
-        let score = result?;
-        if i < count {
-            benign.push(score);
-        } else {
-            attack.push(score);
-        }
-    }
-    Ok(ScoredCorpus { benign, attack })
-}
-
-/// Scores every image pulled from an [`ImageSource`] with one detector,
-/// sequentially and with bounded memory: pixel buffers recycle through a
-/// small [`BufferPool`], so at most one decoded image (plus the pool's
-/// spare buffers) is ever resident. The streaming counterpart of
-/// [`score_corpus`] for corpora that do not fit in memory — the scores
-/// slot directly into [`ScoredCorpus`] halves, [`run_whitebox`] and
-/// [`run_blackbox`].
-///
-/// # Errors
-///
-/// Propagates the first pull or scoring failure in stream order.
-pub fn score_source<D: Detector>(
-    detector: &D,
-    source: &mut dyn ImageSource,
-) -> Result<Vec<f64>, DetectError> {
-    let mut pool = BufferPool::new(4);
-    let mut scores = Vec::with_capacity(source.len_hint().unwrap_or(0));
-    while let Some(item) = source.next_image(&mut pool) {
-        let image = item?;
-        scores.push(detector.score(&image)?);
-        pool.recycle(image);
-    }
-    Ok(scores)
 }
 
 /// Evaluates a fixed threshold against a scored corpus.
@@ -245,41 +174,9 @@ pub fn evaluate_ensemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::Detector;
-    use decamouflage_imaging::Channels;
-
-    /// Scores an image by its mean sample value.
-    struct MeanDetector;
-
-    impl Detector for MeanDetector {
-        fn score(&self, image: &Image) -> Result<f64, DetectError> {
-            Ok(image.mean_sample())
-        }
-        fn direction(&self) -> Direction {
-            Direction::AboveIsAttack
-        }
-        fn name(&self) -> String {
-            "mean".into()
-        }
-    }
-
-    fn flat(v: f64) -> Image {
-        Image::filled(2, 2, Channels::Gray, v)
-    }
 
     fn corpus(benign: &[f64], attack: &[f64]) -> ScoredCorpus {
         ScoredCorpus { benign: benign.to_vec(), attack: attack.to_vec() }
-    }
-
-    #[test]
-    fn score_corpus_collects_scores_in_order() {
-        let scored =
-            score_corpus(&MeanDetector, |i| flat(i as f64), |i| flat(100.0 + i as f64), 4, 2)
-                .unwrap();
-        assert_eq!(scored.benign, vec![0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(scored.attack, vec![100.0, 101.0, 102.0, 103.0]);
-        assert_eq!(scored.len(), 4);
-        assert!(!scored.is_empty());
     }
 
     #[test]
@@ -344,31 +241,5 @@ mod tests {
         let s = c.benign_summary().unwrap();
         assert_eq!(s.mean, 2.0);
         assert_eq!(s.count, 3);
-    }
-
-    #[test]
-    fn score_source_matches_eager_scoring() {
-        use crate::stream::SliceSource;
-        let images: Vec<Image> = (0..5).map(|i| flat(i as f64 * 10.0)).collect();
-        let streamed = score_source(&MeanDetector, &mut SliceSource::new(&images)).unwrap();
-        let eager: Vec<f64> = images.iter().map(|img| MeanDetector.score(img).unwrap()).collect();
-        assert_eq!(streamed, eager);
-    }
-
-    #[test]
-    fn score_corpus_propagates_errors() {
-        struct Failing;
-        impl Detector for Failing {
-            fn score(&self, _image: &Image) -> Result<f64, DetectError> {
-                Err(DetectError::InvalidConfig { message: "nope".into() })
-            }
-            fn direction(&self) -> Direction {
-                Direction::AboveIsAttack
-            }
-            fn name(&self) -> String {
-                "failing".into()
-            }
-        }
-        assert!(score_corpus(&Failing, |_| flat(0.0), |_| flat(0.0), 2, 1).is_err());
     }
 }

@@ -4,8 +4,7 @@
 //! upscale back, and compare with the input. Benign images survive the
 //! round trip; attack images reveal the embedded target and diverge.
 
-use crate::detector::{Detector, MetricKind};
-use crate::threshold::Direction;
+use crate::method::MetricKind;
 use crate::DetectError;
 use decamouflage_imaging::scale::{ScaleAlgorithm, Scaler};
 use decamouflage_imaging::{Image, Size};
@@ -59,24 +58,17 @@ impl ScalingDetector {
         let up = Scaler::new(self.target, image.size(), self.algorithm)?.apply(&down)?;
         Ok(up)
     }
-}
 
-impl Detector for ScalingDetector {
-    fn score(&self, image: &Image) -> Result<f64, DetectError> {
+    /// The naive reference score, computed from scratch; production code
+    /// reaches it only through
+    /// [`DetectionEngine::reference_score`](crate::DetectionEngine::reference_score).
+    pub(crate) fn score(&self, image: &Image) -> Result<f64, DetectError> {
         let round = self.round_tripped(image)?;
         let value = match self.metric {
             MetricKind::Mse => mse(image, &round)?,
             MetricKind::Ssim => ssim(image, &round, &self.ssim_config)?,
         };
         Ok(value)
-    }
-
-    fn direction(&self) -> Direction {
-        self.metric.direction()
-    }
-
-    fn name(&self) -> String {
-        format!("scaling/{}", self.metric)
     }
 }
 
@@ -130,18 +122,6 @@ mod tests {
         let benign_score = det.score(&smooth(64)).unwrap();
         let attack_score = det.score(&attack_image(64, 16, ScaleAlgorithm::Nearest)).unwrap();
         assert!(attack_score > 5.0 * benign_score.max(1.0));
-    }
-
-    #[test]
-    fn directions_follow_metric() {
-        let mse_det =
-            ScalingDetector::new(Size::square(8), ScaleAlgorithm::Bilinear, MetricKind::Mse);
-        let ssim_det =
-            ScalingDetector::new(Size::square(8), ScaleAlgorithm::Bilinear, MetricKind::Ssim);
-        assert_eq!(mse_det.direction(), Direction::AboveIsAttack);
-        assert_eq!(ssim_det.direction(), Direction::BelowIsAttack);
-        assert_eq!(mse_det.name(), "scaling/mse");
-        assert_eq!(ssim_det.name(), "scaling/ssim");
     }
 
     #[test]

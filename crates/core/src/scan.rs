@@ -650,7 +650,7 @@ mod tests {
         assert!((mean - 9.5).abs() < 1e-12, "{mean}");
         assert!(std > 0.0);
         let engine = DetectionEngine::new(Size::square(8));
-        let mut monitor = crate::monitor::DetectionMonitor::for_engine_method(
+        let mut monitor = crate::monitor::DetectionMonitor::new(
             &engine,
             MethodId::ScalingMse,
             mse,

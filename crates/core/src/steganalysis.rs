@@ -6,7 +6,6 @@
 //! has exactly one. Uniquely among the three methods, the threshold is
 //! dataset-independent: `CSP_T = 2` works without any calibration.
 
-use crate::detector::Detector;
 use crate::threshold::{Direction, Threshold};
 use crate::DetectError;
 use decamouflage_imaging::{Image, Size};
@@ -62,19 +61,12 @@ impl SteganalysisDetector {
     pub fn analyze(&self, image: &Image) -> CspArtifacts {
         analyze_csp(image, &self.config)
     }
-}
 
-impl Detector for SteganalysisDetector {
-    fn score(&self, image: &Image) -> Result<f64, DetectError> {
+    /// The naive reference score (the staged CSP pipeline); production
+    /// code reaches it only through
+    /// [`DetectionEngine::reference_score`](crate::DetectionEngine::reference_score).
+    pub(crate) fn score(&self, image: &Image) -> Result<f64, DetectError> {
         Ok(count_csp(image, &self.config).count as f64)
-    }
-
-    fn direction(&self) -> Direction {
-        Direction::AboveIsAttack
-    }
-
-    fn name(&self) -> String {
-        "steganalysis/csp".into()
     }
 }
 
@@ -113,13 +105,6 @@ mod tests {
         let t = SteganalysisDetector::universal_threshold();
         assert!(!t.is_attack(det.score(&smooth(128)).unwrap()));
         assert!(t.is_attack(det.score(&attack_image(128, 32)).unwrap()));
-    }
-
-    #[test]
-    fn direction_and_name() {
-        let det = SteganalysisDetector::new();
-        assert_eq!(det.direction(), Direction::AboveIsAttack);
-        assert_eq!(det.name(), "steganalysis/csp");
     }
 
     #[test]

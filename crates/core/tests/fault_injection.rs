@@ -1,11 +1,11 @@
 //! Fault-injection suite for the quarantine layer: deterministic
 //! [`FaultPlan`]s drive panics, typed errors and NaN scores through the
-//! batch engine and the ensemble, proving the blast radius of each fault
-//! stays inside its own slot.
+//! batch engine, and NaN slots and disabled methods through the ensemble
+//! vote, proving the blast radius of each fault stays inside its own slot.
 
-use decamouflage_core::faults::{FaultKind, FaultPlan, FaultyDetector};
+use decamouflage_core::faults::{FaultKind, FaultPlan};
 use decamouflage_core::{
-    DegradePolicy, DetectionEngine, Direction, Ensemble, MethodId, ScoreFault, Threshold,
+    DegradePolicy, DetectionEngine, Direction, Ensemble, MethodId, MethodSet, ScoreFault, Threshold,
 };
 use decamouflage_imaging::{Image, Size};
 
@@ -125,99 +125,103 @@ fn fail_fast_facade_reports_the_first_fault_in_fanout_order() {
     assert!(err.to_string().contains("image 3"), "{err}");
 }
 
-/// Builds the paper's 3-member ensemble (scaling, filtering, steganalysis)
-/// with per-member fault plans and benign-friendly thresholds.
-fn faulty_ensemble(policy: DegradePolicy, plans: [FaultPlan; 3]) -> Ensemble {
-    let shared = engine();
-    let [p0, p1, p2] = plans;
-    Ensemble::new()
-        .with_degrade_policy(policy)
-        .with_member(
-            FaultyDetector::new(shared.build_detector(MethodId::ScalingMse), p0),
-            Threshold::new(1e9, Direction::AboveIsAttack),
-        )
-        .with_member(
-            FaultyDetector::new(shared.build_detector(MethodId::FilteringMse), p1),
-            Threshold::new(1e9, Direction::AboveIsAttack),
-        )
-        .with_member(
-            FaultyDetector::new(shared.build_detector(MethodId::Csp), p2),
-            Threshold::new(2.0, Direction::AboveIsAttack),
-        )
+/// A 3-member ensemble (scaling, filtering, steganalysis) with
+/// benign-friendly thresholds, on an engine enabling `methods`.
+fn ensemble(methods: MethodSet, policy: DegradePolicy) -> Ensemble {
+    let members = [
+        (MethodId::ScalingMse, Threshold::new(1e9, Direction::AboveIsAttack)),
+        (MethodId::FilteringMse, Threshold::new(1e9, Direction::AboveIsAttack)),
+        (MethodId::Csp, Threshold::new(2.0, Direction::AboveIsAttack)),
+    ];
+    Ensemble::new(engine().with_methods(methods), members, policy)
 }
 
+const POLICIES: [DegradePolicy; 3] =
+    [DegradePolicy::Strict, DegradePolicy::MajorityOfAvailable, DegradePolicy::FailClosed];
+
 #[test]
-fn fail_closed_flags_attack_when_any_voter_errors() {
+fn fail_closed_flags_attack_when_any_voter_is_unavailable() {
     let image = benign_image(0);
 
-    // Control: with no faults every policy accepts the benign scene.
-    for policy in
-        [DegradePolicy::Strict, DegradePolicy::MajorityOfAvailable, DegradePolicy::FailClosed]
-    {
-        let ensemble =
-            faulty_ensemble(policy, [FaultPlan::new(), FaultPlan::new(), FaultPlan::new()]);
-        let decision = ensemble.decide(&image).unwrap();
+    // Control: with every voter healthy every policy accepts the scene.
+    for policy in POLICIES {
+        let decision = ensemble(MethodSet::all(), policy).decide(&image).unwrap();
         assert!(!decision.is_attack, "clean {policy:?} run must accept the benign scene");
         assert!(decision.is_complete());
     }
 
-    // One erroring voter: FailClosed rejects the image outright even though
+    // One NaN voter: FailClosed rejects the image outright even though
     // both surviving members vote benign.
-    let ensemble = faulty_ensemble(
-        DegradePolicy::FailClosed,
-        [FaultPlan::always(FaultKind::Error), FaultPlan::new(), FaultPlan::new()],
-    );
-    let decision = ensemble.decide(&image).unwrap();
+    let closed = ensemble(MethodSet::all(), DegradePolicy::FailClosed);
+    let mut scores = closed.engine().score(&image).unwrap();
+    scores.set(MethodId::ScalingMse, f64::NAN);
+    let decision = closed.vote(Ok(&scores)).unwrap();
     assert!(decision.is_attack, "FailClosed must flag on a broken voter");
     assert_eq!(decision.votes.len(), 2);
     assert!(decision.votes.iter().all(|(_, vote)| !vote), "survivors voted benign");
     assert_eq!(decision.unavailable.len(), 1);
 
-    // Same fault under a NaN score instead of an error: still flagged.
-    let ensemble = faulty_ensemble(
-        DegradePolicy::FailClosed,
-        [FaultPlan::new(), FaultPlan::always(FaultKind::NanScore), FaultPlan::new()],
-    );
-    assert!(ensemble.decide(&image).unwrap().is_attack);
+    // Same fault as a method the engine disables: still flagged.
+    let gated = MethodSet::all().without(MethodId::FilteringMse);
+    let decision = ensemble(gated, DegradePolicy::FailClosed).decide(&image).unwrap();
+    assert!(decision.is_attack);
+    assert_eq!(decision.unavailable[0].0, MethodId::FilteringMse);
 }
 
 #[test]
 fn majority_of_available_matches_two_of_three_on_the_remaining_voters() {
-    // Thresholds chosen so the two surviving members disagree is impossible
-    // here; instead verify against an explicit no-fault 2-member ensemble.
     let image = attack_image(0);
-    let shared = engine();
+    let scores = engine().score(&image).unwrap();
 
-    // Member 0 errors out; members 1 and 2 survive.
-    let degraded = faulty_ensemble(
-        DegradePolicy::MajorityOfAvailable,
-        [FaultPlan::always(FaultKind::Error), FaultPlan::new(), FaultPlan::new()],
-    );
-    let decision = degraded.decide(&image).unwrap();
+    // Member 0 scores NaN; members 1 and 2 survive.
+    let mut poisoned = scores.clone();
+    poisoned.set(MethodId::ScalingMse, f64::NAN);
+    let decision =
+        ensemble(MethodSet::all(), DegradePolicy::MajorityOfAvailable).vote(Ok(&poisoned)).unwrap();
     assert_eq!(decision.votes.len(), 2);
     assert_eq!(decision.unavailable.len(), 1);
 
     // Reference: the same two members as a standalone strict ensemble.
-    let reference = Ensemble::new()
-        .with_member(
-            shared.build_detector(MethodId::FilteringMse),
-            Threshold::new(1e9, Direction::AboveIsAttack),
-        )
-        .with_member(
-            shared.build_detector(MethodId::Csp),
-            Threshold::new(2.0, Direction::AboveIsAttack),
-        )
-        .decide(&image)
-        .unwrap();
+    let reference = Ensemble::new(
+        engine(),
+        [
+            (MethodId::FilteringMse, Threshold::new(1e9, Direction::AboveIsAttack)),
+            (MethodId::Csp, Threshold::new(2.0, Direction::AboveIsAttack)),
+        ],
+        DegradePolicy::Strict,
+    )
+    .vote(Ok(&scores))
+    .unwrap();
     assert_eq!(decision.votes, reference.votes, "degraded voters must match the 2-ensemble");
     assert_eq!(decision.is_attack, reference.is_attack);
 
     // Strict, for contrast, refuses to decide at all with the same fault.
-    let strict = faulty_ensemble(
-        DegradePolicy::Strict,
-        [FaultPlan::always(FaultKind::Error), FaultPlan::new(), FaultPlan::new()],
+    assert!(ensemble(MethodSet::all(), DegradePolicy::Strict).vote(Ok(&poisoned)).is_err());
+}
+
+#[test]
+fn injected_nan_scores_reach_the_vote_as_unavailable_members() {
+    // A NanScore fault is a *scored* slot holding an all-NaN vector: the
+    // stream hands it to the vote, where nobody can vote.
+    let plan = FaultPlan::new().with(COUNT + 3, FaultKind::NanScore);
+    let outcome = engine().with_fault_plan(plan).score_corpus_resilient(
+        benign_image,
+        attack_image,
+        COUNT,
+        THREADS,
     );
-    assert!(strict.decide(&image).is_err());
+    let nan_scores = outcome.attack[3].as_ref().unwrap();
+    for policy in POLICIES {
+        let vote = ensemble(MethodSet::all(), policy).vote(Ok(nan_scores));
+        match policy {
+            DegradePolicy::Strict => assert!(vote.is_err()),
+            _ => {
+                let decision = vote.unwrap();
+                assert!(decision.is_attack, "{policy:?} accepted an unscorable image");
+                assert!(decision.votes.is_empty());
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,12 +1,11 @@
 //! Property-based tests (proptest) for the detection framework's
 //! calibration, evaluation and persistence invariants.
 
-use decamouflage_core::peak_excess::PeakExcessDetector;
 use decamouflage_core::persist::ThresholdSet;
 use decamouflage_core::roc::roc_curve;
 use decamouflage_core::threshold::{percentile_blackbox, search_whitebox};
 use decamouflage_core::{
-    evaluate_decisions, ConfusionCounts, DetectionEngine, Detector, Direction, MethodId, Threshold,
+    evaluate_decisions, ConfusionCounts, DetectionEngine, Direction, MethodId, Threshold,
 };
 use decamouflage_imaging::{Image, Size};
 use decamouflage_spectral::window::WindowKind;
@@ -148,9 +147,7 @@ proptest! {
             (127.0 + 120.0 * p).round()
         });
         let engine = DetectionEngine::new(Size::square(10)).with_peak_window(window);
-        let standalone =
-            PeakExcessDetector::for_target(Size::square(10)).with_window(window);
         let engine_score = engine.score(&image).unwrap().get(MethodId::PeakExcess);
-        prop_assert_eq!(engine_score, standalone.score(&image).unwrap());
+        prop_assert_eq!(engine_score, engine.reference_score(MethodId::PeakExcess, &image).unwrap());
     }
 }

@@ -3,12 +3,10 @@
 //! the counters/histograms it records reconcile exactly with what the
 //! pipeline reports through its own return values.
 
-use decamouflage_core::faults::{FaultKind, FaultPlan, FaultyDetector};
+use decamouflage_core::faults::{FaultKind, FaultPlan};
 use decamouflage_core::{
-    DegradePolicy, DetectionEngine, Direction, Ensemble, MethodId, ScalingDetector, Threshold,
+    DegradePolicy, DetectionEngine, Direction, Ensemble, MethodId, MethodSet, Threshold,
 };
-use decamouflage_core::{Detector, MetricKind};
-use decamouflage_imaging::scale::ScaleAlgorithm;
 use decamouflage_imaging::{Image, Size};
 use decamouflage_telemetry::Telemetry;
 
@@ -146,29 +144,25 @@ fn ensemble_records_votes_verdicts_and_degrades() {
     let telemetry = Telemetry::enabled();
     let always_attack = Threshold::new(f64::NEG_INFINITY, Direction::AboveIsAttack);
     let never_attack = Threshold::new(f64::INFINITY, Direction::AboveIsAttack);
-    let ensemble = Ensemble::new()
-        .with_telemetry(telemetry.clone())
-        .with_engine(engine())
-        .with_engine_member(MethodId::ScalingMse, always_attack)
-        .with_engine_member(MethodId::FilteringMse, always_attack)
-        .with_engine_member(MethodId::Csp, never_attack);
+    let members = [
+        (MethodId::ScalingMse, always_attack),
+        (MethodId::FilteringMse, always_attack),
+        (MethodId::Csp, never_attack),
+    ];
+    let ensemble =
+        Ensemble::new(engine(), members, DegradePolicy::Strict).with_telemetry(telemetry.clone());
 
     let decision = ensemble.decide(&benign_image(0)).expect("decision");
     assert!(decision.is_attack, "two of three rigged members vote attack");
 
-    let votes = |member: &str, vote: &str| {
+    let votes = |member: MethodId, vote: &str| {
         telemetry
-            .counter("decam_ensemble_votes_total", &[("member", member), ("vote", vote)])
+            .counter("decam_ensemble_votes_total", &[("member", member.name()), ("vote", vote)])
             .value()
     };
-    let (scaling, filtering, csp) = (
-        ensemble.members()[0].name().to_owned(),
-        ensemble.members()[1].name().to_owned(),
-        ensemble.members()[2].name().to_owned(),
-    );
-    assert_eq!(votes(&scaling, "attack"), 1);
-    assert_eq!(votes(&filtering, "attack"), 1);
-    assert_eq!(votes(&csp, "benign"), 1);
+    assert_eq!(votes(MethodId::ScalingMse, "attack"), 1);
+    assert_eq!(votes(MethodId::FilteringMse, "attack"), 1);
+    assert_eq!(votes(MethodId::Csp, "benign"), 1);
     assert_eq!(
         telemetry.counter("decam_ensemble_decisions_total", &[("verdict", "attack")]).value(),
         1
@@ -179,25 +173,19 @@ fn ensemble_records_votes_verdicts_and_degrades() {
         "a fully available ensemble never degrades"
     );
 
-    // A member that always fails degrades a majority-of-available vote.
-    let faulty = FaultyDetector::new(
-        ScalingDetector::new(Size::square(8), ScaleAlgorithm::Bilinear, MetricKind::Mse),
-        FaultPlan::always(FaultKind::Error),
-    );
-    let member_name = faulty.name();
-    let degraded = Ensemble::new()
-        .with_telemetry(telemetry.clone())
-        .with_degrade_policy(DegradePolicy::MajorityOfAvailable)
-        .with_member(faulty, always_attack)
-        .with_member(
-            ScalingDetector::new(Size::square(8), ScaleAlgorithm::Bilinear, MetricKind::Mse),
-            never_attack,
-        );
+    // A member whose method the engine disables degrades a
+    // majority-of-available vote.
+    let gated = engine().with_methods(MethodSet::of(&[MethodId::ScalingMse]));
+    let members = [(MethodId::Csp, always_attack), (MethodId::ScalingMse, never_attack)];
+    let degraded = Ensemble::new(gated, members, DegradePolicy::MajorityOfAvailable)
+        .with_telemetry(telemetry.clone());
     let decision = degraded.decide(&benign_image(0)).expect("degraded decision");
     assert_eq!(decision.unavailable.len(), 1);
     assert!(!decision.is_attack);
     assert_eq!(
-        telemetry.counter("decam_ensemble_unavailable_total", &[("member", &member_name)]).value(),
+        telemetry
+            .counter("decam_ensemble_unavailable_total", &[("member", MethodId::Csp.name())])
+            .value(),
         1
     );
     assert_eq!(
@@ -213,17 +201,16 @@ fn ensemble_records_votes_verdicts_and_degrades() {
 }
 
 /// The monitor mirrors its screened/flagged/quarantined counters and
-/// rolling-window statistics into the registry, labelled by detector.
+/// rolling-window statistics into the registry, labelled by method.
 #[test]
 fn monitor_mirrors_counters_and_window_gauges() {
     use decamouflage_core::monitor::DetectionMonitor;
 
     let telemetry = Telemetry::enabled();
-    let detector = ScalingDetector::new(Size::square(8), ScaleAlgorithm::Bilinear, MetricKind::Mse);
-    let name = detector.name();
-    let label: &[(&str, &str)] = &[("detector", &name)];
+    let label: &[(&str, &str)] = &[("detector", MethodId::ScalingMse.name())];
     let mut monitor = DetectionMonitor::new(
-        detector,
+        &engine(),
+        MethodId::ScalingMse,
         Threshold::new(1e12, Direction::AboveIsAttack),
         100.0,
         25.0,

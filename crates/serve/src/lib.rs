@@ -36,4 +36,4 @@ pub mod shutdown_signal;
 
 pub use metrics::ServiceMetrics;
 pub use server::{DrainReport, Server, ServerConfig, ServerHandle};
-pub use service::{CheckOutcome, DetectionService, ScanOutcome, Verdict};
+pub use service::{CheckOutcome, DetectionService, ScanOutcome};

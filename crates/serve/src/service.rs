@@ -1,5 +1,5 @@
-//! The detection service: engine + calibrated thresholds + degrade
-//! policy, mapped onto typed request outcomes.
+//! The detection service: the paper's [`Ensemble`] (engine + calibrated
+//! thresholds + degrade policy), mapped onto typed request outcomes.
 //!
 //! This layer is transport-free — it consumes bytes/[`ImageSource`]s
 //! and a [`CancelToken`], and produces [`CheckOutcome`]/[`ScanOutcome`]
@@ -7,11 +7,10 @@
 //! status mapping unit-testable without a listener.
 
 use crate::json;
-use decamouflage_core::ensemble::DegradePolicy;
+use decamouflage_core::ensemble::{DegradePolicy, EnsembleDecision};
 use decamouflage_core::persist::ThresholdSet;
 use decamouflage_core::{
-    CancelToken, DetectionEngine, ImageSource, MethodId, MethodSet, ScoreFault, ScoreVector,
-    StreamConfig, Threshold,
+    CancelToken, DetectError, Ensemble, ImageSource, ScoreFault, ScoreVector, StreamConfig,
 };
 use decamouflage_imaging::codec::{decode_auto_into, sniff, ImageFormat, SampleAlloc};
 use decamouflage_imaging::{Image, ImagingError, Size};
@@ -19,8 +18,7 @@ use decamouflage_telemetry::Telemetry;
 
 /// The engine methods the service votes with — the paper's three-method
 /// ensemble (scaling/MSE, filtering/SSIM, CSP).
-pub const SERVICE_METHODS: &[MethodId] =
-    &[MethodId::ScalingMse, MethodId::FilteringSsim, MethodId::Csp];
+pub use decamouflage_core::ensemble::PAPER_METHODS as SERVICE_METHODS;
 
 /// Why a request body failed to decode, split along the `422` fault
 /// taxonomy: a body no codec claims (or a claimed-but-unsupported
@@ -95,23 +93,6 @@ pub(crate) fn record_decode(telemetry: &Telemetry, body: &[u8], ok: bool) {
         .inc();
 }
 
-/// One member's abstention reason.
-pub type Unavailable = (MethodId, String);
-
-/// The voting result for one scored image.
-#[derive(Debug, Clone)]
-pub struct Verdict {
-    /// Majority verdict (fail-closed rules applied per the policy).
-    pub is_attack: bool,
-    /// Whether any member abstained (always `false` under
-    /// [`DegradePolicy::Strict`], which quarantines instead).
-    pub degraded: bool,
-    /// `(method, voted attack?)` for every member that voted.
-    pub votes: Vec<(MethodId, bool)>,
-    /// Abstaining members and why.
-    pub unavailable: Vec<Unavailable>,
-}
-
 /// The typed outcome of one `/check`, mapped 1:1 onto an HTTP status.
 #[derive(Debug)]
 pub enum CheckOutcome {
@@ -120,7 +101,7 @@ pub enum CheckOutcome {
         /// The engine's per-method scores.
         scores: ScoreVector,
         /// The ensemble decision over [`SERVICE_METHODS`].
-        verdict: Verdict,
+        verdict: EnsembleDecision,
     },
     /// `422` — the input was quarantined by the [`ScoreFault`] taxonomy
     /// (`fault` is [`ScoreFault::kind`]; decode failures use
@@ -146,7 +127,7 @@ pub enum CheckOutcome {
 #[derive(Debug)]
 pub enum ScanEntry {
     /// The image scored; the ensemble voted.
-    Scored(Verdict),
+    Scored(EnsembleDecision),
     /// The position was quarantined (`fault` = [`ScoreFault::kind`]).
     Quarantined {
         /// Stable kebab-case fault tag.
@@ -174,12 +155,10 @@ pub struct ScanOutcome {
     pub expired: bool,
 }
 
-/// Engine + thresholds + degrade policy behind the HTTP routes.
+/// The paper's ensemble behind the HTTP routes.
 #[derive(Debug)]
 pub struct DetectionService {
-    engine: DetectionEngine,
-    members: Vec<(MethodId, Threshold)>,
-    policy: DegradePolicy,
+    ensemble: Ensemble,
     telemetry: Telemetry,
 }
 
@@ -195,54 +174,27 @@ impl DetectionService {
         thresholds: &ThresholdSet,
         policy: DegradePolicy,
     ) -> Result<Self, String> {
-        let mut members = Vec::with_capacity(SERVICE_METHODS.len());
-        for &id in SERVICE_METHODS {
-            let threshold = thresholds
-                .get(id)
-                .ok_or_else(|| format!("thresholds are missing an entry for {:?}", id.name()))?;
-            members.push((id, threshold));
-        }
-        let engine = DetectionEngine::new(target).with_methods(MethodSet::of(SERVICE_METHODS));
-        Ok(Self { engine, members, policy, telemetry: decamouflage_telemetry::global() })
+        let ensemble = Ensemble::paper(target, thresholds, policy).map_err(|e| e.to_string())?;
+        Ok(Self { ensemble, telemetry: decamouflage_telemetry::global() })
     }
 
     /// The configured degrade policy.
     pub fn policy(&self) -> DegradePolicy {
-        self.policy
+        self.ensemble.degrade_policy()
     }
 
-    /// Applies the member thresholds to one score vector. Mirrors
-    /// `Ensemble::decide` semantics: a non-finite member score never
-    /// votes benign silently — under [`DegradePolicy::Strict`] it
-    /// quarantines the request, otherwise the member abstains and the
-    /// policy decides what the abstention means.
-    fn vote(&self, scores: &ScoreVector) -> CheckOutcome {
-        let mut votes = Vec::with_capacity(self.members.len());
-        let mut unavailable = Vec::new();
-        let mut attack_votes = 0usize;
-        for &(id, threshold) in &self.members {
-            let score = scores.get(id);
-            if score.is_finite() {
-                let vote = threshold.is_attack(score);
-                attack_votes += usize::from(vote);
-                votes.push((id, vote));
-            } else if self.policy == DegradePolicy::Strict {
-                return CheckOutcome::Quarantined {
-                    fault: "non-finite-score",
-                    detail: format!("{} produced non-finite score {score}", id.name()),
-                };
-            } else {
-                unavailable.push((id, format!("non-finite score {score}")));
-            }
-        }
-        let is_attack = match self.policy {
-            DegradePolicy::FailClosed if !unavailable.is_empty() => true,
-            // Nothing could score the image: refuse to accept it.
-            _ if votes.is_empty() => true,
-            _ => 2 * attack_votes > votes.len(),
-        };
-        let verdict = Verdict { is_attack, degraded: !unavailable.is_empty(), votes, unavailable };
-        CheckOutcome::Verdict { scores: scores.clone(), verdict }
+    /// Votes on one score vector, mapping a refused vote onto the
+    /// quarantine `(fault, detail)` pair: under [`DegradePolicy::Strict`]
+    /// a non-finite member score quarantines the request instead of
+    /// voting benign silently.
+    fn vote(&self, scores: &ScoreVector) -> Result<EnsembleDecision, (&'static str, String)> {
+        self.ensemble.vote(Ok(scores)).map_err(|err| match err {
+            DetectError::Score(err) => match err.method {
+                Some(id) => (err.cause.kind(), format!("{} produced {}", id.name(), err.cause)),
+                None => (err.cause.kind(), err.cause.to_string()),
+            },
+            other => ("detect", other.to_string()),
+        })
     }
 
     /// Scores one request body end-to-end: decode → engine →
@@ -271,7 +223,7 @@ impl DetectionService {
         if cancel.is_expired() {
             return CheckOutcome::Expired;
         }
-        let scores = match self.engine.score_resilient(&image) {
+        let scores = match self.ensemble.engine().score_resilient(&image) {
             Ok(scores) => scores,
             Err(err) => {
                 let detail = err.to_string();
@@ -284,7 +236,10 @@ impl DetectionService {
         if cancel.is_expired() {
             return CheckOutcome::Expired;
         }
-        self.vote(&scores)
+        match self.vote(&scores) {
+            Ok(verdict) => CheckOutcome::Verdict { scores, verdict },
+            Err((fault, detail)) => CheckOutcome::Quarantined { fault, detail },
+        }
     }
 
     /// Streams a source through the engine with bounded memory
@@ -307,20 +262,11 @@ impl DetectionService {
             .with_cancel(cancel.clone());
         let mut entries = Vec::new();
         let (mut flagged, mut benign, mut quarantined, mut degraded) = (0, 0, 0, 0);
-        let summary = self.engine.score_stream(source, &config, |_index, result| {
+        let summary = self.ensemble.engine().score_stream(source, &config, |_index, result| {
             let entry = match result {
                 Ok(scores) => match self.vote(&scores) {
-                    CheckOutcome::Verdict { verdict, .. } => ScanEntry::Scored(verdict),
-                    CheckOutcome::Quarantined { fault, detail } => {
-                        ScanEntry::Quarantined { fault, detail }
-                    }
-                    // vote() only produces the two arms above.
-                    CheckOutcome::Panicked { detail } => {
-                        ScanEntry::Quarantined { fault: "panic", detail }
-                    }
-                    CheckOutcome::Expired => {
-                        ScanEntry::Quarantined { fault: "injected", detail: "unreachable".into() }
-                    }
+                    Ok(verdict) => ScanEntry::Scored(verdict),
+                    Err((fault, detail)) => ScanEntry::Quarantined { fault, detail },
                 },
                 Err(err) => {
                     let detail = err.to_string();
@@ -334,7 +280,7 @@ impl DetectionService {
                     } else {
                         benign += 1;
                     }
-                    degraded += usize::from(verdict.degraded);
+                    degraded += usize::from(!verdict.is_complete());
                 }
                 ScanEntry::Quarantined { .. } => quarantined += 1,
             }
@@ -353,7 +299,7 @@ impl CheckOutcome {
                 body.push_str(&format!(
                     "\"verdict\":\"{}\",\"degraded\":{}",
                     if verdict.is_attack { "attack" } else { "benign" },
-                    verdict.degraded
+                    !verdict.is_complete()
                 ));
                 body.push_str(",\"scores\":{");
                 let rendered: Vec<String> = SERVICE_METHODS
@@ -422,7 +368,7 @@ impl ScanOutcome {
                 ScanEntry::Scored(verdict) => format!(
                     "{{\"index\":{index},\"verdict\":\"{}\",\"degraded\":{}}}",
                     if verdict.is_attack { "attack" } else { "benign" },
-                    verdict.degraded
+                    !verdict.is_complete()
                 ),
                 ScanEntry::Quarantined { fault, detail } => format!(
                     "{{\"index\":{index},\"quarantined\":\"{fault}\",\"detail\":\"{}\"}}",
@@ -448,7 +394,7 @@ impl ScanOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decamouflage_core::Direction;
+    use decamouflage_core::{Direction, MethodId, Threshold};
     use decamouflage_imaging::codec::encode_pgm;
 
     fn thresholds() -> ThresholdSet {

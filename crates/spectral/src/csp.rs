@@ -7,7 +7,7 @@
 //! images add periodic side peaks and yield two or more.
 
 use crate::components::{label_components, Component, Connectivity};
-use crate::dft2d::{centered_spectrum, dft2_planned};
+use crate::dft2d::centered_spectrum;
 use crate::spectrum::{binarize, low_pass_mask};
 use decamouflage_imaging::{Channels, Image};
 
@@ -100,7 +100,7 @@ pub struct CspArtifacts {
 
 /// Labels the binary spectrum, drops specks, merges central satellites and
 /// produces the final point count. Shared tail of [`analyze_csp`] and
-/// [`count_csp_planned`].
+/// [`count_csp_in_spectrum_with_mags`].
 fn report_from_binary(binary: &Image, config: &CspConfig) -> CspReport {
     let components: Vec<Component> = label_components(binary, config.connectivity)
         .into_iter()
@@ -137,9 +137,14 @@ pub fn count_csp(img: &Image, config: &CspConfig) -> CspReport {
     analyze_csp(img, config).report
 }
 
-/// [`count_csp`] on the planned DFT path, with the `fftshift`, log-magnitude
-/// normalisation, low-pass mask and binarisation fused into one pass over
-/// the frequency grid.
+/// [`count_csp`] on an already-computed, *unshifted* DFT
+/// ([`crate::dft2d::dft2_planned`]) and its precomputed
+/// [`crate::dft2d::Spectrum2D::log_magnitudes`] buffer, with the
+/// `fftshift`, log-magnitude normalisation, low-pass mask and binarisation
+/// fused into one pass over the frequency grid. An engine that needs the
+/// spectrum for several methods (CSP counting, radial peak excess) runs
+/// the transform and the logs — the expensive half of the pass — once and
+/// feeds the same buffers to each consumer.
 ///
 /// Every float operation matches the staged pipeline — the same
 /// `ln(1 + |F|)` values, the same global maximum, the same
@@ -147,22 +152,6 @@ pub fn count_csp(img: &Image, config: &CspConfig) -> CspReport {
 /// — so the resulting binary image, components and count are **bit-identical**
 /// to [`count_csp`] (asserted by unit and property tests). Only the three
 /// intermediate spectrum images and the shifted coefficient copy are gone.
-pub fn count_csp_planned(img: &Image, config: &CspConfig) -> CspReport {
-    count_csp_in_spectrum(&dft2_planned(img), config)
-}
-
-/// The fused CSP tail of [`count_csp_planned`] on an already-computed,
-/// *unshifted* DFT. Lets an engine that needs the spectrum for several
-/// methods (CSP counting, radial peak excess) run the transform once and
-/// feed the same coefficients to each consumer.
-pub fn count_csp_in_spectrum(spec: &crate::dft2d::Spectrum2D, config: &CspConfig) -> CspReport {
-    count_csp_in_spectrum_with_mags(spec, &spec.log_magnitudes(), config)
-}
-
-/// [`count_csp_in_spectrum`] given the precomputed
-/// [`crate::dft2d::Spectrum2D::log_magnitudes`] buffer of the spectrum —
-/// the log of every coefficient is the expensive half of the fused pass,
-/// and an engine also scoring peak excess shares one buffer between both.
 ///
 /// # Panics
 ///
@@ -246,6 +235,13 @@ pub fn count_csp_in_spectrum_with_mags(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dft2d::dft2_planned;
+
+    /// The fused pass on a freshly planned spectrum.
+    fn fused_csp(img: &Image, config: &CspConfig) -> CspReport {
+        let spec = dft2_planned(img);
+        count_csp_in_spectrum_with_mags(&spec, &spec.log_magnitudes(), config)
+    }
 
     fn smooth_benign(n: usize) -> Image {
         Image::from_fn_gray(n, n, |x, y| {
@@ -304,18 +300,9 @@ mod tests {
         for config in [CspConfig::default(), target_like] {
             for img in &images {
                 let staged = count_csp(img, &config);
-                let fused = count_csp_planned(img, &config);
+                let fused = fused_csp(img, &config);
                 assert_eq!(staged, fused, "{}x{}", img.width(), img.height());
             }
-        }
-    }
-
-    #[test]
-    fn spectrum_entry_point_matches_planned_wrapper() {
-        let config = CspConfig::default();
-        for img in [smooth_benign(48), combed(48, 4)] {
-            let spec = dft2_planned(&img);
-            assert_eq!(count_csp_in_spectrum(&spec, &config), count_csp_planned(&img, &config));
         }
     }
 

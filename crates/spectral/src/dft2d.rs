@@ -4,7 +4,7 @@ use crate::fft::{fft, ifft};
 use crate::Complex64;
 use decamouflage_imaging::{Channels, Image};
 
-/// A complex-valued 2-D frequency grid produced by [`dft2`].
+/// A complex-valued 2-D frequency grid produced by [`dft2_planned`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spectrum2D {
     width: usize,
@@ -78,7 +78,7 @@ impl Spectrum2D {
     /// the *unshifted* grid.
     ///
     /// This is the shared front half of [`Spectrum2D::centered_log_magnitude`]
-    /// and the fused CSP pass ([`crate::csp::count_csp_in_spectrum`]): an
+    /// and the fused CSP pass ([`crate::csp::count_csp_in_spectrum_with_mags`]): an
     /// engine scoring both methods computes these transcendentals once and
     /// hands the buffer to each consumer.
     pub fn log_magnitudes(&self) -> Vec<f64> {
@@ -142,12 +142,6 @@ fn normalisation_scale(mags: &[f64]) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Forward 2-D DFT of a grayscale image (RGB inputs are converted to
-/// luminance first): the transform [`dft2_planned`] computes.
-pub fn dft2(img: &Image) -> Spectrum2D {
-    dft2_planned(img)
 }
 
 thread_local! {
@@ -250,7 +244,7 @@ pub fn idft2(spec: &Spectrum2D) -> Image {
 /// The paper's *centered spectrum*: `fftshift` of the 2-D DFT followed by
 /// `log(1 + |F|)` normalised to `[0, 1]` (Equation 4 of the paper).
 pub fn centered_spectrum(img: &Image) -> Image {
-    dft2(img).centered_log_magnitude()
+    dft2_planned(img).centered_log_magnitude()
 }
 
 #[cfg(test)]
@@ -260,7 +254,7 @@ mod tests {
     #[test]
     fn dc_coefficient_is_sample_sum() {
         let img = Image::from_fn_gray(4, 3, |x, y| (x + y) as f64);
-        let spec = dft2(&img);
+        let spec = dft2_planned(&img);
         let sum: f64 = img.plane(0).iter().sum();
         assert!((spec.get(0, 0).re - sum).abs() < 1e-9);
         assert!(spec.get(0, 0).im.abs() < 1e-9);
@@ -271,7 +265,7 @@ mod tests {
         // Reference: transform rows one at a time, then columns.
         for (w, h) in [(8usize, 6usize), (7, 5), (9, 9)] {
             let img = Image::from_fn_gray(w, h, |x, y| ((x * 7 + y * 13) % 53) as f64);
-            let fast = dft2(&img);
+            let fast = dft2_planned(&img);
             let mut grid: Vec<crate::Complex64> =
                 img.plane(0).iter().map(|&v| crate::Complex64::from_real(v)).collect();
             for y in 0..h {
@@ -300,7 +294,7 @@ mod tests {
     fn idft2_inverts_dft2() {
         for (w, h) in [(8usize, 8usize), (7, 5), (16, 9)] {
             let img = Image::from_fn_gray(w, h, |x, y| ((x * 31 + y * 17) % 97) as f64);
-            let back = idft2(&dft2(&img));
+            let back = idft2(&dft2_planned(&img));
             assert!(back.approx_eq(&img, 1e-6), "{w}x{h} roundtrip failed");
         }
     }
@@ -308,7 +302,7 @@ mod tests {
     #[test]
     fn shift_moves_dc_to_center() {
         let img = Image::filled(8, 8, Channels::Gray, 10.0);
-        let spec = dft2(&img).shifted();
+        let spec = dft2_planned(&img).shifted();
         // For a constant image everything but DC is 0; DC lands at (4, 4).
         assert!(spec.get(4, 4).norm() > 1.0);
         assert!(spec.get(0, 0).norm() < 1e-9);
@@ -317,7 +311,7 @@ mod tests {
     #[test]
     fn shift_is_involution_for_even_sizes() {
         let img = Image::from_fn_gray(8, 6, |x, y| (x * y) as f64);
-        let spec = dft2(&img);
+        let spec = dft2_planned(&img);
         let twice = spec.shifted().shifted();
         for (a, b) in spec.as_slice().iter().zip(twice.as_slice()) {
             assert!((*a - *b).norm() < 1e-12);
@@ -327,7 +321,7 @@ mod tests {
     #[test]
     fn log_magnitude_is_normalised() {
         let img = Image::from_fn_gray(16, 16, |x, y| ((x ^ y) * 16) as f64);
-        let mag = dft2(&img).shifted().log_magnitude();
+        let mag = dft2_planned(&img).shifted().log_magnitude();
         assert!(mag.min_sample() >= 0.0);
         assert!((mag.max_sample() - 1.0).abs() < 1e-12);
     }
@@ -337,7 +331,7 @@ mod tests {
         // Even/odd dimensions exercise both segment splits of the shift.
         for (w, h) in [(8usize, 8usize), (7, 5), (12, 9), (9, 12), (1, 4), (5, 1)] {
             let img = Image::from_fn_gray(w, h, |x, y| ((x * 13 + y * 7) % 31) as f64 - 4.0);
-            let spec = dft2(&img);
+            let spec = dft2_planned(&img);
             let staged = spec.shifted().log_magnitude();
             let fused = spec.centered_log_magnitude();
             assert_eq!(staged, fused, "{w}x{h}");
@@ -371,8 +365,8 @@ mod tests {
     fn rgb_input_is_converted_to_luma() {
         let rgb = Image::from_fn_rgb(8, 8, |x, y| [(x * y) as f64, 0.0, 0.0]);
         let gray = rgb.to_gray();
-        let a = dft2(&rgb);
-        let b = dft2(&gray);
+        let a = dft2_planned(&rgb);
+        let b = dft2_planned(&gray);
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((*x - *y).norm() < 1e-9);
         }
@@ -381,7 +375,7 @@ mod tests {
     #[test]
     fn spectrum_accessors() {
         let img = Image::zeros(6, 4, Channels::Gray);
-        let spec = dft2(&img);
+        let spec = dft2_planned(&img);
         assert_eq!(spec.width(), 6);
         assert_eq!(spec.height(), 4);
         assert_eq!(spec.as_slice().len(), 24);

@@ -2,14 +2,23 @@
 
 use decamouflage_imaging::{Channels, Image};
 use decamouflage_spectral::components::{count_components, label_components, Connectivity};
-use decamouflage_spectral::csp::{count_csp, count_csp_planned, CspConfig};
-use decamouflage_spectral::dft2d::{centered_spectrum, dft2, dft2_planned, idft2};
+use decamouflage_spectral::csp::{
+    count_csp, count_csp_in_spectrum_with_mags, CspConfig, CspReport,
+};
+use decamouflage_spectral::dft2d::{centered_spectrum, dft2_planned, idft2};
 use decamouflage_spectral::fft::{dft_naive, fft, ifft};
 use decamouflage_spectral::mixed_radix::{is_smooth, MixedRadixPlan, MAX_SMALL_PRIME};
 use decamouflage_spectral::radial::radial_profile;
 use decamouflage_spectral::spectrum::{binarize, fill_ratio, low_pass_mask};
 use decamouflage_spectral::Complex64;
 use proptest::prelude::*;
+
+/// The engine's fused CSP pass on a freshly planned spectrum — compared
+/// against the staged [`count_csp`] oracle.
+fn fused_csp(img: &Image, config: &CspConfig) -> CspReport {
+    let spec = dft2_planned(img);
+    count_csp_in_spectrum_with_mags(&spec, &spec.log_magnitudes(), config)
+}
 
 fn arb_signal(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     (1usize..=max_len).prop_flat_map(|n| {
@@ -83,7 +92,7 @@ proptest! {
 
     #[test]
     fn dft2_roundtrip(img in arb_image()) {
-        let back = idft2(&dft2(&img));
+        let back = idft2(&dft2_planned(&img));
         prop_assert!(back.approx_eq(&img, 1e-6));
     }
 
@@ -136,7 +145,7 @@ proptest! {
         let mut config = CspConfig::default();
         config.binarize_threshold = threshold;
         let staged = count_csp(&img, &config);
-        let fused = count_csp_planned(&img, &config);
+        let fused = fused_csp(&img, &config);
         prop_assert_eq!(fused.count, staged.count);
         prop_assert_eq!(fused.components, staged.components);
     }
@@ -160,7 +169,7 @@ fn planned_paths_match_on_large_bluestein_sizes() {
     // axes go through the Bluestein fallback.
     let img = Image::from_fn_gray(97, 31, |x, y| ((x * 13 + y * 29) % 251) as f64);
     let config = CspConfig::default();
-    assert_eq!(count_csp_planned(&img, &config).count, count_csp(&img, &config).count);
+    assert_eq!(fused_csp(&img, &config).count, count_csp(&img, &config).count);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +274,7 @@ proptest! {
         // staged and the fused pass must agree and return a sane report.
         let config = CspConfig::default();
         let staged = count_csp(&img, &config);
-        let fused = count_csp_planned(&img, &config);
+        let fused = fused_csp(&img, &config);
         prop_assert_eq!(fused.count, staged.count);
         prop_assert_eq!(fused.components, staged.components);
         prop_assert!(staged.count <= img.width() * img.height());

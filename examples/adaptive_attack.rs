@@ -18,12 +18,13 @@
 use decamouflage::attack::adaptive::{blend_target, jitter_camouflage};
 use decamouflage::attack::{craft_attack, verify_attack, AttackConfig, VerifyConfig};
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
-use decamouflage::detection::ensemble::Ensemble;
-use decamouflage::detection::threshold::search_whitebox;
+use decamouflage::detection::calibrate::calibrate_whitebox;
+use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
 use decamouflage::detection::{
-    Detector, Direction, FilteringDetector, MetricKind, ScalingDetector, SteganalysisDetector,
+    DetectionEngine, MethodId, MethodSet, SliceSource, SteganalysisDetector, StreamConfig,
 };
 use decamouflage::imaging::scale::ScaleAlgorithm;
+use decamouflage::imaging::Image;
 
 const SAMPLES: u64 = 12;
 
@@ -32,26 +33,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generator = SampleGenerator::new(profile.clone(), ScaleAlgorithm::Bilinear);
     let target_size = profile.target_size;
 
-    // Calibrate a white-box ensemble on a hold-out slice.
-    let scaling = ScalingDetector::new(target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
-    let filtering = FilteringDetector::new(MetricKind::Ssim);
-    let steganalysis = SteganalysisDetector::for_target(target_size);
-    let mut b_s = Vec::new();
-    let mut b_f = Vec::new();
-    let mut a_s = Vec::new();
-    let mut a_f = Vec::new();
-    for i in 0..SAMPLES {
-        let clean = generator.benign(900 + i);
-        let attack = generator.attack_image(900 + i)?;
-        b_s.push(scaling.score(&clean)?);
-        b_f.push(filtering.score(&clean)?);
-        a_s.push(scaling.score(&attack)?);
-        a_f.push(filtering.score(&attack)?);
-    }
-    let ensemble = Ensemble::new()
-        .with_member(scaling, search_whitebox(&b_s, &a_s, Direction::AboveIsAttack)?.threshold)
-        .with_member(filtering, search_whitebox(&b_f, &a_f, Direction::BelowIsAttack)?.threshold)
-        .with_member(steganalysis, SteganalysisDetector::universal_threshold());
+    // Calibrate a white-box ensemble on a hold-out slice: scaling and
+    // filtering thresholds from the samples, the universal CSP threshold.
+    let clean: Vec<Image> = (0..SAMPLES).map(|i| generator.benign(900 + i)).collect();
+    let attacks: Vec<Image> =
+        (0..SAMPLES).map(|i| generator.attack_image(900 + i)).collect::<Result<_, _>>()?;
+    let spatial = DetectionEngine::new(target_size)
+        .with_methods(MethodSet::of(&[MethodId::ScalingMse, MethodId::FilteringSsim]));
+    let mut thresholds = calibrate_whitebox(
+        &spatial,
+        &mut SliceSource::new(&clean),
+        &mut SliceSource::new(&attacks),
+        &StreamConfig::default(),
+    )?
+    .thresholds();
+    thresholds.insert(MethodId::Csp, SteganalysisDetector::universal_threshold());
+    let ensemble = Ensemble::paper(target_size, &thresholds, DegradePolicy::Strict)?;
 
     // --- Strategy 1: jitter camouflage ----------------------------------
     println!("jitter camouflage (noise amplitude -> detection rate):");
@@ -60,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for i in 0..SAMPLES {
             let crafted = generator.attack_image(i)?;
             let evasive = jitter_camouflage(&crafted, &generator.scaler(i), strength, i)?;
-            caught += u64::from(ensemble.is_attack(&evasive)?);
+            caught += u64::from(ensemble.decide(&evasive)?.is_attack);
         }
         println!("  strength {strength:>4}: {caught}/{SAMPLES} still detected");
     }
@@ -76,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let scaler = generator.scaler(i);
             let weak_target = blend_target(&original, &full_target, &scaler, alpha)?;
             let crafted = craft_attack(&original, &weak_target, &scaler, &AttackConfig::default())?;
-            caught += u64::from(ensemble.is_attack(&crafted.image)?);
+            caught += u64::from(ensemble.decide(&crafted.image)?.is_attack);
             // Does the weakened image still deliver the *original* target?
             let v = verify_attack(
                 &original,

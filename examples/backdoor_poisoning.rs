@@ -12,10 +12,10 @@
 
 use decamouflage::datasets::backdoor::{craft_poison_sample, Trigger};
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
-use decamouflage::detection::ensemble::Ensemble;
-use decamouflage::detection::threshold::search_whitebox;
+use decamouflage::detection::calibrate::calibrate_whitebox;
+use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
 use decamouflage::detection::{
-    Detector, Direction, FilteringDetector, MetricKind, ScalingDetector, SteganalysisDetector,
+    DetectionEngine, MethodId, MethodSet, SliceSource, SteganalysisDetector, StreamConfig,
 };
 use decamouflage::imaging::scale::ScaleAlgorithm;
 use decamouflage::imaging::Image;
@@ -30,39 +30,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target_size = profile.target_size;
     let trigger = Trigger::default();
 
-    let scaling = ScalingDetector::new(target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
-    let filtering = FilteringDetector::new(MetricKind::Ssim);
-    let steganalysis = SteganalysisDetector::for_target(target_size);
-
     // --- Calibration on the hold-out set -------------------------------
     // The aggregator owns a small clean hold-out set and can craft attack
     // samples against its own pipeline (white-box calibration).
-    let mut benign_scaling = Vec::new();
-    let mut benign_filtering = Vec::new();
-    let mut attack_scaling = Vec::new();
-    let mut attack_filtering = Vec::new();
-    for i in 0..HOLDOUT {
-        let clean = generator.benign(1000 + i);
-        let poisoned = craft_poison_sample(&generator, &trigger, 1000 + i)?.image;
-        benign_scaling.push(scaling.score(&clean)?);
-        benign_filtering.push(filtering.score(&clean)?);
-        attack_scaling.push(scaling.score(&poisoned)?);
-        attack_filtering.push(filtering.score(&poisoned)?);
-    }
-    let scaling_threshold =
-        search_whitebox(&benign_scaling, &attack_scaling, Direction::AboveIsAttack)?.threshold;
-    let filtering_threshold =
-        search_whitebox(&benign_filtering, &attack_filtering, Direction::BelowIsAttack)?.threshold;
+    let clean: Vec<Image> = (0..HOLDOUT).map(|i| generator.benign(1000 + i)).collect();
+    let poisoned: Vec<Image> = (0..HOLDOUT)
+        .map(|i| craft_poison_sample(&generator, &trigger, 1000 + i).map(|poison| poison.image))
+        .collect::<Result<_, _>>()?;
+    let spatial = DetectionEngine::new(target_size)
+        .with_methods(MethodSet::of(&[MethodId::ScalingMse, MethodId::FilteringSsim]));
+    let mut thresholds = calibrate_whitebox(
+        &spatial,
+        &mut SliceSource::new(&clean),
+        &mut SliceSource::new(&poisoned),
+        &StreamConfig::default(),
+    )?
+    .thresholds();
+    let threshold_of = |id| thresholds.get(id).expect("calibrated").value();
     println!(
         "calibrated: scaling MSE_T = {:.1}, filtering SSIM_T = {:.3}, CSP_T = 2 (universal)",
-        scaling_threshold.value(),
-        filtering_threshold.value()
+        threshold_of(MethodId::ScalingMse),
+        threshold_of(MethodId::FilteringSsim)
     );
-
-    let ensemble = Ensemble::new()
-        .with_member(scaling, scaling_threshold)
-        .with_member(filtering, filtering_threshold)
-        .with_member(steganalysis, SteganalysisDetector::universal_threshold());
+    thresholds.insert(MethodId::Csp, SteganalysisDetector::universal_threshold());
+    let ensemble = Ensemble::paper(target_size, &thresholds, DegradePolicy::Strict)?;
 
     // --- Triage the submission queue ------------------------------------
     let mut quarantined = 0u64;
@@ -91,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             generator.benign(i)
         };
-        let flagged = ensemble.is_attack(&submission)?;
+        let flagged = ensemble.decide(&submission)?.is_attack;
         match (is_poison, flagged) {
             (true, true) => quarantined += 1,
             (true, false) => missed_poison += 1,

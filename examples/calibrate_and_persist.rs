@@ -11,7 +11,7 @@ use decamouflage::detection::calibrate::calibrate_whitebox;
 use decamouflage::detection::monitor::DetectionMonitor;
 use decamouflage::detection::persist::ThresholdSet;
 use decamouflage::detection::{
-    FilteringDetector, MethodId, MetricKind, ScalingDetector, SteganalysisDetector,
+    DetectionEngine, MethodId, MethodSet, SliceSource, SteganalysisDetector, StreamConfig,
 };
 use decamouflage::imaging::scale::ScaleAlgorithm;
 use decamouflage::imaging::Image;
@@ -27,15 +27,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attacks: Vec<Image> =
         (0..16u64).map(|i| generator.attack_image(300 + i)).collect::<Result<_, _>>()?;
 
-    let scaling = ScalingDetector::new(target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
-    let filtering = FilteringDetector::new(MetricKind::Ssim);
+    // Scaling and filtering calibrate on the samples in one engine pass per
+    // image; CSP keeps its universal threshold.
+    let engine = DetectionEngine::new(target_size)
+        .with_methods(MethodSet::of(&[MethodId::ScalingMse, MethodId::FilteringSsim]));
+    let calibration = calibrate_whitebox(
+        &engine,
+        &mut SliceSource::new(&benign),
+        &mut SliceSource::new(&attacks),
+        &StreamConfig::default(),
+    )?;
 
-    let scaling_cal = calibrate_whitebox(&scaling, &benign, &attacks)?;
-    let filtering_cal = calibrate_whitebox(&filtering, &benign, &attacks)?;
-
-    let mut set = ThresholdSet::new();
-    set.insert(MethodId::ScalingMse, scaling_cal.threshold);
-    set.insert(MethodId::FilteringSsim, filtering_cal.threshold);
+    let mut set = calibration.thresholds();
     set.insert(MethodId::Csp, SteganalysisDetector::universal_threshold());
 
     let path = std::env::temp_dir().join("decamouflage-thresholds.txt");
@@ -50,9 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         restored.get(MethodId::ScalingMse).expect("threshold file contains the scaling detector");
 
     // Calibration statistics feed the drift monitor.
-    let stats: OnlineStats = scaling_cal.benign_scores.iter().copied().collect();
+    let stats: OnlineStats =
+        calibration.benign_scores.column(MethodId::ScalingMse).iter().copied().collect();
     let mut monitor = DetectionMonitor::new(
-        ScalingDetector::new(target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse),
+        &engine,
+        MethodId::ScalingMse,
         threshold,
         stats.mean(),
         stats.population_std_dev(),

@@ -12,12 +12,13 @@
 //! ```
 
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
-use decamouflage::detection::ensemble::Ensemble;
-use decamouflage::detection::threshold::percentile_blackbox;
+use decamouflage::detection::calibrate::calibrate_blackbox;
+use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
 use decamouflage::detection::{
-    Detector, Direction, FilteringDetector, MetricKind, ScalingDetector, SteganalysisDetector,
+    DetectionEngine, MethodId, MethodSet, SliceSource, SteganalysisDetector, StreamConfig,
 };
 use decamouflage::imaging::scale::ScaleAlgorithm;
+use decamouflage::imaging::Image;
 use std::time::Instant;
 
 const CALIBRATION: u64 = 32; // benign traffic sample used for percentiles
@@ -30,31 +31,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // knows nor cares — its detectors use its own bilinear round trip.
     let attacker = SampleGenerator::new(profile.clone(), ScaleAlgorithm::Nearest);
 
-    let scaling = ScalingDetector::new(target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
-    let filtering = FilteringDetector::new(MetricKind::Ssim);
-    let steganalysis = SteganalysisDetector::for_target(target_size);
-
     // --- Black-box calibration: benign traffic only ---------------------
-    let mut scaling_scores = Vec::new();
-    let mut filtering_scores = Vec::new();
-    for i in 0..CALIBRATION {
-        let img = attacker.benign(5000 + i);
-        scaling_scores.push(scaling.score(&img)?);
-        filtering_scores.push(filtering.score(&img)?);
-    }
-    let scaling_threshold = percentile_blackbox(&scaling_scores, 1.0, Direction::AboveIsAttack)?;
-    let filtering_threshold =
-        percentile_blackbox(&filtering_scores, 1.0, Direction::BelowIsAttack)?;
+    let traffic: Vec<Image> = (0..CALIBRATION).map(|i| attacker.benign(5000 + i)).collect();
+    let spatial = DetectionEngine::new(target_size)
+        .with_methods(MethodSet::of(&[MethodId::ScalingMse, MethodId::FilteringSsim]));
+    let config = StreamConfig::default();
+    let mut thresholds =
+        calibrate_blackbox(&spatial, &mut SliceSource::new(&traffic), 1.0, &config)?.thresholds();
+    let threshold_of = |id| thresholds.get(id).expect("calibrated").value();
     println!(
         "black-box thresholds: scaling MSE >= {:.1}, filtering SSIM <= {:.3}, CSP >= 2",
-        scaling_threshold.value(),
-        filtering_threshold.value()
+        threshold_of(MethodId::ScalingMse),
+        threshold_of(MethodId::FilteringSsim)
     );
-
-    let ensemble = Ensemble::new()
-        .with_member(scaling, scaling_threshold)
-        .with_member(filtering, filtering_threshold)
-        .with_member(steganalysis, SteganalysisDetector::universal_threshold());
+    thresholds.insert(MethodId::Csp, SteganalysisDetector::universal_threshold());
+    let ensemble = Ensemble::paper(target_size, &thresholds, DegradePolicy::Strict)?;
 
     // --- Screen live traffic -------------------------------------------
     let mut blocked = 0u32;
@@ -65,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let is_attack = i % 3 == 0; // a third of the traffic is hostile
         let request = if is_attack { attacker.attack_image(i)? } else { attacker.benign(i) };
         let start = Instant::now();
-        let verdict = ensemble.is_attack(&request)?;
+        let verdict = ensemble.decide(&request)?.is_attack;
         total_ms += start.elapsed().as_secs_f64() * 1000.0;
         if verdict == is_attack {
             if verdict {

@@ -7,11 +7,9 @@
 
 use decamouflage::attack::{craft_attack, verify_attack, AttackConfig, VerifyConfig};
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
-use decamouflage::detection::ensemble::Ensemble;
-use decamouflage::detection::{
-    Detector, Direction, FilteringDetector, MetricKind, ScalingDetector, SteganalysisDetector,
-    Threshold,
-};
+use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
+use decamouflage::detection::persist::ThresholdSet;
+use decamouflage::detection::{Direction, MethodId, SteganalysisDetector, Threshold};
 use decamouflage::imaging::scale::ScaleAlgorithm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,29 +34,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verification.is_successful()
     );
 
-    // 3. Run the three detection methods on both images.
-    let target_size = scaler.dst_size();
-    let scaling = ScalingDetector::new(target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
-    let filtering = FilteringDetector::new(MetricKind::Ssim);
-    let steganalysis = SteganalysisDetector::for_target(target_size);
+    // 3. Assemble the full Decamouflage system: the three detection
+    //    methods, scored in one engine pass per image, and their majority
+    //    vote. In deployment the first two thresholds come from calibration
+    //    (white-box search or black-box percentiles); here we use values
+    //    that any calibration run on the tiny profile produces. The CSP
+    //    threshold is universal.
+    let thresholds: ThresholdSet = [
+        (MethodId::ScalingMse, Threshold::new(200.0, Direction::AboveIsAttack)),
+        (MethodId::FilteringSsim, Threshold::new(0.55, Direction::BelowIsAttack)),
+        (MethodId::Csp, SteganalysisDetector::universal_threshold()),
+    ]
+    .into_iter()
+    .collect();
+    let ensemble = Ensemble::paper(scaler.dst_size(), &thresholds, DegradePolicy::Strict)?;
 
+    // 4. Run the three detection methods on both images.
     for (name, image) in [("benign", &original), ("attack", &crafted.image)] {
+        let scores = ensemble.engine().score(image)?;
         println!(
             "{name}: scaling MSE = {:8.1}   filtering SSIM = {:.3}   CSP = {}",
-            scaling.score(image)?,
-            filtering.score(image)?,
-            steganalysis.score(image)?
+            scores.scaling_mse(),
+            scores.filtering_ssim(),
+            scores.csp()
         );
     }
-
-    // 4. Assemble the full Decamouflage system. In deployment the first two
-    //    thresholds come from calibration (white-box search or black-box
-    //    percentiles); here we use values that any calibration run on the
-    //    tiny profile produces. The CSP threshold is universal.
-    let ensemble = Ensemble::new()
-        .with_member(scaling, Threshold::new(200.0, Direction::AboveIsAttack))
-        .with_member(filtering, Threshold::new(0.55, Direction::BelowIsAttack))
-        .with_member(steganalysis, SteganalysisDetector::universal_threshold());
 
     let benign_verdict = ensemble.decide(&original)?;
     let attack_verdict = ensemble.decide(&crafted.image)?;

@@ -42,10 +42,10 @@
 use decamouflage::detection::calibrate::calibrate_whitebox;
 use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
 use decamouflage::detection::persist::ThresholdSet;
-use decamouflage::detection::stream::{BufferPool, DirectorySource, ImageSource, StreamConfig};
+use decamouflage::detection::stream::{DirectorySource, StreamConfig};
 use decamouflage::detection::{
-    scan_shard, CorpusFingerprint, FilteringDetector, MethodId, MetricKind, ScalingDetector,
-    ScanCheckpoint, ScanReport, ScoreFault, ShardSpec, SteganalysisDetector, Threshold,
+    scan_shard, CorpusFingerprint, DetectionEngine, MethodId, MethodSet, ScanCheckpoint,
+    ScanReport, ScoreError, ScoreFault, ShardSpec, SteganalysisDetector, Threshold,
 };
 use decamouflage::imaging::codec::{
     decode_auto, encode_jpeg, encode_png, write_bmp_file, write_pnm_file,
@@ -269,26 +269,6 @@ fn load_thresholds(parsed: &ParsedArgs) -> Result<ThresholdSet, String> {
     }
 }
 
-fn build_ensemble(
-    target: Size,
-    thresholds: &ThresholdSet,
-    policy: DegradePolicy,
-) -> Result<Ensemble, String> {
-    let need = |id: MethodId| {
-        thresholds
-            .get(id)
-            .ok_or_else(|| format!("thresholds file is missing an entry for {:?}", id.name()))
-    };
-    Ok(Ensemble::new()
-        .with_degrade_policy(policy)
-        .with_member(
-            ScalingDetector::new(target, ScaleAlgorithm::Bilinear, MetricKind::Mse),
-            need(MethodId::ScalingMse)?,
-        )
-        .with_member(FilteringDetector::new(MetricKind::Ssim), need(MethodId::FilteringSsim)?)
-        .with_member(SteganalysisDetector::for_target(target), need(MethodId::Csp)?))
-}
-
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let parsed =
         parse_args(args, &["--target", "--thresholds", "--degrade", "--metrics-out"], &[])?;
@@ -305,7 +285,8 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         let _decode = telemetry.span("decam_engine_stage_seconds", &[("stage", "decode")]);
         read_image(image_path)?
     };
-    let ensemble = build_ensemble(target, &thresholds, parse_degrade(&parsed)?)?;
+    let ensemble =
+        Ensemble::paper(target, &thresholds, parse_degrade(&parsed)?).map_err(|e| e.to_string())?;
     let decision = ensemble.decide(&image).map_err(|e| e.to_string())?;
     for (member, vote) in &decision.votes {
         println!("{member}: {}", if *vote { "ATTACK" } else { "benign" });
@@ -348,29 +329,18 @@ fn cmd_craft(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Eagerly drains a [`DirectorySource`] into a `Vec` — the one place the
-/// CLI still materialises a whole directory (calibration needs every image
-/// for the threshold search anyway). Listing, extension filtering, sorting
-/// and decoding all live in the shared source.
-fn read_dir_images(dir: &str) -> Result<Vec<Image>, String> {
-    let mut source = DirectorySource::open(dir).map_err(|e| e.to_string())?;
-    let mut pool = BufferPool::new(0);
-    let mut images = Vec::with_capacity(source.len_hint().unwrap_or(0));
-    while let Some(item) = source.next_image(&mut pool) {
-        match item {
-            Ok(image) => images.push(image),
-            Err(err) => {
-                // Surface the decode failure alone, matching the old
-                // fail-fast reader ("cannot read <path>: <cause>").
-                let message = match err.cause {
-                    ScoreFault::Unreadable { message } => message,
-                    other => other.to_string(),
-                };
-                return Err(message);
-            }
-        }
-    }
-    Ok(images)
+/// The first quarantined sample of a calibration class as a CLI error: a
+/// decode failure reads as its own message ("cannot read <path>: ..."),
+/// anything else names the file and the cause.
+fn first_quarantined(
+    paths: &[std::path::PathBuf],
+    ledger: &[(usize, ScoreError)],
+) -> Option<String> {
+    ledger.first().map(|(index, err)| match &err.cause {
+        ScoreFault::Unreadable { message } => message.clone(),
+        cause @ ScoreFault::UnsupportedFormat { .. } => cause.to_string(),
+        cause => format!("{}: {cause}", paths[*index].display()),
+    })
 }
 
 fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
@@ -383,25 +353,36 @@ fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
     let target = parse_size(parsed.value("--target").ok_or("calibrate needs --target WxH")?)?;
     let out = parsed.either("-o", "--out")?.ok_or("calibrate needs -o FILE")?;
 
-    let benign = read_dir_images(benign_dir)?;
-    let attacks = read_dir_images(attack_dir)?;
-    println!("calibrating on {} benign + {} attack images ...", benign.len(), attacks.len());
+    let mut benign = DirectorySource::open(benign_dir).map_err(|e| e.to_string())?;
+    let mut attacks = DirectorySource::open(attack_dir).map_err(|e| e.to_string())?;
+    let (benign_paths, attack_paths) = (benign.paths().to_vec(), attacks.paths().to_vec());
+    println!(
+        "calibrating on {} benign + {} attack images ...",
+        benign_paths.len(),
+        attack_paths.len()
+    );
 
-    let scaling = ScalingDetector::new(target, ScaleAlgorithm::Bilinear, MetricKind::Mse);
-    let filtering = FilteringDetector::new(MetricKind::Ssim);
-    let scaling_cal = calibrate_whitebox(&scaling, &benign, &attacks).map_err(|e| e.to_string())?;
-    let filtering_cal =
-        calibrate_whitebox(&filtering, &benign, &attacks).map_err(|e| e.to_string())?;
+    // Scaling and filtering are calibrated on the samples; the CSP
+    // threshold is the paper's universal one.
+    let engine = DetectionEngine::new(target)
+        .with_methods(MethodSet::of(&[MethodId::ScalingMse, MethodId::FilteringSsim]));
+    let calibration =
+        calibrate_whitebox(&engine, &mut benign, &mut attacks, &StreamConfig::default())
+            .map_err(|e| e.to_string())?;
+    let failure = first_quarantined(&benign_paths, &calibration.benign_quarantined)
+        .or_else(|| first_quarantined(&attack_paths, &calibration.attack_quarantined));
+    if let Some(message) = failure {
+        return Err(message);
+    }
 
-    let mut set = ThresholdSet::new();
-    set.insert(MethodId::ScalingMse, scaling_cal.threshold);
-    set.insert(MethodId::FilteringSsim, filtering_cal.threshold);
+    let mut set = calibration.thresholds();
     set.insert(MethodId::Csp, SteganalysisDetector::universal_threshold());
     set.save(Path::new(out)).map_err(|e| e.to_string())?;
+    let accuracy = |id| calibration.get(id).map_or(f64::NAN, |m| m.train_accuracy) * 100.0;
     println!(
         "wrote {out} (scaling train acc {:.1}%, filtering train acc {:.1}%)",
-        scaling_cal.train_accuracy * 100.0,
-        filtering_cal.train_accuracy * 100.0
+        accuracy(MethodId::ScalingMse),
+        accuracy(MethodId::FilteringSsim)
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -419,13 +400,10 @@ fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
 /// (skipped files are never decoded); `--checkpoint FILE` persists
 /// progress atomically at every chunk boundary and `--resume` continues
 /// from it. The engine scores the same three methods as `check`'s
-/// ensemble and the verdict is the same majority vote; on resume the
+/// ensemble and the verdict is the same [`Ensemble::vote`]; on resume the
 /// summary covers the whole shard, freshly printed lines only the newly
 /// scanned images.
 fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
-    use decamouflage::detection::engine::DetectionEngine;
-    use decamouflage::detection::MethodSet;
-
     let parsed = parse_args(
         args,
         &[
@@ -463,18 +441,10 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
     let metrics_out = parsed.value("--metrics-out");
     let telemetry = if metrics_out.is_some() { enable_metrics() } else { Telemetry::disabled() };
 
-    // The same three members as `check`'s default ensemble; the engine's
-    // shared-intermediate scorer computes them in one pass per image.
-    let ids = [MethodId::ScalingMse, MethodId::FilteringSsim, MethodId::Csp];
-    let entries: Vec<(MethodId, Threshold)> =
-        ids.iter()
-            .map(|&id| {
-                thresholds.get(id).map(|t| (id, t)).ok_or_else(|| {
-                    format!("thresholds file is missing an entry for {:?}", id.name())
-                })
-            })
-            .collect::<Result<_, _>>()?;
-    let engine = DetectionEngine::new(target).with_methods(MethodSet::of(&ids));
+    // The same ensemble as `check`; its engine computes the three members
+    // in one shared-intermediate pass per image.
+    let ensemble = Ensemble::paper(target, &thresholds, policy).map_err(|e| e.to_string())?;
+    let engine = ensemble.engine();
 
     // Shard membership and the corpus fingerprint are both functions of
     // the sorted file-name list, so every shard of N agrees on them.
@@ -496,7 +466,7 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
     let config = StreamConfig::default().with_chunk_size(chunk_size);
 
     let final_checkpoint = scan_shard(
-        &engine,
+        engine,
         &mut source,
         &kept,
         &config,
@@ -508,15 +478,12 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
         |global, result| {
             let shown = all_paths[global].display();
             match result {
-                Ok(scores) => {
-                    let votes =
-                        entries.iter().filter(|(id, t)| t.is_attack(scores.get(*id))).count();
-                    if 2 * votes > entries.len() {
-                        println!("ATTACK      {shown}");
-                    } else {
-                        println!("benign      {shown}");
-                    }
-                }
+                Ok(scores) => match ensemble.vote(Ok(scores)) {
+                    Ok(decision) if decision.is_attack => println!("ATTACK      {shown}"),
+                    Ok(_) => println!("benign      {shown}"),
+                    // Only Strict refuses to vote: a non-finite score.
+                    Err(err) => println!("quarantined {shown}: {err}"),
+                },
                 Err(err) => match &err.cause {
                     // The file never decoded.
                     ScoreFault::Unreadable { message } => {
@@ -548,10 +515,9 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
     let mut unreadable = 0usize;
     let mut quarantined = 0usize;
     for row in 0..final_checkpoint.scored_indices().len() {
-        let scores = final_checkpoint.score_vector_at(row);
-        let votes = entries.iter().filter(|(id, t)| t.is_attack(scores.get(*id))).count();
-        if 2 * votes > entries.len() {
-            flagged += 1;
+        match ensemble.vote(Ok(&final_checkpoint.score_vector_at(row))) {
+            Ok(decision) => flagged += usize::from(decision.is_attack),
+            Err(_) => quarantined += 1,
         }
     }
     for record in final_checkpoint.quarantined() {
@@ -621,7 +587,6 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
 /// produce, so dashboards and scrape configs can be validated before any
 /// real traffic exists.
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
-    use decamouflage::detection::engine::DetectionEngine;
     use decamouflage::detection::monitor::DetectionMonitor;
     use decamouflage::detection::Direction;
 
@@ -668,16 +633,17 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let _ = engine.score_resilient(&Image::from_fn_gray(2, 2, |_, _| 10.0));
 
     // Ensemble: every decision records votes and verdict counters.
-    let ensemble = build_ensemble(target, &default_thresholds(), DegradePolicy::Strict)?;
+    let ensemble = Ensemble::paper(target, &default_thresholds(), DegradePolicy::Strict)
+        .map_err(|e| e.to_string())?;
     for i in 0..count as u64 {
         ensemble.decide(&benign(i)).map_err(|e| e.to_string())?;
         ensemble.decide(&attack(i)).map_err(|e| e.to_string())?;
     }
 
     // Monitor: screening counters and rolling-window gauges.
-    let detector = ScalingDetector::new(target, ScaleAlgorithm::Bilinear, MetricKind::Mse);
     let mut monitor = DetectionMonitor::new(
-        detector,
+        &engine,
+        MethodId::ScalingMse,
         Threshold::new(400.0, Direction::AboveIsAttack),
         100.0,
         50.0,

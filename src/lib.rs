@@ -14,8 +14,9 @@
 //!   verification, adaptive variants),
 //! * [`datasets`] — seeded synthetic corpora standing in for the paper's
 //!   datasets,
-//! * [`detection`] — the Decamouflage framework itself: three detectors,
-//!   threshold calibration, majority-vote ensemble, evaluation pipeline,
+//! * [`detection`] — the Decamouflage framework itself: the detection
+//!   engine scoring all three methods in one pass, threshold calibration,
+//!   the majority-vote ensemble, evaluation pipeline,
 //! * [`telemetry`] — dependency-free metrics: counters, gauges, latency
 //!   histograms, RAII stage timers, deterministic Prometheus/JSON export,
 //! * [`serve`] — detection-as-a-service: an overload-safe,
@@ -24,24 +25,28 @@
 //! # Quickstart
 //!
 //! ```
-//! use decamouflage::detection::{Detector, MetricKind, ScalingDetector, SteganalysisDetector};
-//! use decamouflage::imaging::{Image, Size, scale::ScaleAlgorithm};
+//! use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
+//! use decamouflage::detection::persist::ThresholdSet;
+//! use decamouflage::detection::{Direction, MethodId, SteganalysisDetector, Threshold};
+//! use decamouflage::imaging::{Image, Size};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // A detector that round-trips through the CNN input size.
-//! let detector = ScalingDetector::new(
-//!     Size::square(16),
-//!     ScaleAlgorithm::Bilinear,
-//!     MetricKind::Mse,
-//! );
+//! // Calibrated thresholds for the paper's three methods; the
+//! // steganalysis threshold is universal and needs no calibration.
+//! let thresholds: ThresholdSet = [
+//!     (MethodId::ScalingMse, Threshold::new(400.0, Direction::AboveIsAttack)),
+//!     (MethodId::FilteringSsim, Threshold::new(0.55, Direction::BelowIsAttack)),
+//!     (MethodId::Csp, SteganalysisDetector::universal_threshold()),
+//! ]
+//! .into_iter()
+//! .collect();
+//! // The majority-vote ensemble for a 16x16 CNN input: one engine pass
+//! // scores all three methods, then the members vote.
+//! let ensemble = Ensemble::paper(Size::square(16), &thresholds, DegradePolicy::Strict)?;
 //! let image = Image::from_fn_gray(64, 64, |x, y| ((x + y) % 200) as f64 + 20.0);
-//! let score = detector.score(&image)?;
-//! assert!(score.is_finite());
-//!
-//! // The steganalysis detector needs no calibration at all.
-//! let stego = SteganalysisDetector::new();
-//! let csp = stego.score(&image)?;
-//! assert!(csp >= 1.0);
+//! let decision = ensemble.decide(&image)?;
+//! assert_eq!(decision.votes.len(), 3);
+//! assert!(ensemble.engine().score(&image)?.csp() >= 1.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -5,9 +5,9 @@
 
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
 use decamouflage::detection::pipeline::{
-    evaluate_threshold, run_blackbox, run_whitebox, score_corpus, ScoredCorpus,
+    evaluate_threshold, run_blackbox, run_whitebox, ScoredCorpus,
 };
-use decamouflage::detection::{Detector, MetricKind, ScalingDetector};
+use decamouflage::detection::{DetectionEngine, MethodId, MethodSet};
 use decamouflage::imaging::scale::ScaleAlgorithm;
 use decamouflage::imaging::Size;
 
@@ -22,18 +22,27 @@ fn tiny_variant() -> DatasetProfile {
     p
 }
 
-fn score(profile: &DatasetProfile, detector: &ScalingDetector) -> ScoredCorpus {
+/// The defender's scaling/MSE engine for the training profile's CNN input.
+fn scaling_mse(target: Size) -> DetectionEngine {
+    DetectionEngine::new(target).with_methods(MethodSet::of(&[MethodId::ScalingMse]))
+}
+
+fn score(profile: &DatasetProfile, engine: &DetectionEngine) -> ScoredCorpus {
     let generator = SampleGenerator::new(profile.clone(), ScaleAlgorithm::Bilinear);
-    score_corpus(detector, |i| generator.benign(i), |i| generator.attack_image(i).unwrap(), N, 1)
-        .unwrap()
+    let corpus = engine
+        .score_corpus(|i| generator.benign(i), |i| generator.attack_image(i).unwrap(), N, 1)
+        .unwrap();
+    ScoredCorpus {
+        benign: corpus.benign_column(MethodId::ScalingMse),
+        attack: corpus.attack_column(MethodId::ScalingMse),
+    }
 }
 
 #[test]
 fn whitebox_threshold_transfers_across_profiles() {
     let train_profile = DatasetProfile::tiny();
     let eval_profile = tiny_variant();
-    let detector =
-        ScalingDetector::new(train_profile.target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
+    let detector = scaling_mse(train_profile.target_size);
     let train = score(&train_profile, &detector);
     let eval = score(&eval_profile, &detector);
 
@@ -47,8 +56,7 @@ fn whitebox_threshold_transfers_across_profiles() {
 fn blackbox_percentile_transfers_across_profiles() {
     let train_profile = DatasetProfile::tiny();
     let eval_profile = tiny_variant();
-    let detector =
-        ScalingDetector::new(train_profile.target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
+    let detector = scaling_mse(train_profile.target_size);
     let train = score(&train_profile, &detector);
     let eval = score(&eval_profile, &detector);
 
@@ -72,8 +80,7 @@ fn threshold_is_insensitive_to_source_size_within_profile() {
     big.seed ^= 0x1234_5678;
     big.source_sizes = vec![Size::square(80)];
 
-    let detector =
-        ScalingDetector::new(train_profile.target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
+    let detector = scaling_mse(train_profile.target_size);
     let train = score(&train_profile, &detector);
     let eval = score(&big, &detector);
     let outcome =
@@ -84,8 +91,7 @@ fn threshold_is_insensitive_to_source_size_within_profile() {
 #[test]
 fn evaluate_threshold_matches_manual_confusion() {
     let profile = DatasetProfile::tiny();
-    let detector =
-        ScalingDetector::new(profile.target_size, ScaleAlgorithm::Bilinear, MetricKind::Mse);
+    let detector = scaling_mse(profile.target_size);
     let corpus = score(&profile, &detector);
     let threshold = decamouflage::detection::Threshold::new(
         f64::INFINITY,
@@ -97,5 +103,4 @@ fn evaluate_threshold_matches_manual_confusion() {
     assert_eq!(m.frr, 0.0);
     assert_eq!(m.far, 1.0);
     assert_eq!(m.accuracy, 0.5);
-    let _ = detector.name();
 }

@@ -504,3 +504,79 @@ fn scan_rejects_empty_directories() {
     assert!(stderr.contains("no .pgm"), "{stderr}");
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// One vote behind every front end: on every fixture image, `check`'s
+/// verdict and member lines, the file's `scan` line and the service's
+/// `check_bytes` agree, under every degrade policy.
+#[test]
+fn check_scan_and_service_agree_on_every_fixture() {
+    use decamouflage::detection::persist::ThresholdSet;
+    use decamouflage::detection::{CancelToken, DegradePolicy};
+    use decamouflage::imaging::Size;
+    use decamouflage::serve::{CheckOutcome, DetectionService};
+
+    let root = fixtures("parity");
+    let thresholds = calibrate(&root);
+    let set = ThresholdSet::load(&thresholds).unwrap();
+    let dirs = [root.join("benign"), root.join("attack"), root.clone()];
+    for (mode, policy) in [
+        ("strict", DegradePolicy::Strict),
+        ("majority", DegradePolicy::MajorityOfAvailable),
+        ("fail-closed", DegradePolicy::FailClosed),
+    ] {
+        let service = DetectionService::new(Size::square(16), &set, policy).unwrap();
+        let mut checked = 0;
+        for dir in &dirs {
+            let (_, scan_out, stderr) = run(bin()
+                .arg("scan")
+                .arg(dir)
+                .args(["--target", "16x16", "--degrade", mode])
+                .args(["--thresholds", thresholds.to_str().unwrap()]));
+            let mut images: Vec<PathBuf> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| path.extension().is_some_and(|ext| ext == "bmp"))
+                .collect();
+            images.sort();
+            for image in images {
+                let shown = image.display().to_string();
+                let scan_line = scan_out
+                    .lines()
+                    .find(|line| line.ends_with(&format!(" {shown}")))
+                    .unwrap_or_else(|| panic!("no scan line for {shown}: {scan_out} {stderr}"));
+                let scan_attack = scan_line.starts_with("ATTACK ");
+
+                let (code, check_out, _) = run(bin()
+                    .arg("check")
+                    .arg(&image)
+                    .args(["--target", "16x16", "--degrade", mode])
+                    .args(["--thresholds", thresholds.to_str().unwrap()]));
+                let check_attack = code == 2;
+                let verdict_line = if check_attack {
+                    format!("{shown}: ATTACK (majority vote)")
+                } else {
+                    format!("{shown}: benign")
+                };
+                let mut lines: Vec<&str> = check_out.lines().collect();
+                assert_eq!(lines.pop(), Some(verdict_line.as_str()), "{mode} {shown}");
+
+                let body = std::fs::read(&image).unwrap();
+                let outcome = service.check_bytes(&body, &CancelToken::new());
+                let CheckOutcome::Verdict { verdict, .. } = outcome else {
+                    panic!("{mode} {shown}: the service did not vote: {outcome:?}");
+                };
+                let members: Vec<String> = verdict
+                    .votes
+                    .iter()
+                    .map(|(id, vote)| format!("{id}: {}", if *vote { "ATTACK" } else { "benign" }))
+                    .collect();
+                assert_eq!(lines, members, "{mode} {shown}: check and service members differ");
+                assert_eq!(check_attack, verdict.is_attack, "{mode} {shown}: check vs service");
+                assert_eq!(scan_attack, verdict.is_attack, "{mode} {shown}: scan vs service");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 10, "every fixture image was compared");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
