@@ -18,6 +18,15 @@ cargo test -q --workspace --no-default-features
 cargo build --release --workspace --features simd
 cargo test -q --workspace --features simd
 
+echo "== examples: every example runs to completion =="
+# Examples are not covered by the test runs; each one asserts its own
+# scenario, so a non-zero exit fails CI.
+for file in examples/*.rs; do
+    example="$(basename "$file" .rs)"
+    echo "-- $example"
+    cargo run --release -q --example "$example"
+done
+
 echo "== planar equivalence (release, simd): golden engine scores =="
 # The planar-layout contract under optimised AVX kernels: engine
 # ScoreVectors bit-identical to the interleaved seed fixture

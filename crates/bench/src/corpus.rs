@@ -1,13 +1,11 @@
 //! Corpus construction and one-pass multi-detector scoring.
 
 use decamouflage_core::parallel::{default_threads, parallel_map_indices};
-use decamouflage_core::pipeline::ScoredCorpus;
-use decamouflage_core::stream::ChunkDriver;
-use decamouflage_core::{DetectionEngine, FnSource, MethodId, ScoreError, StreamConfig};
+use decamouflage_core::{DetectError, DetectionEngine, MethodId, ScoreError, ScoreVector};
 use decamouflage_datasets::{DatasetProfile, SampleGenerator};
 use decamouflage_imaging::scale::ScaleAlgorithm;
 use decamouflage_imaging::Image;
-use decamouflage_metrics::{histogram_intersection, psnr};
+use decamouflage_metrics::{histogram_intersection, psnr, SampleSummary};
 
 /// Attack images drawn from a round-robin mix of vulnerable scaling
 /// algorithms — the realistic "attacks in the wild" mix the defender faces.
@@ -152,6 +150,29 @@ impl DetectorSet {
     }
 }
 
+/// Detection scores of one corpus under one scorer: parallel benign and
+/// attack score vectors, aligned by sample index.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScoredCorpus {
+    /// Scores of benign images, by index.
+    pub benign: Vec<f64>,
+    /// Scores of attack images, by index.
+    pub attack: Vec<f64>,
+}
+
+impl ScoredCorpus {
+    /// Summary statistics of the benign scores (mean/std columns of the
+    /// paper's black-box tables).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectError::InvalidCalibration`] for an empty benign set.
+    pub fn benign_summary(&self) -> Result<SampleSummary, DetectError> {
+        SampleSummary::from_samples(&self.benign)
+            .map_err(|e| DetectError::InvalidCalibration { message: e.to_string() })
+    }
+}
+
 /// Per-scorer scored corpora for one dataset profile.
 #[derive(Debug, Clone)]
 pub struct ScoreSet {
@@ -167,6 +188,18 @@ impl ScoreSet {
     /// The scored corpus of one scorer.
     pub fn of(&self, idx: usize) -> &ScoredCorpus {
         &self.corpora[idx]
+    }
+
+    /// The registry scores of one surviving image as a [`ScoreVector`],
+    /// the input of [`Ensemble::vote`](decamouflage_core::Ensemble::vote):
+    /// `index` within the attack half when `attack`, else the benign half.
+    pub fn score_vector(&self, attack: bool, index: usize) -> ScoreVector {
+        let mut scores = ScoreVector::splat(f64::NAN);
+        for &id in MethodId::ALL {
+            let corpus = self.of(id as usize);
+            scores.set(id, if attack { corpus.attack[index] } else { corpus.benign[index] });
+        }
+        scores
     }
 }
 
@@ -246,48 +279,32 @@ impl ExperimentContext {
     }
 }
 
-/// Scores a whole profile with every scorer in one pass per image. The
-/// corpus streams through the core [`ChunkDriver`] as one synthetic
-/// [`FnSource`] (benign indices first, then attacks), pulled as a single
-/// `2 * count` chunk so the whole corpus is still one fan-out over the
-/// worker pool.
+/// Scores a whole profile with every scorer in one pass per image: one
+/// fan-out over the worker pool across all `2 * count` indices (benign
+/// first, then attacks), each worker generating and scoring its own
+/// image. Generation is seeded per index, so the columns do not depend on
+/// the thread count.
 ///
 /// Each image is fault-isolated: a slot whose generation or scoring fails
 /// (or panics) is quarantined and dropped from every corpus, counted in
-/// [`ScoreSet::quarantined`], instead of aborting the whole profile —
-/// generation panics are caught at pull time by the driver, scoring
-/// panics inside the fan-out.
+/// [`ScoreSet::quarantined`], instead of aborting the whole profile.
 pub fn score_profile(profile: &DatasetProfile, config: HarnessConfig) -> ScoreSet {
     let detectors = DetectorSet::new(profile);
     let generator = MixedAttackGenerator::new(profile.clone());
 
     let count = config.count;
-    let mut source = FnSource::new(2 * count, |i| {
-        if (i as usize) < count {
-            generator.benign(i)
-        } else {
-            generator.attack(i - count as u64)
-        }
+    let mut rows = parallel_map_indices(2 * count, config.threads, |index| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let image = if index < count {
+                generator.benign(index as u64)
+            } else {
+                generator.attack((index - count) as u64)
+            };
+            detectors.try_score_all(&image)
+        }))
+        .unwrap_or_else(|payload| Err(ScoreError::panicked(index, payload)))
+        .map_err(|err| err.at_index(index))
     });
-    let stream_config = StreamConfig::default()
-        .with_chunk_size((2 * count).max(1))
-        .with_threads(config.threads)
-        .with_pool_capacity(0);
-    let telemetry = decamouflage_telemetry::global();
-    let mut driver = ChunkDriver::new(&mut source, &stream_config, &telemetry);
-    let mut rows: Vec<Result<[f64; SCORER_COUNT], ScoreError>> = Vec::with_capacity(2 * count);
-    while let Some(chunk) = driver.next_chunk() {
-        let scored = parallel_map_indices(chunk.len(), config.threads, |offset| {
-            let index = chunk.base() + offset;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                chunk.take(offset).and_then(|image| detectors.try_score_all(&image))
-            }))
-            .unwrap_or_else(|payload| Err(ScoreError::panicked(index, payload)))
-            .map_err(|err| err.at_index(index))
-        });
-        rows.extend(scored);
-        driver.finish_chunk();
-    }
     let attack_rows: Vec<Result<[f64; SCORER_COUNT], ScoreError>> = rows.split_off(count);
     let benign_rows: Vec<Result<[f64; SCORER_COUNT], ScoreError>> = rows;
 
@@ -386,6 +403,45 @@ mod tests {
         assert_eq!(scores.quarantined, 0);
         assert_eq!(scores.of(IDX_SCALING_MSE).benign.len(), 3);
         assert_eq!(scores.of(IDX_SCALING_MSE).attack.len(), 3);
+    }
+
+    #[test]
+    fn score_profile_does_not_depend_on_the_thread_count() {
+        let profile = DatasetProfile::tiny();
+        let serial = score_profile(&profile, HarnessConfig { count: 4, threads: 1 });
+        let parallel = score_profile(&profile, HarnessConfig { count: 4, threads: 2 });
+        assert_eq!(serial.quarantined, parallel.quarantined);
+        let bits = |set: &ScoreSet| -> Vec<u64> {
+            set.corpora
+                .iter()
+                .flat_map(|corpus| corpus.benign.iter().chain(&corpus.attack))
+                .map(|score| score.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&serial).len(), 2 * 4 * SCORER_COUNT);
+        assert_eq!(bits(&serial), bits(&parallel));
+    }
+
+    #[test]
+    fn score_vector_reads_one_image_across_the_registry_columns() {
+        let ctx = tiny_context(2);
+        let scores = ctx.train();
+        let attack = scores.score_vector(true, 1);
+        let benign = scores.score_vector(false, 0);
+        for &id in MethodId::ALL {
+            assert_eq!(attack.get(id), scores.of(id as usize).attack[1], "{id}");
+            assert_eq!(benign.get(id), scores.of(id as usize).benign[0], "{id}");
+        }
+    }
+
+    #[test]
+    fn benign_summary_reports_mean_and_std() {
+        let corpus = ScoredCorpus { benign: vec![1.0, 2.0, 3.0], attack: vec![] };
+        let summary = corpus.benign_summary().unwrap();
+        assert_eq!(summary.mean, 2.0);
+        assert_eq!(summary.count, 3);
+        let empty = ScoredCorpus { benign: vec![], attack: vec![1.0] };
+        assert!(empty.benign_summary().is_err());
     }
 
     #[test]

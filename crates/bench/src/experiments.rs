@@ -6,14 +6,11 @@ use crate::corpus::{
     IDX_PEAK_EXCESS, IDX_SCALING_MSE, IDX_SCALING_PSNR, IDX_SCALING_SSIM, IDX_STEGANALYSIS,
 };
 use decamouflage_core::persist::ThresholdSet;
-use decamouflage_core::pipeline::{
-    evaluate_ensemble, evaluate_threshold, run_blackbox, run_whitebox,
-};
 use decamouflage_core::report::{number, percent, MarkdownTable};
-use decamouflage_core::threshold::{search_whitebox, Direction};
+use decamouflage_core::threshold::{percentile_blackbox, search_whitebox, Direction};
 use decamouflage_core::{
-    DegradePolicy, DetectError, DetectionEngine, Ensemble, EvalMetrics, MethodId, MethodSet,
-    ModelInputSize, SteganalysisDetector,
+    evaluate_threshold, ConfusionCounts, DegradePolicy, DetectError, DetectionEngine, Ensemble,
+    EvalMetrics, MethodId, MethodSet, ModelInputSize, SteganalysisDetector, Threshold,
 };
 use decamouflage_datasets::SampleGenerator;
 use decamouflage_imaging::scale::ScaleAlgorithm;
@@ -275,9 +272,11 @@ fn whitebox_table(
     for (idx, direction, label) in
         [(idx_mse, Direction::AboveIsAttack, "MSE"), (idx_ssim, Direction::BelowIsAttack, "SSIM")]
     {
-        let out = run_whitebox(ctx.train().of(idx), ctx.eval().of(idx), direction)?;
-        let mut row = metrics_row(label, &out.eval);
-        row.push(number(out.threshold.value()));
+        let (train, eval) = (ctx.train().of(idx), ctx.eval().of(idx));
+        let threshold = search_whitebox(&train.benign, &train.attack, direction)?.threshold;
+        let mut row =
+            metrics_row(label, &evaluate_threshold(&eval.benign, &eval.attack, threshold)?);
+        row.push(number(threshold.value()));
         t.push_row(row);
     }
     Ok(format!(
@@ -307,12 +306,13 @@ fn blackbox_table(
     for (idx, direction, label) in
         [(idx_mse, Direction::AboveIsAttack, "MSE"), (idx_ssim, Direction::BelowIsAttack, "SSIM")]
     {
-        let train = ctx.train().of(idx);
+        let (train, eval) = (ctx.train().of(idx), ctx.eval().of(idx));
         let summary = train.benign_summary()?;
         for tail in [1.0, 2.0, 3.0] {
-            let out = run_blackbox(&train.benign, ctx.eval().of(idx), tail, direction)?;
+            let threshold = percentile_blackbox(&train.benign, tail, direction)?;
+            let metrics = evaluate_threshold(&eval.benign, &eval.attack, threshold)?;
             let mut row = vec![label.to_string(), format!("{tail}%")];
-            row.extend(metrics_row("", &out.eval).into_iter().skip(1));
+            row.extend(metrics_row("", &metrics).into_iter().skip(1));
             row.push(number(summary.mean));
             row.push(number(summary.std_dev));
             t.push_row(row);
@@ -352,7 +352,8 @@ fn fig12(ctx: &ExperimentContext) -> String {
 /// Table 6 — steganalysis detection with the universal CSP threshold.
 fn table6(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectError> {
     let threshold = SteganalysisDetector::universal_threshold();
-    let eval = evaluate_threshold(ctx.eval().of(IDX_STEGANALYSIS), threshold)?;
+    let eval = ctx.eval().of(IDX_STEGANALYSIS);
+    let metrics = evaluate_threshold(&eval.benign, &eval.attack, threshold)?;
     // White-box search should land on the same CSP_T = 2.
     let corpus = ctx.train().of(IDX_STEGANALYSIS);
     let search = decamouflage_core::threshold::search_whitebox(
@@ -361,7 +362,7 @@ fn table6(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectEr
         Direction::AboveIsAttack,
     )?;
     let mut t = MarkdownTable::new(vec!["Metric", "Acc.", "Prec.", "Rec.", "FAR", "FRR"]);
-    t.push_row(metrics_row("CSP", &eval));
+    t.push_row(metrics_row("CSP", &metrics));
     Ok(format!(
         "## Table 6 — steganalysis detection (fixed CSP_T = 2, no calibration needed)\n\n{t}\n\
          For reference, an unconstrained white-box search on `{}` would select threshold {} \
@@ -373,82 +374,71 @@ fn table6(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectEr
     ))
 }
 
+/// Judges one majority-vote ensemble on the evaluation corpus: each
+/// image's registry scores go through [`Ensemble::vote`] under
+/// [`DegradePolicy::Strict`], so a non-finite member score fails the
+/// table instead of voting.
+fn ensemble_metrics(
+    ctx: &ExperimentContext,
+    members: impl IntoIterator<Item = (MethodId, Threshold)>,
+) -> Result<EvalMetrics, DetectError> {
+    let eval = ctx.eval();
+    let engine = DetectionEngine::new(ctx.eval_profile.target_size);
+    let ensemble = Ensemble::new(engine, members, DegradePolicy::Strict);
+    let sizes = eval.of(IDX_SCALING_MSE);
+    let mut counts = ConfusionCounts::default();
+    for (is_attack, len) in [(false, sizes.benign.len()), (true, sizes.attack.len())] {
+        for index in 0..len {
+            let scores = eval.score_vector(is_attack, index);
+            counts.record(is_attack, ensemble.vote(Ok(&scores))?.is_attack);
+        }
+    }
+    counts.metrics()
+}
+
 /// Table 8 — the majority-vote ensembles, with and without the
 /// peak-excess member.
 fn table8(ctx: &ExperimentContext) -> Result<String, decamouflage_core::DetectError> {
-    use decamouflage_core::MethodId;
     let train = ctx.train();
-    let eval = ctx.eval();
+    let stego = (MethodId::Csp, SteganalysisDetector::universal_threshold());
 
     // White-box member thresholds (best metric per method, as in the paper:
     // scaling/MSE, filtering/SSIM, steganalysis/CSP), plus the promoted
     // peak-excess method under its registry direction.
-    let scaling_t = run_whitebox(
-        train.of(IDX_SCALING_MSE),
-        eval.of(IDX_SCALING_MSE),
-        Direction::AboveIsAttack,
-    )?
-    .threshold;
-    let filtering_t = run_whitebox(
-        train.of(IDX_FILTERING_SSIM),
-        eval.of(IDX_FILTERING_SSIM),
-        Direction::BelowIsAttack,
-    )?
-    .threshold;
-    let stego_t = SteganalysisDetector::universal_threshold();
-    let peak_t = run_whitebox(
-        train.of(IDX_PEAK_EXCESS),
-        eval.of(IDX_PEAK_EXCESS),
-        MethodId::PeakExcess.direction(),
-    )?
-    .threshold;
-    let whitebox = evaluate_ensemble(&[
-        (eval.of(IDX_SCALING_MSE), scaling_t),
-        (eval.of(IDX_FILTERING_SSIM), filtering_t),
-        (eval.of(IDX_STEGANALYSIS), stego_t),
-    ])?;
-    let whitebox_peak = evaluate_ensemble(&[
-        (eval.of(IDX_SCALING_MSE), scaling_t),
-        (eval.of(IDX_FILTERING_SSIM), filtering_t),
-        (eval.of(IDX_STEGANALYSIS), stego_t),
-        (eval.of(IDX_PEAK_EXCESS), peak_t),
-    ])?;
+    let search = |idx: usize, direction| {
+        let corpus = train.of(idx);
+        search_whitebox(&corpus.benign, &corpus.attack, direction).map(|s| s.threshold)
+    };
+    let whitebox = [
+        (MethodId::ScalingMse, search(IDX_SCALING_MSE, Direction::AboveIsAttack)?),
+        (MethodId::FilteringSsim, search(IDX_FILTERING_SSIM, Direction::BelowIsAttack)?),
+        stego,
+    ];
+    let whitebox_peak =
+        (MethodId::PeakExcess, search(IDX_PEAK_EXCESS, MethodId::PeakExcess.direction())?);
 
     // Black-box member thresholds (1% benign percentile + fixed CSP; the
     // peak-excess member gets the same benign percentile treatment because
     // the registry gives it no universal threshold).
-    let scaling_bb = decamouflage_core::threshold::percentile_blackbox(
-        &train.of(IDX_SCALING_MSE).benign,
-        1.0,
-        Direction::AboveIsAttack,
-    )?;
-    let filtering_bb = decamouflage_core::threshold::percentile_blackbox(
-        &train.of(IDX_FILTERING_SSIM).benign,
-        1.0,
-        Direction::BelowIsAttack,
-    )?;
-    let peak_bb = decamouflage_core::threshold::percentile_blackbox(
-        &train.of(IDX_PEAK_EXCESS).benign,
-        1.0,
-        MethodId::PeakExcess.direction(),
-    )?;
-    let blackbox = evaluate_ensemble(&[
-        (eval.of(IDX_SCALING_MSE), scaling_bb),
-        (eval.of(IDX_FILTERING_SSIM), filtering_bb),
-        (eval.of(IDX_STEGANALYSIS), stego_t),
-    ])?;
-    let blackbox_peak = evaluate_ensemble(&[
-        (eval.of(IDX_SCALING_MSE), scaling_bb),
-        (eval.of(IDX_FILTERING_SSIM), filtering_bb),
-        (eval.of(IDX_STEGANALYSIS), stego_t),
-        (eval.of(IDX_PEAK_EXCESS), peak_bb),
-    ])?;
+    let percentile =
+        |idx: usize, direction| percentile_blackbox(&train.of(idx).benign, 1.0, direction);
+    let blackbox = [
+        (MethodId::ScalingMse, percentile(IDX_SCALING_MSE, Direction::AboveIsAttack)?),
+        (MethodId::FilteringSsim, percentile(IDX_FILTERING_SSIM, Direction::BelowIsAttack)?),
+        stego,
+    ];
+    let blackbox_peak =
+        (MethodId::PeakExcess, percentile(IDX_PEAK_EXCESS, MethodId::PeakExcess.direction())?);
 
     let mut t = MarkdownTable::new(vec!["Setting", "Acc.", "Prec.", "Rec.", "FAR", "FRR"]);
-    t.push_row(metrics_row("White-box ensemble", &whitebox));
-    t.push_row(metrics_row("White-box ensemble + peak-excess", &whitebox_peak));
-    t.push_row(metrics_row("Black-box ensemble", &blackbox));
-    t.push_row(metrics_row("Black-box ensemble + peak-excess", &blackbox_peak));
+    for (label, members, extra) in [
+        ("White-box ensemble", whitebox, None),
+        ("White-box ensemble + peak-excess", whitebox, Some(whitebox_peak)),
+        ("Black-box ensemble", blackbox, None),
+        ("Black-box ensemble + peak-excess", blackbox, Some(blackbox_peak)),
+    ] {
+        t.push_row(metrics_row(label, &ensemble_metrics(ctx, members.into_iter().chain(extra))?));
+    }
     Ok(format!(
         "## Table 8 — Decamouflage as a majority-vote ensemble\n\n\
          (paper members: scaling/MSE, filtering/SSIM, steganalysis/CSP; the `+ peak-excess` \

@@ -5,9 +5,9 @@
 //! Two entry points, one per threat model: [`calibrate_whitebox`]
 //! (labelled benign + attack samples, optimal threshold search) and
 //! [`calibrate_blackbox`] (benign samples only, percentile threshold).
-//! Both stream arbitrary [`ImageSource`]s chunk by chunk, quarantine
-//! unusable samples into a ledger instead of aborting, and score each
-//! image once for all methods.
+//! Both score through [`score_class`], which streams an arbitrary
+//! [`ImageSource`] chunk by chunk, quarantines unusable samples into a
+//! ledger instead of aborting, and scores each image once for all methods.
 //!
 //! ```
 //! use decamouflage_core::calibrate::calibrate_whitebox;
@@ -88,14 +88,19 @@ impl Calibration {
     }
 }
 
-/// Streams `source` through the engine resiliently: survivors accumulate
-/// into one-pass score columns, quarantined positions land in the ledger
-/// with their stream index.
+/// Scores one class of a labelled corpus: streams `source` through the
+/// engine resiliently ([`DetectionEngine::score_stream`]), survivors
+/// accumulate into one-pass per-method score columns, quarantined
+/// positions land in the ledger with their stream index. Both calibration
+/// modes score through it, and evaluation feeds its columns
+/// ([`ScoreColumns::column`]) to
+/// [`evaluate_threshold`](crate::eval::evaluate_threshold). `class` names
+/// the class in the error message.
 ///
 /// # Errors
 ///
 /// [`DetectError::InvalidCalibration`] when no `class` sample survived.
-fn score_class(
+pub fn score_class(
     engine: &DetectionEngine,
     source: &mut dyn ImageSource,
     config: &StreamConfig,

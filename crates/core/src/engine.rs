@@ -50,6 +50,7 @@ use decamouflage_spectral::dft2d::dft2_planned;
 use decamouflage_spectral::radial::peak_excess;
 use decamouflage_spectral::window::{apply_window, WindowKind};
 use decamouflage_telemetry::{Counter, HistogramHandle, Telemetry};
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -134,27 +135,6 @@ pub struct EngineArtifacts {
     pub scores: ScoreVector,
 }
 
-/// Engine scores for a full benign + attack corpus.
-#[derive(Debug, Clone)]
-pub struct EngineCorpus {
-    /// Scores of the benign samples, in index order.
-    pub benign: Vec<ScoreVector>,
-    /// Scores of the attack samples, in index order.
-    pub attack: Vec<ScoreVector>,
-}
-
-impl EngineCorpus {
-    /// The benign scores of one method, in index order.
-    pub fn benign_column(&self, id: MethodId) -> Vec<f64> {
-        self.benign.iter().map(|s| s.get(id)).collect()
-    }
-
-    /// The attack scores of one method, in index order.
-    pub fn attack_column(&self, id: MethodId) -> Vec<f64> {
-        self.attack.iter().map(|s| s.get(id)).collect()
-    }
-}
-
 /// Aggregate counters over a [`BatchOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchCounts {
@@ -198,37 +178,6 @@ impl BatchOutcome {
     /// The quarantine errors of both halves (benign first), in index order.
     pub fn quarantined(&self) -> impl Iterator<Item = &ScoreError> {
         self.benign.iter().chain(self.attack.iter()).filter_map(|result| result.as_ref().err())
-    }
-
-    /// The surviving benign scores of one method, skipping quarantined
-    /// slots.
-    pub fn benign_column(&self, id: MethodId) -> Vec<f64> {
-        self.benign.iter().filter_map(|r| r.as_ref().ok()).map(|s| s.get(id)).collect()
-    }
-
-    /// The surviving attack scores of one method, skipping quarantined
-    /// slots.
-    pub fn attack_column(&self, id: MethodId) -> Vec<f64> {
-        self.attack.iter().filter_map(|r| r.as_ref().ok()).map(|s| s.get(id)).collect()
-    }
-
-    /// Converts into a fully scored [`EngineCorpus`], failing fast on the
-    /// first quarantined slot in fan-out order (all benign indices before
-    /// all attack indices) — the contract of the pre-quarantine
-    /// [`DetectionEngine::score_corpus`].
-    ///
-    /// # Errors
-    ///
-    /// The first [`ScoreError`] in fan-out order, converted through
-    /// [`DetectError::from`] (a plain scoring failure unwraps back to the
-    /// original [`DetectError`]).
-    pub fn into_result(self) -> Result<EngineCorpus, DetectError> {
-        let unwrap_half = |half: Vec<Result<ScoreVector, ScoreError>>| {
-            half.into_iter().collect::<Result<Vec<ScoreVector>, ScoreError>>()
-        };
-        let benign = unwrap_half(self.benign)?;
-        let attack = unwrap_half(self.attack)?;
-        Ok(EngineCorpus { benign, attack })
     }
 }
 
@@ -340,7 +289,8 @@ impl DetectionEngine {
     /// the per-image isolation boundary, so an injected panic travels the
     /// exact worker-pool → `catch_unwind` → quarantine route a real deep
     /// panic would. An armed fault outranks a failed pull at the same
-    /// index. The fail-fast APIs and single-image scoring ignore the plan.
+    /// index. [`DetectionEngine::score_images`] and single-image scoring
+    /// ignore the plan.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
@@ -628,65 +578,53 @@ impl DetectionEngine {
     /// failures ([`ScoreFault::Detect`]) or recovered panics
     /// ([`ScoreFault::Panicked`]).
     pub fn score_resilient(&self, image: &Image) -> Result<ScoreVector, ScoreError> {
-        let attempt = self.validate_image(image).and_then(|()| {
-            // The engine holds no interior mutability of its own and the
-            // global scaler cache recovers lock poisoning, so observing
-            // state after a caught panic is safe.
-            match catch_unwind(AssertUnwindSafe(|| self.score(image))) {
-                Ok(Ok(scores)) => Ok(scores),
-                Ok(Err(err)) => Err(ScoreError::detect(0, err)),
-                Err(payload) => Err(ScoreError::panicked(0, payload)),
-            }
-        });
-        attempt.inspect_err(|err| self.metrics.quarantined(&err.cause))
+        self.score_slot(0, None, Ok(image)).0
     }
 
-    /// One fault-isolated slot of a streamed fan-out: fires any armed
-    /// fault, unwraps the pulled item (the stream is sequential, so every
-    /// position — readable or not — consumes an index), validates and
-    /// scores, all inside one `catch_unwind` boundary; a panic anywhere in
-    /// the slot quarantines only that slot. The order — plan, item,
-    /// validation, scoring — mirrors the pre-streaming eager slot exactly,
-    /// which is what keeps streamed and eager scoring bit-identical.
-    /// Returns the image alongside the result so the caller can recycle
-    /// its buffer.
-    fn score_slot(
+    /// The engine's one fault-isolation boundary, shared by
+    /// [`DetectionEngine::score_resilient`], [`DetectionEngine::score_images`]
+    /// and every streamed slot. Inside a single `catch_unwind` it fires the
+    /// `plan` entry armed at `index`, unwraps the pulled item (the stream
+    /// is sequential, so every position — readable or not — consumes an
+    /// index), validates and scores; a panic anywhere in the slot
+    /// quarantines only that slot. The order — plan, item, validation,
+    /// scoring — mirrors the pre-streaming eager slot exactly, which is
+    /// what keeps streamed and eager scoring bit-identical. Every
+    /// quarantined slot counts once on `decam_engine_quarantined_total`.
+    /// Returns the image alongside the result so a streamed caller can
+    /// recycle its buffer.
+    fn score_slot<I: Borrow<Image>>(
         &self,
         index: usize,
-        pulled: Result<Image, ScoreError>,
-    ) -> (Result<ScoreVector, ScoreError>, Option<Image>) {
-        type Slot = (Result<ScoreVector, ScoreError>, Option<Image>);
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Slot {
-            if let Some(plan) = &self.faults {
-                // The plan outranks pull failures, exactly as the eager
-                // path fires it before `make_image` runs.
-                match plan.get(index) {
-                    Some(FaultKind::Panic) => panic!("injected panic at scoring index {index}"),
-                    Some(FaultKind::Error) => {
-                        return (Err(ScoreError::injected(index)), pulled.ok())
-                    }
-                    Some(FaultKind::NanScore) => {
-                        return (Ok(ScoreVector::splat(f64::NAN)), pulled.ok())
-                    }
-                    None => {}
+        plan: Option<&FaultPlan>,
+        pulled: Result<I, ScoreError>,
+    ) -> (Result<ScoreVector, ScoreError>, Option<I>) {
+        // The engine holds no interior mutability of its own and the
+        // global scaler cache recovers lock poisoning, so observing state
+        // after a caught panic is safe.
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            // The plan outranks pull failures, exactly as the eager path
+            // fires it before `make_image` runs.
+            match plan.and_then(|plan| plan.get(index)) {
+                Some(FaultKind::Panic) => panic!("injected panic at scoring index {index}"),
+                Some(FaultKind::Error) => return (Err(ScoreError::injected(index)), pulled.ok()),
+                Some(FaultKind::NanScore) => {
+                    return (Ok(ScoreVector::splat(f64::NAN)), pulled.ok())
                 }
+                None => {}
             }
             let image = match pulled {
                 Ok(image) => image,
                 Err(err) => return (Err(err.at_index(index)), None),
             };
-            if let Err(err) = self.validate_image(&image) {
-                return (Err(err.at_index(index)), Some(image));
-            }
-            match self.score(&image) {
-                Ok(scores) => (Ok(scores), Some(image)),
-                Err(err) => (Err(ScoreError::detect(index, err)), Some(image)),
-            }
+            let result = match self.validate_image(image.borrow()) {
+                Err(err) => Err(err.at_index(index)),
+                Ok(()) => self.score(image.borrow()).map_err(|err| ScoreError::detect(index, err)),
+            };
+            (result, Some(image))
         }));
-        let (result, image) = match attempt {
-            Ok(slot) => slot,
-            Err(payload) => (Err(ScoreError::panicked(index, payload)), None),
-        };
+        let (result, image) =
+            attempt.unwrap_or_else(|payload| (Err(ScoreError::panicked(index, payload)), None));
         (result.inspect_err(|err| self.metrics.quarantined(&err.cause)), image)
     }
 
@@ -721,7 +659,7 @@ impl DetectionEngine {
         // scores) is gone.
         if config.threads <= 1 {
             while let Some((index, pulled)) = driver.next_item() {
-                let (result, image) = self.score_slot(index, pulled);
+                let (result, image) = self.score_slot(index, self.faults.as_deref(), pulled);
                 if let Some(image) = image {
                     driver.recycle(image);
                 }
@@ -732,7 +670,7 @@ impl DetectionEngine {
         }
         while let Some(chunk) = driver.next_chunk() {
             let results = parallel_map_indices(chunk.len(), config.threads, |offset| {
-                self.score_slot(chunk.base() + offset, chunk.take(offset))
+                self.score_slot(chunk.base() + offset, self.faults.as_deref(), chunk.take(offset))
             });
             for (offset, (result, image)) in results.into_iter().enumerate() {
                 if let Some(image) = image {
@@ -745,14 +683,15 @@ impl DetectionEngine {
         driver.summary()
     }
 
-    /// Fault-isolated batch scoring: the same single `2 * count` fan-out as
-    /// [`DetectionEngine::score_corpus`] (benign indices first), but each
-    /// image's slot is individually quarantined — validation rejections,
-    /// scoring errors and payload panics land in that slot's
-    /// [`ScoreError`] while every other image scores normally. The batch
-    /// itself never fails and the worker pool keeps serving.
+    /// Fault-isolated eager scoring of a labelled corpus: `count` benign
+    /// and `count` attack images in a single `2 * count` fan-out over the
+    /// worker pool (benign indices first). Each image's slot is
+    /// individually quarantined — validation rejections, scoring errors and
+    /// payload panics land in that slot's [`ScoreError`] while every other
+    /// image scores normally. The batch itself never fails and the worker
+    /// pool keeps serving.
     ///
-    /// This is now a facade over [`DetectionEngine::score_stream`] with a
+    /// This is a facade over [`DetectionEngine::score_stream`] with a
     /// closure-backed source and a single `2 * count` chunk, so eager and
     /// streamed scoring share one scoring path (and are bit-identical by
     /// construction).
@@ -803,42 +742,8 @@ impl DetectionEngine {
         threads: usize,
     ) -> Vec<Result<ScoreVector, ScoreError>> {
         parallel_map_indices(images.len(), threads, |index| {
-            // Mirror `score_slot`: validation and scoring both run inside
-            // the unwind boundary, so a panic anywhere quarantines only
-            // this slot.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let image = &images[index];
-                if let Err(err) = self.validate_image(image) {
-                    return Err(err.at_index(index));
-                }
-                self.score(image).map_err(|err| ScoreError::detect(index, err))
-            }));
-            let result = match attempt {
-                Ok(result) => result,
-                Err(payload) => Err(ScoreError::panicked(index, payload)),
-            };
-            result.inspect_err(|err| self.metrics.quarantined(&err.cause))
+            self.score_slot(index, None, Ok(&images[index])).0
         })
-    }
-
-    /// Scores `count` benign and `count` attack images in a single
-    /// `2 * count` fan-out over the worker pool (benign indices first), so
-    /// both halves of the corpus share one batch. This is the fail-fast
-    /// facade over [`DetectionEngine::score_corpus_resilient`]: the scores
-    /// are the same, but the first quarantined slot aborts the result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first scoring failure in index order (all benign
-    /// indices before all attack indices).
-    pub fn score_corpus(
-        &self,
-        benign_of: impl Fn(u64) -> Image + Sync,
-        attack_of: impl Fn(u64) -> Image + Sync,
-        count: usize,
-        threads: usize,
-    ) -> Result<EngineCorpus, DetectError> {
-        self.score_corpus_resilient(benign_of, attack_of, count, threads).into_result()
     }
 }
 
@@ -966,27 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn score_corpus_matches_individual_scoring() {
-        let engine = DetectionEngine::new(Size::square(8));
-        let benign_of = |i: u64| smooth(24 + (i as usize % 3) * 4);
-        let attack_of = |i: u64| smooth(32 + (i as usize % 2) * 8).map(|v| 255.0 - v);
-        let corpus = engine.score_corpus(benign_of, attack_of, 4, 4).unwrap();
-        assert_eq!(corpus.benign.len(), 4);
-        assert_eq!(corpus.attack.len(), 4);
-        for i in 0..4u64 {
-            assert_eq!(corpus.benign[i as usize], engine.score(&benign_of(i)).unwrap());
-            assert_eq!(corpus.attack[i as usize], engine.score(&attack_of(i)).unwrap());
-        }
-        // Column accessors read the same data method-wise.
-        for &id in MethodId::ALL {
-            let column = corpus.benign_column(id);
-            assert_eq!(column.len(), 4);
-            assert_eq!(column[2], corpus.benign[2].get(id));
-            assert_eq!(corpus.attack_column(id)[1], corpus.attack[1].get(id));
-        }
-    }
-
-    #[test]
     fn score_images_matches_score_and_quarantines_per_slot() {
         let engine = DetectionEngine::new(Size::square(8));
         let mut poisoned = smooth(24);
@@ -1002,15 +886,6 @@ mod tests {
             assert!(matches!(err.cause, crate::error::ScoreFault::NonFinitePixel { .. }));
         }
         assert!(engine.score_images(&[], 1).is_empty());
-    }
-
-    #[test]
-    fn score_corpus_propagates_configuration_errors() {
-        let mut bad_ssim = SsimConfig::default();
-        bad_ssim.sigma = 0.0;
-        let engine = DetectionEngine::new(Size::square(8)).with_ssim_config(bad_ssim);
-        let result = engine.score_corpus(|_| smooth(24), |_| smooth(24), 2, 2);
-        assert!(result.is_err());
     }
 
     #[test]
@@ -1113,11 +988,6 @@ mod tests {
         for (i, slot) in outcome.attack.iter().enumerate() {
             assert_eq!(slot.as_ref().unwrap(), &engine.score(&attack_of(i as u64)).unwrap());
         }
-        // Surviving columns skip the quarantined slot.
-        assert_eq!(outcome.benign_column(MethodId::ScalingMse).len(), 3);
-        assert_eq!(outcome.attack_column(MethodId::ScalingMse).len(), 4);
-        // The fail-fast facade reports the same batch as an error.
-        assert!(engine.score_corpus(benign_of, attack_of, 4, 4).is_err());
     }
 
     #[test]

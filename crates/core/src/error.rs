@@ -73,9 +73,8 @@ impl From<decamouflage_metrics::MetricError> for DetectError {
 
 impl From<ScoreError> for DetectError {
     /// Converts a per-image failure into the fail-fast error type. A cause
-    /// that merely wraps a [`DetectError`] unwraps back to it, so the
-    /// fail-fast APIs reimplemented on the resilient path report the exact
-    /// errors they always did.
+    /// that merely wraps a [`DetectError`] unwraps back to it, so `?` on a
+    /// quarantined slot reports the original scoring error.
     fn from(err: ScoreError) -> Self {
         match err.cause {
             ScoreFault::Detect(inner) => inner,

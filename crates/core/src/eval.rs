@@ -1,10 +1,6 @@
 //! Detection-quality evaluation: the five measures reported in every table
 //! of the paper (accuracy, precision, recall, FAR, FRR).
 
-use crate::engine::{BatchCounts, BatchOutcome, DetectionEngine, EngineCorpus};
-use crate::method::MethodId;
-use crate::persist::ThresholdSet;
-use crate::stream::{ImageSource, StreamConfig};
 use crate::threshold::Threshold;
 use crate::DetectError;
 
@@ -116,112 +112,23 @@ pub fn evaluate_decisions(
     counts.metrics()
 }
 
-/// Evaluates a scored engine corpus per method: one `(id, metrics)` entry
-/// for every threshold in `thresholds`, derived from the corpus's score
-/// columns. Registry-driven — a newly registered method shows up here as
-/// soon as a threshold exists for it.
+/// Evaluates a fixed threshold against one method's labelled score
+/// columns: every benign score is a negative, every attack score a
+/// positive. Borrowed slices let cached experiment columns and calibration
+/// [`ScoreColumns`](crate::method::ScoreColumns) feed it without copies.
 ///
 /// # Errors
 ///
-/// Returns [`DetectError::InvalidCalibration`] for an empty corpus.
-pub fn evaluate_engine_corpus(
-    corpus: &EngineCorpus,
-    thresholds: &ThresholdSet,
-) -> Result<Vec<(MethodId, EvalMetrics)>, DetectError> {
-    thresholds
-        .iter()
-        .map(|(id, t)| {
-            let decisions = corpus
-                .benign
-                .iter()
-                .map(|s| (false, t.is_attack(s.get(id))))
-                .chain(corpus.attack.iter().map(|s| (true, t.is_attack(s.get(id)))));
-            evaluate_decisions(decisions).map(|m| (id, m))
-        })
-        .collect()
-}
-
-/// Evaluates a resilient batch outcome per method, skipping quarantined
-/// images: only the slots that scored successfully contribute decisions, so
-/// one poisoned upload cannot abort — or skew — the whole evaluation. Check
-/// [`BatchOutcome::counts`] alongside the metrics to see how many images
-/// were excluded.
-///
-/// # Errors
-///
-/// Returns [`DetectError::InvalidCalibration`] when every image of the
-/// batch was quarantined (no decisions remain).
-pub fn evaluate_batch_outcome(
-    outcome: &BatchOutcome,
-    thresholds: &ThresholdSet,
-) -> Result<Vec<(MethodId, EvalMetrics)>, DetectError> {
-    thresholds
-        .iter()
-        .map(|(id, t)| {
-            // Borrow the surviving score vectors directly rather than
-            // collecting a column per method.
-            let decisions = outcome
-                .benign
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .map(|s| (false, t.is_attack(s.get(id))))
-                .chain(
-                    outcome
-                        .attack
-                        .iter()
-                        .filter_map(|r| r.as_ref().ok())
-                        .map(|s| (true, t.is_attack(s.get(id)))),
-                );
-            evaluate_decisions(decisions).map(|m| (id, m))
-        })
-        .collect()
-}
-
-/// Streaming per-method evaluation over arbitrary [`ImageSource`]s with
-/// bounded memory: both streams are scored chunk by chunk
-/// ([`DetectionEngine::score_stream`]) and every surviving score feeds the
-/// per-threshold confusion counts incrementally — no score column is ever
-/// materialised. Quarantined positions are skipped and tallied in the
-/// returned [`BatchCounts`], mirroring [`evaluate_batch_outcome`].
-///
-/// # Errors
-///
-/// Returns [`DetectError::InvalidCalibration`] when every streamed image
-/// was quarantined (no decisions remain).
-pub fn evaluate_engine_sources(
-    engine: &DetectionEngine,
-    thresholds: &ThresholdSet,
-    benign: &mut dyn ImageSource,
-    attacks: &mut dyn ImageSource,
-    config: &StreamConfig,
-) -> Result<(Vec<(MethodId, EvalMetrics)>, BatchCounts), DetectError> {
-    let entries: Vec<(MethodId, Threshold)> = thresholds.iter().collect();
-    let mut confusion = vec![ConfusionCounts::default(); entries.len()];
-    let mut counts = BatchCounts::default();
-    let mut tally = |source: &mut dyn ImageSource, truth: bool, quarantine_slot: &mut usize| {
-        engine.score_stream(source, config, |_, result| match result {
-            Ok(scores) => {
-                counts.scored += 1;
-                for ((id, t), c) in entries.iter().zip(confusion.iter_mut()) {
-                    c.record(truth, t.is_attack(scores.get(*id)));
-                }
-            }
-            Err(_) => *quarantine_slot += 1,
-        });
-    };
-    let mut benign_quarantined = 0;
-    let mut attack_quarantined = 0;
-    tally(benign, false, &mut benign_quarantined);
-    tally(attacks, true, &mut attack_quarantined);
-    counts.benign_quarantined = benign_quarantined;
-    counts.attack_quarantined = attack_quarantined;
-    counts.quarantined = benign_quarantined + attack_quarantined;
-    let rows = entries
-        .iter()
-        .zip(confusion.iter())
-        .map(|((id, _), c)| c.metrics().map(|m| (*id, m)))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((rows, counts))
+/// Returns [`DetectError::InvalidCalibration`] when both columns are
+/// empty.
+pub fn evaluate_threshold(
+    benign: &[f64],
+    attack: &[f64],
+    threshold: Threshold,
+) -> Result<EvalMetrics, DetectError> {
+    let benign = benign.iter().map(|&s| (false, threshold.is_attack(s)));
+    let attack = attack.iter().map(|&s| (true, threshold.is_attack(s)));
+    evaluate_decisions(benign.chain(attack))
 }
 
 #[cfg(test)]
@@ -293,143 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_corpus_evaluates_per_method() {
-        use crate::method::ScoreVector;
-        use crate::threshold::{Direction, Threshold};
-        // Two methods thresholded; scores hand-built so scaling/mse is
-        // perfect and csp misses one attack.
-        let mut benign_scores = ScoreVector::splat(0.0);
-        benign_scores.set(MethodId::Csp, 1.0);
-        let mut caught = ScoreVector::splat(1000.0);
-        caught.set(MethodId::Csp, 3.0);
-        let mut missed = ScoreVector::splat(1000.0);
-        missed.set(MethodId::Csp, 1.0);
-        let corpus = EngineCorpus {
-            benign: vec![benign_scores.clone(), benign_scores],
-            attack: vec![caught, missed],
-        };
-        let mut thresholds = ThresholdSet::new();
-        thresholds.insert(MethodId::ScalingMse, Threshold::new(500.0, Direction::AboveIsAttack));
-        thresholds.insert(MethodId::Csp, Threshold::new(2.0, Direction::AboveIsAttack));
-        let rows = evaluate_engine_corpus(&corpus, &thresholds).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, MethodId::ScalingMse);
-        assert_eq!(rows[0].1.accuracy, 1.0);
-        assert_eq!(rows[1].0, MethodId::Csp);
-        assert_eq!(rows[1].1.accuracy, 0.75);
-        assert_eq!(rows[1].1.far, 0.5);
-
-        let empty = EngineCorpus { benign: vec![], attack: vec![] };
-        assert!(evaluate_engine_corpus(&empty, &thresholds).is_err());
-    }
-
-    #[test]
-    fn batch_outcome_evaluation_skips_quarantined_slots() {
-        use crate::error::{ScoreError, ScoreFault};
-        use crate::method::ScoreVector;
-        use crate::threshold::{Direction, Threshold};
-
-        let benign = ScoreVector::splat(0.0);
-        let attack = ScoreVector::splat(1000.0);
-        let quarantine = || Err(ScoreError::new(ScoreFault::NonFinitePixel { sample: 0 }));
-        // One of three benign and one of two attack slots quarantined; the
-        // surviving four classify perfectly.
-        let outcome = BatchOutcome {
-            benign: vec![Ok(benign.clone()), quarantine(), Ok(benign)],
-            attack: vec![Ok(attack.clone()), quarantine()],
-        };
-        let mut thresholds = ThresholdSet::new();
-        thresholds.insert(MethodId::ScalingMse, Threshold::new(500.0, Direction::AboveIsAttack));
-        let rows = evaluate_batch_outcome(&outcome, &thresholds).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].1.accuracy, 1.0);
-        assert_eq!(outcome.counts().quarantined, 2);
-
-        // Fully quarantined batches cannot be evaluated.
-        let empty = BatchOutcome { benign: vec![quarantine()], attack: vec![quarantine()] };
-        assert!(evaluate_batch_outcome(&empty, &thresholds).is_err());
-    }
-
-    #[test]
-    fn source_evaluation_matches_the_eager_batch_path() {
-        use crate::stream::SliceSource;
-        use crate::threshold::{Direction, Threshold};
-        use decamouflage_imaging::{Image, Size};
-
-        let benign: Vec<Image> = (0..3)
-            .map(|i| {
-                Image::from_fn_gray(16, 16, move |x, y| {
-                    (120.0 + 40.0 * ((x + y + i) as f64 * 0.06).sin()).round()
-                })
-            })
-            .collect();
-        let attack: Vec<Image> = (0..3)
-            .map(|i| {
-                Image::from_fn_gray(16, 16, move |x, y| ((x * 13 + y * 7 + i * 3) % 251) as f64)
-            })
-            .collect();
-        let mut thresholds = ThresholdSet::new();
-        thresholds.insert(MethodId::ScalingMse, Threshold::new(10.0, Direction::AboveIsAttack));
-        thresholds.insert(MethodId::Csp, Threshold::new(0.5, Direction::AboveIsAttack));
-
-        let engine = DetectionEngine::new(Size::square(8));
-        let config = StreamConfig::default().with_chunk_size(2).with_threads(2);
-        let (rows, counts) = evaluate_engine_sources(
-            &engine,
-            &thresholds,
-            &mut SliceSource::new(&benign),
-            &mut SliceSource::new(&attack),
-            &config,
-        )
-        .unwrap();
-
-        let outcome = engine.score_corpus_resilient(
-            |i| benign[i as usize].clone(),
-            |i| attack[i as usize].clone(),
-            benign.len(),
-            2,
-        );
-        assert_eq!(rows, evaluate_batch_outcome(&outcome, &thresholds).unwrap());
-        assert_eq!(counts.scored, 6);
-        assert_eq!(counts.quarantined, 0);
-    }
-
-    #[test]
-    fn source_evaluation_tallies_quarantined_slots_per_class() {
-        use crate::faults::{FaultKind, FaultPlan};
-        use crate::stream::SliceSource;
-        use crate::threshold::{Direction, Threshold};
-        use decamouflage_imaging::{Image, Size};
-
-        let images: Vec<Image> = (0..3)
-            .map(|i| {
-                Image::from_fn_gray(16, 16, move |x, y| {
-                    (120.0 + 40.0 * ((x + y + i) as f64 * 0.06).sin()).round()
-                })
-            })
-            .collect();
-        let mut thresholds = ThresholdSet::new();
-        thresholds.insert(MethodId::ScalingMse, Threshold::new(10.0, Direction::AboveIsAttack));
-
-        // Stream indices restart per source, so one armed slot quarantines
-        // position 1 of the benign stream *and* position 1 of the attack one.
-        let engine = DetectionEngine::new(Size::square(8))
-            .with_fault_plan(FaultPlan::new().with(1, FaultKind::Error));
-        let config = StreamConfig::default().with_chunk_size(2).with_threads(2);
-        let (rows, counts) = evaluate_engine_sources(
-            &engine,
-            &thresholds,
-            &mut SliceSource::new(&images),
-            &mut SliceSource::new(&images),
-            &config,
-        )
-        .unwrap();
-
-        assert_eq!(rows.len(), 1);
-        assert_eq!(counts.scored, 4);
-        assert_eq!(counts.quarantined, 2);
-        assert_eq!(counts.benign_quarantined, 1);
-        assert_eq!(counts.attack_quarantined, 1);
+    fn evaluate_threshold_counts_both_sides() {
+        use crate::threshold::Direction;
+        let t = Threshold::new(7.0, Direction::AboveIsAttack);
+        let m = evaluate_threshold(&[1.0, 9.0], &[8.0, 12.0], t).unwrap();
+        // benign 9 is flagged (FRR 1/2), attacks both flagged.
+        assert!((m.frr - 0.5).abs() < 1e-12);
+        assert_eq!(m.far, 0.0);
+        assert!(evaluate_threshold(&[], &[], t).is_err());
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //! ([`threshold::percentile_blackbox`], benign-only percentile;
 //! steganalysis needs no calibration at all — `CSP_T = 2` is universal).
 //!
+//! A labelled corpus is judged one way: each class is scored into
+//! per-method columns ([`calibrate::score_class`], streamed), each method
+//! is judged by [`evaluate_threshold`] on its columns, and the
+//! majority-vote ensemble by [`Ensemble::vote`] on each image's
+//! [`ScoreVector`].
+//!
 //! # Example
 //!
 //! ```
@@ -66,7 +72,6 @@ pub mod monitor;
 pub mod parallel;
 pub mod peak_excess;
 pub mod persist;
-pub mod pipeline;
 pub mod prevention;
 pub mod report;
 pub mod roc;
@@ -77,12 +82,10 @@ pub mod stream;
 pub mod threshold;
 
 pub use config::ModelInputSize;
-pub use engine::{
-    BatchCounts, BatchOutcome, DetectionEngine, EngineArtifacts, EngineCorpus, EngineScores,
-};
+pub use engine::{BatchCounts, BatchOutcome, DetectionEngine, EngineArtifacts, EngineScores};
 pub use ensemble::{DegradePolicy, Ensemble};
 pub use error::{DetectError, ScoreError, ScoreFault};
-pub use eval::{evaluate_batch_outcome, evaluate_decisions, ConfusionCounts, EvalMetrics};
+pub use eval::{evaluate_decisions, evaluate_threshold, ConfusionCounts, EvalMetrics};
 pub use filtering::FilteringDetector;
 pub use method::{MethodId, MethodSet, MetricKind, ScoreColumns, ScoreVector};
 pub use peak_excess::PeakExcessDetector;

@@ -428,15 +428,6 @@ impl ScoreColumns {
         Self { methods, columns: std::array::from_fn(|_| Vec::new()), rows: 0 }
     }
 
-    /// Transposes an already-materialised slice of score vectors.
-    pub fn from_vectors(methods: MethodSet, vectors: &[ScoreVector]) -> Self {
-        let mut columns = Self::new(methods);
-        for vector in vectors {
-            columns.push(vector);
-        }
-        columns
-    }
-
     /// Appends one row: each tracked method's score, in a single
     /// traversal of the vector.
     pub fn push(&mut self, scores: &ScoreVector) {

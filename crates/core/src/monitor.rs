@@ -11,7 +11,6 @@
 
 use crate::engine::DetectionEngine;
 use crate::method::{MethodId, MethodSet};
-use crate::stream::ImageSource;
 use crate::threshold::Threshold;
 use crate::DetectError;
 use decamouflage_imaging::Image;
@@ -100,8 +99,9 @@ impl DetectionMonitor {
     /// for one method only.
     ///
     /// `calibration_mean` / `calibration_std` describe the benign score
-    /// distribution observed during calibration (e.g. from
-    /// [`crate::pipeline::ScoredCorpus::benign_summary`]); `window` is the
+    /// distribution observed during calibration (e.g. the mean and
+    /// standard deviation of the benign column of a
+    /// [`Calibration`](crate::calibrate::Calibration)); `window` is the
     /// rolling window length and `drift_sigmas` the alert distance.
     ///
     /// # Errors
@@ -223,34 +223,6 @@ impl DetectionMonitor {
             self.metrics.window_mean.set(mean);
         }
         Ok(MonitorVerdict { score, is_attack, drift_alert })
-    }
-
-    /// Screens every image pulled from an [`ImageSource`] with bounded
-    /// memory: images are pulled one at a time, screened via
-    /// [`DetectionMonitor::screen`], and their pixel buffers recycled
-    /// through a small internal [`BufferPool`](crate::stream::BufferPool)
-    /// — the monitor never holds more than one decoded image at once. A
-    /// source item that failed to pull (unreadable file, decode error)
-    /// counts as quarantined, exactly like a failed engine pass.
-    ///
-    /// Returns the monitor's statistics after the stream is drained; the
-    /// per-image verdicts feed the same counters and drift window as
-    /// [`DetectionMonitor::screen`].
-    pub fn screen_source(&mut self, source: &mut dyn ImageSource) -> MonitorStats {
-        let mut pool = crate::stream::BufferPool::with_telemetry(4, &self.metrics.telemetry);
-        while let Some(item) = source.next_image(&mut pool) {
-            match item {
-                Ok(image) => {
-                    let _ = self.screen(&image);
-                    pool.recycle(image);
-                }
-                Err(_) => {
-                    self.quarantined += 1;
-                    self.metrics.quarantined.inc();
-                }
-            }
-        }
-        self.stats()
     }
 
     /// Whether the rolling window mean has drifted more than
@@ -464,40 +436,6 @@ mod tests {
         assert_eq!(stats.quarantined, 4);
         assert_eq!(stats.window_len, 4, "the window still filled from accepted images");
         assert!((stats.window_mean - 50.0).abs() < 2.0);
-    }
-
-    #[test]
-    fn screen_source_drains_a_stream_with_bounded_memory() {
-        use crate::error::{ScoreError, ScoreFault};
-        use crate::stream::{BufferPool, ImageSource, SliceSource};
-
-        // A source that yields two clean images, one unreadable item, then
-        // one attack-scored image.
-        struct Mixed {
-            inner: SliceSource<'static>,
-            emitted_bad: bool,
-        }
-        impl ImageSource for Mixed {
-            fn next_image(&mut self, pool: &mut BufferPool) -> Option<Result<Image, ScoreError>> {
-                if self.inner.len_hint() == Some(1) && !self.emitted_bad {
-                    self.emitted_bad = true;
-                    return Some(Err(ScoreError::new(ScoreFault::Unreadable {
-                        message: "synthetic decode failure".into(),
-                    })));
-                }
-                self.inner.next_image(pool)
-            }
-        }
-
-        let images: &'static [Image] =
-            Box::leak(vec![flat(48.0), flat(52.0), flat(150.0)].into_boxed_slice());
-        let mut source = Mixed { inner: SliceSource::new(images), emitted_bad: false };
-        let mut m = monitor(4);
-        let stats = m.screen_source(&mut source);
-        assert_eq!(stats.screened, 3);
-        assert_eq!(stats.flagged, 1);
-        assert_eq!(stats.quarantined, 1, "an unreadable item quarantines");
-        assert_eq!(stats.window_len, 2, "only accepted images reach the window");
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! the whole trade-off and gives a threshold-free summary (AUC) used by
 //! the sensitivity ablations.
 
-use crate::engine::EngineCorpus;
-use crate::method::{MethodId, MethodSet, ScoreColumns};
 use crate::threshold::Direction;
 use crate::DetectError;
 
@@ -100,36 +98,6 @@ pub fn roc_curve(
     Ok(RocCurve { points })
 }
 
-/// Computes one ROC curve per requested method from a scored engine
-/// corpus, using each method's registry direction. Registry-driven: a
-/// newly registered method gains ROC coverage with no change here.
-///
-/// # Errors
-///
-/// Returns [`DetectError::InvalidCalibration`] for an empty corpus, an
-/// empty method set, or NaN score columns (e.g. a method the scoring
-/// engine had disabled).
-pub fn roc_engine_corpus(
-    corpus: &EngineCorpus,
-    methods: MethodSet,
-) -> Result<Vec<(MethodId, RocCurve)>, DetectError> {
-    if methods.is_empty() {
-        return Err(DetectError::InvalidCalibration {
-            message: "roc needs at least one method".into(),
-        });
-    }
-    // One pass over each half builds every requested column at once,
-    // instead of re-walking the corpus per method.
-    let benign = ScoreColumns::from_vectors(methods, &corpus.benign);
-    let attack = ScoreColumns::from_vectors(methods, &corpus.attack);
-    methods
-        .iter()
-        .map(|id| {
-            roc_curve(benign.column(id), attack.column(id), id.direction()).map(|curve| (id, curve))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,33 +150,6 @@ mod tests {
         assert!(roc_curve(&[], &[1.0], Direction::AboveIsAttack).is_err());
         assert!(roc_curve(&[1.0], &[], Direction::AboveIsAttack).is_err());
         assert!(roc_curve(&[f64::NAN], &[1.0], Direction::AboveIsAttack).is_err());
-    }
-
-    #[test]
-    fn engine_corpus_produces_one_curve_per_method() {
-        use crate::method::ScoreVector;
-        // Hand-built columns: scaling/mse separates perfectly (above),
-        // scaling/ssim separates perfectly in the below direction.
-        let mut benign = ScoreVector::splat(f64::NAN);
-        benign.set(MethodId::ScalingMse, 1.0);
-        benign.set(MethodId::ScalingSsim, 0.95);
-        let mut attack = ScoreVector::splat(f64::NAN);
-        attack.set(MethodId::ScalingMse, 100.0);
-        attack.set(MethodId::ScalingSsim, 0.2);
-        let corpus = EngineCorpus { benign: vec![benign], attack: vec![attack] };
-        let methods = MethodSet::of(&[MethodId::ScalingMse, MethodId::ScalingSsim]);
-        let curves = roc_engine_corpus(&corpus, methods).unwrap();
-        assert_eq!(curves.len(), 2);
-        for (id, curve) in &curves {
-            assert!((curve.auc() - 1.0).abs() < 1e-12, "{id} auc {}", curve.auc());
-        }
-        assert_eq!(curves[0].0, MethodId::ScalingMse);
-        assert_eq!(curves[1].0, MethodId::ScalingSsim);
-
-        // A column the engine never filled (NaN) is rejected, as is an
-        // empty method set.
-        assert!(roc_engine_corpus(&corpus, MethodSet::of(&[MethodId::Csp])).is_err());
-        assert!(roc_engine_corpus(&corpus, MethodSet::empty()).is_err());
     }
 
     #[test]

@@ -21,11 +21,9 @@
 
 use crate::engine::DetectionEngine;
 use crate::error::{DetectError, ScoreError};
-use crate::method::{MethodId, ScoreColumns, ScoreVector};
+use crate::method::{ScoreColumns, ScoreVector};
 use crate::persist::checkpoint::{CorpusFingerprint, QuarantineRecord, Row, ScanCheckpoint};
-use crate::persist::ThresholdSet;
 use crate::stream::{ImageSource, ShardSpec, StreamConfig};
-use crate::threshold::percentile_blackbox;
 use decamouflage_telemetry::RegistrySnapshot;
 
 fn mismatch(message: String) -> DetectError {
@@ -292,59 +290,13 @@ impl ScanReport {
     pub fn to_text(&self) -> Result<String, DetectError> {
         self.combined.to_text()
     }
-
-    /// Mean and population standard deviation of a method's scored
-    /// column; `None` when the method is absent or nothing was scored.
-    /// These are the `calibration_mean` / `calibration_std` inputs of
-    /// [`DetectionMonitor::recalibrate`](crate::monitor::DetectionMonitor::recalibrate).
-    pub fn column_stats(&self, id: MethodId) -> Option<(f64, f64)> {
-        if !self.methods().contains(id) {
-            return None;
-        }
-        let column = self.columns().column(id);
-        if column.is_empty() {
-            return None;
-        }
-        let n = column.len() as f64;
-        let mean = column.iter().sum::<f64>() / n;
-        let variance = column.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-        Some((mean, variance.sqrt()))
-    }
-
-    /// Recalibrates black-box thresholds from the merged corpus: each
-    /// method takes its universal fixed threshold when the registry
-    /// defines one (CSP's `T = 2`), otherwise the benign-percentile
-    /// threshold over its merged score column. This is the corpus-scale
-    /// end of the drift-monitor story — scan shards anywhere, merge,
-    /// recalibrate once.
-    ///
-    /// # Errors
-    ///
-    /// [`DetectError::InvalidCalibration`] from
-    /// [`percentile_blackbox`] (empty column, NaN scores, bad
-    /// `tail_percent`).
-    pub fn recalibrate_blackbox(&self, tail_percent: f64) -> Result<ThresholdSet, DetectError> {
-        let mut set = ThresholdSet::new();
-        for id in self.methods().iter() {
-            let threshold = match id.fixed_blackbox_threshold() {
-                Some(fixed) => fixed,
-                None => {
-                    percentile_blackbox(self.columns().column(id), tail_percent, id.direction())?
-                }
-            };
-            set.insert(id, threshold);
-        }
-        Ok(set)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DetectionEngine;
-    use crate::method::MethodSet;
+    use crate::method::{MethodId, MethodSet};
     use crate::stream::{FnSource, ShardedSource};
-    use crate::threshold::Direction;
     use decamouflage_imaging::{Image, Size};
     use decamouflage_telemetry::MetricsRegistry;
 
@@ -623,44 +575,5 @@ mod tests {
         assert!(!text.contains("counter "), "{text}");
         let roundtrip = ScanCheckpoint::from_text(&text).unwrap();
         assert_eq!(roundtrip.metrics(), &RegistrySnapshot::default());
-    }
-
-    #[test]
-    fn recalibration_covers_fixed_and_percentile_methods() {
-        let n = 20;
-        let fp = CorpusFingerprint::of_keys(keys(n));
-        let rows: Vec<_> = (0..n).map(|i| (i, Ok(scores(i as f64, 0.0)))).collect();
-        let ckpt = manual_checkpoint(ShardSpec::full(), fp, &rows);
-        let report = ScanReport::merge(&[ckpt]).unwrap();
-
-        let set = report.recalibrate_blackbox(5.0).unwrap();
-        let csp = set.get(MethodId::Csp).unwrap();
-        assert_eq!((csp.value(), csp.direction()), (2.0, Direction::AboveIsAttack));
-        let mse = set.get(MethodId::ScalingMse).unwrap();
-        let expected = percentile_blackbox(
-            report.columns().column(MethodId::ScalingMse),
-            5.0,
-            Direction::AboveIsAttack,
-        )
-        .unwrap();
-        assert_eq!(mse.value(), expected.value());
-
-        // The merged column stats drive the drift monitor's recalibration.
-        let (mean, std) = report.column_stats(MethodId::ScalingMse).unwrap();
-        assert!((mean - 9.5).abs() < 1e-12, "{mean}");
-        assert!(std > 0.0);
-        let engine = DetectionEngine::new(Size::square(8));
-        let mut monitor = crate::monitor::DetectionMonitor::new(
-            &engine,
-            MethodId::ScalingMse,
-            mse,
-            0.0,
-            1.0,
-            8,
-            3.0,
-        )
-        .unwrap();
-        monitor.recalibrate(mse, mean, std);
-        assert_eq!(report.column_stats(MethodId::PeakExcess), None);
     }
 }

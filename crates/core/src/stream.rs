@@ -16,10 +16,10 @@
 //!   Sources draw construction buffers from it and the chunk driver
 //!   returns scored images to it, killing steady-state allocation once
 //!   the pool is warm.
-//! * [`ChunkDriver`] — pulls up to `chunk_size` items at a time and hands
-//!   each chunk to a caller-supplied fan-out
-//!   ([`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream)
-//!   is the canonical consumer). At no point are more than
+//! * `ChunkDriver` (crate-private; its only user is
+//!   [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream))
+//!   pulls up to `chunk_size` items at a time and hands each chunk to the
+//!   engine's fan-out. At no point are more than
 //!   `chunk_size` decoded images plus `pool_capacity` recycled buffers
 //!   resident, regardless of corpus length.
 //!
@@ -158,7 +158,7 @@ impl BufferPool {
 /// The token is the deadline hook of the service path: a request handler
 /// arms one with its per-request deadline
 /// ([`CancelToken::expiring_in`]) and passes it through
-/// [`StreamConfig::with_cancel`]; the [`ChunkDriver`] then checks it
+/// [`StreamConfig::with_cancel`]; `score_stream` then checks it
 /// **between pipeline stages** — before every chunk (or item) pull — and
 /// stops pulling once it has expired. In-flight work always finishes (a
 /// slot is quarantined or scored, never leaked mid-computation); only
@@ -318,7 +318,7 @@ impl StreamMetrics {
 /// item, and drops the lock before any scoring work runs — each slot is
 /// touched exactly once, so there is no contention.
 #[derive(Debug)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     base: usize,
     slots: Vec<Mutex<Option<SourceItem>>>,
 }
@@ -332,11 +332,6 @@ impl Chunk {
     /// Number of items in the chunk.
     pub fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Whether the chunk holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Moves the item at `offset` out of the chunk.
@@ -355,10 +350,10 @@ impl Chunk {
 }
 
 /// Pulls an [`ImageSource`] in bounded chunks, owning the buffer pool and
-/// the stream telemetry. The driver is deliberately scoring-agnostic:
+/// the stream telemetry. It is scoring-agnostic;
 /// [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream)
-/// and the bench corpus loader both fan chunks out through it.
-pub struct ChunkDriver<'a> {
+/// fans its chunks out.
+pub(crate) struct ChunkDriver<'a> {
     source: &'a mut dyn ImageSource,
     pool: BufferPool,
     chunk_size: usize,
@@ -490,11 +485,6 @@ impl<'a> ChunkDriver<'a> {
     /// either recycled or dropped.
     pub fn finish_chunk(&mut self) {
         self.metrics.in_flight.set(0.0);
-    }
-
-    /// The driver's buffer pool (e.g. to check residency bounds).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
     }
 
     /// Aggregate counters of the run so far.
@@ -1075,7 +1065,7 @@ mod tests {
         let mut seen = Vec::new();
         while let Some(chunk) = driver.next_chunk() {
             assert!(chunk.len() <= 3);
-            assert!(!chunk.is_empty());
+            assert!(chunk.len() > 0);
             for offset in 0..chunk.len() {
                 let image = chunk.take(offset).unwrap();
                 seen.push((chunk.base() + offset, image.plane(0)[0]));
@@ -1088,7 +1078,7 @@ mod tests {
         assert_eq!(summary.chunks, 3, "7 items in chunks of 3");
         assert_eq!(summary.peak_chunk, 3);
         assert_eq!(seen, (0..7).map(|i| (i, i as f64)).collect::<Vec<_>>());
-        assert!(driver.pool().len() <= 2, "pool stays within capacity");
+        assert!(driver.pool.len() <= 2, "pool stays within capacity");
         assert_eq!(telemetry.counter("decam_stream_chunks_total", &[]).value(), 3);
         assert_eq!(telemetry.gauge("decam_stream_peak_chunk", &[]).value(), 3.0);
         assert_eq!(telemetry.gauge("decam_stream_in_flight_images", &[]).value(), 0.0);

@@ -38,9 +38,7 @@ mod synth;
 
 pub mod backdoor;
 pub mod export;
-pub mod source;
 
 pub use builder::SampleGenerator;
 pub use profile::DatasetProfile;
-pub use source::{CorpusClass, GeneratorSource};
 pub use synth::{synthesize, SynthesisParams};

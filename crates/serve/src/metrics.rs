@@ -6,11 +6,11 @@ use decamouflage_telemetry::{Counter, Gauge, Telemetry};
 /// Handles for the server's own metric families.
 ///
 /// The admission decision runs on the accept thread for every incoming
-/// connection, so the gauges it reads ([`ServiceMetrics::in_flight`],
-/// [`ServiceMetrics::pool_queue_depth`]) are resolved once at
-/// construction. Per-response counters carry a `(route, status)` label
-/// pair whose cardinality is unbounded a priori, so those resolve at
-/// response time — once per request, off the admission path.
+/// connection, so the gauge it moves ([`ServiceMetrics::in_flight`]) is
+/// resolved once at construction. Per-response counters carry a
+/// `(route, status)` label pair whose cardinality is unbounded a priori,
+/// so those resolve at response time — once per request, off the
+/// admission path.
 #[derive(Debug)]
 pub struct ServiceMetrics {
     telemetry: Telemetry,
@@ -18,11 +18,6 @@ pub struct ServiceMetrics {
     /// Returns to 0 after a graceful drain (asserted by the load
     /// generator).
     pub in_flight: Gauge,
-    /// `decam_pool_queue_depth` — the *existing* WorkerPool backlog
-    /// gauge. The shed decision reads it directly, so engine fan-out
-    /// pressure and queued handler jobs both push the server into
-    /// load-shedding.
-    pub pool_queue_depth: Gauge,
     /// `decam_http_deadline_expired_total` — requests answered 504.
     pub deadline_expired: Counter,
 }
@@ -33,7 +28,6 @@ impl ServiceMetrics {
         Self {
             telemetry: telemetry.clone(),
             in_flight: telemetry.gauge("decam_http_in_flight", &[]),
-            pool_queue_depth: telemetry.gauge("decam_pool_queue_depth", &[]),
             deadline_expired: telemetry.counter("decam_http_deadline_expired_total", &[]),
         }
     }

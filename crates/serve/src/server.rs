@@ -5,10 +5,10 @@
 //! Every connection passes one admission decision on the accept thread:
 //!
 //! 1. **Overload shed** — when the in-flight count has reached
-//!    `handlers + queue_limit`, *or* the existing WorkerPool backlog
-//!    gauge (`decam_pool_queue_depth`) sits past `queue_limit`, the
-//!    connection is answered `503 + Retry-After` and closed without
-//!    touching a handler. The server sheds instead of queueing
+//!    `handlers + queue_limit`, *or* more than `queue_limit` of this
+//!    server's handler jobs wait for a pool worker, the connection is
+//!    answered `503 + Retry-After` and closed without touching a
+//!    handler. The server sheds instead of queueing
 //!    unboundedly — latency for admitted requests stays bounded.
 //! 2. **Admit** — the connection is handed to a handler on the shared
 //!    [`WorkerPool`] with a freshly-armed per-request [`CancelToken`].
@@ -55,8 +55,9 @@ pub struct ServerConfig {
     /// Handler threads on the worker pool.
     pub handlers: usize,
     /// Admission bound past the handlers: the maximum accepted-but-
-    /// unfinished connections is `handlers + queue_limit`, and a
-    /// WorkerPool backlog exceeding `queue_limit` also sheds.
+    /// unfinished connections is `handlers + queue_limit`, and a handler
+    /// backlog (admitted jobs no worker has started) past `queue_limit`
+    /// also sheds.
     pub queue_limit: usize,
     /// Per-request deadline (socket timeouts + between-stage checks).
     pub deadline: Duration,
@@ -96,6 +97,8 @@ impl Default for ServerConfig {
 #[derive(Debug, Default)]
 struct ServerState {
     in_flight: AtomicUsize,
+    /// Handler jobs on this server's pool that no worker has started.
+    queued: AtomicUsize,
     draining: AtomicBool,
     shutdown: AtomicBool,
 }
@@ -268,8 +271,8 @@ impl Server {
     fn admit(&self, stream: TcpStream) {
         let accepted_at = Instant::now();
         let in_flight = self.state.in_flight.load(Ordering::SeqCst);
-        let backlog = self.metrics.pool_queue_depth.value();
-        if in_flight >= self.max_in_flight() || backlog > self.config.queue_limit as f64 {
+        let backlog = self.state.queued.load(Ordering::SeqCst);
+        if in_flight >= self.max_in_flight() || backlog > self.config.queue_limit {
             self.metrics.shed("overload");
             reject(stream, overloaded_response());
             return;
@@ -286,7 +289,9 @@ impl Server {
         };
         let guard =
             InFlightGuard { state: Arc::clone(&self.state), metrics: Arc::clone(&self.metrics) };
+        self.state.queued.fetch_add(1, Ordering::SeqCst);
         self.pool.spawn(move || {
+            ctx.state.queued.fetch_sub(1, Ordering::SeqCst);
             let _guard = guard;
             handle_connection(stream, &ctx);
         });

@@ -12,7 +12,7 @@ use decamouflage_imaging::{Image, Size};
 use decamouflage_serve::{DetectionService, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn thresholds() -> ThresholdSet {
     let mut set = ThresholdSet::new();
@@ -208,8 +208,13 @@ fn overload_sheds_with_retry_after_while_a_slow_request_holds_the_only_handler()
     // Hold the handler: connect, send a partial request, stay silent.
     let mut loris = TcpStream::connect(addr).expect("connect loris");
     loris.write_all(b"POST /check HTTP/1.1\r\n").expect("partial head");
-    // Give the accept loop time to admit the loris into the handler.
-    std::thread::sleep(Duration::from_millis(300));
+    // Wait (bounded) until the accept loop has admitted the loris into
+    // the only handler slot.
+    let waited = Instant::now();
+    while handle.in_flight() != 1 {
+        assert!(waited.elapsed() < Duration::from_secs(5), "loris never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let shed = exchange(addr, &get("/healthz"));
     assert_eq!(status_of(&shed), "503", "{shed}");

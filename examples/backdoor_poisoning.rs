@@ -10,6 +10,7 @@
 //! cargo run --release --example backdoor_poisoning
 //! ```
 
+use decamouflage::attack::{verify_attack, VerifyConfig};
 use decamouflage::datasets::backdoor::{craft_poison_sample, Trigger};
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
 use decamouflage::detection::calibrate::calibrate_whitebox;
@@ -75,9 +76,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 crafted.stats.perturbed_fraction
             );
             // ...but a model trained on the downscaled image sees the
-            // trigger clearly.
-            let model_view = generator.scaler(i).apply(&crafted.image)?;
-            assert!(trigger.is_present(&model_view), "payload missing");
+            // trigger-stamped target.
+            let delivery = verify_attack(
+                &generator.benign(i),
+                &crafted.image,
+                &trigger.stamp(&generator.target(i)),
+                &generator.scaler(i),
+                &VerifyConfig::default(),
+            )?;
+            assert!(delivery.scales_to_target, "payload missing");
             crafted.image
         } else {
             generator.benign(i)

@@ -16,7 +16,8 @@
 //!   datasets,
 //! * [`detection`] — the Decamouflage framework itself: the detection
 //!   engine scoring all three methods in one pass, threshold calibration,
-//!   the majority-vote ensemble, evaluation pipeline,
+//!   the majority-vote ensemble, per-method evaluation
+//!   ([`detection::evaluate_threshold`]),
 //! * [`telemetry`] — dependency-free metrics: counters, gauges, latency
 //!   histograms, RAII stage timers, deterministic Prometheus/JSON export,
 //! * [`serve`] — detection-as-a-service: an overload-safe,

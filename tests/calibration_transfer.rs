@@ -2,16 +2,26 @@
 //! dataset transfer to a different dataset (abstract: "the threshold
 //! determined from one dataset is also applicable to other different
 //! datasets").
+//!
+//! Thresholds come from the same calibration path `decamouflage calibrate`
+//! ships; the unseen dataset is scored one class at a time with
+//! `score_class` and judged with `evaluate_threshold`.
 
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
-use decamouflage::detection::pipeline::{
-    evaluate_threshold, run_blackbox, run_whitebox, ScoredCorpus,
+use decamouflage::detection::calibrate::{
+    calibrate_blackbox, calibrate_whitebox, score_class, MethodCalibration,
 };
-use decamouflage::detection::{DetectionEngine, MethodId, MethodSet};
+use decamouflage::detection::{
+    evaluate_threshold, DetectionEngine, Direction, EvalMetrics, FnSource, MethodId, MethodSet,
+    StreamConfig, Threshold,
+};
 use decamouflage::imaging::scale::ScaleAlgorithm;
-use decamouflage::imaging::Size;
+use decamouflage::imaging::{Image, Size};
 
 const N: usize = 8;
+
+/// The defender's method under test.
+const METHOD: MethodId = MethodId::ScalingMse;
 
 /// A second tiny profile acting as the "unseen" dataset: same image
 /// statistics, different seed and master parameters.
@@ -24,50 +34,80 @@ fn tiny_variant() -> DatasetProfile {
 
 /// The defender's scaling/MSE engine for the training profile's CNN input.
 fn scaling_mse(target: Size) -> DetectionEngine {
-    DetectionEngine::new(target).with_methods(MethodSet::of(&[MethodId::ScalingMse]))
+    DetectionEngine::new(target).with_methods(MethodSet::of(&[METHOD]))
 }
 
-fn score(profile: &DatasetProfile, engine: &DetectionEngine) -> ScoredCorpus {
-    let generator = SampleGenerator::new(profile.clone(), ScaleAlgorithm::Bilinear);
-    let corpus = engine
-        .score_corpus(|i| generator.benign(i), |i| generator.attack_image(i).unwrap(), N, 1)
-        .unwrap();
-    ScoredCorpus {
-        benign: corpus.benign_column(MethodId::ScalingMse),
-        attack: corpus.attack_column(MethodId::ScalingMse),
-    }
+fn generator(profile: &DatasetProfile) -> SampleGenerator {
+    SampleGenerator::new(profile.clone(), ScaleAlgorithm::Bilinear)
+}
+
+fn benign(generator: &SampleGenerator) -> FnSource<impl FnMut(u64) -> Image + '_> {
+    FnSource::new(N, |i| generator.benign(i))
+}
+
+fn attacks(generator: &SampleGenerator) -> FnSource<impl FnMut(u64) -> Image + '_> {
+    FnSource::new(N, |i| generator.attack_image(i).unwrap())
+}
+
+/// White-box calibration on `profile`; every sample must score.
+fn calibrate(profile: &DatasetProfile, engine: &DetectionEngine) -> MethodCalibration {
+    let generator = generator(profile);
+    let config = StreamConfig::default();
+    let calibration =
+        calibrate_whitebox(engine, &mut benign(&generator), &mut attacks(&generator), &config)
+            .unwrap();
+    assert_eq!(calibration.quarantined(), 0, "a training sample failed to score");
+    *calibration.get(METHOD).unwrap()
+}
+
+/// Judges `threshold` on `profile`'s labelled corpus; every sample must
+/// score.
+fn evaluate(
+    profile: &DatasetProfile,
+    engine: &DetectionEngine,
+    threshold: Threshold,
+) -> EvalMetrics {
+    let generator = generator(profile);
+    let config = StreamConfig::default();
+    let (benign, benign_ledger) =
+        score_class(engine, &mut benign(&generator), &config, "benign").unwrap();
+    let (attack, attack_ledger) =
+        score_class(engine, &mut attacks(&generator), &config, "attack").unwrap();
+    assert!(benign_ledger.is_empty(), "benign samples failed to score: {benign_ledger:?}");
+    assert!(attack_ledger.is_empty(), "attack samples failed to score: {attack_ledger:?}");
+    evaluate_threshold(benign.column(METHOD), attack.column(METHOD), threshold).unwrap()
 }
 
 #[test]
 fn whitebox_threshold_transfers_across_profiles() {
     let train_profile = DatasetProfile::tiny();
-    let eval_profile = tiny_variant();
     let detector = scaling_mse(train_profile.target_size);
-    let train = score(&train_profile, &detector);
-    let eval = score(&eval_profile, &detector);
+    let calibration = calibrate(&train_profile, &detector);
+    let eval = evaluate(&tiny_variant(), &detector, calibration.threshold);
 
-    let outcome =
-        run_whitebox(&train, &eval, decamouflage::detection::Direction::AboveIsAttack).unwrap();
-    assert!(outcome.train_accuracy >= 0.95);
-    assert!(outcome.eval.accuracy >= 0.9, "transferred threshold degraded: {:?}", outcome.eval);
+    assert!(calibration.train_accuracy >= 0.95);
+    assert!(eval.accuracy >= 0.9, "transferred threshold degraded: {eval:?}");
 }
 
 #[test]
 fn blackbox_percentile_transfers_across_profiles() {
     let train_profile = DatasetProfile::tiny();
-    let eval_profile = tiny_variant();
     let detector = scaling_mse(train_profile.target_size);
-    let train = score(&train_profile, &detector);
-    let eval = score(&eval_profile, &detector);
-
-    let outcome = run_blackbox(
-        &train.benign,
-        &eval,
-        13.0, // generous tail for the tiny sample size
-        decamouflage::detection::Direction::AboveIsAttack,
+    let generator = generator(&train_profile);
+    let tail_percent = 13.0; // generous tail for the tiny sample size
+    let calibration = calibrate_blackbox(
+        &detector,
+        &mut benign(&generator),
+        tail_percent,
+        &StreamConfig::default(),
     )
     .unwrap();
-    assert!(outcome.eval.far <= 0.15, "black-box FAR too high: {:?}", outcome.eval);
+    assert_eq!(calibration.quarantined(), 0, "a training sample failed to score");
+    let threshold = calibration.get(METHOD).unwrap().threshold;
+    assert_eq!(threshold.direction(), Direction::AboveIsAttack);
+
+    let eval = evaluate(&tiny_variant(), &detector, threshold);
+    assert!(eval.far <= 0.15, "black-box FAR too high: {eval:?}");
 }
 
 #[test]
@@ -81,25 +121,19 @@ fn threshold_is_insensitive_to_source_size_within_profile() {
     big.source_sizes = vec![Size::square(80)];
 
     let detector = scaling_mse(train_profile.target_size);
-    let train = score(&train_profile, &detector);
-    let eval = score(&big, &detector);
-    let outcome =
-        run_whitebox(&train, &eval, decamouflage::detection::Direction::AboveIsAttack).unwrap();
-    assert!(outcome.eval.accuracy >= 0.85, "size shift broke the threshold: {:?}", outcome.eval);
+    let calibration = calibrate(&train_profile, &detector);
+    let eval = evaluate(&big, &detector, calibration.threshold);
+    assert!(eval.accuracy >= 0.85, "size shift broke the threshold: {eval:?}");
 }
 
 #[test]
 fn evaluate_threshold_matches_manual_confusion() {
     let profile = DatasetProfile::tiny();
     let detector = scaling_mse(profile.target_size);
-    let corpus = score(&profile, &detector);
-    let threshold = decamouflage::detection::Threshold::new(
-        f64::INFINITY,
-        decamouflage::detection::Direction::AboveIsAttack,
-    );
+    let threshold = Threshold::new(f64::INFINITY, Direction::AboveIsAttack);
     // Nothing reaches an infinite threshold: all benign pass, all attacks
     // are missed.
-    let m = evaluate_threshold(&corpus, threshold).unwrap();
+    let m = evaluate(&profile, &detector, threshold);
     assert_eq!(m.frr, 0.0);
     assert_eq!(m.far, 1.0);
     assert_eq!(m.accuracy, 0.5);
