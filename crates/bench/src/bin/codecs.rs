@@ -1,9 +1,11 @@
 //! `codecs` — decode-stage latency per container format.
 //!
 //! Writes a synthetic corpus to disk once per format (BMP, PNM, PNG,
-//! JPEG), then streams each directory through [`DirectorySource`] so
-//! the numbers come from the production decode path: magic-byte sniff,
-//! `decode_into` a pooled buffer, and the
+//! JPEG), then pulls each directory through [`DirectorySource`] and
+//! decodes every pulled file with [`Pulled::into_image`] — the source's
+//! [`ImageDecoder`](decamouflage_core::stream::ImageDecoder), the same
+//! call a scoring worker makes — so the numbers come from the production
+//! decode path: magic-byte sniff, `decode_into` a pooled buffer, and the
 //! `decam_engine_stage_seconds{stage="decode"}` timer that production
 //! telemetry already records. Results land in `BENCH_codecs.json` as
 //! µs/image per format, alongside the per-format byte sizes (the
@@ -17,7 +19,7 @@
 //! 3 passes, `BENCH_codecs.json`).
 
 use decamouflage_bench::corpus::MixedAttackGenerator;
-use decamouflage_core::stream::{BufferPool, DirectorySource, ImageSource};
+use decamouflage_core::stream::{BufferPool, DirectorySource, ImageSource, Pulled};
 use decamouflage_datasets::DatasetProfile;
 use decamouflage_imaging::codec::{encode_bmp, encode_jpeg, encode_png, encode_ppm};
 use decamouflage_imaging::{Image, Size};
@@ -109,7 +111,7 @@ fn main() -> ExitCode {
             let mut source =
                 DirectorySource::with_telemetry(&dir, &telemetry).expect("open bench dir");
             while let Some(item) = source.next_image(&mut pool) {
-                match item {
+                match item.and_then(|pulled: Pulled| pulled.into_image(&mut |n| pool.take(n))) {
                     Ok(image) => {
                         decoded += 1;
                         pool.recycle(image);

@@ -39,7 +39,9 @@ use crate::parallel::parallel_map_indices;
 use crate::peak_excess::PeakExcessDetector;
 use crate::scaling::ScalingDetector;
 use crate::steganalysis::SteganalysisDetector;
-use crate::stream::{ChunkDriver, FnSource, ImageSource, StreamConfig, StreamSummary};
+use crate::stream::{
+    ChunkDriver, FnSource, ImageSource, SharedPool, SourceItem, StreamConfig, StreamSummary,
+};
 use crate::DetectError;
 use decamouflage_imaging::filter::{rank_filter, RankKind};
 use decamouflage_imaging::scale::{ScaleAlgorithm, ScalerCache};
@@ -578,42 +580,42 @@ impl DetectionEngine {
     /// failures ([`ScoreFault::Detect`]) or recovered panics
     /// ([`ScoreFault::Panicked`]).
     pub fn score_resilient(&self, image: &Image) -> Result<ScoreVector, ScoreError> {
-        self.score_slot(0, None, Ok(image)).0
+        self.score_slot(0, None, || Ok(image)).0
     }
 
     /// The engine's one fault-isolation boundary, shared by
     /// [`DetectionEngine::score_resilient`], [`DetectionEngine::score_images`]
     /// and every streamed slot. Inside a single `catch_unwind` it fires the
-    /// `plan` entry armed at `index`, unwraps the pulled item (the stream
-    /// is sequential, so every position — readable or not — consumes an
-    /// index), validates and scores; a panic anywhere in the slot
-    /// quarantines only that slot. The order — plan, item, validation,
-    /// scoring — mirrors the pre-streaming eager slot exactly, which is
-    /// what keeps streamed and eager scoring bit-identical. Every
-    /// quarantined slot counts once on `decam_engine_quarantined_total`.
-    /// Returns the image alongside the result so a streamed caller can
-    /// recycle its buffer.
+    /// `plan` entry armed at `index`, materialises the slot's `item` (for
+    /// a streamed slot: the pulled item, decoded here when it is encoded
+    /// bytes; the stream is sequential, so every position — readable or
+    /// not — consumes an index), validates and scores; a panic anywhere
+    /// in the slot, decoder panics included, quarantines only that slot.
+    /// The order — plan, item, validation, scoring — mirrors the
+    /// pre-streaming eager slot exactly, which is what keeps streamed and
+    /// eager scoring bit-identical. Every quarantined slot counts once on
+    /// `decam_engine_quarantined_total`. Returns the image alongside the
+    /// result so a streamed caller can recycle its buffers.
     fn score_slot<I: Borrow<Image>>(
         &self,
         index: usize,
         plan: Option<&FaultPlan>,
-        pulled: Result<I, ScoreError>,
+        item: impl FnOnce() -> Result<I, ScoreError>,
     ) -> (Result<ScoreVector, ScoreError>, Option<I>) {
         // The engine holds no interior mutability of its own and the
         // global scaler cache recovers lock poisoning, so observing state
         // after a caught panic is safe.
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             // The plan outranks pull failures, exactly as the eager path
-            // fires it before `make_image` runs.
+            // fires it before `make_image` runs; an armed slot never
+            // materialises its item.
             match plan.and_then(|plan| plan.get(index)) {
                 Some(FaultKind::Panic) => panic!("injected panic at scoring index {index}"),
-                Some(FaultKind::Error) => return (Err(ScoreError::injected(index)), pulled.ok()),
-                Some(FaultKind::NanScore) => {
-                    return (Ok(ScoreVector::splat(f64::NAN)), pulled.ok())
-                }
+                Some(FaultKind::Error) => return (Err(ScoreError::injected(index)), None),
+                Some(FaultKind::NanScore) => return (Ok(ScoreVector::splat(f64::NAN)), None),
                 None => {}
             }
-            let image = match pulled {
+            let image = match item() {
                 Ok(image) => image,
                 Err(err) => return (Err(err.at_index(index)), None),
             };
@@ -628,14 +630,38 @@ impl DetectionEngine {
         (result.inspect_err(|err| self.metrics.quarantined(&err.cause)), image)
     }
 
+    /// One streamed slot on the worker that scores it: the pulled item is
+    /// materialised inside [`DetectionEngine::score_slot`] — encoded bytes
+    /// decode into planes taken from `pool` — and the image's planes go
+    /// back to `pool` as soon as the slot is scored, so each worker holds
+    /// at most one decoded image.
+    fn score_pulled(
+        &self,
+        index: usize,
+        pulled: SourceItem,
+        pool: &SharedPool,
+    ) -> Result<ScoreVector, ScoreError> {
+        let (result, image) = self.score_slot(index, self.faults.as_deref(), || {
+            pulled.and_then(|item| item.into_image(&mut |samples| pool.take(samples)))
+        });
+        if let Some(image) = image {
+            pool.recycle(image);
+        }
+        result
+    }
+
     /// Bounded-memory streamed scoring: pulls `source` in chunks of
-    /// [`StreamConfig::chunk_size`] images, fans each chunk through the
+    /// [`StreamConfig::chunk_size`] items, fans each chunk through the
     /// worker pool with the same per-slot fault quarantine as
-    /// [`DetectionEngine::score_corpus_resilient`], recycles image buffers
-    /// through the driver's [`BufferPool`](crate::stream::BufferPool), and
-    /// feeds `consume` incrementally in stream order. At no point are more
-    /// than `chunk_size` decoded images (plus the bounded pool) resident,
-    /// regardless of corpus length — corpora larger than memory, or
+    /// [`DetectionEngine::score_corpus_resilient`], and feeds `consume`
+    /// incrementally in stream order. Each worker decodes the slots it
+    /// scores (a source of encoded bytes, such as a
+    /// [`DirectorySource`](crate::stream::DirectorySource), pulls only
+    /// bytes), taking planes from the driver's
+    /// [`BufferPool`](crate::stream::BufferPool) and recycling them right
+    /// after scoring. So a byte source keeps at most `threads` decoded
+    /// images resident, plus the bounded pool and one chunk of encoded
+    /// bytes, regardless of corpus length — corpora larger than memory, or
     /// unbounded upload streams, score in constant space.
     ///
     /// `consume(index, result)` is called once per stream position, in
@@ -652,30 +678,25 @@ impl DetectionEngine {
         let mut driver = ChunkDriver::new(source, config, &self.metrics.telemetry);
         // With a single participant there is no fan-out to stage a chunk
         // for; score each slot as it is pulled. The per-slot sequence
-        // (pull, fault plan, validation, scoring) and the consume order
-        // are exactly those of the chunked path, so results, errors and
-        // the stream summary are identical — only the staging memory
-        // traffic (which makes every staged image cache-cold before it
+        // (pull, fault plan, item, validation, scoring) and the consume
+        // order are exactly those of the chunked path, so results, errors
+        // and the stream summary are identical — only the staging memory
+        // traffic (which makes every staged item cache-cold before it
         // scores) is gone.
         if config.threads <= 1 {
             while let Some((index, pulled)) = driver.next_item() {
-                let (result, image) = self.score_slot(index, self.faults.as_deref(), pulled);
-                if let Some(image) = image {
-                    driver.recycle(image);
-                }
+                let result = self.score_pulled(index, pulled, driver.pool());
                 consume(index, result);
                 driver.item_done();
             }
             return driver.summary();
         }
         while let Some(chunk) = driver.next_chunk() {
+            let pool = driver.pool();
             let results = parallel_map_indices(chunk.len(), config.threads, |offset| {
-                self.score_slot(chunk.base() + offset, self.faults.as_deref(), chunk.take(offset))
+                self.score_pulled(chunk.base() + offset, chunk.take(offset), pool)
             });
-            for (offset, (result, image)) in results.into_iter().enumerate() {
-                if let Some(image) = image {
-                    driver.recycle(image);
-                }
+            for (offset, result) in results.into_iter().enumerate() {
                 consume(chunk.base() + offset, result);
             }
             driver.finish_chunk();
@@ -742,7 +763,7 @@ impl DetectionEngine {
         threads: usize,
     ) -> Vec<Result<ScoreVector, ScoreError>> {
         parallel_map_indices(images.len(), threads, |index| {
-            self.score_slot(index, None, Ok(&images[index])).0
+            self.score_slot(index, None, || Ok(&images[index])).0
         })
     }
 }

@@ -94,7 +94,7 @@ pub use scaling::ScalingDetector;
 pub use scan::{scan_shard, ScanReport};
 pub use steganalysis::SteganalysisDetector;
 pub use stream::{
-    stable_key_hash, BufferPool, CancelToken, DirectorySource, FnSource, ImageSource, ShardSpec,
-    ShardedSource, SliceSource, StreamConfig, StreamSummary,
+    stable_key_hash, BufferPool, CancelToken, DirectorySource, FnSource, ImageDecoder, ImageSource,
+    Pulled, ShardSpec, ShardedSource, SliceSource, StreamConfig, StreamSummary,
 };
 pub use threshold::{Direction, Threshold};

@@ -7,21 +7,35 @@
 //! an unbounded stream of untrusted uploads — which is exactly the shape
 //! this module serves:
 //!
-//! * [`ImageSource`] — a pull-based, fallible iterator of images with an
-//!   optional length hint. Adapters exist for in-memory slices
-//!   ([`SliceSource`]), index-driven generators ([`FnSource`]) and
-//!   directory walks ([`DirectorySource`] — the single home of the CLI's
-//!   previously duplicated listing/decode logic).
+//! * [`ImageSource`] — a pull-based, fallible iterator of [`Pulled`]
+//!   items with an optional length hint. An item is either pixels the
+//!   source already holds or the encoded bytes of a file or request
+//!   frame. Adapters exist for in-memory slices ([`SliceSource`]),
+//!   index-driven generators ([`FnSource`]) and directory walks
+//!   ([`DirectorySource`] — the single home of the CLI's previously
+//!   duplicated listing logic), whose pulls only read the file.
+//! * [`ImageDecoder`] — the one decode path for encoded bytes, shared by
+//!   [`DirectorySource`] and the service's request bodies: sniff, decode
+//!   into pooled buffers, map codec errors onto the quarantine taxonomy,
+//!   and record the decode telemetry.
 //! * [`BufferPool`] — a small bounded store of recycled sample buffers.
-//!   Sources draw construction buffers from it and the chunk driver
-//!   returns scored images to it, killing steady-state allocation once
-//!   the pool is warm.
+//!   Decoders and sources draw construction buffers from it and the
+//!   scoring workers return each image's buffers right after scoring it,
+//!   killing steady-state allocation once the pool is warm.
 //! * `ChunkDriver` (crate-private; its only user is
 //!   [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream))
 //!   pulls up to `chunk_size` items at a time and hands each chunk to the
-//!   engine's fan-out. At no point are more than
-//!   `chunk_size` decoded images plus `pool_capacity` recycled buffers
-//!   resident, regardless of corpus length.
+//!   engine's fan-out.
+//!
+//! Decoding runs in the slot: the worker that scores a position decodes
+//! its bytes first, inside the slot's panic boundary, takes the planes
+//! from the driver's pool (shared behind a lock held only for one `take`
+//! or `recycle`) and recycles them as soon as the scores are out. So a
+//! byte source keeps at most `threads` decoded images resident, plus the
+//! `pool_capacity` recycled buffers, plus one chunk of encoded bytes —
+//! regardless of corpus length. Pixel sources ([`SliceSource`],
+//! [`FnSource`]) hold up to one chunk of images, as their items are
+//! images already.
 //!
 //! Items are pulled on the caller thread (sources are `&mut`, not
 //! `Sync`); a panic inside a pull is caught immediately and converted to
@@ -30,38 +44,79 @@
 //! eager APIs are now thin facades over a slice- or closure-backed
 //! source, and `stream_equivalence` proves the identity property-wise.
 //!
-//! Telemetry (all resolved once at driver construction):
+//! Telemetry (all resolved once at driver, decoder or pool construction):
 //! `decam_stream_chunks_total`, `decam_stream_in_flight_images`,
-//! `decam_stream_peak_chunk`, and the buffer-pool
-//! `decam_stream_buffer_pool_{hits,misses}_total` counters.
+//! `decam_stream_peak_chunk`, the buffer-pool
+//! `decam_stream_buffer_pool_{hits,misses}_total` counters, and the
+//! decoder's `decam_codec_decode_total{format, outcome}` and
+//! `decam_engine_stage_seconds{stage="decode"}`.
 
 use crate::error::{ScoreError, ScoreFault};
 use crate::parallel::default_threads;
 use crate::DetectError;
-use decamouflage_imaging::codec::{decode_auto_into, ImageFormat};
-use decamouflage_imaging::Image;
+use decamouflage_imaging::codec::{decode_auto_into, sniff, ImageFormat, SampleAlloc};
+use decamouflage_imaging::{Image, ImagingError};
 use decamouflage_telemetry::{Counter, Gauge, HistogramHandle, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// One pulled stream item: a decoded image, or the structured error that
-/// explains why this position of the stream could not produce one.
-pub type SourceItem = Result<Image, ScoreError>;
+/// One pulled stream position, before decoding.
+#[derive(Debug)]
+pub enum Pulled {
+    /// Pixels the source already holds (slices, generators).
+    Image(Image),
+    /// The encoded bytes of a file or request frame, decoded by the
+    /// worker that scores the position.
+    Encoded {
+        /// The encoded image file.
+        bytes: Vec<u8>,
+        /// The file the bytes were read from; decode faults name it.
+        origin: Option<PathBuf>,
+        /// The decode path, recording on the telemetry of the source that
+        /// pulled the bytes.
+        decoder: Arc<ImageDecoder>,
+    },
+}
+
+impl Pulled {
+    /// The position's pixels: a held image as it is, encoded bytes
+    /// decoded through their [`ImageDecoder`] into sample buffers from
+    /// `alloc` (streaming callers pass `&mut |n| pool.take(n)`).
+    ///
+    /// # Errors
+    ///
+    /// The decode fault — [`ScoreFault::UnsupportedFormat`] or
+    /// [`ScoreFault::Unreadable`] — at index `0`.
+    pub fn into_image(self, alloc: SampleAlloc<'_>) -> Result<Image, ScoreError> {
+        match self {
+            Self::Image(image) => Ok(image),
+            Self::Encoded { bytes, origin, decoder } => {
+                decoder.decode(&bytes, origin.as_deref(), alloc).map_err(ScoreError::new)
+            }
+        }
+    }
+}
+
+/// One pulled stream item: the position's [`Pulled`] pixels or bytes, or
+/// the structured error that explains why this position of the stream
+/// could not produce either.
+pub type SourceItem = Result<Pulled, ScoreError>;
 
 /// A pull-based stream of images.
 ///
 /// `next_image` returns `None` when the stream is exhausted; before that,
-/// every call yields either a decoded [`Image`] or a [`ScoreError`]
+/// every call yields either a [`Pulled`] item — an image, or the encoded
+/// bytes of one that the scoring worker decodes — or a [`ScoreError`]
 /// describing why this *position* failed (an unreadable file, a failed
 /// synthesis, …). Failed positions still consume a stream index, so
 /// consumers can account for them precisely.
 ///
 /// Sources may draw construction buffers from the passed [`BufferPool`];
-/// sources that cannot reuse buffers (e.g. file decoders that allocate
-/// internally) simply ignore it.
+/// sources that yield encoded bytes simply ignore it (their decode draws
+/// from the pool on the worker).
 pub trait ImageSource {
     /// Pulls the next item, or `None` at end of stream.
     fn next_image(&mut self, pool: &mut BufferPool) -> Option<SourceItem>;
@@ -153,6 +208,36 @@ impl BufferPool {
     }
 }
 
+/// The driver's [`BufferPool`], shared with the scoring workers behind a
+/// lock held only for one [`take`](SharedPool::take) or
+/// [`recycle`](SharedPool::recycle).
+#[derive(Debug)]
+pub(crate) struct SharedPool(Mutex<BufferPool>);
+
+impl SharedPool {
+    fn lock(&self) -> MutexGuard<'_, BufferPool> {
+        // Neither pool operation can leave the pool inconsistent, so a
+        // panic elsewhere while the lock was held does not matter.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`BufferPool::take`] under the lock.
+    pub fn take(&self, samples: usize) -> Vec<f64> {
+        self.lock().take(samples)
+    }
+
+    /// [`BufferPool::recycle`] under the lock.
+    pub fn recycle(&self, image: Image) {
+        self.lock().recycle(image);
+    }
+
+    /// The pool itself, for pulls: they run on the caller thread while no
+    /// worker is scoring.
+    fn get_mut(&mut self) -> &mut BufferPool {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A cooperative cancellation/deadline token for streamed scoring.
 ///
 /// The token is the deadline hook of the service path: a request handler
@@ -216,7 +301,7 @@ impl CancelToken {
 /// Chunking parameters for streamed scoring.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Images pulled (and resident) per fan-out; the bounded-memory knob.
+    /// Items pulled (and resident) per fan-out; the bounded-memory knob.
     pub chunk_size: usize,
     /// Worker threads for each chunk's fan-out.
     pub threads: usize,
@@ -273,8 +358,8 @@ pub struct StreamSummary {
     pub items: usize,
     /// Chunks fanned out.
     pub chunks: usize,
-    /// Largest chunk pulled — the peak number of decoded images resident
-    /// at once (excluding the bounded buffer pool).
+    /// Largest chunk pulled — the peak number of pulled items (encoded
+    /// bytes or images) resident at once.
     pub peak_chunk: usize,
     /// Whether the stream stopped early because its
     /// [`CancelToken`] expired (deadline passed or explicit cancel);
@@ -289,8 +374,8 @@ pub struct StreamSummary {
 struct StreamMetrics {
     /// `decam_stream_chunks_total`: chunks fanned out.
     chunks_total: Counter,
-    /// `decam_stream_in_flight_images`: decoded images currently held by
-    /// the driver (pulled but not yet recycled/consumed).
+    /// `decam_stream_in_flight_images`: pulled items currently held by
+    /// the driver (pulled but not yet scored).
     in_flight: Gauge,
     /// `decam_stream_peak_chunk`: largest chunk pulled so far.
     peak_chunk: Gauge,
@@ -352,10 +437,11 @@ impl Chunk {
 /// Pulls an [`ImageSource`] in bounded chunks, owning the buffer pool and
 /// the stream telemetry. It is scoring-agnostic;
 /// [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream)
-/// fans its chunks out.
+/// fans its chunks out, and its workers decode into and recycle to the
+/// [`pool`](ChunkDriver::pool).
 pub(crate) struct ChunkDriver<'a> {
     source: &'a mut dyn ImageSource,
-    pool: BufferPool,
+    pool: SharedPool,
     chunk_size: usize,
     metrics: StreamMetrics,
     cancel: Option<CancelToken>,
@@ -375,7 +461,10 @@ impl<'a> ChunkDriver<'a> {
     ) -> Self {
         Self {
             source,
-            pool: BufferPool::with_telemetry(config.pool_capacity, telemetry),
+            pool: SharedPool(Mutex::new(BufferPool::with_telemetry(
+                config.pool_capacity,
+                telemetry,
+            ))),
             chunk_size: config.chunk_size.max(1),
             metrics: StreamMetrics::new(telemetry),
             cancel: config.cancel.clone(),
@@ -417,12 +506,12 @@ impl<'a> ChunkDriver<'a> {
         );
         while slots.len() < self.chunk_size {
             let index = base + slots.len();
-            let pulled =
-                match catch_unwind(AssertUnwindSafe(|| self.source.next_image(&mut self.pool))) {
-                    Ok(None) => break,
-                    Ok(Some(item)) => item.map_err(|err| err.at_index(index)),
-                    Err(payload) => Err(ScoreError::panicked(index, payload)),
-                };
+            let pool = self.pool.get_mut();
+            let pulled = match catch_unwind(AssertUnwindSafe(|| self.source.next_image(pool))) {
+                Ok(None) => break,
+                Ok(Some(item)) => item.map_err(|err| err.at_index(index)),
+                Err(payload) => Err(ScoreError::panicked(index, payload)),
+            };
             slots.push(Mutex::new(Some(pulled)));
         }
         if slots.is_empty() {
@@ -446,13 +535,13 @@ impl<'a> ChunkDriver<'a> {
     /// accounting (chunk count, peak size, telemetry) advances as if the
     /// items had been staged `chunk_size` at a time, so
     /// [`StreamSummary`] is identical between the two drive modes.
-    pub fn next_item(&mut self) -> Option<(usize, Result<Image, ScoreError>)> {
+    pub fn next_item(&mut self) -> Option<(usize, SourceItem)> {
         if self.expired() {
             return None;
         }
         let index = self.next_index;
-        let pulled = match catch_unwind(AssertUnwindSafe(|| self.source.next_image(&mut self.pool)))
-        {
+        let pool = self.pool.get_mut();
+        let pulled = match catch_unwind(AssertUnwindSafe(|| self.source.next_image(pool))) {
             Ok(None) => return None,
             Ok(Some(item)) => item.map_err(|err| err.at_index(index)),
             Err(payload) => Err(ScoreError::panicked(index, payload)),
@@ -475,14 +564,13 @@ impl<'a> ChunkDriver<'a> {
         self.metrics.in_flight.set(0.0);
     }
 
-    /// Returns a scored image's buffer to the pool.
-    pub fn recycle(&mut self, image: Image) {
-        self.pool.recycle(image);
+    /// The buffer pool the scoring workers decode into and recycle to.
+    pub fn pool(&self) -> &SharedPool {
+        &self.pool
     }
 
     /// Marks a fanned-out chunk as fully consumed (drops the in-flight
-    /// gauge back to zero). Call after every slot has been taken and
-    /// either recycled or dropped.
+    /// gauge back to zero). Call after every slot has been scored.
     pub fn finish_chunk(&mut self) {
         self.metrics.in_flight.set(0.0);
     }
@@ -529,6 +617,7 @@ impl ImageSource for SliceSource<'_> {
             .collect();
         Some(
             Image::from_planes(image.width(), image.height(), image.channels(), planes)
+                .map(Pulled::Image)
                 .map_err(|err| ScoreError::new(ScoreFault::Detect(err.into()))),
         )
     }
@@ -568,7 +657,7 @@ impl<F: FnMut(u64) -> Image> ImageSource for FnSource<F> {
         }
         let index = self.next;
         self.next += 1;
-        Some(Ok((self.make)(index)))
+        Some(Ok(Pulled::Image((self.make)(index))))
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -708,9 +797,9 @@ impl std::fmt::Display for ShardSpec {
 /// Keys come from a caller-supplied `inner index -> key` closure, which
 /// must produce the same canonical keys on every run. Because the inner
 /// source is pull-based, non-admitted items still have to be *pulled*
-/// (then recycled straight into the buffer pool); sources that can cheap
-/// skip by path — [`DirectorySource`] — should restrict their listing
-/// instead.
+/// (held images are recycled straight into the buffer pool); sources that
+/// can skip cheaply by path — [`DirectorySource`] — should restrict their
+/// listing instead.
 pub struct ShardedSource<S, F> {
     inner: S,
     spec: ShardSpec,
@@ -760,7 +849,7 @@ impl<S: ImageSource, F: FnMut(usize) -> String> ImageSource for ShardedSource<S,
             if admitted && !skipped {
                 return Some(item);
             }
-            if let Ok(image) = item {
+            if let Ok(Pulled::Image(image)) = item {
                 pool.recycle(image);
             }
         }
@@ -772,43 +861,86 @@ impl<S: ImageSource, F: FnMut(usize) -> String> ImageSource for ShardedSource<S,
 /// not extension — the extension only gates which files are listed.
 const IMAGE_EXTENSIONS: [&str; 7] = ["pgm", "ppm", "pnm", "bmp", "png", "jpg", "jpeg"];
 
-/// Pre-resolved `decam_codec_decode_total{format, outcome}` counters —
-/// one ok/error pair per sniffable format plus an `unknown` error
-/// counter for bytes no codec claims.
+/// The one decode path for encoded images — directory files, `/scan`
+/// frames and `/check` bodies alike.
+///
+/// [`decode`](ImageDecoder::decode) sniffs the magic bytes, decodes with
+/// the matching codec into sample buffers from the caller's allocator,
+/// times the call on `decam_engine_stage_seconds{stage="decode"}` and
+/// counts it on `decam_codec_decode_total{format, outcome}` (`unknown`
+/// for bytes no codec claims). The handles are resolved once, at
+/// construction. Codec errors map onto the quarantine taxonomy:
+/// [`ImagingError::Unsupported`] — no codec claims the bytes, or the
+/// claimed format uses an unsupported feature — becomes
+/// [`ScoreFault::UnsupportedFormat`]; every other error, a structurally
+/// broken file, becomes [`ScoreFault::Unreadable`].
 #[derive(Debug)]
-struct DecodeCounters {
+pub struct ImageDecoder {
+    seconds: HistogramHandle,
     ok: [Counter; 4],
     error: [Counter; 4],
     unknown: Counter,
 }
 
-impl DecodeCounters {
-    fn new(telemetry: &Telemetry) -> Self {
-        let resolve = |format: ImageFormat, outcome: &str| {
-            telemetry.counter(
-                "decam_codec_decode_total",
-                &[("format", format.name()), ("outcome", outcome)],
-            )
+impl ImageDecoder {
+    /// A decoder recording on `telemetry`.
+    pub fn new(telemetry: &Telemetry) -> Self {
+        let resolve = |format: &str, outcome: &str| {
+            telemetry
+                .counter("decam_codec_decode_total", &[("format", format), ("outcome", outcome)])
         };
         Self {
-            ok: ImageFormat::ALL.map(|f| resolve(f, "ok")),
-            error: ImageFormat::ALL.map(|f| resolve(f, "error")),
-            unknown: telemetry.counter(
-                "decam_codec_decode_total",
-                &[("format", "unknown"), ("outcome", "error")],
-            ),
+            seconds: telemetry.histogram("decam_engine_stage_seconds", &[("stage", "decode")]),
+            ok: ImageFormat::ALL.map(|f| resolve(f.name(), "ok")),
+            error: ImageFormat::ALL.map(|f| resolve(f.name(), "error")),
+            unknown: resolve("unknown", "error"),
         }
     }
 
-    fn record_ok(&self, format: ImageFormat) {
-        self.ok[Self::slot(format)].inc();
+    /// Decodes `bytes` into buffers from `alloc`. A fault's message is the
+    /// codec error, prefixed with `cannot read <origin>: ` when the bytes
+    /// were read from the file `origin`.
+    ///
+    /// # Errors
+    ///
+    /// [`ScoreFault::UnsupportedFormat`] or [`ScoreFault::Unreadable`],
+    /// as described on [`ImageDecoder`].
+    pub fn decode(
+        &self,
+        bytes: &[u8],
+        origin: Option<&Path>,
+        alloc: SampleAlloc<'_>,
+    ) -> Result<Image, ScoreFault> {
+        let _decode = self.seconds.span();
+        match decode_auto_into(bytes, alloc) {
+            Ok((format, image)) => {
+                self.ok[Self::slot(format)].inc();
+                Ok(image)
+            }
+            Err(err) => {
+                match sniff(bytes) {
+                    Some(format) => self.error[Self::slot(format)].inc(),
+                    None => self.unknown.inc(),
+                }
+                let message = match origin {
+                    Some(path) => format!("cannot read {}: {err}", path.display()),
+                    None => err.to_string(),
+                };
+                Err(match err {
+                    ImagingError::Unsupported { .. } => ScoreFault::UnsupportedFormat { message },
+                    _ => ScoreFault::Unreadable { message },
+                })
+            }
+        }
     }
 
-    fn record_error(&self, format: Option<ImageFormat>) {
-        match format {
-            Some(f) => self.error[Self::slot(f)].inc(),
-            None => self.unknown.inc(),
-        }
+    /// The fault of a file that could not be read at all. No codec saw
+    /// it, so it counts as an `unknown`-format decode error.
+    fn unreadable_file(&self, path: &Path, err: &std::io::Error) -> ScoreError {
+        self.unknown.inc();
+        ScoreError::new(ScoreFault::Unreadable {
+            message: format!("cannot read {}: {err}", path.display()),
+        })
     }
 
     const fn slot(format: ImageFormat) -> usize {
@@ -822,23 +954,25 @@ impl DecodeCounters {
 }
 
 /// An [`ImageSource`] over the image files of one directory — the single
-/// home of the listing/decode logic the CLI previously duplicated between
+/// home of the listing logic the CLI previously duplicated between
 /// `read_dir_images` and `scan`'s inline walk.
 ///
 /// [`open`](DirectorySource::open) lists the directory once, keeps the
-/// `.pgm`/`.ppm`/`.pnm`/`.bmp` entries in sorted path order, and fails on
-/// an unlistable or image-free directory. Decoding happens lazily, one
-/// file per pull; a file that fails to decode yields a
-/// [`ScoreFault::Unreadable`] item (consuming its stream index, so
-/// [`paths`](DirectorySource::paths)`[index]` always names the file an
-/// item came from) instead of aborting the stream. Decode latency is
-/// recorded on `decam_engine_stage_seconds{stage="decode"}`.
+/// `.pgm`/`.ppm`/`.pnm`/`.bmp`/`.png`/`.jpg`/`.jpeg` entries in sorted
+/// path order, and fails on an unlistable or image-free directory. Each
+/// pull only reads one file and yields its bytes as a
+/// [`Pulled::Encoded`] item; the scoring worker decodes them through
+/// the source's [`ImageDecoder`], which dispatches by magic bytes, not
+/// extension. A file that cannot be read, or fails to decode, becomes a
+/// [`ScoreFault::Unreadable`] (or [`ScoreFault::UnsupportedFormat`])
+/// slot whose message starts `cannot read <path>: ` — consuming its
+/// stream index, so [`paths`](DirectorySource::paths)`[index]` always
+/// names the file an item came from — instead of aborting the stream.
 #[derive(Debug)]
 pub struct DirectorySource {
     paths: Vec<PathBuf>,
     next: usize,
-    decode_seconds: HistogramHandle,
-    decode_counters: DecodeCounters,
+    decoder: Arc<ImageDecoder>,
 }
 
 impl DirectorySource {
@@ -853,7 +987,7 @@ impl DirectorySource {
     }
 
     /// [`open`](DirectorySource::open) with an explicit telemetry handle
-    /// for the decode-stage histogram.
+    /// for the decoder's counters and decode-stage histogram.
     pub fn with_telemetry(
         dir: impl AsRef<Path>,
         telemetry: &Telemetry,
@@ -877,13 +1011,7 @@ impl DirectorySource {
                 "no .pgm/.ppm/.pnm/.bmp/.png/.jpg/.jpeg images in {shown}"
             )));
         }
-        Ok(Self {
-            paths,
-            next: 0,
-            decode_seconds: telemetry
-                .histogram("decam_engine_stage_seconds", &[("stage", "decode")]),
-            decode_counters: DecodeCounters::new(telemetry),
-        })
+        Ok(Self { paths, next: 0, decoder: Arc::new(ImageDecoder::new(telemetry)) })
     }
 
     /// The files of the stream, in pull order; stream index `i`
@@ -952,42 +1080,17 @@ impl DirectorySource {
 }
 
 impl ImageSource for DirectorySource {
-    fn next_image(&mut self, pool: &mut BufferPool) -> Option<SourceItem> {
+    fn next_image(&mut self, _pool: &mut BufferPool) -> Option<SourceItem> {
         let path = self.paths.get(self.next)?;
         self.next += 1;
-        let _decode = self.decode_seconds.span();
-        let unreadable = |e: &dyn std::fmt::Display| {
-            ScoreError::new(ScoreFault::Unreadable {
-                message: format!("cannot read {}: {e}", path.display()),
-            })
-        };
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                self.decode_counters.record_error(None);
-                return Some(Err(unreadable(&e)));
-            }
-        };
-        // Dispatch by magic bytes, not extension; decode into a pooled
-        // buffer so steady-state streaming stops allocating.
-        let format = decamouflage_imaging::codec::sniff(&bytes);
-        match decode_auto_into(&bytes, &mut |n| pool.take(n)) {
-            Ok((format, image)) => {
-                self.decode_counters.record_ok(format);
-                Some(Ok(image))
-            }
-            Err(e) => {
-                self.decode_counters.record_error(format);
-                let message = format!("cannot read {}: {e}", path.display());
-                let fault = match e {
-                    decamouflage_imaging::ImagingError::Unsupported { .. } => {
-                        ScoreFault::UnsupportedFormat { message }
-                    }
-                    _ => ScoreFault::Unreadable { message },
-                };
-                Some(Err(ScoreError::new(fault)))
-            }
-        }
+        Some(match std::fs::read(path) {
+            Ok(bytes) => Ok(Pulled::Encoded {
+                bytes,
+                origin: Some(path.clone()),
+                decoder: Arc::clone(&self.decoder),
+            }),
+            Err(err) => Err(self.decoder.unreadable_file(path, &err)),
+        })
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -1005,12 +1108,22 @@ mod tests {
         Image::filled(4, 3, Channels::Gray, v)
     }
 
-    fn drain(source: &mut dyn ImageSource, pool: &mut BufferPool) -> Vec<SourceItem> {
+    /// Pulls `source` dry, materialising each item as a scoring worker
+    /// would (encoded bytes decode into pooled buffers).
+    fn drain(
+        source: &mut dyn ImageSource,
+        pool: &mut BufferPool,
+    ) -> Vec<Result<Image, ScoreError>> {
         let mut items = Vec::new();
         while let Some(item) = source.next_image(pool) {
-            items.push(item);
+            items.push(item.and_then(|pulled| pulled.into_image(&mut |n| pool.take(n))));
         }
         items
+    }
+
+    /// The image of a pulled chunk slot.
+    fn image_of(item: SourceItem) -> Result<Image, ScoreError> {
+        item.and_then(|pulled| pulled.into_image(&mut |n| vec![0.0; n]))
     }
 
     #[test]
@@ -1067,9 +1180,9 @@ mod tests {
             assert!(chunk.len() <= 3);
             assert!(chunk.len() > 0);
             for offset in 0..chunk.len() {
-                let image = chunk.take(offset).unwrap();
+                let image = image_of(chunk.take(offset)).unwrap();
                 seen.push((chunk.base() + offset, image.plane(0)[0]));
-                driver.recycle(image);
+                driver.pool().recycle(image);
             }
             driver.finish_chunk();
         }
@@ -1078,7 +1191,7 @@ mod tests {
         assert_eq!(summary.chunks, 3, "7 items in chunks of 3");
         assert_eq!(summary.peak_chunk, 3);
         assert_eq!(seen, (0..7).map(|i| (i, i as f64)).collect::<Vec<_>>());
-        assert!(driver.pool.len() <= 2, "pool stays within capacity");
+        assert!(driver.pool.lock().len() <= 2, "pool stays within capacity");
         assert_eq!(telemetry.counter("decam_stream_chunks_total", &[]).value(), 3);
         assert_eq!(telemetry.gauge("decam_stream_peak_chunk", &[]).value(), 3.0);
         assert_eq!(telemetry.gauge("decam_stream_in_flight_images", &[]).value(), 0.0);
@@ -1096,11 +1209,11 @@ mod tests {
         let mut driver = ChunkDriver::new(&mut source, &config, &Telemetry::disabled());
         let chunk = driver.next_chunk().unwrap();
         assert_eq!(chunk.len(), 3, "a pull panic consumes its index, not the stream");
-        assert!(chunk.take(0).is_ok());
-        let err = chunk.take(1).unwrap_err();
+        assert!(image_of(chunk.take(0)).is_ok());
+        let err = image_of(chunk.take(1)).unwrap_err();
         assert_eq!(err.index, 1);
         assert!(err.is_panic(), "pull panics surface as ScoreError::panicked: {err}");
-        assert!(chunk.take(2).is_ok());
+        assert!(image_of(chunk.take(2)).is_ok());
         driver.finish_chunk();
         assert!(driver.next_chunk().is_none());
     }

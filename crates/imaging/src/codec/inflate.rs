@@ -2,9 +2,11 @@
 //!
 //! The decode side is a complete inflater — stored blocks, fixed and
 //! dynamic Huffman blocks, and the 32 KiB sliding-window copy — driven
-//! bit-serially from a canonical-code table (the `puff` algorithm:
-//! per-length counts plus a symbol table, no precomputed LUT). Every
-//! structural violation a hostile stream can express (oversubscribed
+//! from canonical-code tables (the `puff` algorithm: per-length counts
+//! plus a symbol table) with a 9-bit lookup table in front that decodes
+//! short codes in one step; longer codes, unassigned codes and stream
+//! tails take the bit-serial canonical walk. Every structural violation
+//! a hostile stream can express (oversubscribed
 //! code sets, distances past the window, lengths past the output cap,
 //! truncation at any bit) maps to a typed [`ImagingError::Decode`] —
 //! the totality fuzz suite drives mutated and random streams through
@@ -115,12 +117,26 @@ impl<'a> BitReader<'a> {
 /// Maximum bits in a DEFLATE code.
 const MAX_BITS: usize = 15;
 
+/// Bits resolved by one [`Huffman`] table lookup. Codes up to this long
+/// (every fixed code, and nearly every code a real encoder emits)
+/// decode in one step; longer ones fall back to the canonical walk.
+const TABLE_BITS: u32 = 9;
+
 /// A canonical Huffman code set: per-length symbol counts plus the
-/// symbols ordered by (code length, symbol value). Decoding walks the
-/// code space one bit at a time — O(length) per symbol, no table memory.
+/// symbols ordered by (code length, symbol value), and a lookup table
+/// over the next [`TABLE_BITS`] input bits.
+///
+/// Table entry `i` describes the code that the bits of `i` (LSB first,
+/// as DEFLATE packs them) begin with: `symbol << 4 | length`, or `0`
+/// when no code of at most [`TABLE_BITS`] bits matches (a longer code
+/// or an unassigned one). A hit consumes exactly the code's length; a
+/// miss, and a stream tail shorter than the matched code, run the
+/// bit-serial canonical walk instead, so symbols, errors and bits
+/// consumed are the walk's in every case.
 struct Huffman {
     counts: [u16; MAX_BITS + 1],
     symbols: Vec<u16>,
+    table: Box<[u16; 1 << TABLE_BITS]>,
 }
 
 impl Huffman {
@@ -158,11 +174,50 @@ impl Huffman {
                 offsets[len as usize] += 1;
             }
         }
-        Ok(Self { counts, symbols })
+        // Canonical codes in `symbols` order: consecutive within a length,
+        // the first code of each length doubling the end of the previous
+        // one — exactly the assignment the walk in `decode_walk` reads.
+        let mut table = Box::new([0u16; 1 << TABLE_BITS]);
+        let mut code = 0u32;
+        let mut next = 0usize;
+        for len in 1..=TABLE_BITS {
+            for _ in 0..counts[len as usize] {
+                let reversed = code.reverse_bits() >> (32 - len);
+                let entry = symbols[next] << 4 | len as u16;
+                for fill in (reversed as usize..1 << TABLE_BITS).step_by(1 << len) {
+                    table[fill] = entry;
+                }
+                code += 1;
+                next += 1;
+            }
+            code <<= 1;
+        }
+        Ok(Self { counts, symbols, table })
     }
 
-    /// Decodes one symbol from `reader`.
+    /// Decodes one symbol from `reader`: one table lookup when the next
+    /// code is at most [`TABLE_BITS`] long and fully buffered, the
+    /// canonical walk otherwise.
+    #[inline]
     fn decode(&self, reader: &mut BitReader<'_>) -> Result<u16, ImagingError> {
+        if reader.have < TABLE_BITS {
+            reader.refill();
+        }
+        // Bits past `have` are zero, so a short tail still indexes the
+        // table; the length check below rejects entries it cannot cover.
+        let entry = self.table[(reader.acc & ((1 << TABLE_BITS) - 1)) as usize];
+        let len = u32::from(entry & 0xF);
+        if len != 0 && len <= reader.have {
+            reader.acc >>= len;
+            reader.have -= len;
+            return Ok(entry >> 4);
+        }
+        self.decode_walk(reader)
+    }
+
+    /// Decodes one symbol bit-serially: walks the code space one bit at a
+    /// time, O(length) per symbol.
+    fn decode_walk(&self, reader: &mut BitReader<'_>) -> Result<u16, ImagingError> {
         let mut code = 0i32;
         let mut first = 0i32;
         let mut index = 0i32;
@@ -582,6 +637,57 @@ pub fn zlib_compress(data: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::random_code_lengths;
+    use proptest::prelude::*;
+
+    /// Input bits consumed so far (independent of when the reader refilled).
+    fn bits_consumed(reader: &BitReader<'_>) -> usize {
+        reader.next * 8 - reader.have as usize
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lookup table decodes exactly as the bit-serial walk: the
+        /// same symbols, the same bits consumed after every symbol and the
+        /// same error at the end, for complete and incomplete code sets
+        /// over random streams cut at random lengths.
+        #[test]
+        fn table_decode_matches_the_bit_serial_walk(
+            seed in any::<u64>(),
+            complete in any::<bool>(),
+            symbols in 2usize..=288,
+            stream in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let lengths = random_code_lengths(seed, symbols, MAX_BITS as u8, complete);
+            let code = Huffman::new(&lengths).expect("generated sets are never oversubscribed");
+            let mut table = BitReader::new(&stream);
+            let mut walk = BitReader::new(&stream);
+            loop {
+                let fast = code.decode(&mut table);
+                let slow = code.decode_walk(&mut walk);
+                prop_assert_eq!(bits_consumed(&table), bits_consumed(&walk));
+                match (fast, slow) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                    (Err(a), Err(b)) => {
+                        prop_assert_eq!(a.to_string(), b.to_string());
+                        break;
+                    }
+                    (a, b) => prop_assert!(false, "table {:?} vs walk {:?}", a, b),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_tables_resolve_every_code_in_one_lookup() {
+        // Every fixed code is at most 9 bits, so the complete litlen set
+        // leaves no table entry a miss; the distance set leaves exactly its
+        // two unassigned 5-bit codes (30 and 31) to the walk.
+        assert!(fixed_litlen().table.iter().all(|&entry| entry & 0xF != 0));
+        let misses = fixed_dist().table.iter().filter(|&&entry| entry == 0).count();
+        assert_eq!(misses, 2 << (TABLE_BITS - 5));
+    }
 
     #[test]
     fn stored_block_round_trip() {

@@ -1,8 +1,10 @@
 //! Baseline JPEG (ITU-T T.81) codec, from scratch.
 //!
 //! Decode handles sequential-baseline streams: SOI/APPn/DQT/SOF0/DHT/
-//! DRI/SOS marker walk, MSB-first Huffman entropy decode with byte
-//! destuffing and restart markers, dequantisation through the zigzag,
+//! DRI/SOS marker walk, MSB-first Huffman entropy decode (a 9-bit
+//! lookup table per Huffman table, the canonical bit-serial walk for
+//! longer codes) with byte destuffing and restart markers,
+//! dequantisation through the zigzag,
 //! a separable double-precision 8x8 IDCT, nearest-neighbour chroma
 //! upsampling, and YCbCr to RGB conversion. Sampling factors are
 //! general (each component's h/v in {1, 2}), which covers 4:4:4,
@@ -101,11 +103,24 @@ fn fdct_8x8(samples: &[f64; 64], basis: &[[f64; 8]; 8], out: &mut [f64; 64]) {
 // Huffman tables (MSB-first canonical codes)
 // ---------------------------------------------------------------------------
 
+/// Bits resolved by one [`HuffTable`] lookup.
+const TABLE_BITS: u32 = 9;
+
 /// A JPEG Huffman table: `counts[len]` codes of each length 1..=16,
-/// symbols ordered by (length, transmission order).
+/// symbols ordered by (length, transmission order), and a lookup table
+/// over the next [`TABLE_BITS`] bits of the entropy stream.
+///
+/// Lookup entry `i` describes the code the bits of `i` (MSB first)
+/// begin with: `symbol << 8 | length`, or `0` when no code of at most
+/// [`TABLE_BITS`] bits matches (a longer code or an unassigned one).
+/// A hit consumes exactly the code's length, with the reader state the
+/// bit-serial walk would leave behind; a miss, and a stream tail
+/// shorter than the matched code, run the walk itself, so symbols,
+/// errors and bits consumed are the walk's in every case.
 struct HuffTable {
     counts: [u16; 17],
     symbols: Vec<u8>,
+    lookup: Box<[u16; 1 << TABLE_BITS]>,
 }
 
 impl HuffTable {
@@ -121,11 +136,41 @@ impl HuffTable {
                 return Err(corrupt("oversubscribed jpeg huffman table"));
             }
         }
-        Ok(Self { counts, symbols })
+        // Canonical codes in `symbols` order, assigned exactly as the walk
+        // in `decode_walk` reads them.
+        let mut lookup = Box::new([0u16; 1 << TABLE_BITS]);
+        let mut code = 0usize;
+        let mut next = 0usize;
+        for len in 1..=TABLE_BITS {
+            for _ in 0..counts[len as usize] {
+                let shift = TABLE_BITS - len;
+                let entry = u16::from(symbols[next]) << 8 | len as u16;
+                lookup[code << shift..(code + 1) << shift].fill(entry);
+                code += 1;
+                next += 1;
+            }
+            code <<= 1;
+        }
+        Ok(Self { counts, symbols, lookup })
     }
 
-    /// Decodes one symbol, reading MSB-first bits from `reader`.
+    /// Decodes one symbol, reading MSB-first bits from `reader`: one
+    /// table lookup when the next code is at most [`TABLE_BITS`] long
+    /// and the stream holds it, the canonical walk otherwise.
+    #[inline]
     fn decode(&self, reader: &mut ScanReader<'_>) -> Result<u8, ImagingError> {
+        let (bits, have) = reader.peek(TABLE_BITS);
+        let entry = self.lookup[bits as usize];
+        let len = u32::from(entry & 0xFF);
+        if len != 0 && len <= have {
+            reader.skip(len);
+            return Ok((entry >> 8) as u8);
+        }
+        self.decode_walk(reader)
+    }
+
+    /// Decodes one symbol bit-serially, one `take(1)` per code bit.
+    fn decode_walk(&self, reader: &mut ScanReader<'_>) -> Result<u8, ImagingError> {
         let mut code = 0i32;
         let mut first = 0i32;
         let mut index = 0i32;
@@ -163,6 +208,7 @@ impl HuffTable {
 // Entropy-coded segment reader (MSB-first, FF-destuffed)
 // ---------------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 struct ScanReader<'a> {
     data: &'a [u8],
     at: usize,
@@ -206,6 +252,40 @@ impl<'a> ScanReader<'a> {
         let value = (self.acc >> (self.have - n)) & ((1 << n) - 1);
         self.have -= n;
         Ok(value)
+    }
+
+    /// The next `n` bits (n <= 16), MSB-first and zero-padded past the
+    /// end of the entropy data, and how many of them the stream holds.
+    /// Nothing is consumed and the reader state does not change: bits
+    /// past the buffered ones are read ahead on a copy, because when
+    /// the buffer refills is observable (see [`ScanReader::restart`]).
+    fn peek(&self, n: u32) -> (u32, u32) {
+        let mut probe = *self;
+        if probe.have < n {
+            probe.fill();
+        }
+        let mask = (1 << n) - 1;
+        if probe.have >= n {
+            ((probe.acc >> (probe.have - n)) & mask, n)
+        } else {
+            ((probe.acc << (n - probe.have)) & mask, probe.have)
+        }
+    }
+
+    /// Consumes `n` bits that [`ScanReader::peek`] showed the stream
+    /// holds, leaving exactly the state `n` calls of `take(1)` would:
+    /// the buffered bits go first, and the buffer refills only once
+    /// they are exhausted.
+    fn skip(&mut self, n: u32) {
+        if n > self.have {
+            let rest = n - self.have;
+            self.have = 0;
+            self.fill();
+            assert!(self.have >= rest, "skip past the bits peek showed");
+            self.have -= rest;
+        } else {
+            self.have -= n;
+        }
     }
 
     /// Byte-aligns and consumes the expected restart marker.
@@ -567,8 +647,7 @@ fn decode_scan(
                         for y in 0..8 {
                             let row = (block_y + y) * component.plane_w + block_x;
                             for x in 0..8 {
-                                component.plane[row + x] =
-                                    (pixels[y * 8 + x] + 128.0).round().clamp(0.0, 255.0) as u8;
+                                component.plane[row + x] = to_sample(pixels[y * 8 + x] + 128.0);
                             }
                         }
                     }
@@ -577,6 +656,19 @@ fn decode_scan(
         }
     }
     Ok(())
+}
+
+/// `x.round().clamp(0.0, 255.0) as u8` without the `round` call, which
+/// is a libm call on baseline x86-64 and ran once per decoded sample.
+/// Clamping first leaves the `u8` unchanged, and for `c` in `[0, 255]`
+/// the fraction `c - trunc(c)` is exact, so rounding half away from zero
+/// is `trunc(c)` plus one when that fraction is at least one half. NaN
+/// maps to 0, as it does through `round`.
+#[inline]
+fn to_sample(x: f64) -> u8 {
+    let c = x.clamp(0.0, 255.0);
+    let t = c as u8;
+    t + u8::from(c - f64::from(t) >= 0.5)
 }
 
 fn decode_block(
@@ -989,6 +1081,99 @@ pub fn encode_jpeg(image: &Image, quality: u8) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::random_code_lengths;
+    use proptest::prelude::*;
+
+    /// A random DHT table (complete or not, codes up to 16 bits): the
+    /// per-length counts and the symbols in (length, symbol) order.
+    fn random_table(seed: u64, symbols: usize, complete: bool) -> HuffTable {
+        let lengths = random_code_lengths(seed, symbols, 16, complete);
+        let mut counts = [0u16; 17];
+        let mut ordered = Vec::new();
+        for len in 1..=16u8 {
+            for (symbol, &l) in lengths.iter().enumerate() {
+                if l == len {
+                    counts[usize::from(len)] += 1;
+                    ordered.push(symbol as u8);
+                }
+            }
+        }
+        HuffTable::new(counts, ordered).expect("generated sets are never oversubscribed")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lookup table decodes exactly as the bit-serial walk: the
+        /// same symbols, the same reader state (accumulator, buffered bits,
+        /// input position) after every symbol and the same error at the
+        /// end, for complete and incomplete tables over random entropy
+        /// data — including FF stuffing and markers that end it early —
+        /// cut at random lengths.
+        #[test]
+        fn table_decode_matches_the_bit_serial_walk(
+            seed in any::<u64>(),
+            complete in any::<bool>(),
+            symbols in 2usize..=256,
+            stream in proptest::collection::vec(
+                prop_oneof![any::<u8>(), Just(0xFFu8), Just(0x00u8)],
+                0..96,
+            ),
+        ) {
+            let code = random_table(seed, symbols, complete);
+            let mut table = ScanReader::new(&stream, 0);
+            let mut walk = ScanReader::new(&stream, 0);
+            loop {
+                let fast = code.decode(&mut table);
+                let slow = code.decode_walk(&mut walk);
+                prop_assert_eq!(
+                    (table.acc, table.have, table.at),
+                    (walk.acc, walk.have, walk.at)
+                );
+                match (fast, slow) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                    (Err(a), Err(b)) => {
+                        prop_assert_eq!(a.to_string(), b.to_string());
+                        break;
+                    }
+                    (a, b) => prop_assert!(false, "table {:?} vs walk {:?}", a, b),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_rounding_matches_round_then_clamp() {
+        let reference = |x: f64| x.round().clamp(0.0, 255.0) as u8;
+        let mut probes = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+        for k in -3i32..=259 {
+            for base in [f64::from(k), f64::from(k) + 0.5, f64::from(k) - 0.5] {
+                probes.extend([base, base.next_up(), base.next_down()]);
+            }
+        }
+        // The largest double below one half, where `x + 0.5` rounds up.
+        probes.push(0.499_999_999_999_999_94);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..100_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            probes.push((state >> 11) as f64 / (1u64 << 53) as f64 * 300.0 - 20.0);
+        }
+        for x in probes {
+            assert_eq!(to_sample(x), reference(x), "{x:e}");
+        }
+    }
+
+    #[test]
+    fn annex_k_tables_resolve_short_codes_in_one_lookup() {
+        // The Annex K luma DC codes are at most 9 bits long, so the only
+        // lookup miss is the all-ones code T.81 leaves unassigned.
+        let dc_luma = HuffTable::new(K_DC_LUMA.0, K_DC_LUMA.1.to_vec()).unwrap();
+        let misses: Vec<usize> =
+            (0..dc_luma.lookup.len()).filter(|&index| dc_luma.lookup[index] == 0).collect();
+        assert_eq!(misses, [(1 << TABLE_BITS) - 1]);
+    }
 
     fn gradient_rgb(width: usize, height: usize) -> Image {
         let mut data = Vec::with_capacity(width * height * 3);

@@ -36,11 +36,11 @@ use crate::http::{
     Response,
 };
 use crate::metrics::ServiceMetrics;
-use crate::service::{decode_image_into, record_decode, DecodeFailure, DetectionService};
+use crate::service::DetectionService;
 use crate::shutdown_signal;
 use decamouflage_core::parallel::WorkerPool;
-use decamouflage_core::stream::{BufferPool, SourceItem};
-use decamouflage_core::{CancelToken, ImageSource, ScoreError, ScoreFault};
+use decamouflage_core::stream::{BufferPool, ImageDecoder, Pulled, SourceItem};
+use decamouflage_core::{CancelToken, ImageSource};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -73,7 +73,8 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// Request-head cap (`431` past it).
     pub max_header_bytes: usize,
-    /// Images resident at once while streaming `/scan` bodies.
+    /// Frames (encoded images) read ahead at once while streaming `/scan`
+    /// bodies; each decodes only when it is scored.
     pub scan_chunk_size: usize,
 }
 
@@ -480,16 +481,17 @@ fn read_check_body<R: BufRead>(
 
 /// An [`ImageSource`] over the request body. With chunked framing each
 /// HTTP chunk is one complete image file; with `Content-Length` the
-/// whole body is a single image. Transport errors park in
-/// `transport_error` and end the stream — the server inspects the slot
-/// afterwards to pick the status.
+/// whole body is a single image. A pull only reads a frame: the engine
+/// worker that scores it decodes it through the service's
+/// [`ImageDecoder`]. Transport errors park in `transport_error` and end
+/// the stream — the server inspects the slot afterwards to pick the
+/// status.
 struct BodyImageSource<'a, R: BufRead> {
     reader: &'a mut R,
     mode: BodyMode,
     budget: usize,
     transport_error: Option<HttpError>,
-    index: usize,
-    telemetry: decamouflage_telemetry::Telemetry,
+    decoder: Arc<ImageDecoder>,
 }
 
 enum BodyMode {
@@ -498,19 +500,17 @@ enum BodyMode {
 }
 
 impl<'a, R: BufRead> BodyImageSource<'a, R> {
-    fn new(reader: &'a mut R, plan: BodyPlan, max_body_bytes: usize) -> Self {
+    fn new(
+        reader: &'a mut R,
+        plan: BodyPlan,
+        max_body_bytes: usize,
+        decoder: Arc<ImageDecoder>,
+    ) -> Self {
         let mode = match plan {
             BodyPlan::Sized(length) => BodyMode::Single(Some(length)),
             BodyPlan::Chunked => BodyMode::Chunked,
         };
-        Self {
-            reader,
-            mode,
-            budget: max_body_bytes,
-            transport_error: None,
-            index: 0,
-            telemetry: decamouflage_telemetry::global(),
-        }
+        Self { reader, mode, budget: max_body_bytes, transport_error: None, decoder }
     }
 
     fn next_frame(&mut self) -> Result<Option<Vec<u8>>, HttpError> {
@@ -534,34 +534,22 @@ impl<'a, R: BufRead> BodyImageSource<'a, R> {
 }
 
 impl<R: BufRead> ImageSource for BodyImageSource<'_, R> {
-    fn next_image(&mut self, pool: &mut BufferPool) -> Option<SourceItem> {
+    fn next_image(&mut self, _pool: &mut BufferPool) -> Option<SourceItem> {
         if self.transport_error.is_some() {
             return None;
         }
-        let frame = match self.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return None,
+        match self.next_frame() {
+            Ok(Some(bytes)) => Some(Ok(Pulled::Encoded {
+                bytes,
+                origin: None,
+                decoder: Arc::clone(&self.decoder),
+            })),
+            Ok(None) => None,
             Err(err) => {
                 self.transport_error = Some(err);
-                return None;
+                None
             }
-        };
-        let index = self.index;
-        self.index += 1;
-        let decoded = decode_image_into(&frame, &mut |n| pool.take(n));
-        record_decode(&self.telemetry, &frame, decoded.is_ok());
-        Some(match decoded {
-            Ok((_, image)) => Ok(image),
-            Err(failure) => {
-                let fault = match failure {
-                    DecodeFailure::Unsupported(message) => {
-                        ScoreFault::UnsupportedFormat { message }
-                    }
-                    DecodeFailure::Unreadable(message) => ScoreFault::Unreadable { message },
-                };
-                Err(ScoreError::new(fault).at_index(index))
-            }
-        })
+        }
     }
 }
 
@@ -575,7 +563,12 @@ fn scan<R: BufRead>(head: &RequestHead, reader: &mut R, ctx: &ConnContext) -> Op
         Ok(plan) => plan,
         Err(err) => return error_response(err, &ctx.token),
     };
-    let mut source = BodyImageSource::new(reader, plan, ctx.config.max_body_bytes);
+    let mut source = BodyImageSource::new(
+        reader,
+        plan,
+        ctx.config.max_body_bytes,
+        Arc::clone(ctx.service.decoder()),
+    );
     let outcome = ctx.service.scan_source(&mut source, &ctx.token, ctx.config.scan_chunk_size);
     if let Some(err) = source.transport_error {
         // The stream died on transport, not on scoring: the transport
@@ -589,6 +582,60 @@ fn scan<R: BufRead>(head: &RequestHead, reader: &mut R, ctx: &ConnContext) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decamouflage_core::persist::ThresholdSet;
+    use decamouflage_core::{DegradePolicy, Direction, MethodId, Threshold};
+    use decamouflage_imaging::codec::encode_pgm;
+    use decamouflage_imaging::{Image, Size};
+    use decamouflage_telemetry::Telemetry;
+
+    #[test]
+    fn chunked_scan_times_and_counts_every_frame_decode() {
+        let telemetry = Telemetry::enabled();
+        let thresholds: ThresholdSet = [
+            (MethodId::ScalingMse, Threshold::new(400.0, Direction::AboveIsAttack)),
+            (MethodId::FilteringSsim, Threshold::new(0.55, Direction::BelowIsAttack)),
+            (MethodId::Csp, Threshold::new(10.0, Direction::AboveIsAttack)),
+        ]
+        .into_iter()
+        .collect();
+        let service = DetectionService::new(Size::square(16), &thresholds, DegradePolicy::Strict)
+            .unwrap()
+            .with_decode_telemetry(&telemetry);
+        let ctx = ConnContext {
+            service: Arc::new(service),
+            state: Arc::new(ServerState::default()),
+            metrics: Arc::new(ServiceMetrics::new(&Telemetry::disabled())),
+            config: ServerConfig::default(),
+            token: CancelToken::new(),
+            accepted_at: Instant::now(),
+        };
+        // Three chunked frames: two images and one body no codec claims.
+        let image = encode_pgm(&Image::from_fn_gray(48, 48, |x, y| ((x * 3 + y * 5) % 61) as f64));
+        let mut body = Vec::new();
+        for frame in [&image[..], b"not an image", &image[..]] {
+            body.extend_from_slice(format!("{:x}\r\n", frame.len()).as_bytes());
+            body.extend_from_slice(frame);
+            body.extend_from_slice(b"\r\n");
+        }
+        body.extend_from_slice(b"0\r\n\r\n");
+        let head =
+            parse_head(b"POST /scan HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n")
+                .unwrap();
+        let response = scan(&head, &mut io::Cursor::new(body), &ctx).expect("a response");
+        assert_eq!(response.status, 200);
+        let json = String::from_utf8(response.body).unwrap();
+        assert!(json.contains("\"images\":3"), "{json}");
+        assert!(json.contains("\"quarantined\":\"unsupported-format\""), "{json}");
+
+        let decode = telemetry.histogram("decam_engine_stage_seconds", &[("stage", "decode")]);
+        assert_eq!(decode.snapshot().unwrap().count(), 3, "every frame's decode is timed");
+        let count = |format: &str, outcome: &str| {
+            telemetry
+                .counter("decam_codec_decode_total", &[("format", format), ("outcome", outcome)])
+                .value()
+        };
+        assert_eq!((count("pnm", "ok"), count("unknown", "error")), (2, 1));
+    }
 
     #[test]
     fn config_defaults_are_sane() {

@@ -9,89 +9,16 @@
 use crate::json;
 use decamouflage_core::ensemble::{DegradePolicy, EnsembleDecision};
 use decamouflage_core::persist::ThresholdSet;
+use decamouflage_core::stream::ImageDecoder;
 use decamouflage_core::{
     CancelToken, DetectError, Ensemble, ImageSource, ScoreFault, ScoreVector, StreamConfig,
 };
-use decamouflage_imaging::codec::{decode_auto_into, sniff, ImageFormat, SampleAlloc};
-use decamouflage_imaging::{Image, ImagingError, Size};
-use decamouflage_telemetry::Telemetry;
+use decamouflage_imaging::Size;
+use std::sync::Arc;
 
 /// The engine methods the service votes with — the paper's three-method
 /// ensemble (scaling/MSE, filtering/SSIM, CSP).
 pub use decamouflage_core::ensemble::PAPER_METHODS as SERVICE_METHODS;
-
-/// Why a request body failed to decode, split along the `422` fault
-/// taxonomy: a body no codec claims (or a claimed-but-unsupported
-/// feature) is a different client error from a structurally broken
-/// file in a supported format.
-#[derive(Debug)]
-pub enum DecodeFailure {
-    /// No codec claims the magic bytes, or the claimed format uses an
-    /// unsupported feature (fault kind `unsupported-format`).
-    Unsupported(String),
-    /// A supported format that is structurally broken — truncated,
-    /// checksum mismatch, bad header (fault kind `unreadable`).
-    Unreadable(String),
-}
-
-impl DecodeFailure {
-    /// The stable kebab-case fault tag this failure quarantines under.
-    pub fn fault(&self) -> &'static str {
-        match self {
-            Self::Unsupported(_) => "unsupported-format",
-            Self::Unreadable(_) => "unreadable",
-        }
-    }
-
-    /// Consumes the failure, yielding the human-readable detail.
-    pub fn into_detail(self) -> String {
-        match self {
-            Self::Unsupported(detail) | Self::Unreadable(detail) => detail,
-        }
-    }
-}
-
-/// Decodes an image body by sniffing its magic bytes (PNG, JPEG, BMP,
-/// PNM), allocating the sample buffer on the heap. Streaming callers
-/// should use [`decode_image_into`] with a `BufferPool` allocator.
-///
-/// # Errors
-///
-/// See [`decode_image_into`].
-pub fn decode_image(body: &[u8]) -> Result<(ImageFormat, Image), DecodeFailure> {
-    decode_image_into(body, &mut |n| vec![0.0; n])
-}
-
-/// Decodes an image body by sniffing its magic bytes, obtaining the
-/// sample buffer from `alloc` so streaming callers recycle pool
-/// buffers. Returns the sniffed format for per-format telemetry.
-///
-/// # Errors
-///
-/// [`DecodeFailure::Unsupported`] when no codec claims the body (or a
-/// claimed format uses an unsupported feature), [`DecodeFailure::Unreadable`]
-/// when a supported format is structurally broken.
-pub fn decode_image_into(
-    body: &[u8],
-    alloc: SampleAlloc<'_>,
-) -> Result<(ImageFormat, Image), DecodeFailure> {
-    decode_auto_into(body, alloc).map_err(|err| match err {
-        ImagingError::Unsupported { .. } => DecodeFailure::Unsupported(err.to_string()),
-        other => DecodeFailure::Unreadable(other.to_string()),
-    })
-}
-
-/// Counts one body decode on `decam_codec_decode_total{format,outcome}`
-/// — the same family `DirectorySource` uses, so `/metrics` reports
-/// filesystem and HTTP decodes uniformly. Failed sniffs count under
-/// `format="unknown"`.
-pub(crate) fn record_decode(telemetry: &Telemetry, body: &[u8], ok: bool) {
-    let format = sniff(body).map_or("unknown", ImageFormat::name);
-    let outcome = if ok { "ok" } else { "error" };
-    telemetry
-        .counter("decam_codec_decode_total", &[("format", format), ("outcome", outcome)])
-        .inc();
-}
 
 /// The typed outcome of one `/check`, mapped 1:1 onto an HTTP status.
 #[derive(Debug)]
@@ -106,7 +33,8 @@ pub enum CheckOutcome {
     /// `422` — the input was quarantined by the [`ScoreFault`] taxonomy
     /// (`fault` is [`ScoreFault::kind`]; decode failures use
     /// `unsupported-format` for bodies no codec claims and `unreadable`
-    /// for structurally broken files, per [`DecodeFailure`]).
+    /// for structurally broken files, per [`ImageDecoder`], with the codec
+    /// error as the detail).
     Quarantined {
         /// Stable kebab-case fault tag.
         fault: &'static str,
@@ -159,7 +87,7 @@ pub struct ScanOutcome {
 #[derive(Debug)]
 pub struct DetectionService {
     ensemble: Ensemble,
-    telemetry: Telemetry,
+    decoder: Arc<ImageDecoder>,
 }
 
 impl DetectionService {
@@ -175,7 +103,25 @@ impl DetectionService {
         policy: DegradePolicy,
     ) -> Result<Self, String> {
         let ensemble = Ensemble::paper(target, thresholds, policy).map_err(|e| e.to_string())?;
-        Ok(Self { ensemble, telemetry: decamouflage_telemetry::global() })
+        let decoder = Arc::new(ImageDecoder::new(&decamouflage_telemetry::global()));
+        Ok(Self { ensemble, decoder })
+    }
+
+    /// The decode path of every request body, recording on the
+    /// process-global telemetry captured at construction.
+    pub(crate) fn decoder(&self) -> &Arc<ImageDecoder> {
+        &self.decoder
+    }
+
+    /// Test seam: records decodes on `telemetry` instead of the
+    /// process-global handle, so a test can count them exactly.
+    #[cfg(test)]
+    pub(crate) fn with_decode_telemetry(
+        mut self,
+        telemetry: &decamouflage_telemetry::Telemetry,
+    ) -> Self {
+        self.decoder = Arc::new(ImageDecoder::new(telemetry));
+        self
     }
 
     /// The configured degrade policy.
@@ -206,18 +152,16 @@ impl DetectionService {
         if cancel.is_expired() {
             return CheckOutcome::Expired;
         }
-        let image = {
-            let _decode = self.telemetry.span("decam_engine_stage_seconds", &[("stage", "decode")]);
-            let decoded = decode_image(body);
-            record_decode(&self.telemetry, body, decoded.is_ok());
-            match decoded {
-                Ok((_, image)) => image,
-                Err(failure) => {
-                    return CheckOutcome::Quarantined {
-                        fault: failure.fault(),
-                        detail: failure.into_detail(),
-                    }
-                }
+        let image = match self.decoder.decode(body, None, &mut |samples| vec![0.0; samples]) {
+            Ok(image) => image,
+            Err(fault) => {
+                let kind = fault.kind();
+                let detail = match fault {
+                    ScoreFault::UnsupportedFormat { message }
+                    | ScoreFault::Unreadable { message } => message,
+                    other => other.to_string(),
+                };
+                return CheckOutcome::Quarantined { fault: kind, detail };
             }
         };
         if cancel.is_expired() {
@@ -242,9 +186,10 @@ impl DetectionService {
         }
     }
 
-    /// Streams a source through the engine with bounded memory
-    /// (`chunk_size` images resident at most) and the request's
-    /// [`CancelToken`] armed between pipeline stages.
+    /// Streams a source through the engine with bounded memory (at most
+    /// `chunk_size` pulled items resident, each decoded only when it is
+    /// scored) and the request's [`CancelToken`] armed between pipeline
+    /// stages.
     ///
     /// Per-slot failures quarantine the slot — including recovered
     /// panics, which on the batch path are a position-level fault, not a
@@ -396,6 +341,7 @@ mod tests {
     use super::*;
     use decamouflage_core::{Direction, MethodId, Threshold};
     use decamouflage_imaging::codec::encode_pgm;
+    use decamouflage_imaging::Image;
 
     fn thresholds() -> ThresholdSet {
         let mut set = ThresholdSet::new();

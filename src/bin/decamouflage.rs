@@ -19,9 +19,11 @@
 //! scriptable as a pre-ingestion filter. `scan` triages a whole directory
 //! (the paper's offline data-poisoning use case) and exits 2 if anything
 //! was flagged. Directories stream through the bounded-memory
-//! [`DirectorySource`] pipeline: at most `--chunk-size` decoded images
-//! (default 64) are resident at once, so arbitrarily large corpora scan in
-//! constant memory.
+//! [`DirectorySource`] pipeline: files are read `--chunk-size` (default 64)
+//! at a time and decoded by the worker that scores them, so at most one
+//! decoded image per worker thread, the buffer pool and one chunk of
+//! encoded files are resident at once, and arbitrarily large corpora scan
+//! in constant memory.
 //!
 //! Large corpora also shard: `--shard k/N` scans only the k-th of N
 //! hash-partitions of the directory (membership is a pure function of
@@ -392,10 +394,11 @@ fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
 /// image was flagged.
 ///
 /// The directory streams through [`DirectorySource`] into
-/// [`scan_shard`]: files decode lazily in chunks of `--chunk-size`
-/// (default 64), each chunk fans out over the worker pool, and decoded
-/// buffers recycle — peak memory is one chunk plus the buffer pool
-/// regardless of how many images the directory holds. With `--shard k/N`
+/// [`scan_shard`]: files are read in chunks of `--chunk-size` (default
+/// 64), each chunk fans out over the worker pool, every worker decodes a
+/// file right before scoring it, and decoded buffers recycle — peak
+/// memory is one decoded image per worker, the buffer pool and one chunk
+/// of encoded files, regardless of how many images the directory holds. With `--shard k/N`
 /// only the k-th stable hash-partition of the file names is scanned
 /// (skipped files are never decoded); `--checkpoint FILE` persists
 /// progress atomically at every chunk boundary and `--resume` continues

@@ -126,7 +126,9 @@ fn pooled_decode_reuses_buffers_across_formats() {
         let mut source = DirectorySource::open(&dir).unwrap();
         let mut seen = 0;
         while let Some(item) = source.next_image(&mut pool) {
-            let image = item.unwrap_or_else(|e| panic!("pass {pass}: {e}"));
+            let image = item
+                .and_then(|pulled| pulled.into_image(&mut |n| pool.take(n)))
+                .unwrap_or_else(|e| panic!("pass {pass}: {e}"));
             pool.recycle(image);
             seen += 1;
         }

@@ -3,9 +3,15 @@
 //! (kind `unsupported-format`) through the streaming decode path — never
 //! as a panic, a generic unreadable fault, or a silently skipped file.
 
-use decamouflage_core::{BufferPool, DirectorySource, ImageSource, ScoreFault};
+use decamouflage_core::stream::SourceItem;
+use decamouflage_core::{BufferPool, DirectorySource, ImageSource, ScoreError, ScoreFault};
 use decamouflage_imaging::codec::{crc32, encode_jpeg, encode_png};
 use decamouflage_imaging::Image;
+
+/// A pulled item decoded the way a scoring worker decodes it.
+fn decoded(item: SourceItem, pool: &mut BufferPool) -> Result<Image, ScoreError> {
+    item.and_then(|pulled| pulled.into_image(&mut |n| pool.take(n)))
+}
 
 /// A valid grayscale PNG, then its IHDR patched to declare 16-bit depth
 /// (CRC fixed up so the *depth*, not the checksum, is what gets rejected).
@@ -48,13 +54,12 @@ fn hostile_containers_quarantine_as_unsupported_format() {
     let mut pool = BufferPool::new(4);
 
     let control = source.next_image(&mut pool).expect("control file listed");
+    let control = decoded(control, &mut pool);
     assert!(control.is_ok(), "valid PNG must decode: {:?}", control.err());
 
     for (name, marker) in [("b-deep.png", "bit depth 16"), ("c-progressive.jpg", "SOF2")] {
-        let err = source
-            .next_image(&mut pool)
-            .unwrap_or_else(|| panic!("{name} listed"))
-            .expect_err("hostile container must be quarantined");
+        let item = source.next_image(&mut pool).unwrap_or_else(|| panic!("{name} listed"));
+        let err = decoded(item, &mut pool).expect_err("hostile container must be quarantined");
         assert!(
             matches!(err.cause, ScoreFault::UnsupportedFormat { .. }),
             "{name}: fault is {:?}",
