@@ -665,103 +665,6 @@ fn ablate_adaptive(ctx: &ExperimentContext) -> Result<String, DetectError> {
     ))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::corpus::HarnessConfig;
-    use decamouflage_datasets::DatasetProfile;
-
-    fn tiny_ctx() -> ExperimentContext {
-        ExperimentContext::with_profiles(
-            HarnessConfig::smoke(6),
-            DatasetProfile::tiny(),
-            DatasetProfile::tiny(),
-        )
-    }
-
-    #[test]
-    fn table1_lists_all_models() {
-        let s = table1();
-        assert!(s.contains("LeNet-5"));
-        assert!(s.contains("224 x 224"));
-        assert!(s.contains("DAVE-2"));
-    }
-
-    #[test]
-    fn unknown_experiment_is_reported() {
-        let ctx = tiny_ctx();
-        let err = run_experiment("table99", &ctx).unwrap_err();
-        assert!(err.contains("unknown experiment"));
-        assert!(err.contains("table1"));
-    }
-
-    #[test]
-    fn whitebox_tables_render_on_tiny_profile() {
-        let ctx = tiny_ctx();
-        for id in ["table2", "table4"] {
-            let s = run_experiment(id, &ctx).unwrap();
-            assert!(s.contains("MSE"), "{id}: {s}");
-            assert!(s.contains("SSIM"));
-            assert!(s.contains('%'));
-        }
-    }
-
-    #[test]
-    fn blackbox_tables_render_on_tiny_profile() {
-        let ctx = tiny_ctx();
-        for id in ["table3", "table5"] {
-            let s = run_experiment(id, &ctx).unwrap();
-            assert!(s.contains("1%"));
-            assert!(s.contains("3%"));
-        }
-    }
-
-    #[test]
-    fn figures_render_on_tiny_profile() {
-        let ctx = tiny_ctx();
-        for id in ["fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig15", "fig16"] {
-            let s = run_experiment(id, &ctx).unwrap();
-            assert!(!s.is_empty(), "{id} rendered empty");
-        }
-    }
-
-    #[test]
-    fn ensemble_and_stego_tables_render() {
-        let ctx = tiny_ctx();
-        let s6 = run_experiment("table6", &ctx).unwrap();
-        assert!(s6.contains("CSP"));
-        let s8 = run_experiment("table8", &ctx).unwrap();
-        assert!(s8.contains("White-box ensemble"));
-        assert!(s8.contains("Black-box ensemble"));
-        assert!(s8.contains("White-box ensemble + peak-excess"));
-        assert!(s8.contains("Black-box ensemble + peak-excess"));
-    }
-
-    #[test]
-    fn extension_ablations_render_on_tiny_profile() {
-        let ctx = tiny_ctx();
-        let prevention = run_experiment("ablate-prevention", &ctx).unwrap();
-        assert!(prevention.contains("quality cost"));
-        let sensitivity = run_experiment("ablate-csp-sensitivity", &ctx).unwrap();
-        assert!(sensitivity.contains("0.66"));
-        let roc = run_experiment("roc", &ctx).unwrap();
-        assert!(roc.contains("AUC"));
-        assert!(roc.contains("scaling/mse"));
-        assert!(roc.contains("steganalysis/peak-excess"));
-        let missed = run_experiment("table9-missed", &ctx).unwrap();
-        assert!(missed.contains("alpha"));
-    }
-
-    #[test]
-    fn overlap_fraction_behaviour() {
-        assert_eq!(overlap_fraction(&[1.0, 2.0], &[10.0, 20.0]), 0.0);
-        assert_eq!(overlap_fraction(&[15.0, 2.0], &[10.0, 20.0]), 0.5);
-        assert_eq!(overlap_fraction(&[], &[1.0]), 0.0);
-        // Infinite PSNR samples (identical images) are ignored.
-        assert_eq!(overlap_fraction(&[f64::INFINITY, 15.0], &[10.0, 20.0]), 1.0);
-    }
-}
-
 /// Prevention-vs-detection ablation: Quiring-style image reconstruction
 /// neutralises the attack but rewrites benign pixels too (the quality cost
 /// that motivates detection-only defenses).
@@ -1133,4 +1036,101 @@ pub fn ablate_backdoor(ctx: &ExperimentContext) -> Result<String, DetectError> {
          through a white-box-calibrated ensemble. Every sample with a working payload should be \
          quarantined: a single miss plants the backdoor.\n\n{t}"
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corpus::HarnessConfig;
+    use decamouflage_datasets::DatasetProfile;
+
+    fn tiny_ctx() -> ExperimentContext {
+        ExperimentContext::with_profiles(
+            HarnessConfig::smoke(6),
+            DatasetProfile::tiny(),
+            DatasetProfile::tiny(),
+        )
+    }
+
+    #[test]
+    fn table1_lists_all_models() {
+        let s = table1();
+        assert!(s.contains("LeNet-5"));
+        assert!(s.contains("224 x 224"));
+        assert!(s.contains("DAVE-2"));
+    }
+
+    #[test]
+    fn unknown_experiment_is_reported() {
+        let ctx = tiny_ctx();
+        let err = run_experiment("table99", &ctx).unwrap_err();
+        assert!(err.contains("unknown experiment"));
+        assert!(err.contains("table1"));
+    }
+
+    #[test]
+    fn whitebox_tables_render_on_tiny_profile() {
+        let ctx = tiny_ctx();
+        for id in ["table2", "table4"] {
+            let s = run_experiment(id, &ctx).unwrap();
+            assert!(s.contains("MSE"), "{id}: {s}");
+            assert!(s.contains("SSIM"));
+            assert!(s.contains('%'));
+        }
+    }
+
+    #[test]
+    fn blackbox_tables_render_on_tiny_profile() {
+        let ctx = tiny_ctx();
+        for id in ["table3", "table5"] {
+            let s = run_experiment(id, &ctx).unwrap();
+            assert!(s.contains("1%"));
+            assert!(s.contains("3%"));
+        }
+    }
+
+    #[test]
+    fn figures_render_on_tiny_profile() {
+        let ctx = tiny_ctx();
+        for id in ["fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig15", "fig16"] {
+            let s = run_experiment(id, &ctx).unwrap();
+            assert!(!s.is_empty(), "{id} rendered empty");
+        }
+    }
+
+    #[test]
+    fn ensemble_and_stego_tables_render() {
+        let ctx = tiny_ctx();
+        let s6 = run_experiment("table6", &ctx).unwrap();
+        assert!(s6.contains("CSP"));
+        let s8 = run_experiment("table8", &ctx).unwrap();
+        assert!(s8.contains("White-box ensemble"));
+        assert!(s8.contains("Black-box ensemble"));
+        assert!(s8.contains("White-box ensemble + peak-excess"));
+        assert!(s8.contains("Black-box ensemble + peak-excess"));
+    }
+
+    #[test]
+    fn extension_ablations_render_on_tiny_profile() {
+        let ctx = tiny_ctx();
+        let prevention = run_experiment("ablate-prevention", &ctx).unwrap();
+        assert!(prevention.contains("quality cost"));
+        let sensitivity = run_experiment("ablate-csp-sensitivity", &ctx).unwrap();
+        assert!(sensitivity.contains("0.66"));
+        let roc = run_experiment("roc", &ctx).unwrap();
+        assert!(roc.contains("AUC"));
+        assert!(roc.contains("scaling/mse"));
+        assert!(roc.contains("steganalysis/peak-excess"));
+        let missed = run_experiment("table9-missed", &ctx).unwrap();
+        assert!(missed.contains("alpha"));
+    }
+
+    #[test]
+    fn overlap_fraction_behaviour() {
+        assert_eq!(overlap_fraction(&[1.0, 2.0], &[10.0, 20.0]), 0.0);
+        assert_eq!(overlap_fraction(&[15.0, 2.0], &[10.0, 20.0]), 0.5);
+        assert_eq!(overlap_fraction(&[], &[1.0]), 0.0);
+        // Infinite PSNR samples (identical images) are ignored.
+        assert_eq!(overlap_fraction(&[f64::INFINITY, 15.0], &[10.0, 20.0]), 1.0);
+    }
 }

@@ -1,8 +1,9 @@
 //! Reproduction harness for the Decamouflage paper.
 //!
 //! Everything needed to regenerate the paper's tables and figures lives
-//! here, shared between the `repro` binary (one subcommand per artefact)
-//! and the Criterion micro-benchmarks (the run-time overhead table).
+//! here, behind the `repro` binary (one subcommand per artefact; `table7`
+//! is the run-time overhead table). The crate's other programs are the
+//! perf ledger `stage_profile` and the service load test `loadgen`.
 //!
 //! The harness scores each corpus **once** per detector — all experiments
 //! (white-box, black-box percentiles, ensemble, figures) reuse the cached

@@ -1,8 +1,9 @@
 //! Run-time overhead measurement (the paper's Table 7).
 //!
-//! The Criterion benches in `benches/` give publication-grade numbers; this
-//! module provides an in-process variant so `repro table7` produces the
-//! table in one run without a separate `cargo bench` invocation.
+//! `repro table7` times each method's cold reference and the engine pass
+//! per image, in process, and renders the paper's table. The per-stage
+//! breakdown of the engine pass is `stage_profile`'s ledger,
+//! `BENCH_stages.json`.
 
 use crate::corpus::{DetectorSet, MixedAttackGenerator};
 use crate::ExperimentContext;
@@ -104,7 +105,7 @@ pub fn table7(ctx: &ExperimentContext) -> String {
     format!(
         "## Table 7 — run-time overheads of the detection methods\n\n\
          (per-image wall time over {repeats} `{}` images on this machine; \
-         see `cargo bench -p decamouflage-bench` for Criterion-grade numbers)\n\n{t}",
+         `stage_profile` splits the engine pass into stages in BENCH_stages.json)\n\n{t}",
         ctx.train_profile.name
     )
 }

@@ -66,9 +66,11 @@ mod tests {
 
     #[test]
     fn paper_constants_are_plausible() {
-        assert!(paper::SCALING_MSE_THRESHOLD > 0.0);
-        assert!(paper::SCALING_SSIM_THRESHOLD > 0.0 && paper::SCALING_SSIM_THRESHOLD < 1.0);
-        assert!(paper::FILTERING_SSIM_THRESHOLD < paper::SCALING_SSIM_THRESHOLD);
+        const {
+            assert!(paper::SCALING_MSE_THRESHOLD > 0.0);
+            assert!(paper::SCALING_SSIM_THRESHOLD > 0.0 && paper::SCALING_SSIM_THRESHOLD < 1.0);
+            assert!(paper::FILTERING_SSIM_THRESHOLD < paper::SCALING_SSIM_THRESHOLD);
+        }
         assert_eq!(paper::CSP_THRESHOLD, 2.0);
         assert_eq!(paper::RUNTIME_MS.len(), 5);
     }

@@ -59,8 +59,8 @@ use std::sync::Arc;
 /// Pre-resolved telemetry handles for the engine's hot path. Resolving
 /// the `(name, labels)` keys once at construction keeps scoring free of
 /// registry lookups; with a disabled [`Telemetry`] every handle is a
-/// no-op and no clock is ever read, so scores stay bit-identical (the
-/// bench asserts this).
+/// no-op and no clock is ever read, so scores stay bit-identical
+/// (`stage_profile`'s telemetry gate asserts this).
 #[derive(Debug, Clone, Default)]
 struct EngineMetrics {
     telemetry: Telemetry,
@@ -112,12 +112,6 @@ impl EngineMetrics {
         &self.method_seconds[id as usize]
     }
 }
-
-/// The per-image scores the engine produces — an alias kept from the days
-/// when this was a fixed five-field struct. Use the [`ScoreVector`] API
-/// (`get`, `iter`, indexing by [`MethodId`]) or the field-style shims
-/// (`scaling_mse()`, `csp()`, …).
-pub type EngineScores = ScoreVector;
 
 /// Scores plus the shared intermediate images, for callers that feed
 /// additional scorers (PSNR, colour histograms, …) from the same round
@@ -973,8 +967,7 @@ mod tests {
         let err = engine.score_resilient(&poisoned).unwrap_err();
         assert!(matches!(err.cause, ScoreFault::NonFinitePixel { sample: 0 }));
         // Scoring errors are carried as the typed Detect cause.
-        let mut bad_ssim = SsimConfig::default();
-        bad_ssim.sigma = 0.0;
+        let bad_ssim = SsimConfig { sigma: 0.0, ..SsimConfig::default() };
         let engine = DetectionEngine::new(Size::square(16)).with_ssim_config(bad_ssim);
         let err = engine.score_resilient(&smooth(48)).unwrap_err();
         assert!(matches!(err.cause, ScoreFault::Detect(_)));
@@ -1033,10 +1026,8 @@ mod tests {
 
     #[test]
     fn builders_propagate_into_reference_scores() {
-        let mut csp = CspConfig::default();
-        csp.binarize_threshold = 0.5;
-        let mut ssim = SsimConfig::default();
-        ssim.radius = 3;
+        let csp = CspConfig { binarize_threshold: 0.5, ..CspConfig::default() };
+        let ssim = SsimConfig { radius: 3, ..SsimConfig::default() };
         let engine = DetectionEngine::new(Size::square(8))
             .with_algorithm(ScaleAlgorithm::Nearest)
             .with_ssim_config(ssim)

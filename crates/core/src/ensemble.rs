@@ -400,8 +400,7 @@ mod tests {
 
         // A sigma of zero makes every SSIM pass fail: Strict propagates
         // the engine's own error, FailClosed flags the image.
-        let mut bad_ssim = decamouflage_metrics::SsimConfig::default();
-        bad_ssim.sigma = 0.0;
+        let bad_ssim = decamouflage_metrics::SsimConfig { sigma: 0.0, ..Default::default() };
         let broken = DetectionEngine::new(Size::square(16)).with_ssim_config(bad_ssim);
         let strict = Ensemble::new(broken.clone(), e.members().to_vec(), DegradePolicy::Strict);
         assert!(strict.decide(&image).is_err());

@@ -82,7 +82,7 @@ pub mod stream;
 pub mod threshold;
 
 pub use config::ModelInputSize;
-pub use engine::{BatchCounts, BatchOutcome, DetectionEngine, EngineArtifacts, EngineScores};
+pub use engine::{BatchCounts, BatchOutcome, DetectionEngine, EngineArtifacts};
 pub use ensemble::{DegradePolicy, Ensemble};
 pub use error::{DetectError, ScoreError, ScoreFault};
 pub use eval::{evaluate_decisions, evaluate_threshold, ConfusionCounts, EvalMetrics};

@@ -386,8 +386,7 @@ mod tests {
         let gated =
             DetectionEngine::new(Size::square(8)).with_methods(MethodSet::of(&[MethodId::Csp]));
         let err = DetectionMonitor::new(&gated, MethodId::ScalingMse, t, 0.0, 1.0, 4, 3.0)
-            .err()
-            .expect("disabled method must be rejected");
+            .expect_err("disabled method must be rejected");
         assert!(err.to_string().contains("scaling/mse"));
     }
 

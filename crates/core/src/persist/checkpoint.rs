@@ -847,6 +847,9 @@ mod tests {
     #[test]
     fn roundtrip_preserves_awkward_f64s_exactly() {
         let mut ckpt = ScanCheckpoint::new(ShardSpec::full(), fingerprint(4), methods());
+        // 17 significant digits on purpose: the round trip must keep
+        // every bit of a value with no short decimal form.
+        #[allow(clippy::excessive_precision)]
         let awkward = 1_714.960_000_000_000_1_f64;
         ckpt.record(0, &Ok(scores(awkward, f64::MIN_POSITIVE))).unwrap();
         let parsed = ScanCheckpoint::from_text(&ckpt.to_text().unwrap()).unwrap();

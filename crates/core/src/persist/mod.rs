@@ -198,6 +198,9 @@ mod tests {
     #[test]
     fn roundtrip_preserves_full_f64_precision() {
         let mut set = ThresholdSet::new();
+        // 17 significant digits on purpose: the round trip must keep
+        // every bit of a value with no short decimal form.
+        #[allow(clippy::excessive_precision)]
         let awkward = 1_714.960_000_000_000_1_f64;
         set.insert(MethodId::ScalingMse, Threshold::new(awkward, Direction::AboveIsAttack));
         let parsed = ThresholdSet::from_text(&set.to_text()).unwrap();

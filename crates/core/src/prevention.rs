@@ -218,17 +218,17 @@ mod tests {
         let out = reconstruct_sampled_pixels(&img, &scaler, 1).unwrap();
         // Nearest at factor 4 samples 16 rows x 16 cols: all other pixels
         // must be bit-identical.
-        let mut col_sampled = vec![false; 64];
+        let mut col_sampled = [false; 64];
         for &j in &scaler.horizontal_coeffs().touched_sources() {
             col_sampled[j] = true;
         }
-        let mut row_sampled = vec![false; 64];
+        let mut row_sampled = [false; 64];
         for &j in &scaler.vertical_coeffs().touched_sources() {
             row_sampled[j] = true;
         }
-        for y in 0..64 {
-            for x in 0..64 {
-                if !(row_sampled[y] && col_sampled[x]) {
+        for (y, &row) in row_sampled.iter().enumerate() {
+            for (x, &col) in col_sampled.iter().enumerate() {
+                if !(row && col) {
                     assert_eq!(out.get(x, y, 0), img.get(x, y, 0), "({x},{y}) changed");
                 }
             }

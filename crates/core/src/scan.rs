@@ -412,7 +412,7 @@ mod tests {
 
         let run = |checkpoint: ScanCheckpoint, skip: usize| {
             let inner = FnSource::new(n, |i| slot_image(i, false));
-            let mut source = ShardedSource::new(inner, spec, |i| key(i)).skipping(skip);
+            let mut source = ShardedSource::new(inner, spec, key).skipping(skip);
             scan_shard(&engine, &mut source, &kept, &config, checkpoint, |_| Ok(()), |_, _| {})
                 .unwrap()
         };

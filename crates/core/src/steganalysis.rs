@@ -124,8 +124,7 @@ mod tests {
 
     #[test]
     fn custom_config_is_respected() {
-        let mut config = CspConfig::default();
-        config.min_area = 1_000_000;
+        let config = CspConfig { min_area: 1_000_000, ..CspConfig::default() };
         let det = SteganalysisDetector::with_config(config.clone());
         assert_eq!(det.config(), &config);
         assert_eq!(det.score(&smooth(64)).unwrap(), 0.0);

@@ -1392,7 +1392,7 @@ mod tests {
         let mut backward: Vec<&String> =
             spec.partition(&reversed).into_iter().map(|i| &reversed[i]).collect();
         backward.reverse();
-        assert_eq!(forward, backward.iter().map(|k| *k).collect::<Vec<_>>());
+        assert_eq!(forward, backward);
     }
 
     #[test]

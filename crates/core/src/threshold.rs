@@ -208,7 +208,7 @@ mod tests {
         let result = search_whitebox(&benign, &attack, Direction::BelowIsAttack).unwrap();
         assert_eq!(result.train_accuracy, 1.0);
         let t = result.threshold.value();
-        assert!(t >= 0.3 && t < 0.9, "threshold {t}");
+        assert!((0.3..0.9).contains(&t), "threshold {t}");
     }
 
     #[test]

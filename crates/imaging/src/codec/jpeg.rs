@@ -1287,14 +1287,14 @@ mod tests {
         let image = decode_jpeg(&jpeg).unwrap();
         assert_eq!((image.width(), image.height()), (16, 16));
         assert_eq!(image.channels(), Channels::Rgb);
-        let (y, cb, cr) = (120.0, 148.0 - 128.0, 108.0 - 128.0);
+        let (y, cb, cr): (f64, f64, f64) = (120.0, 148.0 - 128.0, 108.0 - 128.0);
         let expected = [
-            (y + 1.402 * cr as f64).round(),
+            (y + 1.402 * cr).round(),
             (y - 0.344_136 * cb - 0.714_136 * cr).round(),
             (y + 1.772 * cb).round(),
         ];
-        for c in 0..3 {
-            assert!(image.plane(c).iter().all(|&v| v == expected[c]), "channel {c}");
+        for (c, &want) in expected.iter().enumerate() {
+            assert!(image.plane(c).iter().all(|&v| v == want), "channel {c}");
         }
     }
 

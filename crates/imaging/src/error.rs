@@ -109,7 +109,7 @@ mod tests {
             ImagingError::InvalidParameter { message: "window size 0".into() },
             ImagingError::Decode { message: "bad magic".into() },
             ImagingError::Unsupported { message: "16-bit png".into() },
-            ImagingError::Io(std::io::Error::new(std::io::ErrorKind::Other, "boom")),
+            ImagingError::Io(std::io::Error::other("boom")),
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

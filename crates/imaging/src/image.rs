@@ -606,7 +606,8 @@ mod tests {
         img.set(2, 1, 2, 42.5);
         assert_eq!(img.get(2, 1, 2), 42.5);
         assert_eq!(img.get(2, 1, 0), 0.0);
-        assert_eq!(img.plane(2)[1 * 3 + 2], 42.5);
+        // Row 1 of a 3-wide plane, column 2.
+        assert_eq!(img.plane(2)[3 + 2], 42.5);
     }
 
     #[test]

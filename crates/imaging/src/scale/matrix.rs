@@ -319,7 +319,7 @@ mod tests {
     fn flat_signal_stays_flat() {
         for algo in ALL {
             let m = CoeffMatrix::build(algo, 23, 7).unwrap();
-            let out = m.apply(&vec![42.0; 23]);
+            let out = m.apply(&[42.0; 23]);
             for v in out {
                 assert!((v - 42.0).abs() < 1e-9, "{algo:?} produced {v}");
             }
@@ -443,7 +443,7 @@ mod tests {
         let dense = m.to_dense();
         let y = [1.0, -2.0, 3.0, 0.5];
         let via_sparse = m.apply_transpose(&y);
-        let mut via_dense = vec![0.0; 10];
+        let mut via_dense = [0.0; 10];
         for i in 0..4 {
             for j in 0..10 {
                 via_dense[j] += dense[i * 10 + j] * y[i];

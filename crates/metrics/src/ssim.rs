@@ -501,11 +501,9 @@ mod tests {
     #[test]
     fn rejects_bad_config() {
         let a = Image::zeros(8, 8, Channels::Gray);
-        let mut cfg = SsimConfig::default();
-        cfg.sigma = 0.0;
+        let cfg = SsimConfig { sigma: 0.0, ..SsimConfig::default() };
         assert!(ssim(&a, &a, &cfg).is_err());
-        let mut cfg = SsimConfig::default();
-        cfg.dynamic_range = -1.0;
+        let cfg = SsimConfig { dynamic_range: -1.0, ..SsimConfig::default() };
         assert!(ssim(&a, &a, &cfg).is_err());
     }
 
@@ -515,9 +513,7 @@ mod tests {
         let rgb = Image::from_fn_rgb(17, 13, |x, y| {
             [(x * 16) as f64, (y * 16) as f64, ((x + y) * 8) as f64]
         });
-        let mut small_window = SsimConfig::default();
-        small_window.sigma = 0.8;
-        small_window.radius = 2;
+        let small_window = SsimConfig { sigma: 0.8, radius: 2, ..SsimConfig::default() };
         for cfg in [SsimConfig::default(), small_window] {
             for a in [&gray, &rgb] {
                 let reference = SsimReference::new(a, &cfg).unwrap();
@@ -545,8 +541,7 @@ mod tests {
         assert!(reference.score_against(&b).is_err());
         assert_eq!(reference.image().width(), 8);
         assert_eq!(reference.config().radius, 5);
-        let mut cfg = SsimConfig::default();
-        cfg.sigma = -1.0;
+        let cfg = SsimConfig { sigma: -1.0, ..SsimConfig::default() };
         assert!(SsimReference::new(&a, &cfg).is_err());
     }
 

@@ -532,7 +532,7 @@ mod tests {
     #[test]
     fn oversized_head_is_431_not_unbounded() {
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(64 * 1024));
+        raw.extend(std::iter::repeat_n(b'a', 64 * 1024));
         let mut cursor = Cursor::new(raw);
         assert!(matches!(read_head(&mut cursor, 1024), Err(HttpError::HeadersTooLarge)));
     }

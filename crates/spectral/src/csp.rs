@@ -294,9 +294,11 @@ mod tests {
             smooth_benign(33), // odd size: exercises the asymmetric shift
             Image::filled(32, 32, decamouflage_imaging::Channels::Gray, 100.0),
         ];
-        let mut target_like = CspConfig::default();
-        target_like.binarize_threshold = 0.66;
-        target_like.center_merge_radius_px = Some(9.6);
+        let target_like = CspConfig {
+            binarize_threshold: 0.66,
+            center_merge_radius_px: Some(9.6),
+            ..CspConfig::default()
+        };
         for config in [CspConfig::default(), target_like] {
             for img in &images {
                 let staged = count_csp(img, &config);
@@ -336,8 +338,8 @@ mod tests {
 
     #[test]
     fn min_area_suppresses_specks() {
-        let mut config = CspConfig::default();
-        config.min_area = 10_000; // absurd floor: nothing survives
+        // An absurd floor: nothing survives.
+        let config = CspConfig { min_area: 10_000, ..CspConfig::default() };
         let report = count_csp(&smooth_benign(32), &config);
         assert_eq!(report.count, 0);
     }
@@ -354,8 +356,7 @@ mod tests {
         // With a tiny D_T the side peaks fall outside the mask: the comb
         // image degenerates to one central blob. This documents why D_T
         // must be generous.
-        let mut config = CspConfig::default();
-        config.low_pass_radius_frac = 0.1;
+        let config = CspConfig { low_pass_radius_frac: 0.1, ..CspConfig::default() };
         let report = count_csp(&combed(64, 4), &config);
         assert_eq!(report.count, 1);
     }
@@ -375,8 +376,7 @@ mod tests {
     fn pixel_merge_radius_overrides_fraction() {
         // A huge pixel radius swallows the comb's side peaks into the
         // central point.
-        let mut config = CspConfig::default();
-        config.center_merge_radius_px = Some(1000.0);
+        let config = CspConfig { center_merge_radius_px: Some(1000.0), ..CspConfig::default() };
         let report = count_csp(&combed(64, 4), &config);
         assert_eq!(report.count, 1);
     }

@@ -142,8 +142,7 @@ proptest! {
 
     #[test]
     fn planned_csp_matches_staged_pipeline(img in arb_image(), threshold in 0.3f64..0.95) {
-        let mut config = CspConfig::default();
-        config.binarize_threshold = threshold;
+        let config = CspConfig { binarize_threshold: threshold, ..CspConfig::default() };
         let staged = count_csp(&img, &config);
         let fused = fused_csp(&img, &config);
         prop_assert_eq!(fused.count, staged.count);
