@@ -10,11 +10,11 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== feature matrix: no-default-features / default / simd =="
+echo "== feature matrix: simd =="
 # The `simd` feature is a pure throughput knob with a bit-identity contract;
-# every configuration must build and pass the same suite.
-cargo build --workspace --no-default-features
-cargo test -q --workspace --no-default-features
+# with it on, the workspace must build and pass the same suite the default
+# run above passed. (No workspace crate has a default feature, so the
+# default run is also the no-default-features configuration.)
 cargo build --release --workspace --features simd
 cargo test -q --workspace --features simd
 

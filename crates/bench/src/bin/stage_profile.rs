@@ -20,8 +20,8 @@
 //! 2. a `score` pass over that corpus, µs/image, stays under
 //!    [`ENGINE_PROBE_LIMIT`] times one run of [`Probe`], µs;
 //! 3. `score_images(_, 1)` stays under [`BATCH_LIMIT`] times that pass;
-//! 4. chunked `score_stream` stays under [`STREAM_LIMIT`] times eager
-//!    `score_corpus_resilient`, with bit-identical scores (checked);
+//! 4. chunked `score_stream` stays under [`STREAM_LIMIT`] times the eager
+//!    one-chunk `score_stream`, with bit-identical scores (checked);
 //! 5. the instrumented engine stays under [`TELEMETRY_LIMIT`] times the
 //!    silent one, with bit-identical scores and an exposition the strict
 //!    parser accepts (checked);
@@ -41,7 +41,9 @@
 use decamouflage_bench::corpus::MixedAttackGenerator;
 use decamouflage_core::parallel::default_threads;
 use decamouflage_core::stream::{BufferPool, DirectorySource, ImageSource, Pulled};
-use decamouflage_core::{DetectionEngine, MethodId, ScoreVector, SliceSource, StreamConfig};
+use decamouflage_core::{
+    DetectionEngine, FnSource, MethodId, ScoreVector, SliceSource, StreamConfig,
+};
 use decamouflage_datasets::DatasetProfile;
 use decamouflage_imaging::codec::{encode_bmp, encode_jpeg, encode_png, encode_ppm};
 use decamouflage_imaging::{Image, Size};
@@ -466,32 +468,31 @@ fn engine_gates(corpus: &[Image]) -> Vec<Gate> {
 }
 
 /// Gate 4: streaming in chunks of half the corpus, so the stream pays a
-/// real chunk boundary, against the eager batch, on every core.
+/// real chunk boundary, against the eager batch — the whole corpus
+/// generated into one chunk — on every core.
 fn stream_gate(corpus: &[Image]) -> Gate {
     let threads = default_threads();
     let engine = DetectionEngine::new(target_for(128));
-    let (benign, attack): (Vec<Image>, Vec<Image>) =
-        corpus.chunks(2).map(|pair| (pair[0].clone(), pair[1].clone())).unzip();
-    let in_order: Vec<Image> = benign.iter().chain(&attack).cloned().collect();
-    let config = StreamConfig::default().with_chunk_size(benign.len()).with_threads(threads);
+    let total = corpus.len();
+    let config = StreamConfig::default().with_chunk_size(total / 2).with_threads(threads);
+    let eager_config =
+        StreamConfig::default().with_chunk_size(total).with_threads(threads).with_pool_capacity(0);
     let eager = || {
-        engine.score_corpus_resilient(
-            |i| benign[i as usize].clone(),
-            |i| attack[i as usize].clone(),
-            benign.len(),
-            threads,
-        )
+        let mut results = Vec::with_capacity(total);
+        let mut source = FnSource::new(total, |i| corpus[i as usize].clone());
+        engine.score_stream(&mut source, &eager_config, |_, r| results.push(r));
+        results
     };
     let stream = || {
-        let mut results = Vec::with_capacity(in_order.len());
-        engine.score_stream(&mut SliceSource::new(&in_order), &config, |_, r| results.push(r));
+        let mut results = Vec::with_capacity(total);
+        engine.score_stream(&mut SliceSource::new(corpus), &config, |_, r| results.push(r));
         results
     };
 
     let outcome = eager();
     let streamed = stream();
-    assert_eq!(streamed.len(), in_order.len(), "the stream lost slots");
-    for (s, e) in streamed.iter().zip(outcome.benign.iter().chain(&outcome.attack)) {
+    assert_eq!(streamed.len(), total, "the stream lost slots");
+    for (s, e) in streamed.iter().zip(&outcome) {
         let (s, e) = (s.as_ref().expect("streamed slot scores"), e.as_ref().expect("eager slot"));
         assert_bit_identical(s, e, "streaming");
     }

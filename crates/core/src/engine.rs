@@ -40,7 +40,7 @@ use crate::peak_excess::PeakExcessDetector;
 use crate::scaling::ScalingDetector;
 use crate::steganalysis::SteganalysisDetector;
 use crate::stream::{
-    ChunkDriver, FnSource, ImageSource, SharedPool, SourceItem, StreamConfig, StreamSummary,
+    ChunkDriver, ImageSource, SharedPool, SourceItem, StreamConfig, StreamSummary,
 };
 use crate::DetectError;
 use decamouflage_imaging::filter::{rank_filter, RankKind};
@@ -129,52 +129,6 @@ pub struct EngineArtifacts {
     pub centered_spectrum: Option<Image>,
     /// The engine scores (`NaN` for disabled methods).
     pub scores: ScoreVector,
-}
-
-/// Aggregate counters over a [`BatchOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchCounts {
-    /// Images that scored successfully.
-    pub scored: usize,
-    /// Images quarantined with a [`ScoreError`], total.
-    pub quarantined: usize,
-    /// Quarantined images from the benign half.
-    pub benign_quarantined: usize,
-    /// Quarantined images from the attack half.
-    pub attack_quarantined: usize,
-}
-
-/// Per-image results of a fault-isolated corpus scoring run
-/// ([`DetectionEngine::score_corpus_resilient`]): every slot is either the
-/// image's [`ScoreVector`] or the structured [`ScoreError`] that
-/// quarantined it. One poisoned image costs exactly one slot.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Per-image results of the benign samples, in index order. Slot `i`
-    /// corresponds to batch fan-out index `i`.
-    pub benign: Vec<Result<ScoreVector, ScoreError>>,
-    /// Per-image results of the attack samples, in index order. Slot `i`
-    /// corresponds to batch fan-out index `count + i`.
-    pub attack: Vec<Result<ScoreVector, ScoreError>>,
-}
-
-impl BatchOutcome {
-    /// Aggregate scored/quarantined counters.
-    pub fn counts(&self) -> BatchCounts {
-        let benign_quarantined = self.benign.iter().filter(|r| r.is_err()).count();
-        let attack_quarantined = self.attack.iter().filter(|r| r.is_err()).count();
-        BatchCounts {
-            scored: self.benign.len() + self.attack.len() - benign_quarantined - attack_quarantined,
-            quarantined: benign_quarantined + attack_quarantined,
-            benign_quarantined,
-            attack_quarantined,
-        }
-    }
-
-    /// The quarantine errors of both halves (benign first), in index order.
-    pub fn quarantined(&self) -> impl Iterator<Item = &ScoreError> {
-        self.benign.iter().chain(self.attack.iter()).filter_map(|result| result.as_ref().err())
-    }
 }
 
 /// Scores one image with every enabled detection method while sharing
@@ -278,15 +232,15 @@ impl DetectionEngine {
         self
     }
 
-    /// Arms a deterministic [`FaultPlan`] on the resilient batch and
-    /// stream paths: [`DetectionEngine::score_stream`] (and therefore
-    /// [`DetectionEngine::score_corpus_resilient`], its eager facade)
-    /// fires the plan entry armed at each stream/fan-out index *inside*
-    /// the per-image isolation boundary, so an injected panic travels the
-    /// exact worker-pool → `catch_unwind` → quarantine route a real deep
-    /// panic would. An armed fault outranks a failed pull at the same
-    /// index. [`DetectionEngine::score_images`] and single-image scoring
-    /// ignore the plan.
+    /// Arms a deterministic [`FaultPlan`] on the batch paths:
+    /// [`DetectionEngine::score_images`] and
+    /// [`DetectionEngine::score_stream`] fire the plan entry armed at
+    /// each slice/stream index *inside* the per-image isolation boundary,
+    /// so an injected panic travels the exact worker-pool →
+    /// `catch_unwind` → quarantine route a real deep panic would. An armed
+    /// fault outranks a failed pull at the same index. Single-image
+    /// scoring ([`DetectionEngine::score`],
+    /// [`DetectionEngine::score_resilient`]) ignores the plan.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
@@ -647,7 +601,7 @@ impl DetectionEngine {
     /// Bounded-memory streamed scoring: pulls `source` in chunks of
     /// [`StreamConfig::chunk_size`] items, fans each chunk through the
     /// worker pool with the same per-slot fault quarantine as
-    /// [`DetectionEngine::score_corpus_resilient`], and feeds `consume`
+    /// [`DetectionEngine::score_images`], and feeds `consume`
     /// incrementally in stream order. Each worker decodes the slots it
     /// scores (a source of encoded bytes, such as a
     /// [`DirectorySource`](crate::stream::DirectorySource), pulls only
@@ -660,9 +614,10 @@ impl DetectionEngine {
     ///
     /// `consume(index, result)` is called once per stream position, in
     /// order (chunk by chunk, ascending index within each chunk). Scores
-    /// are **bit-identical** to the eager batch path for any chunk size,
-    /// and quarantine errors carry the same stream indices — the
-    /// `stream_equivalence` property tests pin this down.
+    /// are **bit-identical** to [`DetectionEngine::score_images`] over the
+    /// same images for any chunk size, and quarantine errors carry the
+    /// same indices — the `stream_equivalence` property tests pin this
+    /// down.
     pub fn score_stream(
         &self,
         source: &mut dyn ImageSource,
@@ -698,58 +653,18 @@ impl DetectionEngine {
         driver.summary()
     }
 
-    /// Fault-isolated eager scoring of a labelled corpus: `count` benign
-    /// and `count` attack images in a single `2 * count` fan-out over the
-    /// worker pool (benign indices first). Each image's slot is
-    /// individually quarantined — validation rejections, scoring errors and
-    /// payload panics land in that slot's [`ScoreError`] while every other
-    /// image scores normally. The batch itself never fails and the worker
-    /// pool keeps serving.
-    ///
-    /// This is a facade over [`DetectionEngine::score_stream`] with a
-    /// closure-backed source and a single `2 * count` chunk, so eager and
-    /// streamed scoring share one scoring path (and are bit-identical by
-    /// construction).
-    pub fn score_corpus_resilient(
-        &self,
-        benign_of: impl Fn(u64) -> Image + Sync,
-        attack_of: impl Fn(u64) -> Image + Sync,
-        count: usize,
-        threads: usize,
-    ) -> BatchOutcome {
-        let total = 2 * count;
-        let mut source = FnSource::new(total, |i| {
-            if (i as usize) < count {
-                benign_of(i)
-            } else {
-                attack_of(i - count as u64)
-            }
-        });
-        let config = StreamConfig::default()
-            .with_chunk_size(total.max(1))
-            .with_threads(threads)
-            .with_pool_capacity(0);
-        let mut results = Vec::with_capacity(total);
-        self.score_stream(&mut source, &config, |index, result| {
-            debug_assert_eq!(index, results.len(), "stream consumption is in order");
-            results.push(result);
-        });
-        let attack = results.split_off(count);
-        BatchOutcome { benign: results, attack }
-    }
-
     /// Fault-isolated scoring of a resident corpus by reference: each
     /// slice element scores in place — no staging, no buffer copies — with
-    /// the same per-slot quarantine as the streamed paths (validation
-    /// rejections, scoring errors and payload panics land in that slot's
-    /// [`ScoreError`], addressed by slice index). With `threads > 1` the
-    /// slots fan out over the worker pool.
+    /// the same per-slot quarantine as the streamed paths (an armed
+    /// [`FaultPlan`] entry, validation rejections, scoring errors and
+    /// payload panics land in that slot's [`ScoreError`], addressed by
+    /// slice index). With `threads > 1` the slots fan out over the worker
+    /// pool.
     ///
-    /// This is the cheapest batch entry point when the images are already
-    /// in memory: per slot it adds only validation and the unwind guard
-    /// over [`DetectionEngine::score`]. Sources that must materialize
-    /// images (generators, decoders, bounded-memory streams) go through
-    /// [`DetectionEngine::score_corpus_resilient`] /
+    /// This is the batch entry point for images already in memory: per
+    /// slot it adds only validation and the unwind guard over
+    /// [`DetectionEngine::score`]. Sources that must materialize images
+    /// (generators, decoders, bounded-memory streams) go through
     /// [`DetectionEngine::score_stream`] instead.
     pub fn score_images(
         &self,
@@ -757,7 +672,7 @@ impl DetectionEngine {
         threads: usize,
     ) -> Vec<Result<ScoreVector, ScoreError>> {
         parallel_map_indices(images.len(), threads, |index| {
-            self.score_slot(index, None, || Ok(&images[index])).0
+            self.score_slot(index, self.faults.as_deref(), || Ok(&images[index])).0
         })
     }
 }
@@ -974,54 +889,28 @@ mod tests {
     }
 
     #[test]
-    fn resilient_corpus_quarantines_exactly_the_invalid_slot() {
-        let engine = DetectionEngine::new(Size::square(8));
-        let benign_of = |i: u64| {
-            if i == 2 {
-                // NaN pixels must quarantine this slot and nothing else.
-                Image::filled(24, 24, decamouflage_imaging::Channels::Gray, f64::NAN)
-            } else {
-                smooth(24 + (i as usize % 3) * 4)
-            }
-        };
-        let attack_of = |i: u64| smooth(32 + (i as usize % 2) * 8).map(|v| 255.0 - v);
-        let outcome = engine.score_corpus_resilient(benign_of, attack_of, 4, 4);
-        let counts = outcome.counts();
-        assert_eq!(counts.quarantined, 1);
-        assert_eq!(counts.benign_quarantined, 1);
-        assert_eq!(counts.attack_quarantined, 0);
-        assert_eq!(counts.scored, 7);
-        assert!(outcome.benign[2].is_err());
-        assert_eq!(outcome.quarantined().next().unwrap().index, 2);
-        // Every surviving slot is bit-identical to individual scoring.
-        for (i, slot) in outcome.benign.iter().enumerate() {
-            if i != 2 {
-                assert_eq!(slot.as_ref().unwrap(), &engine.score(&benign_of(i as u64)).unwrap());
-            }
-        }
-        for (i, slot) in outcome.attack.iter().enumerate() {
-            assert_eq!(slot.as_ref().unwrap(), &engine.score(&attack_of(i as u64)).unwrap());
-        }
-    }
-
-    #[test]
-    fn fault_plan_fires_by_batch_fanout_index() {
+    fn fault_plan_fires_by_slice_index() {
         use crate::faults::{FaultKind, FaultPlan};
-        // Index 1 = benign[1], index 4 + 1 = 5 = attack[1] in a count-4 batch.
         let plan = FaultPlan::new().with(1, FaultKind::Error).with(5, FaultKind::NanScore);
         let engine = DetectionEngine::new(Size::square(8)).with_fault_plan(plan);
-        let benign_of = |i: u64| smooth(24 + (i as usize % 3) * 4);
-        let attack_of = |i: u64| smooth(32 + (i as usize % 2) * 8).map(|v| 255.0 - v);
-        let outcome = engine.score_corpus_resilient(benign_of, attack_of, 4, 4);
-        let err = outcome.benign[1].as_ref().unwrap_err();
-        assert!(matches!(err.cause, crate::error::ScoreFault::Injected));
-        assert_eq!(err.index, 1);
-        let nan_scores = outcome.attack[1].as_ref().unwrap();
-        assert!(MethodId::ALL.iter().all(|&id| nan_scores.get(id).is_nan()));
-        // Unarmed slots score bit-identically to a plan-free engine.
+        let images: Vec<Image> = (0..8)
+            .map(|i| if i < 4 { smooth(24 + (i % 3) * 4) } else { smooth(32).map(|v| 255.0 - v) })
+            .collect();
         let clean = DetectionEngine::new(Size::square(8));
-        assert_eq!(outcome.benign[0].as_ref().unwrap(), &clean.score(&benign_of(0)).unwrap());
-        assert_eq!(outcome.attack[0].as_ref().unwrap(), &clean.score(&attack_of(0)).unwrap());
+        for threads in [1, 4] {
+            let results = engine.score_images(&images, threads);
+            let err = results[1].as_ref().unwrap_err();
+            assert!(matches!(err.cause, crate::error::ScoreFault::Injected));
+            assert_eq!(err.index, 1);
+            let nan_scores = results[5].as_ref().unwrap();
+            assert!(MethodId::ALL.iter().all(|&id| nan_scores.get(id).is_nan()));
+            // Unarmed slots score bit-identically to a plan-free engine.
+            for i in [0, 2, 3, 4, 6, 7] {
+                assert_eq!(results[i].as_ref().unwrap(), &clean.score(&images[i]).unwrap());
+            }
+        }
+        // Single-image scoring ignores the plan.
+        assert_eq!(engine.score_resilient(&images[1]).unwrap(), clean.score(&images[1]).unwrap());
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! An [`Ensemble`] is one [`DetectionEngine`], a list of
 //! `(MethodId, Threshold)` members and a [`DegradePolicy`].
-//! [`Ensemble::decide`] scores an image **once** through the engine and
-//! hands the [`ScoreVector`] to [`Ensemble::vote`], the one place the
-//! voting rules live. Callers that already hold scores — batch scans, the
-//! HTTP service, the experiments — call [`Ensemble::vote`] directly.
+//! [`Ensemble::decide`] scores an image **once** through the engine's
+//! isolation slot ([`DetectionEngine::score_resilient`]: validation, then
+//! the scoring pass) and hands the outcome to [`Ensemble::vote`], the one
+//! place the voting rules live. Callers that already hold scores — batch
+//! scans, the HTTP service, the experiments — call [`Ensemble::vote`]
+//! directly.
 
 use crate::engine::DetectionEngine;
 use crate::error::{ScoreError, ScoreFault};
@@ -235,16 +237,22 @@ impl Ensemble {
         Ok(EnsembleDecision { votes, unavailable, is_attack })
     }
 
-    /// Classifies an image: one [`DetectionEngine::score`] pass, then
-    /// [`Ensemble::vote`]. Records the decision's telemetry.
+    /// Classifies an image: one [`DetectionEngine::score_resilient`] pass,
+    /// then [`Ensemble::vote`]. An image the engine refuses (validation,
+    /// a scoring error, a recovered panic) is a failed pass: no member can
+    /// vote on it, so [`DegradePolicy::Strict`] returns the refusal and the
+    /// degrading policies flag the image. Records the decision's
+    /// telemetry.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Ensemble::vote`].
+    /// Same conditions as [`Ensemble::vote`]; a failed pass arrives as
+    /// the engine's own [`DetectError`] for a scoring error, and as
+    /// [`DetectError::Score`] for every other refusal.
     pub fn decide(&self, image: &Image) -> Result<EnsembleDecision, DetectError> {
-        let decision = match self.engine.score(image) {
+        let decision = match self.engine.score_resilient(image) {
             Ok(scores) => self.vote(Ok(&scores)),
-            Err(err) => self.vote(Err(err)),
+            Err(err) => self.vote(Err(err.into())),
         }?;
         self.record_decision(&decision);
         Ok(decision)
@@ -409,6 +417,20 @@ mod tests {
         assert!(decision.is_attack);
         assert!(decision.votes.is_empty());
         assert_eq!(decision.unavailable.len(), 3);
+
+        // An image validation refuses (4x4 is below the 11-pixel SSIM
+        // window) is a failed pass as well: Strict returns the refusal,
+        // and with no member able to vote every degrading policy flags it.
+        let tiny = Image::from_fn_gray(4, 4, |x, y| (x + y) as f64);
+        let err = e.decide(&tiny).unwrap_err().to_string();
+        assert!(err.contains("smaller than the configured SSIM window"), "{err}");
+        for policy in [DegradePolicy::MajorityOfAvailable, DegradePolicy::FailClosed] {
+            let degrading = Ensemble::new(e.engine().clone(), e.members().to_vec(), policy);
+            let decision = degrading.decide(&tiny).unwrap();
+            assert!(decision.is_attack, "{policy:?}");
+            assert!(decision.votes.is_empty(), "{policy:?}");
+            assert_eq!(decision.unavailable.len(), 3, "{policy:?}");
+        }
     }
 
     #[test]

@@ -144,20 +144,40 @@ pub enum ScoreFault {
 }
 
 impl ScoreFault {
+    /// Every [`kind`](ScoreFault::kind) tag, one per variant — the
+    /// admissible `quarantine` row kinds of a scan checkpoint. `kind`
+    /// destructures this array into one binding per tag and matches
+    /// every variant onto one of them, so a new variant cannot compile
+    /// without its tag landing here (an unused binding fails the lint
+    /// gate).
+    pub(crate) const KINDS: [&'static str; 9] = [
+        "degenerate-dimensions",
+        "non-finite-pixel",
+        "below-minimum-size",
+        "non-finite-score",
+        "detect",
+        "panic",
+        "injected",
+        "unreadable",
+        "unsupported-format",
+    ];
+
     /// A short, stable kebab-case tag for this fault kind, used as the
     /// `fault` label on quarantine telemetry counters. Tags never change
     /// once shipped — dashboards key on them.
     pub const fn kind(&self) -> &'static str {
+        let [degenerate, pixel, small, score, detect, panic, injected, unreadable, unsupported] =
+            Self::KINDS;
         match self {
-            Self::DegenerateDimensions { .. } => "degenerate-dimensions",
-            Self::NonFinitePixel { .. } => "non-finite-pixel",
-            Self::BelowMinimumSize { .. } => "below-minimum-size",
-            Self::NonFiniteScore { .. } => "non-finite-score",
-            Self::Detect(_) => "detect",
-            Self::Panicked { .. } => "panic",
-            Self::Injected => "injected",
-            Self::Unreadable { .. } => "unreadable",
-            Self::UnsupportedFormat { .. } => "unsupported-format",
+            Self::DegenerateDimensions { .. } => degenerate,
+            Self::NonFinitePixel { .. } => pixel,
+            Self::BelowMinimumSize { .. } => small,
+            Self::NonFiniteScore { .. } => score,
+            Self::Detect(_) => detect,
+            Self::Panicked { .. } => panic,
+            Self::Injected => injected,
+            Self::Unreadable { .. } => unreadable,
+            Self::UnsupportedFormat { .. } => unsupported,
         }
     }
 }
@@ -195,12 +215,12 @@ impl fmt::Display for ScoreFault {
 /// Produced by the quarantine layer
 /// ([`DetectionEngine::validate_image`](crate::DetectionEngine::validate_image),
 /// [`DetectionEngine::score_resilient`](crate::DetectionEngine::score_resilient),
-/// [`DetectionEngine::score_corpus_resilient`](crate::DetectionEngine::score_corpus_resilient)).
+/// [`DetectionEngine::score_images`](crate::DetectionEngine::score_images),
+/// [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream)).
 #[derive(Debug)]
 pub struct ScoreError {
     /// The image's scoring index. Single-image APIs use `0`; batch APIs use
-    /// the batch-global fan-out index (all benign indices before all attack
-    /// indices).
+    /// the image's slice or stream index.
     pub index: usize,
     /// The method the failure is attributable to, where one is.
     pub method: Option<MethodId>,

@@ -5,9 +5,9 @@
 //! this module provides a seed-driven, fully deterministic [`FaultPlan`]
 //! (which scoring indices fail, and how), consumed by
 //! [`DetectionEngine::with_fault_plan`](crate::DetectionEngine::with_fault_plan).
-//! The engine fires plan entries by stream / batch fan-out index inside
-//! [`score_stream`](crate::DetectionEngine::score_stream) and its eager
-//! facade [`score_corpus_resilient`](crate::DetectionEngine::score_corpus_resilient),
+//! The engine fires plan entries by slice / stream index inside
+//! [`score_images`](crate::DetectionEngine::score_images) and
+//! [`score_stream`](crate::DetectionEngine::score_stream),
 //! so an injected panic travels the exact worker-pool → `catch_unwind` →
 //! quarantine path a real deep panic would, and an injected NaN score
 //! reaches [`Ensemble::vote`](crate::Ensemble::vote) like a real one.

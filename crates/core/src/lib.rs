@@ -82,7 +82,7 @@ pub mod stream;
 pub mod threshold;
 
 pub use config::ModelInputSize;
-pub use engine::{BatchCounts, BatchOutcome, DetectionEngine, EngineArtifacts};
+pub use engine::{DetectionEngine, EngineArtifacts};
 pub use ensemble::{DegradePolicy, Ensemble};
 pub use error::{DetectError, ScoreError, ScoreFault};
 pub use eval::{evaluate_decisions, evaluate_threshold, ConfusionCounts, EvalMetrics};
@@ -95,6 +95,6 @@ pub use scan::{scan_shard, ScanReport};
 pub use steganalysis::SteganalysisDetector;
 pub use stream::{
     stable_key_hash, BufferPool, CancelToken, DirectorySource, FnSource, ImageDecoder, ImageSource,
-    Pulled, ShardSpec, ShardedSource, SliceSource, StreamConfig, StreamSummary,
+    Pulled, ShardSpec, SliceSource, StreamConfig, StreamSummary,
 };
 pub use threshold::{Direction, Threshold};

@@ -164,28 +164,30 @@ impl DetectionMonitor {
         self
     }
 
-    /// Screens one image: scores it with one engine pass, classifies it,
-    /// and (for accepted images) updates the rolling benign window.
+    /// Screens one image: scores it with one
+    /// [`DetectionEngine::score_resilient`] pass (validation, then
+    /// scoring), classifies it, and (for accepted images) updates the
+    /// rolling benign window.
     ///
-    /// A failed pass or non-finite score quarantines the image instead: the
-    /// [`MonitorStats::quarantined`] counter is bumped, an error is
-    /// returned, and neither the screened/flagged counters nor the drift
-    /// window move — a burst of quarantined inputs cannot mask or fake a
-    /// drift alert.
+    /// A refused or failed pass or a non-finite score quarantines the
+    /// image instead: the [`MonitorStats::quarantined`] counter is bumped,
+    /// an error is returned, and neither the screened/flagged counters nor
+    /// the drift window move — a burst of quarantined inputs cannot mask
+    /// or fake a drift alert.
     ///
     /// # Errors
     ///
-    /// Propagates the engine's [`DetectError`]; a non-finite score is
-    /// reported as [`DetectError::Score`] with a
-    /// [`ScoreFault::NonFiniteScore`](crate::ScoreFault::NonFiniteScore)
-    /// cause.
+    /// The engine's own [`DetectError`] for a scoring error; a validation
+    /// refusal, a recovered panic or a non-finite score is reported as
+    /// [`DetectError::Score`] with its
+    /// [`ScoreFault`](crate::ScoreFault) cause.
     pub fn screen(&mut self, image: &Image) -> Result<MonitorVerdict, DetectError> {
-        let score = match self.engine.score(image) {
+        let score = match self.engine.score_resilient(image) {
             Ok(scores) => scores.get(self.method),
             Err(err) => {
                 self.quarantined += 1;
                 self.metrics.quarantined.inc();
-                return Err(err);
+                return Err(err.into());
             }
         };
         if !score.is_finite() {
@@ -281,14 +283,20 @@ mod tests {
     use decamouflage_imaging::{Channels, Size};
 
     /// The test-only method scores an image's mean intensity, so flat
-    /// images score their level and NaN-filled ones a non-finite score.
+    /// images score their level, `f64::MAX`-filled ones overflow to an
+    /// infinite mean, and NaN-filled ones fail validation.
     fn flat(v: f64) -> Image {
         Image::filled(2, 2, Channels::Gray, v)
     }
 
+    /// An engine running only the method under test.
+    fn dummy_engine() -> DetectionEngine {
+        DetectionEngine::new(Size::square(2)).with_methods(MethodSet::of(&[MethodId::DummyMean]))
+    }
+
     fn monitor(window: usize) -> DetectionMonitor {
         DetectionMonitor::new(
-            &DetectionEngine::new(Size::square(2)),
+            &dummy_engine(),
             MethodId::DummyMean,
             Threshold::new(100.0, Direction::AboveIsAttack),
             50.0, // calibration mean
@@ -362,7 +370,7 @@ mod tests {
 
     #[test]
     fn constructor_validates() {
-        let engine = DetectionEngine::new(Size::square(2));
+        let engine = dummy_engine();
         let t = Threshold::new(1.0, Direction::AboveIsAttack);
         let id = MethodId::DummyMean;
         assert!(DetectionMonitor::new(&engine, id, t, 0.0, 1.0, 0, 3.0).is_err());
@@ -392,14 +400,15 @@ mod tests {
 
     #[test]
     fn quarantined_images_are_counted_separately() {
-        // NaN images score a non-finite mean and quarantine; 48, 150 and
-        // 52 are clean.
+        // A NaN pixel fails validation and a mean that overflows is a
+        // non-finite score; both quarantine. 48, 150 and 52 are clean.
         let mut m = monitor(4);
         assert!(!m.screen(&flat(48.0)).unwrap().is_attack);
-        assert!(m.screen(&flat(f64::NAN)).is_err(), "a NaN score quarantines");
+        let pixel_err = m.screen(&flat(f64::NAN)).unwrap_err();
+        assert!(pixel_err.to_string().contains("non-finite pixel"), "{pixel_err}");
         assert!(m.screen(&flat(150.0)).unwrap().is_attack);
-        let nan_err = m.screen(&flat(f64::NAN)).unwrap_err();
-        assert!(nan_err.to_string().contains("non-finite score"), "{nan_err}");
+        let score_err = m.screen(&flat(f64::MAX)).unwrap_err();
+        assert!(score_err.to_string().contains("non-finite score"), "{score_err}");
         m.screen(&flat(52.0)).unwrap();
 
         let stats = m.stats();
@@ -409,7 +418,7 @@ mod tests {
         assert_eq!(stats.window_len, 2, "only accepted images reach the window");
 
         // A failed engine pass quarantines the same way.
-        let broken = DetectionEngine::new(Size::square(2)).with_filter(0, RankKind::Minimum);
+        let broken = dummy_engine().with_filter(0, RankKind::Minimum);
         let t = Threshold::new(100.0, Direction::AboveIsAttack);
         let mut m = DetectionMonitor::new(&broken, MethodId::DummyMean, t, 50.0, 5.0, 4, 3.0)
             .expect("monitor");
@@ -420,12 +429,13 @@ mod tests {
 
     #[test]
     fn drift_alert_ignores_quarantined_samples() {
-        // Every other image scores NaN. If those samples leaked into the
-        // window they would stall it below capacity (or poison its mean);
-        // the accepted in-distribution traffic must still never alert.
+        // Every other image scores an infinite mean. If those samples
+        // leaked into the window they would stall it below capacity (or
+        // poison its mean); the accepted in-distribution traffic must
+        // still never alert.
         let mut m = monitor(4);
-        let nan = f64::NAN;
-        for v in [48.0, nan, 52.0, nan, 49.0, nan, 51.0, nan, 50.0] {
+        let overflow = f64::MAX;
+        for v in [48.0, overflow, 52.0, overflow, 49.0, overflow, 51.0, overflow, 50.0] {
             if let Ok(verdict) = m.screen(&flat(v)) {
                 assert!(!verdict.drift_alert, "false drift alarm at {v}");
             }

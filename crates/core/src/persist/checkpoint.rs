@@ -44,7 +44,7 @@
 //! corpus and break the bit-identical-merge invariant.
 
 use super::textfmt;
-use crate::error::ScoreError;
+use crate::error::{ScoreError, ScoreFault};
 use crate::method::{MethodId, MethodSet, ScoreColumns, ScoreVector};
 use crate::stream::{stable_key_hash, ShardSpec, FNV_OFFSET, FNV_PRIME};
 use crate::DetectError;
@@ -53,20 +53,6 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 const HEADER: &str = "decamouflage-checkpoint v1";
-
-/// Every stable [`ScoreFault::kind`](crate::ScoreFault::kind) tag — the
-/// admissible `quarantine` row kinds. Grows when the fault taxonomy
-/// does; existing tags never change.
-const FAULT_KINDS: [&str; 8] = [
-    "degenerate-dimensions",
-    "non-finite-pixel",
-    "below-minimum-size",
-    "non-finite-score",
-    "detect",
-    "panic",
-    "injected",
-    "unreadable",
-];
 
 /// An order-sensitive fingerprint of a corpus: a 64-bit hash folded over
 /// the full key list (each key contributing its [`stable_key_hash`])
@@ -642,7 +628,7 @@ impl ScanCheckpoint {
                         .parse()
                         .map_err(|_| bad(format!("malformed quarantine row {line:?}")))?;
                     let (kind, message) = split_keyword(rest);
-                    if !FAULT_KINDS.contains(&kind) {
+                    if !ScoreFault::KINDS.contains(&kind) {
                         return Err(bad(format!("unknown fault kind {kind:?}")));
                     }
                     checkpoint
@@ -777,7 +763,6 @@ fn parse_series(lineno: usize, token: &str) -> Result<(String, Labels), DetectEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ScoreFault;
 
     fn fingerprint(n: usize) -> CorpusFingerprint {
         CorpusFingerprint::of_keys((0..n).map(|i| format!("img-{i:05}")))
@@ -857,35 +842,42 @@ mod tests {
         assert_eq!(parsed.columns().column(MethodId::Csp), &[f64::MIN_POSITIVE]);
     }
 
-    #[test]
-    fn every_fault_kind_roundtrips() {
-        let faults = [
-            ScoreFault::DegenerateDimensions { width: 0, height: 4 },
-            ScoreFault::NonFinitePixel { sample: 7 },
-            ScoreFault::BelowMinimumSize {
+    /// One fault of each kind, by its tag.
+    fn fault_of_kind(kind: &str) -> ScoreFault {
+        match kind {
+            "degenerate-dimensions" => ScoreFault::DegenerateDimensions { width: 0, height: 4 },
+            "non-finite-pixel" => ScoreFault::NonFinitePixel { sample: 7 },
+            "below-minimum-size" => ScoreFault::BelowMinimumSize {
                 width: 2,
                 height: 2,
                 required: 8,
                 requirement: "SSIM window",
             },
-            ScoreFault::NonFiniteScore { score: f64::NAN },
-            ScoreFault::Detect(DetectError::InvalidConfig { message: "multi\nline".into() }),
-            ScoreFault::Panicked { message: "boom".into() },
-            ScoreFault::Injected,
-            ScoreFault::Unreadable { message: "gone".into() },
-        ];
-        let mut ckpt = ScanCheckpoint::new(ShardSpec::full(), fingerprint(faults.len()), methods());
-        for (index, fault) in faults.into_iter().enumerate() {
-            assert!(
-                FAULT_KINDS.contains(&fault.kind()),
-                "{} missing from FAULT_KINDS",
-                fault.kind()
-            );
+            "non-finite-score" => ScoreFault::NonFiniteScore { score: f64::NAN },
+            "detect" => {
+                ScoreFault::Detect(DetectError::InvalidConfig { message: "multi\nline".into() })
+            }
+            "panic" => ScoreFault::Panicked { message: "boom".into() },
+            "injected" => ScoreFault::Injected,
+            "unreadable" => ScoreFault::Unreadable { message: "gone".into() },
+            "unsupported-format" => ScoreFault::UnsupportedFormat { message: "no magic".into() },
+            other => panic!("no sample fault for kind {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_fault_kind_roundtrips() {
+        let kinds = ScoreFault::KINDS;
+        let mut ckpt = ScanCheckpoint::new(ShardSpec::full(), fingerprint(kinds.len()), methods());
+        for (index, kind) in kinds.into_iter().enumerate() {
+            let fault = fault_of_kind(kind);
+            assert_eq!(fault.kind(), kind);
             ckpt.record(index, &Err(ScoreError::new(fault))).unwrap();
         }
         let parsed = ScanCheckpoint::from_text(&ckpt.to_text().unwrap()).unwrap();
-        let kinds: Vec<&str> = parsed.quarantined().iter().map(QuarantineRecord::kind).collect();
-        assert_eq!(kinds, FAULT_KINDS);
+        let parsed_kinds: Vec<&str> =
+            parsed.quarantined().iter().map(QuarantineRecord::kind).collect();
+        assert_eq!(parsed_kinds, kinds);
         assert_eq!(
             parsed.quarantined()[4].message(),
             "invalid config: multi line",

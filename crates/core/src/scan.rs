@@ -43,9 +43,9 @@ fn merge_metrics(
 ///
 /// `source` must yield exactly the shard's **remaining** images — the
 /// caller restricts it to the shard's members (e.g.
-/// [`DirectorySource::restrict_to_shard`](crate::stream::DirectorySource::restrict_to_shard)
-/// or [`ShardedSource`](crate::stream::ShardedSource)) and, when
-/// resuming, skips the first [`done`](ScanCheckpoint::done) of them.
+/// [`DirectorySource::restrict_to_shard`](crate::stream::DirectorySource::restrict_to_shard))
+/// and, when resuming, skips the first [`done`](ScanCheckpoint::done) of
+/// them ([`DirectorySource::skip`](crate::stream::DirectorySource::skip)).
 /// `kept` lists the corpus-global indices the shard owns, in scan order;
 /// the `i`-th streamed image is recorded as corpus index
 /// `kept[done + i]`.
@@ -296,7 +296,7 @@ impl ScanReport {
 mod tests {
     use super::*;
     use crate::method::{MethodId, MethodSet};
-    use crate::stream::{FnSource, ShardedSource};
+    use crate::stream::FnSource;
     use decamouflage_imaging::{Image, Size};
     use decamouflage_telemetry::MetricsRegistry;
 
@@ -340,8 +340,10 @@ mod tests {
             .map(|index| {
                 let spec = ShardSpec::new(index, shard_count).unwrap();
                 let kept = spec.partition(&all);
-                let inner = FnSource::new(n, |i| slot_image(i, poison.contains(&(i as usize))));
-                let mut source = ShardedSource::new(inner, spec, key);
+                let mut source = FnSource::new(kept.len(), |i| {
+                    let global = kept[i as usize];
+                    slot_image(global as u64, poison.contains(&global))
+                });
                 let checkpoint = ScanCheckpoint::new(spec, fingerprint, engine.methods());
                 scan_shard(&engine, &mut source, &kept, &config, checkpoint, |_| Ok(()), |_, _| {})
                     .unwrap()
@@ -352,25 +354,19 @@ mod tests {
     #[test]
     fn sharded_scan_merges_back_to_the_eager_oracle() {
         let n = 14;
-        let half = n / 2;
         let poison = [4, 9];
         let engine = DetectionEngine::new(Size::square(8));
         let shards = scan_all_shards(n, 3, &poison);
         let report = ScanReport::merge(&shards).unwrap();
 
-        // Oracle: one eager resilient pass over the same images — the
-        // batch fans out benign indices 0..half then attack half..n.
-        let outcome = engine.score_corpus_resilient(
-            |i| slot_image(i, poison.contains(&(i as usize))),
-            |i| slot_image(half as u64 + i, poison.contains(&(half + i as usize))),
-            half,
-            2,
-        );
-        let eager: Vec<_> = outcome.benign.into_iter().chain(outcome.attack).enumerate().collect();
+        // Oracle: one eager resilient pass over the same images.
+        let images: Vec<Image> =
+            (0..n).map(|i| slot_image(i as u64, poison.contains(&i))).collect();
+        let eager = engine.score_images(&images, 2);
 
         assert_eq!(report.corpus_len(), n);
         assert_eq!(report.scored_indices().len() + report.quarantined().len(), n);
-        for (index, result) in eager {
+        for (index, result) in eager.into_iter().enumerate() {
             match result {
                 Ok(vector) => {
                     let pos = report
@@ -411,8 +407,9 @@ mod tests {
         let config = StreamConfig::default().with_threads(1).with_chunk_size(2);
 
         let run = |checkpoint: ScanCheckpoint, skip: usize| {
-            let inner = FnSource::new(n, |i| slot_image(i, false));
-            let mut source = ShardedSource::new(inner, spec, key).skipping(skip);
+            let mut source = FnSource::new(kept.len() - skip, |i| {
+                slot_image(kept[skip + i as usize] as u64, false)
+            });
             scan_shard(&engine, &mut source, &kept, &config, checkpoint, |_| Ok(()), |_, _| {})
                 .unwrap()
         };

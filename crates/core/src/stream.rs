@@ -789,73 +789,6 @@ impl std::fmt::Display for ShardSpec {
     }
 }
 
-/// An [`ImageSource`] adapter restricting any inner source to one
-/// [`ShardSpec`] shard, with optional resume positioning — the generic
-/// counterpart of [`DirectorySource::restrict_to_shard`] so slice/fn
-/// sources shard identically in tests.
-///
-/// Keys come from a caller-supplied `inner index -> key` closure, which
-/// must produce the same canonical keys on every run. Because the inner
-/// source is pull-based, non-admitted items still have to be *pulled*
-/// (held images are recycled straight into the buffer pool); sources that
-/// can skip cheaply by path — [`DirectorySource`] — should restrict their
-/// listing instead.
-pub struct ShardedSource<S, F> {
-    inner: S,
-    spec: ShardSpec,
-    key_of: F,
-    next: usize,
-    skip_admitted: usize,
-}
-
-impl<S: ImageSource, F: FnMut(usize) -> String> ShardedSource<S, F> {
-    /// Restricts `inner` to the keys `spec` admits, keying inner stream
-    /// index `i` as `key_of(i)`.
-    pub fn new(inner: S, spec: ShardSpec, key_of: F) -> Self {
-        Self { inner, spec, key_of, next: 0, skip_admitted: 0 }
-    }
-
-    /// Builder: additionally drops the first `admitted` items *of this
-    /// shard* — resume positioning after a checkpoint recorded that many
-    /// completed positions.
-    #[must_use]
-    pub fn skipping(mut self, admitted: usize) -> Self {
-        self.skip_admitted = admitted;
-        self
-    }
-}
-
-impl<S, F> std::fmt::Debug for ShardedSource<S, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSource")
-            .field("spec", &self.spec)
-            .field("next", &self.next)
-            .field("skip_admitted", &self.skip_admitted)
-            .finish()
-    }
-}
-
-impl<S: ImageSource, F: FnMut(usize) -> String> ImageSource for ShardedSource<S, F> {
-    fn next_image(&mut self, pool: &mut BufferPool) -> Option<SourceItem> {
-        loop {
-            let index = self.next;
-            let item = self.inner.next_image(pool)?;
-            self.next += 1;
-            let admitted = self.spec.admits(&(self.key_of)(index));
-            let skipped = admitted && self.skip_admitted > 0;
-            if skipped {
-                self.skip_admitted -= 1;
-            }
-            if admitted && !skipped {
-                return Some(item);
-            }
-            if let Ok(Pulled::Image(image)) = item {
-                pool.recycle(image);
-            }
-        }
-    }
-}
-
 /// Extensions the directory walk admits, lowercased. Dispatch to a
 /// codec happens by magic bytes ([`decamouflage_imaging::codec::sniff`]),
 /// not extension — the extension only gates which files are listed.
@@ -1048,9 +981,8 @@ impl DirectorySource {
 
     /// Drops every file `spec` does not admit, returning the kept files'
     /// original (0-based, ascending) listing positions — the map from
-    /// shard-local stream index back to corpus-global index. Unlike the
-    /// generic [`ShardedSource`], this skips by path: non-admitted files
-    /// are never opened or decoded.
+    /// shard-local stream index back to corpus-global index. It skips by
+    /// path: non-admitted files are never opened or decoded.
     ///
     /// # Panics
     ///
@@ -1393,29 +1325,6 @@ mod tests {
             spec.partition(&reversed).into_iter().map(|i| &reversed[i]).collect();
         backward.reverse();
         assert_eq!(forward, backward);
-    }
-
-    #[test]
-    fn sharded_source_yields_exactly_the_partition_and_recycles_the_rest() {
-        let key_of = |i: usize| format!("img-{i:05}");
-        let spec = ShardSpec::new(2, 3).unwrap();
-        let expected = spec.partition((0..10).map(key_of));
-        assert!(!expected.is_empty(), "fixture must admit something");
-
-        let mut source = ShardedSource::new(FnSource::new(10, |i| flat(i as f64)), spec, key_of);
-        assert!(format!("{source:?}").contains("ShardedSource"));
-        let mut pool = BufferPool::with_telemetry(16, &Telemetry::disabled());
-        let items = drain(&mut source, &mut pool);
-        let values: Vec<f64> = items.iter().map(|i| i.as_ref().unwrap().plane(0)[0]).collect();
-        assert_eq!(values, expected.iter().map(|&i| i as f64).collect::<Vec<_>>());
-        assert_eq!(pool.len(), 10 - expected.len(), "skipped images are recycled");
-
-        // skipping(n) drops the first n admitted items (resume).
-        let mut resumed =
-            ShardedSource::new(FnSource::new(10, |i| flat(i as f64)), spec, key_of).skipping(1);
-        let rest = drain(&mut resumed, &mut pool);
-        assert_eq!(rest.len(), expected.len() - 1);
-        assert_eq!(rest[0].as_ref().unwrap().plane(0)[0], expected[1] as f64);
     }
 
     #[test]

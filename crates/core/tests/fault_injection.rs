@@ -5,7 +5,8 @@
 
 use decamouflage_core::faults::{FaultKind, FaultPlan};
 use decamouflage_core::{
-    DegradePolicy, DetectionEngine, Direction, Ensemble, MethodId, MethodSet, ScoreFault, Threshold,
+    DegradePolicy, DetectionEngine, Direction, Ensemble, MethodId, MethodSet, ScoreError,
+    ScoreFault, ScoreVector, Threshold,
 };
 use decamouflage_imaging::{Image, Size};
 
@@ -29,41 +30,38 @@ fn engine() -> DetectionEngine {
 const COUNT: usize = 6;
 const THREADS: usize = 4;
 
+/// The benign scenes (fan-out indices `0..COUNT`), then the attack scenes
+/// (`COUNT..2 * COUNT`).
+fn corpus() -> Vec<Image> {
+    (0..COUNT as u64).map(benign_image).chain((0..COUNT as u64).map(attack_image)).collect()
+}
+
+/// The fan-out indices of the quarantined slots, ascending.
+fn quarantined(outcome: &[Result<ScoreVector, ScoreError>]) -> Vec<usize> {
+    outcome.iter().filter_map(|result| result.as_ref().err().map(|err| err.index)).collect()
+}
+
 #[test]
 fn one_injected_panic_quarantines_only_its_slot() {
-    let clean = engine().score_corpus_resilient(benign_image, attack_image, COUNT, THREADS);
-    assert_eq!(clean.counts().quarantined, 0, "control batch must be clean");
+    let images = corpus();
+    let clean = engine().score_images(&images, THREADS);
+    assert!(quarantined(&clean).is_empty(), "control batch must be clean");
 
     // Arm a panic at one benign slot (fan-out index 2).
     let armed = engine().with_fault_plan(FaultPlan::new().with(2, FaultKind::Panic));
-    let outcome = armed.score_corpus_resilient(benign_image, attack_image, COUNT, THREADS);
-
-    let counts = outcome.counts();
-    assert_eq!(counts.quarantined, 1);
-    assert_eq!(counts.benign_quarantined, 1);
-    assert_eq!(counts.attack_quarantined, 0);
-    assert_eq!(counts.scored, 2 * COUNT - 1);
+    let outcome = armed.score_images(&images, THREADS);
+    assert_eq!(outcome.len(), 2 * COUNT);
+    assert_eq!(quarantined(&outcome), [2]);
 
     // The quarantined slot carries a recovered-panic cause with its index.
-    let err = outcome.benign[2].as_ref().unwrap_err();
+    let err = outcome[2].as_ref().unwrap_err();
     assert!(err.is_panic());
     assert_eq!(err.index, 2);
     assert!(err.to_string().contains("injected panic"), "{err}");
 
     // Every other slot is bit-identical to the clean run.
-    for i in 0..COUNT {
-        if i != 2 {
-            assert_eq!(
-                outcome.benign[i].as_ref().unwrap(),
-                clean.benign[i].as_ref().unwrap(),
-                "benign slot {i} drifted"
-            );
-        }
-        assert_eq!(
-            outcome.attack[i].as_ref().unwrap(),
-            clean.attack[i].as_ref().unwrap(),
-            "attack slot {i} drifted"
-        );
+    for i in (0..2 * COUNT).filter(|&i| i != 2) {
+        assert_eq!(outcome[i].as_ref().unwrap(), clean[i].as_ref().unwrap(), "slot {i} drifted");
     }
 }
 
@@ -71,19 +69,19 @@ fn one_injected_panic_quarantines_only_its_slot() {
 fn worker_pool_survives_a_barrage_of_panics() {
     // Scatter 8 panics over the whole 2 * COUNT fan-out, every index armed
     // deterministically by seed.
+    let images = corpus();
     let plan = FaultPlan::scattered(0xDECA, 8, 2 * COUNT, FaultKind::Panic);
     assert_eq!(plan.len(), 8);
     let armed = engine().with_fault_plan(plan);
-    let outcome = armed.score_corpus_resilient(benign_image, attack_image, COUNT, THREADS);
-    assert_eq!(outcome.counts().quarantined, 8);
-    assert!(outcome.quarantined().all(|err| err.is_panic()));
+    let outcome = armed.score_images(&images, THREADS);
+    assert_eq!(quarantined(&outcome).len(), 8);
+    assert!(outcome.iter().filter_map(|result| result.as_ref().err()).all(|err| err.is_panic()));
 
     // The *same global pool* then completes a full clean batch: eight
     // unwound jobs left no worker dead and no queue stuck.
-    let followup = engine().score_corpus_resilient(benign_image, attack_image, COUNT, THREADS);
-    let counts = followup.counts();
-    assert_eq!(counts.quarantined, 0, "pool lost capacity after injected panics");
-    assert_eq!(counts.scored, 2 * COUNT);
+    let followup = engine().score_images(&images, THREADS);
+    assert!(quarantined(&followup).is_empty(), "pool lost capacity after injected panics");
+    assert_eq!(followup.len(), 2 * COUNT);
 }
 
 #[test]
@@ -91,23 +89,18 @@ fn injected_errors_and_nan_scores_quarantine_with_typed_causes() {
     let plan = FaultPlan::new()
         .with(1, FaultKind::Error) // benign slot 1
         .with(COUNT + 3, FaultKind::NanScore); // attack slot 3
-    let outcome = engine().with_fault_plan(plan).score_corpus_resilient(
-        benign_image,
-        attack_image,
-        COUNT,
-        THREADS,
-    );
+    let outcome = engine().with_fault_plan(plan).score_images(&corpus(), THREADS);
 
-    let err = outcome.benign[1].as_ref().unwrap_err();
+    let err = outcome[1].as_ref().unwrap_err();
     assert!(matches!(err.cause, ScoreFault::Injected));
     assert_eq!(err.index, 1);
 
     // A NanScore fault produces an all-NaN vector, which is a *scored*
     // result (the vector layer treats NaN as "missing"): ensembles handle
     // it through their degrade policy, not through quarantine.
-    let nan_scores = outcome.attack[3].as_ref().unwrap();
+    let nan_scores = outcome[COUNT + 3].as_ref().unwrap();
     assert!(MethodId::ALL.iter().all(|&id| nan_scores.get(id).is_nan()));
-    assert_eq!(outcome.counts().quarantined, 1);
+    assert_eq!(quarantined(&outcome), [1]);
 }
 
 /// A 3-member ensemble (scaling, filtering, steganalysis) with
@@ -189,13 +182,8 @@ fn injected_nan_scores_reach_the_vote_as_unavailable_members() {
     // A NanScore fault is a *scored* slot holding an all-NaN vector: the
     // stream hands it to the vote, where nobody can vote.
     let plan = FaultPlan::new().with(COUNT + 3, FaultKind::NanScore);
-    let outcome = engine().with_fault_plan(plan).score_corpus_resilient(
-        benign_image,
-        attack_image,
-        COUNT,
-        THREADS,
-    );
-    let nan_scores = outcome.attack[3].as_ref().unwrap();
+    let outcome = engine().with_fault_plan(plan).score_images(&corpus(), THREADS);
+    let nan_scores = outcome[COUNT + 3].as_ref().unwrap();
     for policy in POLICIES {
         let vote = ensemble(MethodSet::all(), policy).vote(Ok(nan_scores));
         match policy {
@@ -214,15 +202,10 @@ fn scattered_fault_plans_reproduce_across_runs() {
     // The same seed builds the same plan, so the same slots quarantine in
     // two independent engines — the property that makes a failing chaos
     // drill replayable.
+    let images = corpus();
     let run = |seed: u64| {
         let plan = FaultPlan::scattered(seed, 5, 2 * COUNT, FaultKind::Error);
-        let outcome = engine().with_fault_plan(plan).score_corpus_resilient(
-            benign_image,
-            attack_image,
-            COUNT,
-            THREADS,
-        );
-        outcome.quarantined().map(|err| err.index).collect::<Vec<_>>()
+        quarantined(&engine().with_fault_plan(plan).score_images(&images, THREADS))
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8), "different seeds should hit different slots");

@@ -2,14 +2,14 @@
 //! corpus scanned in N hash-partitioned shards — each killed at an
 //! arbitrary point, resumed from its last persisted checkpoint, and
 //! finally merged — is **bit-identical** to one eager
-//! [`DetectionEngine::score_corpus_resilient`] pass: same scores to the
-//! bit, same quarantine kinds and messages at the same corpus indices,
-//! and one canonical merged report text regardless of shard count, kill
-//! point, or chunk size.
+//! [`DetectionEngine::score_images`] pass: same scores to the bit, same
+//! quarantine kinds and messages at the same corpus indices, and one
+//! canonical merged report text regardless of shard count, kill point, or
+//! chunk size.
 
 use decamouflage_core::{
     scan_shard, CorpusFingerprint, DetectionEngine, FnSource, ScanCheckpoint, ScanReport,
-    ShardSpec, ShardedSource, StreamConfig,
+    ShardSpec, StreamConfig,
 };
 use decamouflage_imaging::{Image, Size};
 use proptest::prelude::*;
@@ -40,7 +40,9 @@ fn slot_image(index: usize, poisoned: bool) -> Image {
 /// a persist would land after `kill` rows, the shard is then re-opened
 /// from the last successfully persisted text (or from scratch when the
 /// crash predates the first persist) and driven to completion — the
-/// exact recovery workflow of `scan --resume`.
+/// exact recovery workflow of `scan --resume`. Each run streams the
+/// shard's own images past the resume point, as a directory restricted
+/// to the shard and skipped past the checkpoint does.
 fn scan_shard_with_crash(
     engine: &DetectionEngine,
     spec: ShardSpec,
@@ -52,8 +54,11 @@ fn scan_shard_with_crash(
     let fingerprint = CorpusFingerprint::of_keys(keys);
     let kept = spec.partition(keys);
     let open_source = |skip: usize| {
-        let inner = FnSource::new(keys.len(), |i| slot_image(i as usize, poisoned[i as usize]));
-        ShardedSource::new(inner, spec, key).skipping(skip)
+        let rest = &kept[skip..];
+        FnSource::new(rest.len(), move |i| {
+            let global = rest[i as usize];
+            slot_image(global, poisoned[global])
+        })
     };
 
     let mut last_persisted: Option<String> = None;
@@ -110,13 +115,8 @@ proptest! {
             .with_threads(THREADS);
 
         // Oracle: one eager resilient batch over the same images.
-        let outcome = engine.score_corpus_resilient(
-            |i| slot_image(i as usize, poisoned[i as usize]),
-            |i| slot_image(count + i as usize, poisoned[count + i as usize]),
-            count,
-            THREADS,
-        );
-        let eager: Vec<_> = outcome.benign.iter().chain(outcome.attack.iter()).collect();
+        let images: Vec<Image> = (0..total).map(|i| slot_image(i, poisoned[i])).collect();
+        let eager = engine.score_images(&images, THREADS);
 
         let mut canonical_text: Option<String> = None;
         for shard_count in [1usize, 2, 3, MAX_SHARDS] {

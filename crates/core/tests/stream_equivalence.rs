@@ -1,9 +1,10 @@
 //! Property test for the streaming tentpole's core guarantee:
 //! [`DetectionEngine::score_stream`] over a slice-backed source is
-//! bit-identical to the eager [`DetectionEngine::score_corpus_resilient`]
-//! batch — same scores to the bit, same quarantine errors at the same
-//! stream indices — for *any* chunk size, with injected faults and
-//! poisoned images in the mix.
+//! bit-identical to the eager [`DetectionEngine::score_images`] batch over
+//! the same slice — same scores to the bit, same quarantine errors at the
+//! same indices — for *any* chunk size, with injected faults and poisoned
+//! images in the mix. The oracle shares only the per-image slot with the
+//! stream, not its chunk driver.
 
 use decamouflage_core::faults::{FaultKind, FaultPlan};
 use decamouflage_core::{
@@ -67,18 +68,7 @@ proptest! {
         let plan = build_plan(&faults[..total]);
 
         let engine = DetectionEngine::new(Size::square(8)).with_fault_plan(plan);
-        let outcome = engine.score_corpus_resilient(
-            |i| images[i as usize].clone(),
-            |i| images[count + i as usize].clone(),
-            count,
-            THREADS,
-        );
-        let eager: Vec<_> = outcome
-            .benign
-            .iter()
-            .chain(outcome.attack.iter())
-            .map(fingerprint)
-            .collect();
+        let eager: Vec<_> = engine.score_images(&images, THREADS).iter().map(fingerprint).collect();
 
         for chunk_size in [1, 3, total, total + 7] {
             let config = StreamConfig::default()

@@ -126,14 +126,17 @@ fn quarantines_count_by_fault_kind() {
     let armed = engine
         .with_fault_plan(FaultPlan::new().with(0, FaultKind::Panic).with(2, FaultKind::Error))
         .with_telemetry(telemetry.clone());
-    let outcome = armed.score_corpus_resilient(benign_image, attack_image, COUNT, 2);
-    assert_eq!(outcome.counts().quarantined, 2);
+    let images: Vec<Image> =
+        (0..COUNT as u64).map(benign_image).chain((0..COUNT as u64).map(attack_image)).collect();
+    let outcome = armed.score_images(&images, 2);
+    let failed = outcome.iter().filter(|result| result.is_err()).count();
+    assert_eq!(failed, 2);
     assert_eq!(quarantined("panic"), 1);
     assert_eq!(quarantined("injected"), 1);
 
     // Successful scores from the same batch landed on the scored counter.
     let scored = telemetry.counter("decam_engine_scored_total", &[]).value();
-    assert_eq!(scored, outcome.counts().scored as u64);
+    assert_eq!(scored, (outcome.len() - failed) as u64);
 }
 
 /// Ensemble decisions record votes by member, verdicts, and — when a

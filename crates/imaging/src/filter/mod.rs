@@ -7,14 +7,11 @@
 //!   comparing the filtered image to the input exposes them.
 //! * [`convolve_separable`] — separable convolution with border
 //!   replication.
-//! * [`IntegralImage`] / [`box_mean`] — summed-area tables with O(1) box
-//!   statistics.
 //! * [`gaussian_blur`] — Gaussian blur built on the separable convolution,
 //!   used by SSIM and the synthetic dataset generator.
 
 mod conv;
 mod gaussian;
-mod integral;
 mod rank;
 
 pub use conv::{
@@ -22,5 +19,4 @@ pub use conv::{
     Kernel1D, PlaneSource,
 };
 pub use gaussian::{gaussian_blur, gaussian_kernel};
-pub use integral::{box_mean, IntegralImage};
 pub use rank::{maximum_filter, median_filter, minimum_filter, rank_filter, RankKind};

@@ -30,7 +30,6 @@ mod colorhist;
 mod error;
 mod histogram;
 mod mse;
-mod msssim;
 mod ssim;
 mod stats;
 
@@ -38,6 +37,5 @@ pub use colorhist::{color_histogram, histogram_intersection, ColorHistogram};
 pub use error::MetricError;
 pub use histogram::{Histogram, HistogramBin};
 pub use mse::{mae, max_abs_diff, mse, psnr};
-pub use msssim::{ms_ssim, MSSSIM_WEIGHTS};
 pub use ssim::{ssim, ssim_map, SsimConfig, SsimReference};
 pub use stats::{percentile, OnlineStats, SampleSummary};

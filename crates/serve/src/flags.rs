@@ -2,7 +2,7 @@
 //! the bench `loadgen` binary.
 //!
 //! Every numeric flag in the tooling funnels through these helpers so
-//! degenerate values — `--chunk-size 0`, a negative `--shard`, an
+//! degenerate values — `--chunk-size 0`, a negative `--handlers`, an
 //! overflowing `--count` — are rejected uniformly with a message that
 //! names the flag, the accepted range, and the offending input, instead
 //! of each subcommand rolling (and unevenly forgetting) its own checks.
@@ -42,26 +42,6 @@ pub fn parse_bounded_ms(
     Ok(Duration::from_millis(parse_bounded_usize(flag, raw, min_ms, max_ms)? as u64))
 }
 
-/// Parses a `k/N` shard spec: `0 <= k < N`, `1 <= N <= max_shards`.
-///
-/// # Errors
-///
-/// A flag-named message for a missing `/`, non-integer parts, `N == 0`,
-/// `k >= N`, or `N > max_shards`.
-pub fn parse_shard_spec(
-    flag: &str,
-    raw: &str,
-    max_shards: usize,
-) -> Result<(usize, usize), String> {
-    let (index, count) = raw
-        .split_once('/')
-        .ok_or_else(|| format!("{flag}: expected k/N (e.g. 0/4), got {raw:?}"))?;
-    let count = parse_bounded_usize(flag, count, 1, max_shards)?;
-    let index = parse_bounded_usize(flag, index, 0, count.saturating_sub(1))
-        .map_err(|_| format!("{flag}: shard index must be in [0, {}), got {index:?}", count))?;
-    Ok((index, count))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,15 +64,5 @@ mod tests {
         }
         let err = parse_bounded_usize("--count", "5000", 1, 4096).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
-    }
-
-    #[test]
-    fn shard_specs_validate_both_halves() {
-        assert_eq!(parse_shard_spec("--shard", "0/4", 1024), Ok((0, 4)));
-        assert_eq!(parse_shard_spec("--shard", "3/4", 1024), Ok((3, 4)));
-        for raw in ["4/4", "0/0", "-1/4", "x/4", "2", "1/99999999999999999999"] {
-            let err = parse_shard_spec("--shard", raw, 1024).unwrap_err();
-            assert!(err.starts_with("--shard:"), "message names the flag: {err}");
-        }
     }
 }

@@ -44,7 +44,7 @@
 use decamouflage::detection::calibrate::calibrate_whitebox;
 use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
 use decamouflage::detection::persist::ThresholdSet;
-use decamouflage::detection::stream::{DirectorySource, StreamConfig};
+use decamouflage::detection::stream::{DirectorySource, FnSource, ImageDecoder, StreamConfig};
 use decamouflage::detection::{
     scan_shard, CorpusFingerprint, DetectionEngine, MethodId, MethodSet, ScanCheckpoint,
     ScanReport, ScoreError, ScoreFault, ShardSpec, SteganalysisDetector, Threshold,
@@ -283,10 +283,17 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     // captures the process-global handle.
     let metrics_out = parsed.value("--metrics-out");
     let telemetry = if metrics_out.is_some() { enable_metrics() } else { Telemetry::disabled() };
-    let image = {
-        let _decode = telemetry.span("decam_engine_stage_seconds", &[("stage", "decode")]);
-        read_image(image_path)?
-    };
+    // The one decode path `scan` and `/check` take: sniffed by magic
+    // bytes, timed and counted per format.
+    let bytes = std::fs::read(image_path).map_err(|e| format!("cannot read {image_path}: {e}"))?;
+    let image = ImageDecoder::new(&telemetry)
+        .decode(&bytes, Some(Path::new(image_path)), &mut |samples| vec![0.0; samples])
+        .map_err(|fault| match fault {
+            ScoreFault::Unreadable { message } | ScoreFault::UnsupportedFormat { message } => {
+                message
+            }
+            other => other.to_string(),
+        })?;
     let ensemble =
         Ensemble::paper(target, &thresholds, parse_degrade(&parsed)?).map_err(|e| e.to_string())?;
     let decision = ensemble.decide(&image).map_err(|e| e.to_string())?;
@@ -628,11 +635,19 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         })
     };
 
-    // Engine: a parallel resilient batch (stage/method latencies, pool
-    // counters) plus one undersized input through the quarantine path.
+    // Engine: the corpus as one two-thread stream chunk (stage/method
+    // latencies, pool and stream counters) plus one undersized input
+    // through the quarantine path.
     let engine = DetectionEngine::new(target);
-    let outcome = engine.score_corpus_resilient(benign, attack, count, 2);
-    let counts = outcome.counts();
+    let total = 2 * count;
+    let image_of = |i: u64| if i < count as u64 { benign(i) } else { attack(i - count as u64) };
+    let mut corpus = FnSource::new(total, image_of);
+    let config =
+        StreamConfig::default().with_chunk_size(total).with_threads(2).with_pool_capacity(0);
+    let mut quarantined = 0;
+    engine.score_stream(&mut corpus, &config, |_, result| {
+        quarantined += usize::from(result.is_err())
+    });
     let _ = engine.score_resilient(&Image::from_fn_gray(2, 2, |_, _| 10.0));
 
     // Ensemble: every decision records votes and verdict counters.
@@ -660,10 +675,10 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
 
     eprintln!(
         "exercised {} engine slots ({} scored, {} quarantined), {} ensemble decisions, {} screens",
-        2 * count + 1,
-        counts.scored,
-        counts.quarantined + 1,
-        2 * count,
+        total + 1,
+        total - quarantined,
+        quarantined + 1,
+        total,
         count
     );
     let output = match format {

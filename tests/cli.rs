@@ -494,6 +494,62 @@ fn resume_refuses_a_checkpoint_from_a_different_corpus() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A checkpoint that quarantined a file no codec claims stays resumable
+/// and mergeable: the parser admits every fault kind a scan can write.
+#[test]
+fn checkpoint_with_an_unsupported_file_resumes_and_merges() {
+    use decamouflage::imaging::codec::write_pnm_file;
+    use decamouflage::imaging::Image;
+
+    let root = std::env::temp_dir().join("decamouflage-cli-test-unsupported-checkpoint");
+    let _ = std::fs::remove_dir_all(&root);
+    let corpus = root.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let scene = Image::from_fn_gray(64, 64, |x, y| (100.0 + 0.8 * (x + y) as f64).round());
+    write_pnm_file(&scene, corpus.join("a.pgm")).unwrap();
+    std::fs::write(corpus.join("b.bmp"), b"plain text, not an image\n").unwrap();
+    let checkpoint = root.join("scan.ckpt");
+    let scan = |extra: &[&str]| {
+        run(bin()
+            .arg("scan")
+            .arg(&corpus)
+            .args(["--target", "16x16"])
+            .args(["--checkpoint", checkpoint.to_str().unwrap()])
+            .args(extra))
+    };
+
+    let (code, first_out, stderr) = scan(&[]);
+    assert!(code == 0 || code == 2, "initial scan failed: {stderr}");
+    let text = std::fs::read_to_string(&checkpoint).unwrap();
+    assert!(
+        text.lines().any(|line| line.starts_with("quarantine 1 unsupported-format ")),
+        "{text}"
+    );
+
+    let (resumed_code, resumed_out, stderr) = scan(&["--resume"]);
+    assert_eq!(resumed_code, code, "resume failed: {stderr}");
+    let summary = |out: &str| out.lines().find(|l| l.starts_with("scanned ")).map(str::to_owned);
+    assert_eq!(summary(&resumed_out), summary(&first_out));
+    let summary = summary(&first_out).expect("summary line");
+    assert!(
+        summary.starts_with("scanned 2 images: ")
+            && summary.ends_with(", 0 quarantined, 1 unreadable"),
+        "{summary}"
+    );
+
+    let (code, merged, stderr) = run(bin().arg("merge").arg(&checkpoint));
+    assert_eq!(code, 0, "merge failed: {stderr}");
+    assert!(
+        stderr.contains("merged 1 checkpoint(s): 2 images, 1 scored, 1 quarantined"),
+        "{stderr}"
+    );
+    assert!(
+        merged.lines().any(|line| line.starts_with("quarantine 1 unsupported-format ")),
+        "{merged}"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn scan_rejects_empty_directories() {
     let root = std::env::temp_dir().join("decamouflage-cli-test-scan-empty");
@@ -507,18 +563,26 @@ fn scan_rejects_empty_directories() {
 
 /// One vote behind every front end: on every fixture image, `check`'s
 /// verdict and member lines, the file's `scan` line and the service's
-/// `check_bytes` agree, under every degrade policy.
+/// `check_bytes` agree, under every degrade policy. So do they on an
+/// image the engine refuses, each front end mapping the refusal onto its
+/// policy.
 #[test]
 fn check_scan_and_service_agree_on_every_fixture() {
     use decamouflage::detection::persist::ThresholdSet;
     use decamouflage::detection::{CancelToken, DegradePolicy};
-    use decamouflage::imaging::Size;
+    use decamouflage::imaging::{Image, Size};
     use decamouflage::serve::{CheckOutcome, DetectionService};
 
     let root = fixtures("parity");
     let thresholds = calibrate(&root);
     let set = ThresholdSet::load(&thresholds).unwrap();
     let dirs = [root.join("benign"), root.join("attack"), root.clone()];
+    // Below the 11-pixel SSIM window, so validation refuses it.
+    let refused_dir = root.join("refused");
+    std::fs::create_dir_all(&refused_dir).unwrap();
+    let refused = refused_dir.join("small.bmp");
+    let smooth = Image::from_fn_gray(10, 10, |x, y| (100.0 + 4.0 * (x + y) as f64).round());
+    write_bmp_file(&smooth, &refused).unwrap();
     for (mode, policy) in [
         ("strict", DegradePolicy::Strict),
         ("majority", DegradePolicy::MajorityOfAvailable),
@@ -577,6 +641,48 @@ fn check_scan_and_service_agree_on_every_fixture() {
             }
         }
         assert_eq!(checked, 10, "every fixture image was compared");
+
+        let shown = refused.display().to_string();
+        let (_, scan_out, stderr) = run(bin()
+            .arg("scan")
+            .arg(&refused_dir)
+            .args(["--target", "16x16", "--degrade", mode])
+            .args(["--thresholds", thresholds.to_str().unwrap()]));
+        let scan_line = scan_out
+            .lines()
+            .find(|line| line.contains(&format!(" {shown}")))
+            .unwrap_or_else(|| panic!("no scan line for {shown}: {scan_out} {stderr}"));
+        let (code, check_out, check_err) = run(bin()
+            .arg("check")
+            .arg(&refused)
+            .args(["--target", "16x16", "--degrade", mode])
+            .args(["--thresholds", thresholds.to_str().unwrap()]));
+        let outcome = service.check_bytes(&std::fs::read(&refused).unwrap(), &CancelToken::new());
+        assert!(
+            matches!(outcome, CheckOutcome::Quarantined { fault: "below-minimum-size", .. }),
+            "{mode}: the service did not refuse the undersized image: {outcome:?}"
+        );
+        let quarantined = format!("quarantined {shown}: ");
+        let attack_line = format!("{shown}: ATTACK (majority vote)");
+        match policy {
+            DegradePolicy::Strict => {
+                let reason = scan_line
+                    .strip_prefix(&quarantined)
+                    .unwrap_or_else(|| panic!("{mode}: scan did not quarantine: {scan_line}"));
+                assert_eq!(code, 1, "{mode}: check must refuse: {check_out}");
+                assert!(check_err.contains(reason), "{mode}: {check_err} lacks {reason:?}");
+            }
+            DegradePolicy::MajorityOfAvailable => {
+                assert!(scan_line.starts_with(&quarantined), "{mode}: {scan_line}");
+                assert_eq!(code, 2, "{mode}: no member voted, so check fails closed");
+                assert_eq!(check_out.lines().last(), Some(attack_line.as_str()), "{mode}");
+            }
+            _ => {
+                assert_eq!(scan_line, format!("ATTACK      {shown}"), "{mode}");
+                assert_eq!(code, 2, "{mode}: {check_err}");
+                assert_eq!(check_out.lines().last(), Some(attack_line.as_str()), "{mode}");
+            }
+        }
     }
     std::fs::remove_dir_all(&root).ok();
 }
