@@ -38,6 +38,7 @@ use crate::persist::ThresholdSet;
 use crate::stream::{ImageSource, StreamConfig};
 use crate::threshold::{percentile_blackbox, search_whitebox, Threshold};
 use crate::{DetectError, ScoreError};
+use std::ops::ControlFlow;
 
 /// One method's calibrated threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,9 +109,12 @@ pub fn score_class(
 ) -> Result<(ScoreColumns, Vec<(usize, ScoreError)>), DetectError> {
     let mut columns = ScoreColumns::new(engine.methods());
     let mut quarantined = Vec::new();
-    engine.score_stream(source, config, |index, result| match result {
-        Ok(scores) => columns.push(&scores),
-        Err(err) => quarantined.push((index, err)),
+    engine.score_stream(source, config, |index, result| {
+        match result {
+            Ok(scores) => columns.push(&scores),
+            Err(err) => quarantined.push((index, err)),
+        }
+        ControlFlow::Continue(())
     });
     if columns.is_empty() {
         return Err(DetectError::InvalidCalibration {

@@ -35,13 +35,11 @@ use crate::error::{ScoreError, ScoreFault};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::filtering::FilteringDetector;
 use crate::method::{MethodId, MethodSet, MetricKind, ScoreVector};
-use crate::parallel::parallel_map_indices;
+use crate::parallel::{parallel_map_indices, WorkerPool};
 use crate::peak_excess::PeakExcessDetector;
 use crate::scaling::ScalingDetector;
 use crate::steganalysis::SteganalysisDetector;
-use crate::stream::{
-    ChunkDriver, ImageSource, SharedPool, SourceItem, StreamConfig, StreamSummary,
-};
+use crate::stream::{self, ImageSource, SharedPool, SourceItem, StreamConfig, StreamSummary};
 use crate::DetectError;
 use decamouflage_imaging::filter::{rank_filter, RankKind};
 use decamouflage_imaging::scale::{ScaleAlgorithm, ScalerCache};
@@ -53,6 +51,7 @@ use decamouflage_spectral::radial::peak_excess;
 use decamouflage_spectral::window::{apply_window, WindowKind};
 use decamouflage_telemetry::{Counter, HistogramHandle, Telemetry};
 use std::borrow::Borrow;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -68,6 +67,7 @@ struct EngineMetrics {
     score_seconds: HistogramHandle,
     /// `decam_engine_stage_seconds{stage=...}`: shared-stage latencies.
     validate: HistogramHandle,
+    luma: HistogramHandle,
     scale_round_trip: HistogramHandle,
     rank_filter: HistogramHandle,
     ssim_reference: HistogramHandle,
@@ -86,6 +86,7 @@ impl EngineMetrics {
         Self {
             score_seconds: telemetry.histogram("decam_engine_score_seconds", &[]),
             validate: stage("validate"),
+            luma: stage("luma"),
             scale_round_trip: stage("scale_round_trip"),
             rank_filter: stage("rank_filter"),
             ssim_reference: stage("ssim_reference"),
@@ -379,11 +380,13 @@ impl DetectionEngine {
         let mut centered_spectrum = None;
         if self.methods.contains(MethodId::Csp) || self.methods.contains(MethodId::PeakExcess) {
             // One shared gray view serves both frequency-domain methods:
-            // Gray inputs are borrowed as-is (zero copies), RGB inputs pay
-            // for exactly one fused luma pass — never one per method.
+            // Gray inputs are borrowed as-is (zero copies, nothing timed),
+            // RGB inputs pay for exactly one fused luma pass — never one
+            // per method.
             let gray: std::borrow::Cow<'_, Image> = if image.channel_count() == 1 {
                 std::borrow::Cow::Borrowed(image)
             } else {
+                let _stage = self.metrics.luma.span();
                 std::borrow::Cow::Owned(
                     Image::from_gray_plane(
                         image.width(),
@@ -598,59 +601,54 @@ impl DetectionEngine {
         result
     }
 
-    /// Bounded-memory streamed scoring: pulls `source` in chunks of
-    /// [`StreamConfig::chunk_size`] items, fans each chunk through the
-    /// worker pool with the same per-slot fault quarantine as
-    /// [`DetectionEngine::score_images`], and feeds `consume`
-    /// incrementally in stream order. Each worker decodes the slots it
-    /// scores (a source of encoded bytes, such as a
+    /// Bounded-memory streamed scoring with the same per-slot fault
+    /// quarantine as [`DetectionEngine::score_images`], feeding `consume`
+    /// in stream order as soon as each position's verdict is ready.
+    ///
+    /// The caller thread pulls `source` into a window of the pulled but
+    /// unconsumed positions of one [`StreamConfig::chunk_size`] chunk. It
+    /// and `threads - 1` worker-pool helpers claim positions from the
+    /// window in index order; finished ones wait in a reorder buffer, and
+    /// between its own slots the caller runs `consume(index, result)` for
+    /// every position whose predecessors are all done, then refills the
+    /// window. `consume(0)` runs after one slot, not after one chunk; only
+    /// the pulls wait at a chunk boundary, for the chunk's last position
+    /// to be consumed. Each participant decodes the slots it scores (a
+    /// source of encoded bytes, such as a
     /// [`DirectorySource`](crate::stream::DirectorySource), pulls only
-    /// bytes), taking planes from the driver's
+    /// bytes), taking planes from the stream's
     /// [`BufferPool`](crate::stream::BufferPool) and recycling them right
     /// after scoring. So a byte source keeps at most `threads` decoded
-    /// images resident, plus the bounded pool and one chunk of encoded
+    /// images resident, plus the bounded pool and one window of encoded
     /// bytes, regardless of corpus length — corpora larger than memory, or
-    /// unbounded upload streams, score in constant space.
+    /// unbounded upload streams, score in constant space. With one thread,
+    /// no position is pulled before the previous one is consumed.
     ///
-    /// `consume(index, result)` is called once per stream position, in
-    /// order (chunk by chunk, ascending index within each chunk). Scores
-    /// are **bit-identical** to [`DetectionEngine::score_images`] over the
-    /// same images for any chunk size, and quarantine errors carry the
-    /// same indices — the `stream_equivalence` property tests pin this
-    /// down.
+    /// As nothing of the next chunk runs before `consume` sees a chunk's
+    /// last position, a registry snapshot taken there counts exactly the
+    /// consumed positions.
+    ///
+    /// `consume` is called once per position, in ascending index order,
+    /// until it returns [`ControlFlow::Break`]: then nothing more is
+    /// pulled, and positions already being scored finish and are
+    /// discarded. Scores are **bit-identical** to
+    /// [`DetectionEngine::score_images`] over the same images for any
+    /// chunk size and thread count, and quarantine errors carry the same
+    /// indices — the `stream_equivalence` property tests pin this down.
     pub fn score_stream(
         &self,
         source: &mut dyn ImageSource,
         config: &StreamConfig,
-        mut consume: impl FnMut(usize, Result<ScoreVector, ScoreError>),
+        consume: impl FnMut(usize, Result<ScoreVector, ScoreError>) -> ControlFlow<()>,
     ) -> StreamSummary {
-        let mut driver = ChunkDriver::new(source, config, &self.metrics.telemetry);
-        // With a single participant there is no fan-out to stage a chunk
-        // for; score each slot as it is pulled. The per-slot sequence
-        // (pull, fault plan, item, validation, scoring) and the consume
-        // order are exactly those of the chunked path, so results, errors
-        // and the stream summary are identical — only the staging memory
-        // traffic (which makes every staged item cache-cold before it
-        // scores) is gone.
-        if config.threads <= 1 {
-            while let Some((index, pulled)) = driver.next_item() {
-                let result = self.score_pulled(index, pulled, driver.pool());
-                consume(index, result);
-                driver.item_done();
-            }
-            return driver.summary();
-        }
-        while let Some(chunk) = driver.next_chunk() {
-            let pool = driver.pool();
-            let results = parallel_map_indices(chunk.len(), config.threads, |offset| {
-                self.score_pulled(chunk.base() + offset, chunk.take(offset), pool)
-            });
-            for (offset, result) in results.into_iter().enumerate() {
-                consume(chunk.base() + offset, result);
-            }
-            driver.finish_chunk();
-        }
-        driver.summary()
+        stream::drive(
+            source,
+            config,
+            &self.metrics.telemetry,
+            WorkerPool::global(),
+            |index, pulled, pool| self.score_pulled(index, pulled, pool),
+            consume,
+        )
     }
 
     /// Fault-isolated scoring of a resident corpus by reference: each

@@ -3,9 +3,11 @@
 //! Earlier revisions spawned fresh threads per call via `std::thread::scope`;
 //! scoring a corpus image-by-image then paid thread creation per batch. The
 //! [`WorkerPool`] here keeps its threads alive for the process lifetime and
-//! feeds them closures through an MPSC channel, so repeated
-//! [`parallel_map_indices`] calls (the detection engine's fan-out) reuse the
-//! same workers.
+//! feeds them closures through an MPSC channel, so repeated fan-outs reuse
+//! the same workers. Both fan-outs — [`parallel_map_indices`] over a
+//! resident corpus and the windowed driver behind
+//! [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream) —
+//! stand on one scoped fork-join, `WorkerPool::join`.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,10 +20,11 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A fixed-size pool of long-lived worker threads.
 ///
 /// Jobs are submitted over a shared channel; idle workers block on it.
-/// [`WorkerPool::map_indices`] layers a fork-join on top: the caller thread
-/// participates in the work and blocks until every helper has finished, so
-/// borrowed closures are safe to run on the pool (see the safety note in
-/// the implementation).
+/// A scoped fork-join sits on top: the caller thread participates in the
+/// work and blocks until every helper has finished, so borrowed closures
+/// are safe to run on the pool (see the safety note in the
+/// implementation). [`WorkerPool::map_indices`] is that join over an
+/// index range.
 ///
 /// # Example
 ///
@@ -62,7 +65,7 @@ impl WorkerPool {
                         let job = receiver.lock().unwrap_or_else(PoisonError::into_inner).recv();
                         match job {
                             // A panicking job must not take the worker down:
-                            // map_indices re-raises the payload on the
+                            // a fork-join re-raises the payload on the
                             // caller side instead. Recovered panics are
                             // counted (the lookup only runs on this cold
                             // path).
@@ -107,11 +110,9 @@ impl WorkerPool {
         POOL.get_or_init(|| WorkerPool::new(default_threads()))
     }
 
-    /// Hands a job to the workers, falling back to running it on the
-    /// calling thread when no worker can take it (pool shut down, all
-    /// workers gone). The job always runs exactly once either way, so
-    /// `map_indices`' join protocol never hangs on a lost submission.
-    fn submit(&self, job: Job) {
+    /// Queues a job for the workers, or hands it back when none can take
+    /// it (pool shut down, all workers gone).
+    fn try_submit(&self, job: Job) -> Result<(), Job> {
         // With telemetry enabled, the job is wrapped to keep the queue
         // depth gauge and executed-jobs counter accurate; disabled, the
         // job goes through untouched (no allocation, no clock).
@@ -129,18 +130,16 @@ impl WorkerPool {
             job
         };
         let guard = self.sender.lock().unwrap_or_else(PoisonError::into_inner);
-        let rejected = match guard.as_ref() {
-            Some(sender) => match sender.send(job) {
-                Ok(()) => None,
-                Err(send_error) => Some(send_error.0),
-            },
-            None => Some(job),
-        };
-        drop(guard);
-        if let Some(job) = rejected {
-            telemetry.counter("decam_pool_inline_fallback_total", &[]).inc();
-            job();
+        match guard.as_ref() {
+            Some(sender) => sender.send(job).map_err(|send_error| send_error.0),
+            None => Err(job),
         }
+    }
+
+    /// Runs a job no worker could take on the calling thread.
+    fn run_inline(job: Job) {
+        decamouflage_telemetry::global().counter("decam_pool_inline_fallback_total", &[]).inc();
+        job();
     }
 
     /// Fire-and-forget: hands `job` to a pool worker. The job runs exactly
@@ -151,7 +150,94 @@ impl WorkerPool {
     /// take a worker down. There is no completion signal — callers that need
     /// one should close over a channel or atomic.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.submit(Box::new(job));
+        if let Err(job) = self.try_submit(Box::new(job)) {
+            Self::run_inline(job);
+        }
+    }
+
+    /// The one fork-join: runs `caller` on this thread while up to
+    /// `helpers` pool workers each run `helper` once, and returns
+    /// `caller`'s result with every helper's result once all of them have
+    /// finished. Both closures may borrow from the caller's stack. A
+    /// helper the pool cannot take (pool shut down, all workers gone) runs
+    /// on this thread after `caller`, and with no helper at all `caller`
+    /// simply runs inline: the caller must do any share the helpers leave.
+    ///
+    /// `caller` must make every helper return: a helper that waits for
+    /// work from `caller` must be released on every exit path of
+    /// `caller`, unwinding included, or the join never ends.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `caller`, else the first panic of a helper,
+    /// after every helper has finished.
+    pub(crate) fn join<H, R>(
+        &self,
+        helpers: usize,
+        helper: impl Fn() -> H + Sync,
+        caller: impl FnOnce() -> R,
+    ) -> (R, Vec<H>)
+    where
+        H: Send,
+    {
+        let helpers = helpers.min(self.workers);
+        if helpers == 0 {
+            return (caller(), Vec::new());
+        }
+        decamouflage_telemetry::global().gauge("decam_pool_workers", &[]).set(self.workers as f64);
+        let (tx, rx) = mpsc::channel::<std::thread::Result<H>>();
+        let mut rejected = Vec::new();
+        for _ in 0..helpers {
+            let tx = tx.clone();
+            let helper = &helper;
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                let result = catch_unwind(AssertUnwindSafe(helper));
+                // Sending is the job's final use of the borrowed state; the
+                // sender clone drops when the closure returns, which is what
+                // disconnects `rx` below.
+                let _ = tx.send(result);
+            });
+            // SAFETY: the job borrows `helper` from this stack frame, which
+            // the type system cannot tie to the 'static-job channel. The
+            // frame outlives every borrow because `join` returns or unwinds
+            // only after `rx` has reported disconnection, and `rx`
+            // disconnects only once every job has run to completion and
+            // dropped its `tx` clone — on a worker, or, when the pool could
+            // not take it, on this thread right after `caller`. Every panic
+            // on the way is caught before it can skip that wait: a panic in
+            // the helper (a streamed slot's work, say) by the job's
+            // `catch_unwind`, and a panic in `caller` (a source pull, a
+            // slot it scores itself, the stream's `consume`) by the
+            // `catch_unwind` below, which holds it until the join is over.
+            // The captures have no drop glue touching borrowed data (a
+            // shared reference and an owned `Sender`).
+            #[allow(unsafe_code)]
+            let job: Job =
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+            if let Err(job) = self.try_submit(job) {
+                rejected.push(job);
+            }
+        }
+        drop(tx);
+
+        let mine = catch_unwind(AssertUnwindSafe(caller));
+        // Run after `caller`, a rejected helper finds its work taken: a
+        // drained index range, or a stream window `caller` has closed.
+        rejected.into_iter().for_each(Self::run_inline);
+        let mut outputs = Vec::new();
+        let mut helper_panic = None;
+        for result in rx {
+            match result {
+                Ok(output) => outputs.push(output),
+                Err(payload) => {
+                    helper_panic.get_or_insert(payload);
+                }
+            }
+        }
+        match (mine, helper_panic) {
+            (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+            (Ok(mine), None) => (mine, outputs),
+        }
     }
 
     /// Maps `f` over `0..n` using the caller plus up to `threads - 1` pool
@@ -169,17 +255,12 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        decamouflage_telemetry::global().gauge("decam_pool_workers", &[]).set(self.workers as f64);
-        let helpers = threads.saturating_sub(1).min(self.workers).min(n - 1);
+        let helpers = threads.saturating_sub(1).min(n.saturating_sub(1));
         if helpers == 0 {
             return (0..n).map(f).collect();
         }
-
         let cursor = AtomicUsize::new(0);
-        let drain = |cursor: &AtomicUsize, f: &F| {
+        let drain = || {
             let mut local: Vec<(usize, T)> = Vec::new();
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -190,60 +271,10 @@ impl WorkerPool {
             }
             local
         };
-
-        let (tx, rx) = mpsc::channel::<std::thread::Result<Vec<(usize, T)>>>();
-        for _ in 0..helpers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            let drain = &drain;
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| drain(cursor, f)));
-                // Sending is the job's final use of the borrowed state; the
-                // sender clone drops when the closure returns, which is what
-                // disconnects `rx` below.
-                let _ = tx.send(result);
-            });
-            // SAFETY: the job borrows `cursor`, `f` and `drain` from this
-            // stack frame, which the type system cannot tie to the
-            // 'static-job channel. The frame outlives every borrow because
-            // this function only returns after `rx.recv()` has reported
-            // disconnection, and `rx` disconnects only once each submitted
-            // job has dropped its `tx` clone — i.e. after the job (panicking
-            // or not, thanks to the catch_unwind) has finished running and
-            // released its captures. The captures themselves have no drop
-            // glue touching borrowed data (shared references and an owned
-            // `Sender`).
-            #[allow(unsafe_code)]
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-            self.submit(job);
-        }
-        drop(tx);
-
-        // The caller works the same queue instead of idling.
-        let mine = catch_unwind(AssertUnwindSafe(|| drain(&cursor, &f)));
-
+        let (mine, theirs) = self.join(helpers, drain, drain);
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut panic_payload = None;
-        let mut fill = |result: std::thread::Result<Vec<(usize, T)>>| match result {
-            Ok(pairs) => {
-                for (i, value) in pairs {
-                    slots[i] = Some(value);
-                }
-            }
-            Err(payload) => {
-                if panic_payload.is_none() {
-                    panic_payload = Some(payload);
-                }
-            }
-        };
-        fill(mine);
-        while let Ok(result) = rx.recv() {
-            fill(result);
-        }
-        if let Some(payload) = panic_payload {
-            resume_unwind(payload);
+        for (i, value) in mine.into_iter().chain(theirs.into_iter().flatten()) {
+            slots[i] = Some(value);
         }
         slots.into_iter().map(|slot| slot.expect("every index visited exactly once")).collect()
     }
@@ -481,17 +512,25 @@ mod tests {
     }
 
     #[test]
-    fn submit_runs_the_job_inline_when_the_pool_is_shut_down() {
+    fn jobs_run_inline_when_the_pool_is_shut_down() {
         use std::sync::atomic::AtomicBool;
         let pool = WorkerPool::new(1);
         // Simulate a shut-down pool: the sender is gone, as in Drop.
         drop(pool.sender.lock().unwrap().take());
         let ran = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&ran);
-        pool.submit(Box::new(move || flag.store(true, Ordering::SeqCst)));
+        pool.spawn(move || flag.store(true, Ordering::SeqCst));
         assert!(ran.load(Ordering::SeqCst), "orphaned jobs must run on the caller");
-        // map_indices still completes (inline or via fallback submission).
+        // A fork-join's helpers run on the caller after its own share, so a
+        // helper that waits for the caller to finish cannot deadlock.
         assert_eq!(pool.map_indices(4, 3, |i| i * 2), vec![0, 2, 4, 6]);
+        let finished = AtomicBool::new(false);
+        let ((), helpers) = pool.join(
+            2,
+            || finished.load(Ordering::SeqCst),
+            || finished.store(true, Ordering::SeqCst),
+        );
+        assert_eq!(helpers, [true], "one worker, one helper, run after the caller");
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::method::{ScoreColumns, ScoreVector};
 use crate::persist::checkpoint::{CorpusFingerprint, QuarantineRecord, Row, ScanCheckpoint};
 use crate::stream::{ImageSource, ShardSpec, StreamConfig};
 use decamouflage_telemetry::RegistrySnapshot;
+use std::ops::ControlFlow;
 
 fn mismatch(message: String) -> DetectError {
     DetectError::CheckpointMismatch { message }
@@ -61,7 +62,17 @@ fn merge_metrics(
 /// The checkpoint's embedded telemetry is the metrics it carried on
 /// entry (a resumed scan's prior-process metrics) merged with this
 /// engine's snapshot at each persist point, so counters and histogram
-/// moments accumulate across a crash/resume chain.
+/// moments accumulate across a crash/resume chain. The stream pulls no
+/// position past a chunk boundary before the boundary's last position
+/// is recorded, so each snapshot counts exactly the checkpoint's rows
+/// whenever the persist boundaries fall on the stream's chunk boundaries:
+/// in a fresh scan, and in a resume with the chunk size of the run that
+/// wrote the checkpoint. A resume with another chunk size persists inside
+/// the stream's chunks, where a snapshot can also count positions already
+/// scored past the checkpoint's last row.
+///
+/// The first error stops the stream: nothing more is pulled, and
+/// positions already being scored are discarded.
 ///
 /// # Errors
 ///
@@ -103,9 +114,11 @@ pub fn scan_shard(
             }
             Ok(())
         };
-        engine.score_stream(source, config, |_, result| {
-            if failure.is_none() {
-                failure = step(&mut checkpoint, result).err();
+        engine.score_stream(source, config, |_, result| match step(&mut checkpoint, result) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(err) => {
+                failure = Some(err);
+                ControlFlow::Break(())
             }
         });
         if let Some(err) = failure {
@@ -453,6 +466,61 @@ mod tests {
         assert_eq!(persisted, vec![3, 6, 7]);
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
         assert_eq!(final_ckpt.done(), n);
+    }
+
+    /// A source of `count` images that counts its pulls.
+    struct CountedSource<'a> {
+        next: u64,
+        count: u64,
+        pulls: &'a std::cell::Cell<usize>,
+    }
+
+    impl ImageSource for CountedSource<'_> {
+        fn next_image(
+            &mut self,
+            _alloc: decamouflage_imaging::codec::SampleAlloc<'_>,
+        ) -> Option<crate::stream::SourceItem> {
+            (self.next < self.count).then(|| {
+                self.pulls.set(self.pulls.get() + 1);
+                self.next += 1;
+                Ok(crate::stream::Pulled::Image(slot_image(self.next - 1, false)))
+            })
+        }
+    }
+
+    /// A failed checkpoint write stops the scan: nothing is pulled past
+    /// the boundary whose persist failed, and the error comes back.
+    #[test]
+    fn a_failed_persist_stops_pulling() {
+        let engine = DetectionEngine::new(Size::square(8));
+        let chunk = 4;
+        let n = 10 * chunk;
+        let all = keys(n);
+        let kept: Vec<usize> = (0..n).collect();
+        for threads in [1, 2] {
+            let pulls = std::cell::Cell::new(0);
+            let mut source = CountedSource { next: 0, count: n as u64, pulls: &pulls };
+            let config = StreamConfig::default().with_threads(threads).with_chunk_size(chunk);
+            let checkpoint = ScanCheckpoint::new(
+                ShardSpec::full(),
+                CorpusFingerprint::of_keys(&all),
+                engine.methods(),
+            );
+            let mut printed = 0;
+            let err = scan_shard(
+                &engine,
+                &mut source,
+                &kept,
+                &config,
+                checkpoint,
+                |_| Err(DetectError::InvalidConfig { message: "disk full".into() }),
+                |_, _| printed += 1,
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("disk full"), "{err}");
+            assert_eq!(printed, chunk, "threads {threads}: rows up to the failed boundary");
+            assert_eq!(pulls.get(), chunk, "threads {threads}: pulls for a failure at row {chunk}");
+        }
     }
 
     #[test]

@@ -22,27 +22,41 @@
 //!   Decoders and sources draw construction buffers from it and the
 //!   scoring workers return each image's buffers right after scoring it,
 //!   killing steady-state allocation once the pool is warm.
-//! * `ChunkDriver` (crate-private; its only user is
+//! * The windowed driver (crate-private; its only user is
 //!   [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream))
-//!   pulls up to `chunk_size` items at a time and hands each chunk to the
-//!   engine's fan-out.
+//!   keeps the pulled but unconsumed positions of one chunk in a window.
+//!   The caller thread pulls; it and `threads - 1` worker-pool helpers
+//!   claim positions in index order; a reorder buffer hands the results
+//!   to `consume` in stream order as soon as every earlier position is
+//!   done, and the caller refills the window as it drains. The first
+//!   verdict follows the first position, not the first chunk.
 //!
-//! Decoding runs in the slot: the worker that scores a position decodes
-//! its bytes first, inside the slot's panic boundary, takes the planes
-//! from the driver's pool (shared behind a lock held only for one `take`
-//! or `recycle`) and recycles them as soon as the scores are out. So a
-//! byte source keeps at most `threads` decoded images resident, plus the
-//! `pool_capacity` recycled buffers, plus one chunk of encoded bytes —
-//! regardless of corpus length. Pixel sources ([`SliceSource`],
-//! [`FnSource`]) hold up to one chunk of images, as their items are
+//! Decoding runs in the slot: the participant that scores a position
+//! decodes its bytes first, inside the slot's panic boundary, takes the
+//! planes from the stream's pool (shared behind a lock held only for one
+//! `take` or `recycle`) and recycles them as soon as the scores are
+//! out. So a byte source keeps at most `threads` decoded images resident,
+//! plus the `pool_capacity` recycled buffers, plus one window of encoded
+//! bytes — regardless of corpus length. Pixel sources ([`SliceSource`],
+//! [`FnSource`]) hold up to one window of images, as their items are
 //! images already.
 //!
 //! Items are pulled on the caller thread (sources are `&mut`, not
 //! `Sync`); a panic inside a pull is caught immediately and converted to
 //! the same [`ScoreError::panicked`] a worker-side panic would produce,
-//! so streamed scoring stays bit-identical to the eager batch path — the
-//! eager APIs are now thin facades over a slice- or closure-backed
-//! source, and `stream_equivalence` proves the identity property-wise.
+//! so streamed scoring stays bit-identical to
+//! [`DetectionEngine::score_images`](crate::DetectionEngine::score_images),
+//! which `stream_equivalence` proves property-wise.
+//!
+//! The chunk bounds the window and sets the checkpoint cadence of
+//! [`scan_shard`](crate::scan_shard), which snapshots the telemetry
+//! registry every `chunk_size` consumed positions. The window never
+//! crosses a chunk boundary: a chunk's first position is pulled only once
+//! every earlier position is consumed. So nothing past the boundary has
+//! run when `consume` sees a chunk's last position, each such snapshot
+//! counts exactly the consumed positions, and a resumed scan counts
+//! nothing twice. Inside a chunk nothing waits: positions are consumed
+//! one by one as they finish in order.
 //!
 //! Telemetry (all resolved once at driver, decoder or pool construction):
 //! `decam_stream_chunks_total`, `decam_stream_in_flight_images`,
@@ -52,15 +66,17 @@
 //! `decam_engine_stage_seconds{stage="decode"}`.
 
 use crate::error::{ScoreError, ScoreFault};
-use crate::parallel::default_threads;
+use crate::parallel::{default_threads, WorkerPool};
 use crate::DetectError;
 use decamouflage_imaging::codec::{decode_auto_into, sniff, ImageFormat, SampleAlloc};
 use decamouflage_imaging::{Image, ImagingError};
 use decamouflage_telemetry::{Counter, Gauge, HistogramHandle, Telemetry};
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One pulled stream position, before decoding.
@@ -114,12 +130,13 @@ pub type SourceItem = Result<Pulled, ScoreError>;
 /// synthesis, …). Failed positions still consume a stream index, so
 /// consumers can account for them precisely.
 ///
-/// Sources may draw construction buffers from the passed [`BufferPool`];
+/// Sources may draw construction buffers from `alloc` — a streamed run
+/// passes the stream's [`BufferPool`], locked for each take only;
 /// sources that yield encoded bytes simply ignore it (their decode draws
 /// from the pool on the worker).
 pub trait ImageSource {
     /// Pulls the next item, or `None` at end of stream.
-    fn next_image(&mut self, pool: &mut BufferPool) -> Option<SourceItem>;
+    fn next_image(&mut self, alloc: SampleAlloc<'_>) -> Option<SourceItem>;
 
     /// Number of items remaining, where the source knows it. Unbounded or
     /// unknown-length sources return `None`.
@@ -230,12 +247,6 @@ impl SharedPool {
     pub fn recycle(&self, image: Image) {
         self.lock().recycle(image);
     }
-
-    /// The pool itself, for pulls: they run on the caller thread while no
-    /// worker is scoring.
-    fn get_mut(&mut self) -> &mut BufferPool {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A cooperative cancellation/deadline token for streamed scoring.
@@ -244,11 +255,11 @@ impl SharedPool {
 /// arms one with its per-request deadline
 /// ([`CancelToken::expiring_in`]) and passes it through
 /// [`StreamConfig::with_cancel`]; `score_stream` then checks it
-/// **between pipeline stages** — before every chunk (or item) pull — and
-/// stops pulling once it has expired. In-flight work always finishes (a
-/// slot is quarantined or scored, never leaked mid-computation); only
-/// *new* work is refused, and [`StreamSummary::cancelled`] reports that
-/// the stream ended early.
+/// **between pipeline stages** — before every pull — and stops pulling
+/// once it has expired. Pulled positions always finish (a slot is
+/// quarantined or scored and consumed, never leaked mid-computation);
+/// only *new* work is refused, and [`StreamSummary::cancelled`] reports
+/// that the stream ended early.
 ///
 /// Clones share the cancellation flag, so [`CancelToken::cancel`] from
 /// any thread (e.g. a drain sequence) trips every holder. The deadline is
@@ -298,12 +309,18 @@ impl CancelToken {
     }
 }
 
-/// Chunking parameters for streamed scoring.
+/// Windowing parameters for streamed scoring.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Items pulled (and resident) per fan-out; the bounded-memory knob.
+    /// The most positions pulled and not yet consumed at once — the
+    /// bounded-memory knob — and the checkpoint cadence of
+    /// [`scan_shard`](crate::scan_shard). Positions are consumed one by
+    /// one as they finish in order; only the pulls wait at a chunk
+    /// boundary, for the chunk's last position to be consumed.
     pub chunk_size: usize,
-    /// Worker threads for each chunk's fan-out.
+    /// Participants scoring the window: the calling thread plus
+    /// `threads - 1` worker-pool helpers. With one, no position is pulled
+    /// before the previous one is consumed.
     pub threads: usize,
     /// Maximum recycled buffers kept by the driver's [`BufferPool`].
     pub pool_capacity: usize,
@@ -328,7 +345,7 @@ impl StreamConfig {
         self
     }
 
-    /// Builder: overrides the per-chunk worker count.
+    /// Builder: overrides the participant count (clamped to at least 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -343,7 +360,7 @@ impl StreamConfig {
     }
 
     /// Builder: arms a cooperative [`CancelToken`] checked between
-    /// pipeline stages (before every chunk/item pull).
+    /// pipeline stages (before every pull).
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
@@ -356,10 +373,12 @@ impl StreamConfig {
 pub struct StreamSummary {
     /// Total stream items pulled (scored + failed positions).
     pub items: usize,
-    /// Chunks fanned out.
+    /// Chunks started: runs of `chunk_size` consecutive positions, the
+    /// units of the checkpoint cadence (`ceil(items / chunk_size)`).
     pub chunks: usize,
-    /// Largest chunk pulled — the peak number of pulled items (encoded
-    /// bytes or images) resident at once.
+    /// Positions in the largest chunk — the bound on pulled items
+    /// (encoded bytes or images) resident at once, never above
+    /// `chunk_size`.
     pub peak_chunk: usize,
     /// Whether the stream stopped early because its
     /// [`CancelToken`] expired (deadline passed or explicit cancel);
@@ -372,12 +391,12 @@ pub struct StreamSummary {
 /// loop free of registry lookups).
 #[derive(Debug)]
 struct StreamMetrics {
-    /// `decam_stream_chunks_total`: chunks fanned out.
+    /// `decam_stream_chunks_total`: chunks started.
     chunks_total: Counter,
     /// `decam_stream_in_flight_images`: pulled items currently held by
-    /// the driver (pulled but not yet scored).
+    /// the driver (pulled but not yet consumed).
     in_flight: Gauge,
-    /// `decam_stream_peak_chunk`: largest chunk pulled so far.
+    /// `decam_stream_peak_chunk`: positions in the largest chunk so far.
     peak_chunk: Gauge,
     /// `decam_stream_cancelled_total`: streams that stopped early on an
     /// expired [`CancelToken`].
@@ -395,89 +414,178 @@ impl StreamMetrics {
     }
 }
 
-/// One pulled chunk, ready for a worker-pool fan-out.
-///
-/// Slots are handed out through interior mutability so a `Fn(usize)`
-/// fan-out closure (shared across workers) can move each pulled item into
-/// exactly one worker: [`Chunk::take`] locks slot `offset`, takes the
-/// item, and drops the lock before any scoring work runs — each slot is
-/// touched exactly once, so there is no contention.
-#[derive(Debug)]
-pub(crate) struct Chunk {
+/// One window slot, from pull to consume.
+enum Slot<T> {
+    /// Pulled, waiting for a participant to claim it.
+    Pulled(SourceItem),
+    /// Claimed; a participant is working on it.
+    Claimed,
+    /// Worked, waiting for every earlier slot to be consumed.
+    Done(T),
+}
+
+/// The window of pulled but not yet consumed slots — the reorder buffer
+/// between the participants, which finish slots in any order, and
+/// `consume`, which sees them in stream order.
+struct Window<T> {
+    /// Slots `base..base + slots.len()`.
+    slots: VecDeque<Slot<T>>,
+    /// The stream index of `slots[0]`: the next index to consume.
     base: usize,
-    slots: Vec<Mutex<Option<SourceItem>>>,
+    /// The stream index of the first slot nobody has claimed.
+    unclaimed: usize,
+    /// Set when the caller hands out no more work — the stream drained,
+    /// `consume` broke, or a participant panicked. Helpers then return
+    /// instead of claiming or waiting.
+    closed: bool,
 }
 
-impl Chunk {
-    /// The stream index of the chunk's first item.
-    pub const fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Number of items in the chunk.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Moves the item at `offset` out of the chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot was already taken — each offset must be claimed
-    /// by exactly one worker.
-    pub fn take(&self, offset: usize) -> SourceItem {
-        self.slots[offset]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            .expect("each chunk slot is taken exactly once")
+impl<T> Window<T> {
+    /// Claims the first unclaimed slot, if any.
+    fn try_claim(&mut self) -> Option<(usize, SourceItem)> {
+        let index = self.unclaimed;
+        let slot = self.slots.get_mut(index - self.base)?;
+        match std::mem::replace(slot, Slot::Claimed) {
+            Slot::Pulled(item) => {
+                self.unclaimed += 1;
+                Some((index, item))
+            }
+            Slot::Claimed | Slot::Done(..) => unreachable!("slots are claimed in index order"),
+        }
     }
 }
 
-/// Pulls an [`ImageSource`] in bounded chunks, owning the buffer pool and
-/// the stream telemetry. It is scoring-agnostic;
-/// [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream)
-/// fans its chunks out, and its workers decode into and recycle to the
-/// [`pool`](ChunkDriver::pool).
-pub(crate) struct ChunkDriver<'a> {
+/// The window and the two conditions its participants wait on.
+struct Shared<T> {
+    window: Mutex<Window<T>>,
+    /// Helpers wait here for a slot to claim.
+    work: Condvar,
+    /// The caller waits here for a slot to finish.
+    done: Condvar,
+}
+
+impl<T> Shared<T> {
+    fn new() -> Self {
+        Self {
+            window: Mutex::new(Window {
+                slots: VecDeque::new(),
+                base: 0,
+                unclaimed: 0,
+                closed: false,
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+        }
+    }
+
+    /// No participant panics while holding the lock — slot work and
+    /// `consume` run outside it — so a poisoned lock still guards a
+    /// consistent window.
+    fn lock(&self) -> MutexGuard<'_, Window<T>> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper's next slot: waits until one is claimable, or returns
+    /// `None` once the window is closed.
+    fn next_for_helper(&self) -> Option<(usize, SourceItem)> {
+        let mut window = self.lock();
+        loop {
+            if window.closed {
+                return None;
+            }
+            if let Some(claimed) = window.try_claim() {
+                return Some(claimed);
+            }
+            window = self.work.wait(window).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Stores a worked slot's result for the caller to consume.
+    fn finish(&self, index: usize, result: T) {
+        let mut window = self.lock();
+        let base = window.base;
+        window.slots[index - base] = Slot::Done(result);
+        self.done.notify_one();
+    }
+
+    /// Takes the front slot if it is done.
+    fn pop_done(&self) -> Option<(usize, T)> {
+        let mut window = self.lock();
+        if !matches!(window.slots.front(), Some(Slot::Done(_))) {
+            return None;
+        }
+        let Some(Slot::Done(result)) = window.slots.pop_front() else {
+            unreachable!("the front slot was just seen done")
+        };
+        window.base += 1;
+        Some((window.base - 1, result))
+    }
+
+    /// Appends a slot the caller pulled and keeps for itself.
+    fn push_claimed(&self) {
+        let mut window = self.lock();
+        debug_assert_eq!(window.unclaimed, window.base + window.slots.len());
+        window.unclaimed += 1;
+        window.slots.push_back(Slot::Claimed);
+    }
+
+    /// Appends a pulled slot for a helper to claim.
+    fn push_pulled(&self, item: SourceItem) {
+        self.lock().slots.push_back(Slot::Pulled(item));
+        self.work.notify_one();
+    }
+
+    /// Blocks until the front slot is done; `false` when the window was
+    /// closed instead (a helper panicked).
+    fn wait_for_front(&self) -> bool {
+        let mut window = self.lock();
+        loop {
+            if matches!(window.slots.front(), Some(Slot::Done(_))) {
+                return true;
+            }
+            if window.closed {
+                return false;
+            }
+            window = self.done.wait(window).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.work.notify_all();
+        self.done.notify_all();
+    }
+}
+
+/// Closes the window when dropped: on the caller's every exit, unwinding
+/// included, so no helper waits for work that will never come, and on a
+/// helper's unwind, so the caller never waits for a slot that will never
+/// finish.
+struct CloseOnDrop<'a, T>(&'a Shared<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The caller's side of the driver: the source and everything counted at
+/// pull time.
+struct Puller<'a> {
     source: &'a mut dyn ImageSource,
-    pool: SharedPool,
     chunk_size: usize,
     metrics: StreamMetrics,
     cancel: Option<CancelToken>,
     cancelled: bool,
-    next_index: usize,
+    exhausted: bool,
+    pulled: usize,
     chunks: usize,
     peak_chunk: usize,
 }
 
-impl<'a> ChunkDriver<'a> {
-    /// Wraps `source` with the chunking parameters of `config`, recording
-    /// stream telemetry on `telemetry`.
-    pub fn new(
-        source: &'a mut dyn ImageSource,
-        config: &StreamConfig,
-        telemetry: &Telemetry,
-    ) -> Self {
-        Self {
-            source,
-            pool: SharedPool(Mutex::new(BufferPool::with_telemetry(
-                config.pool_capacity,
-                telemetry,
-            ))),
-            chunk_size: config.chunk_size.max(1),
-            metrics: StreamMetrics::new(telemetry),
-            cancel: config.cancel.clone(),
-            cancelled: false,
-            next_index: 0,
-            chunks: 0,
-            peak_chunk: 0,
-        }
-    }
-
+impl Puller<'_> {
     /// The cooperative stage boundary: once the armed [`CancelToken`] has
-    /// expired, every subsequent pull refuses to start (returning `true`
-    /// here) and the stream ends early with
+    /// expired, no further pull starts and the stream ends early with
     /// [`StreamSummary::cancelled`] set. The expiry is latched so the
     /// clock is read at most once per pull and never again after the
     /// first trip.
@@ -489,60 +597,33 @@ impl<'a> ChunkDriver<'a> {
         self.cancelled
     }
 
-    /// Pulls up to `chunk_size` items, or `None` at end of stream.
+    /// Whether a pull may start with `resident` slots pulled and not yet
+    /// consumed. The window holds positions of one chunk only, so a
+    /// chunk's first position waits until every earlier one is consumed;
+    /// that also keeps `resident` within `chunk_size`.
+    fn may_pull(&mut self, resident: usize) -> bool {
+        (resident == 0 || !self.pulled.is_multiple_of(self.chunk_size))
+            && !self.exhausted
+            && !self.expired()
+    }
+
+    /// Pulls the next position, or `None` at end of stream.
     ///
     /// A panic inside a source pull is caught here, on the caller thread,
     /// and stored as the slot's [`ScoreError::panicked`] — exactly the
-    /// error the eager path produces when an image constructor panics
-    /// inside a worker, which is what keeps streamed and eager scoring
-    /// bit-identical under faults.
-    pub fn next_chunk(&mut self) -> Option<Chunk> {
-        if self.expired() {
-            return None;
-        }
-        let base = self.next_index;
-        let mut slots = Vec::with_capacity(
-            self.chunk_size.min(self.source.len_hint().unwrap_or(self.chunk_size)),
-        );
-        while slots.len() < self.chunk_size {
-            let index = base + slots.len();
-            let pool = self.pool.get_mut();
-            let pulled = match catch_unwind(AssertUnwindSafe(|| self.source.next_image(pool))) {
-                Ok(None) => break,
-                Ok(Some(item)) => item.map_err(|err| err.at_index(index)),
-                Err(payload) => Err(ScoreError::panicked(index, payload)),
-            };
-            slots.push(Mutex::new(Some(pulled)));
-        }
-        if slots.is_empty() {
-            return None;
-        }
-        self.next_index = base + slots.len();
-        self.chunks += 1;
-        self.peak_chunk = self.peak_chunk.max(slots.len());
-        self.metrics.chunks_total.inc();
-        self.metrics.in_flight.set(slots.len() as f64);
-        self.metrics.peak_chunk.set(self.peak_chunk as f64);
-        Some(Chunk { base, slots })
-    }
-
-    /// Pulls a single item — the sequential fast path used when only one
-    /// participant scores the stream. Staging a whole chunk buys nothing
-    /// without workers to fan it out to, and costs real memory traffic:
-    /// every staged image is cache-cold by the time it scores and the
-    /// staged chunk evicts the scorer's working set. Pull panics are
-    /// caught exactly as in [`ChunkDriver::next_chunk`], and the chunk
-    /// accounting (chunk count, peak size, telemetry) advances as if the
-    /// items had been staged `chunk_size` at a time, so
-    /// [`StreamSummary`] is identical between the two drive modes.
-    pub fn next_item(&mut self) -> Option<(usize, SourceItem)> {
-        if self.expired() {
-            return None;
-        }
-        let index = self.next_index;
-        let pool = self.pool.get_mut();
-        let pulled = match catch_unwind(AssertUnwindSafe(|| self.source.next_image(pool))) {
-            Ok(None) => return None,
+    /// error the batch path produces when an image constructor panics
+    /// inside a worker, which keeps streamed and batch scoring
+    /// bit-identical under faults. The pool is locked for each buffer the
+    /// source takes, not for the pull, so a file read or a generator never
+    /// stalls a worker's decode or recycle.
+    fn pull(&mut self, pool: &SharedPool) -> Option<(usize, SourceItem)> {
+        let index = self.pulled;
+        let alloc = &mut |samples| pool.take(samples);
+        let item = match catch_unwind(AssertUnwindSafe(|| self.source.next_image(alloc))) {
+            Ok(None) => {
+                self.exhausted = true;
+                return None;
+            }
             Ok(Some(item)) => item.map_err(|err| err.at_index(index)),
             Err(payload) => Err(ScoreError::panicked(index, payload)),
         };
@@ -551,34 +632,15 @@ impl<'a> ChunkDriver<'a> {
             self.chunks += 1;
             self.metrics.chunks_total.inc();
         }
-        self.next_index = index + 1;
         self.peak_chunk = self.peak_chunk.max(position_in_chunk + 1);
-        self.metrics.in_flight.set(1.0);
         self.metrics.peak_chunk.set(self.peak_chunk as f64);
-        Some((index, pulled))
+        self.pulled += 1;
+        Some((index, item))
     }
 
-    /// Marks the item handed out by [`ChunkDriver::next_item`] as scored
-    /// (drops the in-flight gauge back to zero).
-    pub fn item_done(&mut self) {
-        self.metrics.in_flight.set(0.0);
-    }
-
-    /// The buffer pool the scoring workers decode into and recycle to.
-    pub fn pool(&self) -> &SharedPool {
-        &self.pool
-    }
-
-    /// Marks a fanned-out chunk as fully consumed (drops the in-flight
-    /// gauge back to zero). Call after every slot has been scored.
-    pub fn finish_chunk(&mut self) {
-        self.metrics.in_flight.set(0.0);
-    }
-
-    /// Aggregate counters of the run so far.
-    pub fn summary(&self) -> StreamSummary {
+    fn summary(&self) -> StreamSummary {
         StreamSummary {
-            items: self.next_index,
+            items: self.pulled,
             chunks: self.chunks,
             peak_chunk: self.peak_chunk,
             cancelled: self.cancelled,
@@ -586,9 +648,112 @@ impl<'a> ChunkDriver<'a> {
     }
 }
 
-/// An [`ImageSource`] over an in-memory slice: items are cloned through
-/// the buffer pool in slice order. The adapter behind the eager facades —
-/// scoring it streamed is bit-identical to scoring the slice eagerly.
+/// The windowed stream driver behind
+/// [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream),
+/// generic over the per-slot `work`.
+///
+/// The caller pulls `source` into a window of the pulled but unconsumed
+/// slots of one [`chunk_size`](StreamConfig::chunk_size) chunk. It and
+/// `threads - 1` helpers from `workers` claim slots in index order and
+/// run `work(index, item, pool)` on each; finished slots wait in the
+/// window until every earlier one is done. Between its own slots the
+/// caller runs `consume` on the finished prefix, in stream order, and
+/// refills the window as it drains. Each turn the caller first takes a
+/// slot for itself — so the first slot it pulls is its own and
+/// `consume(0)` follows one slot's work — then, with helpers, tops the
+/// window up for them. With one thread it holds one slot at a time: no
+/// position is pulled before the previous one is consumed.
+///
+/// The window never crosses a chunk boundary: a chunk's first slot is
+/// pulled only after `consume` has seen the previous chunk's last one. So
+/// a registry snapshot taken inside `consume` at a chunk's last position
+/// counts exactly the consumed positions; nothing of the next chunk has
+/// run. Helpers idle at a chunk's tail while its last slots finish.
+///
+/// When `consume` returns [`ControlFlow::Break`], nothing more is pulled
+/// or claimed; slots already being worked finish and are dropped. An
+/// expired [`CancelToken`] also stops the pulls, but every pulled slot is
+/// still worked and consumed.
+pub(crate) fn drive<T: Send>(
+    source: &mut dyn ImageSource,
+    config: &StreamConfig,
+    telemetry: &Telemetry,
+    workers: &WorkerPool,
+    work: impl Fn(usize, SourceItem, &SharedPool) -> T + Sync,
+    mut consume: impl FnMut(usize, T) -> ControlFlow<()>,
+) -> StreamSummary {
+    let pool = SharedPool(Mutex::new(BufferPool::with_telemetry(config.pool_capacity, telemetry)));
+    let mut puller = Puller {
+        source,
+        chunk_size: config.chunk_size.max(1),
+        metrics: StreamMetrics::new(telemetry),
+        cancel: config.cancel.clone(),
+        cancelled: false,
+        exhausted: false,
+        pulled: 0,
+        chunks: 0,
+        peak_chunk: 0,
+    };
+    let shared = Shared::new();
+    let helpers = config.threads.max(1) - 1;
+
+    let helper = || {
+        let _close = CloseOnDrop(&shared);
+        while let Some((index, item)) = shared.next_for_helper() {
+            shared.finish(index, work(index, item, &pool));
+        }
+    };
+    let caller = || {
+        let _close = CloseOnDrop(&shared);
+        loop {
+            while let Some((index, result)) = shared.pop_done() {
+                puller.metrics.in_flight.set((puller.pulled - index - 1) as f64);
+                if consume(index, result).is_break() {
+                    return;
+                }
+            }
+            // A slot for the caller: the first unclaimed one, else a new
+            // pull. `resident` stays exact while the caller runs, as only
+            // the caller pushes and pops slots.
+            let (mut resident, claimed) = {
+                let mut window = shared.lock();
+                (window.slots.len(), window.try_claim())
+            };
+            let mine = match claimed {
+                Some(claimed) => Some(claimed),
+                None if puller.may_pull(resident) => puller.pull(&pool).inspect(|_| {
+                    shared.push_claimed();
+                    resident += 1;
+                }),
+                None => None,
+            };
+            let Some((index, item)) = mine else {
+                // Nothing to claim or pull: wait for the front slot, or
+                // end once the window has drained.
+                if resident == 0 || !shared.wait_for_front() {
+                    return;
+                }
+                continue;
+            };
+            while helpers > 0 && puller.may_pull(resident) {
+                let Some((_, item)) = puller.pull(&pool) else { break };
+                shared.push_pulled(item);
+                resident += 1;
+            }
+            puller.metrics.in_flight.set(resident as f64);
+            shared.finish(index, work(index, item, &pool));
+        }
+    };
+    workers.join(helpers, helper, caller);
+    puller.metrics.in_flight.set(0.0);
+    puller.summary()
+}
+
+/// An [`ImageSource`] over an in-memory slice: items are cloned, in
+/// slice order, into buffers from the pull's allocator (the stream's
+/// buffer pool). Scoring it streamed is bit-identical
+/// to [`DetectionEngine::score_images`](crate::DetectionEngine::score_images)
+/// over the slice.
 #[derive(Debug)]
 pub struct SliceSource<'a> {
     images: &'a [Image],
@@ -603,14 +768,14 @@ impl<'a> SliceSource<'a> {
 }
 
 impl ImageSource for SliceSource<'_> {
-    fn next_image(&mut self, pool: &mut BufferPool) -> Option<SourceItem> {
+    fn next_image(&mut self, alloc: SampleAlloc<'_>) -> Option<SourceItem> {
         let image = self.images.get(self.next)?;
         self.next += 1;
         let planes: Vec<Vec<f64>> = image
             .planes()
             .iter()
             .map(|src| {
-                let mut data = pool.take(src.len());
+                let mut data = alloc(src.len());
                 data.copy_from_slice(src);
                 data
             })
@@ -629,8 +794,7 @@ impl ImageSource for SliceSource<'_> {
 
 /// An [`ImageSource`] driven by an `index -> Image` closure — the adapter
 /// for synthetic generators (the `datasets` crate wraps its
-/// `SampleGenerator` in one of these) and for the engine's eager
-/// closure-based corpus facades.
+/// `SampleGenerator` in one of these).
 pub struct FnSource<F> {
     make: F,
     next: u64,
@@ -651,7 +815,7 @@ impl<F> std::fmt::Debug for FnSource<F> {
 }
 
 impl<F: FnMut(u64) -> Image> ImageSource for FnSource<F> {
-    fn next_image(&mut self, _pool: &mut BufferPool) -> Option<SourceItem> {
+    fn next_image(&mut self, _alloc: SampleAlloc<'_>) -> Option<SourceItem> {
         if self.next as usize >= self.count {
             return None;
         }
@@ -1012,7 +1176,7 @@ impl DirectorySource {
 }
 
 impl ImageSource for DirectorySource {
-    fn next_image(&mut self, _pool: &mut BufferPool) -> Option<SourceItem> {
+    fn next_image(&mut self, _alloc: SampleAlloc<'_>) -> Option<SourceItem> {
         let path = self.paths.get(self.next)?;
         self.next += 1;
         Some(match std::fs::read(path) {
@@ -1035,6 +1199,8 @@ mod tests {
     use super::*;
     use decamouflage_imaging::codec::write_pnm_file;
     use decamouflage_imaging::Channels;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     fn flat(v: f64) -> Image {
         Image::filled(4, 3, Channels::Gray, v)
@@ -1047,16 +1213,58 @@ mod tests {
         pool: &mut BufferPool,
     ) -> Vec<Result<Image, ScoreError>> {
         let mut items = Vec::new();
-        while let Some(item) = source.next_image(pool) {
+        while let Some(item) = source.next_image(&mut |n| pool.take(n)) {
             items.push(item.and_then(|pulled| pulled.into_image(&mut |n| pool.take(n))));
         }
         items
     }
 
-    /// The image of a pulled chunk slot.
+    /// The image of a pulled slot.
     fn image_of(item: SourceItem) -> Result<Image, ScoreError> {
         item.and_then(|pulled| pulled.into_image(&mut |n| vec![0.0; n]))
     }
+
+    /// A source that counts its pulls, end-of-stream probes included.
+    struct Counted<'a> {
+        inner: FnSource<fn(u64) -> Image>,
+        pulls: &'a AtomicUsize,
+    }
+
+    impl ImageSource for Counted<'_> {
+        fn next_image(&mut self, alloc: SampleAlloc<'_>) -> Option<SourceItem> {
+            let item = self.inner.next_image(alloc);
+            self.pulls.fetch_add(usize::from(item.is_some()), Ordering::SeqCst);
+            item
+        }
+    }
+
+    fn counted(count: usize, pulls: &AtomicUsize) -> Counted<'_> {
+        Counted { inner: FnSource::new(count, |i| flat(i as f64)), pulls }
+    }
+
+    /// Drives `source` over a private pool, so a test's helpers are never
+    /// busy with another test's work.
+    fn drive_on<T: Send>(
+        source: &mut dyn ImageSource,
+        config: &StreamConfig,
+        telemetry: &Telemetry,
+        work: impl Fn(usize, SourceItem, &SharedPool) -> T + Sync,
+        consume: impl FnMut(usize, T) -> ControlFlow<()>,
+    ) -> StreamSummary {
+        let workers = WorkerPool::new(config.threads.max(2) - 1);
+        drive(source, config, telemetry, &workers, work, consume)
+    }
+
+    /// Sends on drop: releases a waiting slot while a panic unwinds.
+    struct SendOnDrop(mpsc::Sender<()>);
+
+    impl Drop for SendOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(10);
 
     #[test]
     fn buffer_pool_recycles_up_to_capacity() {
@@ -1102,63 +1310,256 @@ mod tests {
     }
 
     #[test]
-    fn chunk_driver_bounds_residency_and_counts_chunks() {
+    fn driver_bounds_residency_and_counts_chunks() {
         let telemetry = Telemetry::enabled();
-        let mut source = FnSource::new(7, |i| flat(i as f64));
-        let config = StreamConfig::default().with_chunk_size(3).with_pool_capacity(2);
-        let mut driver = ChunkDriver::new(&mut source, &config, &telemetry);
+        let pulls = AtomicUsize::new(0);
+        let config =
+            StreamConfig::default().with_chunk_size(3).with_pool_capacity(2).with_threads(2);
         let mut seen = Vec::new();
-        while let Some(chunk) = driver.next_chunk() {
-            assert!(chunk.len() <= 3);
-            assert!(chunk.len() > 0);
-            for offset in 0..chunk.len() {
-                let image = image_of(chunk.take(offset)).unwrap();
-                seen.push((chunk.base() + offset, image.plane(0)[0]));
-                driver.pool().recycle(image);
-            }
-            driver.finish_chunk();
-        }
-        let summary = driver.summary();
+        let summary = drive_on(
+            &mut counted(7, &pulls),
+            &config,
+            &telemetry,
+            |_, item, pool| {
+                let image = image_of(item).unwrap();
+                let value = image.plane(0)[0];
+                pool.recycle(image);
+                assert!(pool.lock().len() <= 2, "pool stays within capacity");
+                value
+            },
+            |index, value| {
+                // Consuming `index` leaves at most a window of 3 pulled
+                // positions behind it.
+                assert!(pulls.load(Ordering::SeqCst) <= index + 3, "window overran at {index}");
+                seen.push((index, value));
+                ControlFlow::Continue(())
+            },
+        );
         assert_eq!(summary.items, 7);
         assert_eq!(summary.chunks, 3, "7 items in chunks of 3");
         assert_eq!(summary.peak_chunk, 3);
         assert_eq!(seen, (0..7).map(|i| (i, i as f64)).collect::<Vec<_>>());
-        assert!(driver.pool.lock().len() <= 2, "pool stays within capacity");
         assert_eq!(telemetry.counter("decam_stream_chunks_total", &[]).value(), 3);
         assert_eq!(telemetry.gauge("decam_stream_peak_chunk", &[]).value(), 3.0);
         assert_eq!(telemetry.gauge("decam_stream_in_flight_images", &[]).value(), 0.0);
     }
 
     #[test]
-    fn chunk_driver_converts_pull_panics_into_slot_errors() {
+    fn driver_converts_pull_panics_into_slot_errors() {
         let mut source = FnSource::new(3, |i| {
             if i == 1 {
                 panic!("generator exploded at {i}");
             }
             flat(i as f64)
         });
-        let config = StreamConfig::default().with_chunk_size(8);
-        let mut driver = ChunkDriver::new(&mut source, &config, &Telemetry::disabled());
-        let chunk = driver.next_chunk().unwrap();
-        assert_eq!(chunk.len(), 3, "a pull panic consumes its index, not the stream");
-        assert!(image_of(chunk.take(0)).is_ok());
-        let err = image_of(chunk.take(1)).unwrap_err();
+        let config = StreamConfig::default().with_chunk_size(8).with_threads(2);
+        let mut slots = Vec::new();
+        let summary = drive_on(
+            &mut source,
+            &config,
+            &Telemetry::disabled(),
+            |_, item, _| image_of(item),
+            |_, image| {
+                slots.push(image);
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(summary.items, 3, "a pull panic consumes its index, not the stream");
+        assert!(slots[0].is_ok() && slots[2].is_ok());
+        let err = slots[1].as_ref().unwrap_err();
         assert_eq!(err.index, 1);
         assert!(err.is_panic(), "pull panics surface as ScoreError::panicked: {err}");
-        assert!(image_of(chunk.take(2)).is_ok());
-        driver.finish_chunk();
-        assert!(driver.next_chunk().is_none());
     }
 
     #[test]
-    #[should_panic(expected = "taken exactly once")]
-    fn chunk_slots_are_single_take() {
-        let mut source = FnSource::new(1, |_| flat(0.0));
-        let mut driver =
-            ChunkDriver::new(&mut source, &StreamConfig::default(), &Telemetry::disabled());
-        let chunk = driver.next_chunk().unwrap();
-        let _first = chunk.take(0);
-        let _second = chunk.take(0);
+    fn every_slot_is_worked_exactly_once_and_consumed_in_order() {
+        let worked: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
+        let config = StreamConfig::default().with_chunk_size(4).with_threads(3);
+        let mut order = Vec::new();
+        drive_on(
+            &mut FnSource::new(40, |i| flat(i as f64)),
+            &config,
+            &Telemetry::disabled(),
+            |index, _, _| worked[index].fetch_add(1, Ordering::SeqCst),
+            |index, _| {
+                order.push(index);
+                ControlFlow::Continue(())
+            },
+        );
+        assert!(worked.iter().all(|n| n.load(Ordering::SeqCst) == 1), "each slot once");
+        assert_eq!(order, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_thread_pulls_nothing_before_the_previous_consume() {
+        let pulls = AtomicUsize::new(0);
+        let config = StreamConfig::default().with_chunk_size(4).with_threads(1);
+        let summary = drive_on(
+            &mut counted(9, &pulls),
+            &config,
+            &Telemetry::disabled(),
+            |_, _, _| (),
+            |index, ()| {
+                assert_eq!(pulls.load(Ordering::SeqCst), index + 1, "pulled ahead of {index}");
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!((summary.items, summary.chunks, summary.peak_chunk), (9, 3, 4));
+    }
+
+    /// No barrier: `consume(0)` runs while slot 1 is still being worked.
+    /// Slot 1 waits for a signal that only `consume(0)` sends; a driver
+    /// that joined slot 1 first would time the wait out.
+    #[test]
+    fn consume_runs_while_a_later_slot_is_still_scoring() {
+        let (release, released) = mpsc::channel();
+        let released = Mutex::new(released);
+        let config = StreamConfig::default().with_chunk_size(4).with_threads(2);
+        let mut outputs = Vec::new();
+        drive_on(
+            &mut FnSource::new(2, |i| flat(i as f64)),
+            &config,
+            &Telemetry::disabled(),
+            |index, _, _| index != 1 || released.lock().unwrap().recv_timeout(PATIENCE).is_ok(),
+            |index, output| {
+                if index == 0 {
+                    release.send(()).unwrap();
+                }
+                outputs.push(output);
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(outputs, [true, true], "slot 1 was released by consume(0)");
+    }
+
+    /// The window never crosses a chunk boundary. Slot 1 waits for a
+    /// signal that only slot 2's work sends, so slot 2 is claimed while
+    /// slot 1 is open; a driver that topped the window up past the
+    /// boundary would then pull slot 4 before `consume(1)`. Inside
+    /// `consume` at each chunk's last position nothing of the next chunk
+    /// has been pulled, and a registry snapshot holds exactly the
+    /// consumed slots' counts.
+    #[test]
+    fn a_snapshot_at_a_chunk_boundary_counts_only_consumed_slots() {
+        let telemetry = Telemetry::enabled();
+        let counter = telemetry.counter("decam_test_slots_total", &[]);
+        let pulls = AtomicUsize::new(0);
+        let (release, released) = mpsc::channel();
+        let (release, released) = (Mutex::new(release), Mutex::new(released));
+        let config = StreamConfig::default().with_chunk_size(4).with_threads(2);
+        let mut at_boundaries = Vec::new();
+        drive_on(
+            &mut counted(12, &pulls),
+            &config,
+            &telemetry,
+            |index, _, _| {
+                match index {
+                    1 => released.lock().unwrap().recv_timeout(PATIENCE).expect("slot 2 ran"),
+                    2 => release.lock().unwrap().send(()).unwrap(),
+                    _ => {}
+                }
+                counter.inc();
+            },
+            |index, ()| {
+                let pulled = pulls.load(Ordering::SeqCst);
+                assert!(pulled <= (index / 4 + 1) * 4, "{pulled} pulls at consume({index})");
+                if index % 4 == 3 {
+                    let snapshot = telemetry.snapshot().unwrap();
+                    let (_, _, value) = snapshot
+                        .counters
+                        .iter()
+                        .find(|(name, _, _)| name == "decam_test_slots_total")
+                        .cloned()
+                        .unwrap();
+                    at_boundaries.push((pulled, value));
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(at_boundaries, [(4, 4), (8, 8), (12, 12)], "(pulls, counted slots)");
+    }
+
+    /// A panic in `consume` reaches the caller only after the helper
+    /// working on slot 1 has finished, and the pool then scores another
+    /// stream normally — the helpers borrow the caller's stack, so the
+    /// driver must not unwind past them.
+    #[test]
+    fn a_consume_panic_waits_for_the_helpers() {
+        let workers = WorkerPool::new(1);
+        let config = StreamConfig::default().with_chunk_size(4).with_threads(2);
+        let (started, slot_one_started) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let released = Mutex::new(released);
+        let finished = AtomicBool::new(false);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            drive(
+                &mut FnSource::new(4, |i| flat(i as f64)),
+                &config,
+                &Telemetry::disabled(),
+                &workers,
+                |index, _, _| {
+                    if index == 1 {
+                        started.send(()).unwrap();
+                        let _ = released.lock().unwrap().recv_timeout(PATIENCE);
+                        finished.store(true, Ordering::SeqCst);
+                    }
+                },
+                |index, ()| {
+                    if index == 0 {
+                        let _release_while_unwinding = SendOnDrop(release.clone());
+                        slot_one_started.recv_timeout(PATIENCE).expect("a helper took slot 1");
+                        panic!("consume exploded");
+                    }
+                    ControlFlow::Continue(())
+                },
+            )
+        }));
+        assert!(outcome.is_err(), "the consume panic reaches the caller");
+        assert!(finished.load(Ordering::SeqCst), "the panic outran the helper's slot");
+
+        let mut values = Vec::new();
+        let summary = drive(
+            &mut FnSource::new(6, |i| flat(i as f64)),
+            &config,
+            &Telemetry::disabled(),
+            &workers,
+            |_, item, _| image_of(item).unwrap().plane(0)[0],
+            |_, value| {
+                values.push(value);
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(summary.items, 6);
+        assert_eq!(values, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn break_stops_pulling_and_drops_unconsumed_slots() {
+        let pulls = AtomicUsize::new(0);
+        for threads in [1, 2] {
+            pulls.store(0, Ordering::SeqCst);
+            let config = StreamConfig::default().with_chunk_size(4).with_threads(threads);
+            let mut consumed = Vec::new();
+            let summary = drive_on(
+                &mut counted(20, &pulls),
+                &config,
+                &Telemetry::disabled(),
+                |_, _, _| (),
+                |index, ()| {
+                    consumed.push(index);
+                    if index == 1 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            let pulled = pulls.load(Ordering::SeqCst);
+            assert_eq!(consumed, [0, 1], "threads {threads}: slots past the break are dropped");
+            assert!(pulled <= 4, "threads {threads}: {pulled} pulls for a break inside chunk 0");
+            assert_eq!(summary.items, pulled);
+            assert!(!summary.cancelled);
+        }
     }
 
     #[test]
@@ -1220,58 +1621,62 @@ mod tests {
     }
 
     #[test]
-    fn expired_token_stops_the_driver_between_chunks() {
+    fn expired_token_stops_the_pulls_between_items() {
         let telemetry = Telemetry::enabled();
         let token = CancelToken::new();
-        let mut source = FnSource::new(10, |i| flat(i as f64));
-        let config = StreamConfig::default().with_chunk_size(2).with_cancel(token.clone());
-        let mut driver = ChunkDriver::new(&mut source, &config, &telemetry);
-
-        // First chunk pulls normally; the in-flight chunk is never
-        // interrupted, only the next pull is refused.
-        let chunk = driver.next_chunk().expect("token not yet expired");
-        assert_eq!(chunk.len(), 2);
-        for offset in 0..chunk.len() {
-            let _ = chunk.take(offset);
-        }
-        driver.finish_chunk();
-
-        token.cancel();
-        assert!(driver.next_chunk().is_none(), "cancelled stream refuses new chunks");
-        assert!(driver.next_chunk().is_none(), "the trip latches");
-        let summary = driver.summary();
+        let config =
+            StreamConfig::default().with_chunk_size(2).with_threads(2).with_cancel(token.clone());
+        let mut consumed = Vec::new();
+        let summary = drive_on(
+            &mut FnSource::new(10, |i| flat(i as f64)),
+            &config,
+            &telemetry,
+            |_, _, _| (),
+            |index, ()| {
+                if index == 0 {
+                    token.cancel();
+                }
+                consumed.push(index);
+                ControlFlow::Continue(())
+            },
+        );
+        // The window held two positions when the token tripped; both are
+        // scored and consumed, and nothing after them is pulled.
         assert!(summary.cancelled);
         assert_eq!(summary.items, 2, "positions after the cut were never pulled");
+        assert_eq!(consumed, [0, 1], "in-flight positions still finish");
         assert_eq!(telemetry.counter("decam_stream_cancelled_total", &[]).value(), 1);
     }
 
     #[test]
-    fn expired_token_stops_the_sequential_driver_between_items() {
+    fn expired_token_stops_the_one_thread_driver_between_items() {
         let token = CancelToken::new();
-        let mut source = FnSource::new(5, |i| flat(i as f64));
-        let config = StreamConfig::default().with_chunk_size(4).with_cancel(token.clone());
-        let mut driver = ChunkDriver::new(&mut source, &config, &Telemetry::disabled());
-        let (index, item) = driver.next_item().expect("first item flows");
-        assert_eq!(index, 0);
-        assert!(item.is_ok());
-        driver.item_done();
-        token.cancel();
-        assert!(driver.next_item().is_none());
-        assert!(driver.summary().cancelled);
+        let config =
+            StreamConfig::default().with_chunk_size(4).with_threads(1).with_cancel(token.clone());
+        let summary = drive_on(
+            &mut FnSource::new(5, |i| flat(i as f64)),
+            &config,
+            &Telemetry::disabled(),
+            |_, item, _| assert!(item.is_ok()),
+            |_, ()| {
+                token.cancel();
+                ControlFlow::Continue(())
+            },
+        );
+        assert!(summary.cancelled);
+        assert_eq!(summary.items, 1);
     }
 
     #[test]
     fn unarmed_streams_never_report_cancellation() {
-        let mut source = FnSource::new(3, |i| flat(i as f64));
-        let config = StreamConfig::default().with_chunk_size(8);
-        let mut driver = ChunkDriver::new(&mut source, &config, &Telemetry::disabled());
-        while let Some(chunk) = driver.next_chunk() {
-            for offset in 0..chunk.len() {
-                let _ = chunk.take(offset);
-            }
-            driver.finish_chunk();
-        }
-        let summary = driver.summary();
+        let config = StreamConfig::default().with_chunk_size(8).with_threads(2);
+        let summary = drive_on(
+            &mut FnSource::new(3, |i| flat(i as f64)),
+            &config,
+            &Telemetry::disabled(),
+            |_, _, _| (),
+            |_, ()| ControlFlow::Continue(()),
+        );
         assert!(!summary.cancelled);
         assert_eq!(summary.items, 3);
     }

@@ -7,6 +7,7 @@ use decamouflage_core::{DetectionEngine, DirectorySource, ScoreError, ScoreVecto
 use decamouflage_imaging::codec::{crc32, decode_auto, encode_bmp, encode_jpeg, encode_png};
 use decamouflage_imaging::{Image, ImagingError, Size};
 use decamouflage_telemetry::Telemetry;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -106,6 +107,7 @@ fn streamed_directory_matches_per_file_decode_and_score() {
                     assert_eq!(err.index, index, "faults carry their stream index");
                 }
                 streamed.push((index, slot(result)));
+                ControlFlow::Continue(())
             });
             assert_eq!(summary.items, n);
             assert_eq!(streamed, expected, "threads {threads}, chunk size {chunk}");
@@ -128,6 +130,7 @@ fn workers_keep_at_most_threads_decoded_images() {
     engine.score_stream(&mut source, &config, |_, result| {
         result.expect("every file scores");
         scored += 1;
+        ControlFlow::Continue(())
     });
     assert_eq!(scored, 32);
     // A Gray decode takes one plane. A worker takes a plane only after

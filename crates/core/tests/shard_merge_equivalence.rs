@@ -5,13 +5,16 @@
 //! [`DetectionEngine::score_images`] pass: same scores to the bit, same
 //! quarantine kinds and messages at the same corpus indices, and one
 //! canonical merged report text regardless of shard count, kill point, or
-//! chunk size.
+//! chunk size. Its merged telemetry counts exactly what one uninterrupted
+//! scan counts: nothing scored past a persist boundary reaches the
+//! checkpoint written there.
 
 use decamouflage_core::{
     scan_shard, CorpusFingerprint, DetectionEngine, FnSource, ScanCheckpoint, ScanReport,
     ShardSpec, StreamConfig,
 };
 use decamouflage_imaging::{Image, Size};
+use decamouflage_telemetry::{Labels, RegistrySnapshot, Telemetry};
 use proptest::prelude::*;
 
 const THREADS: usize = 4;
@@ -36,13 +39,44 @@ fn slot_image(index: usize, poisoned: bool) -> Image {
     image
 }
 
+/// What a kill and resume must count exactly: the scored and quarantined
+/// counters, and the sample count of every engine latency series.
+fn exact_counts(snapshot: &RegistrySnapshot) -> Vec<(String, Labels, u64)> {
+    let counters = snapshot
+        .counters
+        .iter()
+        .filter(|(name, ..)| {
+            matches!(name.as_str(), "decam_engine_scored_total" | "decam_engine_quarantined_total")
+        })
+        .cloned();
+    let samples = snapshot
+        .histograms
+        .iter()
+        .filter(|(name, ..)| {
+            matches!(
+                name.as_str(),
+                "decam_engine_score_seconds"
+                    | "decam_engine_stage_seconds"
+                    | "decam_method_score_seconds"
+            )
+        })
+        .map(|(name, labels, histogram)| (name.clone(), labels.clone(), histogram.count()));
+    counters.chain(samples).collect()
+}
+
+/// `engine` recording into a fresh registry, as in a new process.
+fn in_new_process(engine: &DetectionEngine) -> DetectionEngine {
+    engine.clone().with_telemetry(Telemetry::enabled())
+}
+
 /// Scans one shard with a simulated crash: the scan dies the first time
 /// a persist would land after `kill` rows, the shard is then re-opened
 /// from the last successfully persisted text (or from scratch when the
 /// crash predates the first persist) and driven to completion — the
 /// exact recovery workflow of `scan --resume`. Each run streams the
 /// shard's own images past the resume point, as a directory restricted
-/// to the shard and skipped past the checkpoint does.
+/// to the shard and skipped past the checkpoint does, and records into
+/// its own fresh telemetry registry, as a new process would.
 fn scan_shard_with_crash(
     engine: &DetectionEngine,
     spec: ShardSpec,
@@ -64,7 +98,7 @@ fn scan_shard_with_crash(
     let mut last_persisted: Option<String> = None;
     let fresh = ScanCheckpoint::new(spec, fingerprint, engine.methods());
     let crashed = scan_shard(
-        engine,
+        &in_new_process(engine),
         &mut open_source(0),
         &kept,
         config,
@@ -93,7 +127,8 @@ fn scan_shard_with_crash(
         .validate_resume(spec, fingerprint, engine.methods(), &kept)
         .expect("persisted checkpoint must be resumable");
     let skip = resumed_from.done();
-    scan_shard(engine, &mut open_source(skip), &kept, config, resumed_from, |_| Ok(()), |_, _| {})
+    let resumed = in_new_process(engine);
+    scan_shard(&resumed, &mut open_source(skip), &kept, config, resumed_from, |_| Ok(()), |_, _| {})
         .expect("resumed scan completes")
 }
 
@@ -117,6 +152,25 @@ proptest! {
         // Oracle: one eager resilient batch over the same images.
         let images: Vec<Image> = (0..total).map(|i| slot_image(i, poisoned[i])).collect();
         let eager = engine.score_images(&images, THREADS);
+        // Telemetry oracle: one uninterrupted, unsharded scan.
+        let uninterrupted = {
+            let mut source =
+                FnSource::new(total, |i| slot_image(i as usize, poisoned[i as usize]));
+            let fingerprint = CorpusFingerprint::of_keys(&keys);
+            let fresh = ScanCheckpoint::new(ShardSpec::full(), fingerprint, engine.methods());
+            let kept: Vec<usize> = (0..total).collect();
+            let done = scan_shard(
+                &in_new_process(&engine),
+                &mut source,
+                &kept,
+                &config,
+                fresh,
+                |_| Ok(()),
+                |_, _| {},
+            )
+            .unwrap();
+            exact_counts(done.metrics())
+        };
 
         let mut canonical_text: Option<String> = None;
         for shard_count in [1usize, 2, 3, MAX_SHARDS] {
@@ -159,6 +213,14 @@ proptest! {
                 prop_assert_eq!(record.kind(), err.cause.kind());
                 prop_assert_eq!(record.message(), err.cause.to_string());
             }
+
+            // The same counts as one uninterrupted scan: no kill counted
+            // a position past its last persisted row twice.
+            prop_assert_eq!(
+                exact_counts(report.metrics()),
+                uninterrupted.clone(),
+                "telemetry diverged at {} shards", shard_count
+            );
 
             // And one canonical report text across all sharding histories.
             let text = report.to_text().unwrap();

@@ -12,6 +12,7 @@ use decamouflage_core::{
 };
 use decamouflage_imaging::{Image, Size};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 const THREADS: usize = 4;
 
@@ -79,7 +80,10 @@ proptest! {
             let summary = engine.score_stream(
                 &mut SliceSource::new(&images),
                 &config,
-                |index, result| streamed.push((index, result)),
+                |index, result| {
+                    streamed.push((index, result));
+                    ControlFlow::Continue(())
+                },
             );
             for (slot, (index, _)) in streamed.iter().enumerate() {
                 prop_assert_eq!(*index, slot, "results arrive in stream order");

@@ -39,8 +39,9 @@ use crate::metrics::ServiceMetrics;
 use crate::service::DetectionService;
 use crate::shutdown_signal;
 use decamouflage_core::parallel::WorkerPool;
-use decamouflage_core::stream::{BufferPool, ImageDecoder, Pulled, SourceItem};
+use decamouflage_core::stream::{ImageDecoder, Pulled, SourceItem};
 use decamouflage_core::{CancelToken, ImageSource};
+use decamouflage_imaging::codec::SampleAlloc;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -534,7 +535,7 @@ impl<'a, R: BufRead> BodyImageSource<'a, R> {
 }
 
 impl<R: BufRead> ImageSource for BodyImageSource<'_, R> {
-    fn next_image(&mut self, _pool: &mut BufferPool) -> Option<SourceItem> {
+    fn next_image(&mut self, _alloc: SampleAlloc<'_>) -> Option<SourceItem> {
         if self.transport_error.is_some() {
             return None;
         }

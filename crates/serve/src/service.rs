@@ -14,6 +14,7 @@ use decamouflage_core::{
     CancelToken, DetectError, Ensemble, ImageSource, ScoreFault, ScoreVector, StreamConfig,
 };
 use decamouflage_imaging::Size;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// The engine methods the service votes with — the paper's three-method
@@ -230,6 +231,7 @@ impl DetectionService {
                 ScanEntry::Quarantined { .. } => quarantined += 1,
             }
             entries.push(entry);
+            ControlFlow::Continue(())
         });
         ScanOutcome { entries, flagged, benign, quarantined, degraded, expired: summary.cancelled }
     }

@@ -19,11 +19,12 @@
 //! scriptable as a pre-ingestion filter. `scan` triages a whole directory
 //! (the paper's offline data-poisoning use case) and exits 2 if anything
 //! was flagged. Directories stream through the bounded-memory
-//! [`DirectorySource`] pipeline: files are read `--chunk-size` (default 64)
-//! at a time and decoded by the worker that scores them, so at most one
-//! decoded image per worker thread, the buffer pool and one chunk of
-//! encoded files are resident at once, and arbitrarily large corpora scan
-//! in constant memory.
+//! [`DirectorySource`] pipeline: at most `--chunk-size` (default 64) files
+//! are read ahead of the last printed verdict, each is decoded by the
+//! worker that scores it, and each verdict prints as soon as every earlier
+//! one has, so at most one decoded image per worker thread, the buffer
+//! pool and one window of encoded files are resident at once, and
+//! arbitrarily large corpora scan in constant memory.
 //!
 //! Large corpora also shard: `--shard k/N` scans only the k-th of N
 //! hash-partitions of the directory (membership is a pure function of
@@ -57,6 +58,7 @@ use decamouflage::imaging::{Image, Size};
 use decamouflage::serve::flags::{parse_bounded_ms, parse_bounded_usize};
 use decamouflage::serve::{DetectionService, Server, ServerConfig};
 use decamouflage::telemetry::{to_json, to_prometheus_text, Telemetry};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -103,8 +105,8 @@ fn print_usage() {
          --degrade: what to do when an ensemble voter cannot score an image —\n  \
          strict (default: report an error), majority (majority of the remaining voters),\n  \
          fail-closed (flag the image as an attack).\n\
-         --chunk-size: images decoded per scoring chunk during scan (default 64) —\n  \
-         peak memory is bounded by one chunk regardless of directory size.\n\
+         --chunk-size: files read ahead of the last printed verdict during scan (default 64) —\n  \
+         peak memory is bounded by one such window regardless of directory size.\n\
          --shard k/N: scan only the k-th of N stable hash-partitions of the directory;\n  \
          --checkpoint FILE persists progress every chunk, --resume continues from it.\n\
          merge: combine finished shard checkpoints into one corpus-wide report\n  \
@@ -401,18 +403,19 @@ fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
 /// image was flagged.
 ///
 /// The directory streams through [`DirectorySource`] into
-/// [`scan_shard`]: files are read in chunks of `--chunk-size` (default
-/// 64), each chunk fans out over the worker pool, every worker decodes a
-/// file right before scoring it, and decoded buffers recycle — peak
-/// memory is one decoded image per worker, the buffer pool and one chunk
-/// of encoded files, regardless of how many images the directory holds. With `--shard k/N`
+/// [`scan_shard`]: a window of at most `--chunk-size` (default 64) files
+/// read ahead feeds the worker pool, every worker decodes a file right
+/// before scoring it, decoded buffers recycle, and each line prints as
+/// soon as every earlier file is scored — peak memory is one decoded
+/// image per worker, the buffer pool and one window of encoded files,
+/// regardless of how many images the directory holds. With `--shard k/N`
 /// only the k-th stable hash-partition of the file names is scanned
 /// (skipped files are never decoded); `--checkpoint FILE` persists
-/// progress atomically at every chunk boundary and `--resume` continues
-/// from it. The engine scores the same three methods as `check`'s
-/// ensemble and the verdict is the same [`Ensemble::vote`]; on resume the
-/// summary covers the whole shard, freshly printed lines only the newly
-/// scanned images.
+/// progress atomically at every chunk boundary, stopping the scan if a
+/// write fails, and `--resume` continues from it. The engine scores the
+/// same three methods as `check`'s ensemble and the verdict is the same
+/// [`Ensemble::vote`]; on resume the summary covers the whole shard,
+/// freshly printed lines only the newly scanned images.
 fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
     let parsed = parse_args(
         args,
@@ -646,7 +649,8 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         StreamConfig::default().with_chunk_size(total).with_threads(2).with_pool_capacity(0);
     let mut quarantined = 0;
     engine.score_stream(&mut corpus, &config, |_, result| {
-        quarantined += usize::from(result.is_err())
+        quarantined += usize::from(result.is_err());
+        ControlFlow::Continue(())
     });
     let _ = engine.score_resilient(&Image::from_fn_gray(2, 2, |_, _| 10.0));
 

@@ -11,6 +11,7 @@ use decamouflage::imaging::codec::{
     decode_auto, encode_bmp, encode_jpeg, encode_pgm, encode_png, encode_ppm,
 };
 use decamouflage::imaging::scale::ScaleAlgorithm;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 const METHODS: [MethodId; 3] = [MethodId::ScalingMse, MethodId::FilteringSsim, MethodId::Csp];
@@ -78,14 +79,17 @@ fn mixed_format_directory_streams_with_per_file_quarantine() {
     let config = StreamConfig::default().with_chunk_size(2).with_pool_capacity(2);
     let mut ok = 0usize;
     let mut faults: Vec<&'static str> = Vec::new();
-    engine.score_stream(&mut source, &config, |_, result| match result {
-        Ok(scores) => {
-            for method in METHODS {
-                assert!(scores.get(method).is_finite());
+    engine.score_stream(&mut source, &config, |_, result| {
+        match result {
+            Ok(scores) => {
+                for method in METHODS {
+                    assert!(scores.get(method).is_finite());
+                }
+                ok += 1;
             }
-            ok += 1;
+            Err(err) => faults.push(err.cause.kind()),
         }
-        Err(err) => faults.push(err.cause.kind()),
+        ControlFlow::Continue(())
     });
     assert_eq!(ok, 5, "every healthy container scores");
     faults.sort_unstable();
@@ -125,7 +129,7 @@ fn pooled_decode_reuses_buffers_across_formats() {
     for pass in 0..2 {
         let mut source = DirectorySource::open(&dir).unwrap();
         let mut seen = 0;
-        while let Some(item) = source.next_image(&mut pool) {
+        while let Some(item) = source.next_image(&mut |n| pool.take(n)) {
             let image = item
                 .and_then(|pulled| pulled.into_image(&mut |n| pool.take(n)))
                 .unwrap_or_else(|e| panic!("pass {pass}: {e}"));

@@ -53,12 +53,13 @@ fn hostile_containers_quarantine_as_unsupported_format() {
     let mut source = DirectorySource::open(&dir).unwrap();
     let mut pool = BufferPool::new(4);
 
-    let control = source.next_image(&mut pool).expect("control file listed");
+    let control = source.next_image(&mut |n| pool.take(n)).expect("control file listed");
     let control = decoded(control, &mut pool);
     assert!(control.is_ok(), "valid PNG must decode: {:?}", control.err());
 
     for (name, marker) in [("b-deep.png", "bit depth 16"), ("c-progressive.jpg", "SOF2")] {
-        let item = source.next_image(&mut pool).unwrap_or_else(|| panic!("{name} listed"));
+        let item =
+            source.next_image(&mut |n| pool.take(n)).unwrap_or_else(|| panic!("{name} listed"));
         let err = decoded(item, &mut pool).expect_err("hostile container must be quarantined");
         assert!(
             matches!(err.cause, ScoreFault::UnsupportedFormat { .. }),
@@ -70,7 +71,7 @@ fn hostile_containers_quarantine_as_unsupported_format() {
         assert!(shown.contains(name), "{name} missing from {shown:?}");
         assert!(shown.contains(marker), "{marker:?} missing from {shown:?}");
     }
-    assert!(source.next_image(&mut pool).is_none());
+    assert!(source.next_image(&mut |n| pool.take(n)).is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 
