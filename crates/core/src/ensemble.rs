@@ -2,13 +2,18 @@
 //! system of the paper's Figure 6 and Table "ensemble").
 //!
 //! An [`Ensemble`] is one [`DetectionEngine`], a list of
-//! `(MethodId, Threshold)` members and a [`DegradePolicy`].
-//! [`Ensemble::decide`] scores an image **once** through the engine's
-//! isolation slot ([`DetectionEngine::score_resilient`]: validation, then
-//! the scoring pass) and hands the outcome to [`Ensemble::vote`], the one
-//! place the voting rules live. Callers that already hold scores — batch
-//! scans, the HTTP service, the experiments — call [`Ensemble::vote`]
-//! directly.
+//! `(MethodId, Threshold)` members and a [`DegradePolicy`]. This module is
+//! the one place the voting rules live, including the failed-pass rule
+//! ([`DegradePolicy::failed_pass`]) for an image no member can vote on.
+//! Every surface judges an engine pass through it:
+//!
+//! - [`Ensemble::decide`] scores an image **once** through the engine's
+//!   isolation slot ([`DetectionEngine::score_resilient`]: validation,
+//!   then the scoring pass) and votes on the outcome (the CLI's `check`).
+//! - [`Ensemble::judge`] votes on a pass a caller already holds and
+//!   records the verdict's telemetry (`scan` lines, the HTTP service).
+//! - [`Ensemble::vote`] is the pure vote behind both, for recounts over
+//!   stored scores (`scan`'s summary, the experiments).
 
 use crate::engine::DetectionEngine;
 use crate::error::{ScoreError, ScoreFault};
@@ -18,6 +23,7 @@ use crate::threshold::Threshold;
 use crate::DetectError;
 use decamouflage_imaging::{Image, Size};
 use decamouflage_telemetry::Telemetry;
+use std::fmt;
 
 /// The paper's three ensemble members: scaling/MSE, filtering/SSIM and
 /// the CSP count.
@@ -86,6 +92,73 @@ impl DegradePolicy {
             Self::FailClosed => "fail-closed",
         }
     }
+
+    /// The failed-pass rule: what this policy makes of an engine pass that
+    /// failed with a fault of `kind` (a [`ScoreFault::kind`] tag). A pure
+    /// function of the two, so a live [`ScoreError`] and a persisted
+    /// quarantine record are judged alike.
+    ///
+    /// Bytes that never decoded (`unreadable`, `unsupported-format`) get
+    /// no verdict under any policy. Any other failure — a validation
+    /// refusal, a scoring error, a recovered panic — leaves no member
+    /// able to vote: [`DegradePolicy::Strict`] refuses the image, and the
+    /// degrading policies flag it.
+    pub fn failed_pass(self, kind: &str) -> FailedPass {
+        if ScoreFault::is_decode_kind(kind) {
+            FailedPass::Undecoded
+        } else if self == Self::Strict {
+            FailedPass::Refused
+        } else {
+            FailedPass::Flagged
+        }
+    }
+}
+
+/// What the failed-pass rule ([`DegradePolicy::failed_pass`]) makes of an
+/// engine pass that failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailedPass {
+    /// The bytes never decoded: there is no image to judge, so no policy
+    /// gives a verdict.
+    Undecoded,
+    /// [`DegradePolicy::Strict`] refuses the image the engine refused.
+    Refused,
+    /// A degrading policy flags the image, with every member unavailable.
+    Flagged,
+}
+
+/// Why [`Ensemble::judge`] gives an engine pass no verdict.
+#[derive(Debug)]
+pub enum Refusal<'a> {
+    /// The pass failed and the failed-pass rule gives it no verdict
+    /// ([`FailedPass::Undecoded`] or [`FailedPass::Refused`]); the pass's
+    /// own error says why.
+    Failed(&'a ScoreError),
+    /// [`DegradePolicy::Strict`] refuses to vote on the pass's scores: a
+    /// member's score is non-finite, or its method is disabled in the
+    /// engine.
+    Scores(DetectError),
+}
+
+impl Refusal<'_> {
+    /// The [`ScoreFault::kind`] tag of the refusal's cause; `detect` for
+    /// a refused vote without a score fault (a disabled member).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Self::Failed(err) => err.cause.kind(),
+            Self::Scores(DetectError::Score(err)) => err.cause.kind(),
+            Self::Scores(_) => "detect",
+        }
+    }
+}
+
+impl fmt::Display for Refusal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Failed(err) => err.fmt(f),
+            Self::Scores(err) => err.fmt(f),
+        }
+    }
 }
 
 /// Majority-vote ensemble.
@@ -147,8 +220,9 @@ impl Ensemble {
 
     /// Attaches a [`Telemetry`] handle: an enabled handle records votes
     /// by member, unavailable members, degrade-policy activations and
-    /// verdict counts from [`Ensemble::decide`]. Telemetry never changes
-    /// decisions — only observes them.
+    /// verdict counts from every live verdict ([`Ensemble::decide`],
+    /// [`Ensemble::judge`]). Telemetry never changes decisions — only
+    /// observes them.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -172,36 +246,100 @@ impl Ensemble {
 
     /// Votes on the outcome of one engine pass: each member thresholds its
     /// method's score, and a strict majority of the voting members
-    /// decides. A member is unavailable when its score is non-finite, when
-    /// the engine disables its method, or when `pass` failed; the
-    /// [`DegradePolicy`] decides what that means. Pure: no scoring, no
+    /// decides. A member is unavailable when its score is non-finite or
+    /// when the engine disables its method; the [`DegradePolicy`] decides
+    /// what that means. A failed pass goes through the failed-pass rule
+    /// ([`DegradePolicy::failed_pass`]): flagged with every member
+    /// unavailable, or refused with the pass's own error. Pure: no
+    /// scoring, no telemetry.
+    ///
+    /// # Errors
+    ///
+    /// [`DetectError::InvalidConfig`] for an ensemble without members. A
+    /// failed pass the rule refuses, as its own error. Under
+    /// [`DegradePolicy::Strict`] additionally
+    /// [`DetectError::InvalidConfig`] for a disabled method, or a
+    /// [`DetectError::Score`] with a [`ScoreFault::NonFiniteScore`] cause
+    /// attributed to the member.
+    pub fn vote(
+        &self,
+        pass: Result<&ScoreVector, ScoreError>,
+    ) -> Result<EnsembleDecision, DetectError> {
+        match pass {
+            Ok(scores) => self.poll(Ok(scores)),
+            Err(err) => self.vote_failed(&err.cause).unwrap_or_else(|| Err(err.into())),
+        }
+    }
+
+    /// Classifies an image: one [`DetectionEngine::score_resilient`] pass,
+    /// then [`Ensemble::vote`]. An image the engine refuses (validation,
+    /// a scoring error, a recovered panic) is a failed pass: no member can
+    /// vote on it, so [`DegradePolicy::Strict`] returns the refusal and the
+    /// degrading policies flag the image. Records the decision's
     /// telemetry.
     ///
     /// # Errors
     ///
-    /// [`DetectError::InvalidConfig`] for an ensemble without members.
-    /// Under [`DegradePolicy::Strict`] additionally the failed pass's own
-    /// error, [`DetectError::InvalidConfig`] for a disabled method, or a
-    /// [`DetectError::Score`] with a
-    /// [`ScoreFault::NonFiniteScore`] cause attributed to the member.
-    pub fn vote(
+    /// Same conditions as [`Ensemble::vote`]; a failed pass arrives as
+    /// the engine's own [`DetectError`] for a scoring error, and as
+    /// [`DetectError::Score`] for every other refusal.
+    pub fn decide(&self, image: &Image) -> Result<EnsembleDecision, DetectError> {
+        let decision = match self.engine.score_resilient(image) {
+            Ok(scores) => self.vote(Ok(&scores)),
+            Err(err) => self.vote(Err(err)),
+        }?;
+        self.record_decision(&decision);
+        Ok(decision)
+    }
+
+    /// Judges one live engine pass — the verdict a surface reports for an
+    /// image: [`Ensemble::vote`] on the pass, then the decision's
+    /// telemetry (nothing is recorded for a refusal). Takes the failed
+    /// pass by reference, so a caller that prints or persists it keeps it.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::Failed`] for a failed pass the rule gives no verdict;
+    /// [`Refusal::Scores`] with [`Ensemble::vote`]'s error when it
+    /// refuses the scores.
+    pub fn judge<'a>(
         &self,
-        pass: Result<&ScoreVector, DetectError>,
+        pass: Result<&ScoreVector, &'a ScoreError>,
+    ) -> Result<EnsembleDecision, Refusal<'a>> {
+        let polled = match pass {
+            Ok(scores) => self.poll(Ok(scores)),
+            Err(err) => self.vote_failed(&err.cause).ok_or(Refusal::Failed(err))?,
+        };
+        let decision = polled.map_err(Refusal::Scores)?;
+        self.record_decision(&decision);
+        Ok(decision)
+    }
+
+    /// The failed-pass rule applied to a failed pass's `cause`: the poll
+    /// of members that all abstain, or `None` when the rule gives the
+    /// pass no verdict.
+    fn vote_failed(&self, cause: &ScoreFault) -> Option<Result<EnsembleDecision, DetectError>> {
+        match self.policy.failed_pass(cause.kind()) {
+            FailedPass::Flagged => Some(self.poll(Err(cause))),
+            FailedPass::Undecoded | FailedPass::Refused => None,
+        }
+    }
+
+    /// Polls the members on a pass's scores, or on the `cause` of a failed
+    /// pass the rule flags (every member abstains).
+    fn poll(
+        &self,
+        pass: Result<&ScoreVector, &ScoreFault>,
     ) -> Result<EnsembleDecision, DetectError> {
         if self.members.is_empty() {
             return Err(DetectError::InvalidConfig { message: "ensemble has no members".into() });
         }
         let strict = self.policy == DegradePolicy::Strict;
-        let scores = match pass {
-            Ok(scores) => Ok(scores),
-            Err(err) if strict => return Err(err),
-            Err(err) => Err(format!("engine pass failed: {err}")),
-        };
         let mut votes = Vec::with_capacity(self.members.len());
         let mut unavailable = Vec::new();
         for &(id, threshold) in &self.members {
-            let reason = match scores {
-                Err(ref failure) => failure.clone(),
+            let reason = match pass {
+                Err(cause) => format!("engine pass failed: {cause}"),
                 Ok(_) if !self.engine.methods().contains(id) => {
                     if strict {
                         return Err(DetectError::InvalidConfig {
@@ -235,27 +373,6 @@ impl Ensemble {
             _ => 2 * attack_votes > votes.len(),
         };
         Ok(EnsembleDecision { votes, unavailable, is_attack })
-    }
-
-    /// Classifies an image: one [`DetectionEngine::score_resilient`] pass,
-    /// then [`Ensemble::vote`]. An image the engine refuses (validation,
-    /// a scoring error, a recovered panic) is a failed pass: no member can
-    /// vote on it, so [`DegradePolicy::Strict`] returns the refusal and the
-    /// degrading policies flag the image. Records the decision's
-    /// telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ensemble::vote`]; a failed pass arrives as
-    /// the engine's own [`DetectError`] for a scoring error, and as
-    /// [`DetectError::Score`] for every other refusal.
-    pub fn decide(&self, image: &Image) -> Result<EnsembleDecision, DetectError> {
-        let decision = match self.engine.score_resilient(image) {
-            Ok(scores) => self.vote(Ok(&scores)),
-            Err(err) => self.vote(Err(err.into())),
-        }?;
-        self.record_decision(&decision);
-        Ok(decision)
     }
 
     /// Records one decision's telemetry: votes by member, unavailable
@@ -324,9 +441,13 @@ mod tests {
         let paper = MethodSet::of(PAPER_METHODS);
         let mut nan = scores();
         nan.set(MethodId::FilteringSsim, f64::NAN);
-        let failed = || Err(DetectError::InvalidConfig { message: "boom".into() });
+        let failed = |case: &str| match case {
+            "undecoded" => ScoreError::new(ScoreFault::Unreadable { message: "boom".into() }),
+            "panic" => ScoreError::panicked(0, Box::new("boom")),
+            _ => ScoreError::detect(0, DetectError::InvalidConfig { message: "boom".into() }),
+        };
         type Row = (&'static str, MethodSet, DegradePolicy, Option<(bool, usize)>);
-        let rows: [Row; 12] = [
+        let rows: [Row; 18] = [
             ("finite", paper, Strict, Some((false, 0))),
             ("finite", paper, MajorityOfAvailable, Some((false, 0))),
             ("finite", paper, FailClosed, Some((false, 0))),
@@ -342,22 +463,32 @@ mod tests {
             ("failed", paper, Strict, None),
             ("failed", paper, MajorityOfAvailable, Some((true, 3))),
             ("failed", paper, FailClosed, Some((true, 3))),
+            // A recovered panic is a failed pass like any other.
+            ("panic", paper, Strict, None),
+            ("panic", paper, MajorityOfAvailable, Some((true, 3))),
+            ("panic", paper, FailClosed, Some((true, 3))),
+            // Bytes that never decoded are no image: refused everywhere.
+            ("undecoded", paper, Strict, None),
+            ("undecoded", paper, MajorityOfAvailable, None),
+            ("undecoded", paper, FailClosed, None),
         ];
         for (case, methods, policy, expected) in rows {
             let ensemble = ensemble(methods, policy);
             let outcome = match case {
                 "nan" => ensemble.vote(Ok(&nan)),
-                "failed" => ensemble.vote(failed()),
-                _ => ensemble.vote(Ok(&scores())),
+                "finite" | "disabled" => ensemble.vote(Ok(&scores())),
+                _ => ensemble.vote(Err(failed(case))),
             };
             let what = format!("{case} under {policy:?}");
+            let cause = match case {
+                "nan" => "non-finite score NaN",
+                "disabled" => "disabled",
+                "undecoded" => "unreadable source item: boom",
+                "panic" => "scoring panicked: boom",
+                _ => "invalid config: boom",
+            };
             let Some((is_attack, unavailable)) = expected else {
                 let err = outcome.expect_err(&what).to_string();
-                let cause = match case {
-                    "nan" => "non-finite score NaN",
-                    "disabled" => "disabled",
-                    _ => "boom",
-                };
                 assert!(err.contains(cause), "{what}: {err}");
                 continue;
             };
@@ -366,12 +497,73 @@ mod tests {
             assert_eq!(decision.unavailable.len(), unavailable, "{what}");
             assert_eq!(decision.votes.len() + unavailable, 3, "{what}");
             let reason = match case {
-                "nan" => "non-finite score NaN",
-                "disabled" => "disabled",
-                _ => "engine pass failed: invalid config: boom",
+                "failed" | "panic" => format!("engine pass failed: {cause}"),
+                _ => cause.to_string(),
             };
-            assert!(decision.unavailable.iter().all(|(_, r)| r.contains(reason)), "{what}");
+            assert!(decision.unavailable.iter().all(|(_, r)| r.contains(&reason)), "{what}");
         }
+    }
+
+    /// The failed-pass rule over every fault kind a pass can fail with:
+    /// decode faults are never judged, everything else is refused by
+    /// `Strict` and flagged by the degrading policies.
+    #[test]
+    fn failed_pass_rule_covers_every_fault_kind() {
+        use DegradePolicy::{FailClosed, MajorityOfAvailable, Strict};
+        for kind in ScoreFault::KINDS {
+            let decoded = !matches!(kind, "unreadable" | "unsupported-format");
+            for policy in [Strict, MajorityOfAvailable, FailClosed] {
+                let expected = match policy {
+                    _ if !decoded => FailedPass::Undecoded,
+                    Strict => FailedPass::Refused,
+                    _ => FailedPass::Flagged,
+                };
+                assert_eq!(policy.failed_pass(kind), expected, "{kind} under {policy:?}");
+            }
+        }
+    }
+
+    /// `judge` is `vote` on a borrowed pass plus the decision's telemetry:
+    /// verdicts are recorded, refusals are not, and a refused failed pass
+    /// hands back the caller's own error.
+    #[test]
+    fn judge_votes_like_vote_and_records_only_verdicts() {
+        use DegradePolicy::{FailClosed, MajorityOfAvailable, Strict};
+        let decisions = |telemetry: &Telemetry| {
+            ["attack", "benign"]
+                .iter()
+                .map(|v| telemetry.counter("decam_ensemble_decisions_total", &[("verdict", v)]))
+                .map(|counter| counter.value())
+                .sum::<u64>()
+        };
+        let refused = ScoreError::detect(0, DetectError::InvalidConfig { message: "boom".into() });
+        for policy in [Strict, MajorityOfAvailable, FailClosed] {
+            let telemetry = Telemetry::enabled();
+            let e =
+                ensemble(MethodSet::of(PAPER_METHODS), policy).with_telemetry(telemetry.clone());
+            let scored = e.judge(Ok(&scores())).unwrap();
+            assert_eq!(scored, e.vote(Ok(&scores())).unwrap(), "{policy:?}");
+            assert_eq!(decisions(&telemetry), 1, "{policy:?}");
+            match e.judge(Err(&refused)) {
+                Ok(decision) => {
+                    assert_ne!(policy, Strict);
+                    assert!(decision.is_attack && decision.votes.is_empty(), "{policy:?}");
+                    assert_eq!(decisions(&telemetry), 2, "{policy:?}");
+                }
+                Err(Refusal::Failed(err)) => {
+                    assert_eq!(policy, Strict);
+                    assert!(std::ptr::eq(err, &refused));
+                    assert_eq!(decisions(&telemetry), 1, "{policy:?}: a refusal records nothing");
+                }
+                Err(other) => panic!("{policy:?}: {other}"),
+            }
+        }
+        let mut nan = scores();
+        nan.set(MethodId::Csp, f64::NAN);
+        let strict = ensemble(MethodSet::of(PAPER_METHODS), Strict);
+        let refusal = strict.judge(Ok(&nan)).unwrap_err();
+        assert_eq!(refusal.kind(), "non-finite-score");
+        assert!(refusal.to_string().contains("non-finite score NaN"), "{refusal}");
     }
 
     #[test]

@@ -180,6 +180,14 @@ impl ScoreFault {
             Self::UnsupportedFormat { .. } => unsupported,
         }
     }
+
+    /// Whether `kind` tags a fault raised before any image existed: the
+    /// bytes never decoded ([`ScoreFault::Unreadable`],
+    /// [`ScoreFault::UnsupportedFormat`]).
+    pub(crate) fn is_decode_kind(kind: &str) -> bool {
+        let [.., unreadable, unsupported] = Self::KINDS;
+        kind == unreadable || kind == unsupported
+    }
 }
 
 impl fmt::Display for ScoreFault {

@@ -52,24 +52,22 @@ fn merge_metrics(
 /// `kept[done + i]`.
 ///
 /// `persist` is called with the updated checkpoint at every
-/// [`chunk_size`](StreamConfig::chunk_size) boundary (of cumulative
-/// rows, so resumed scans persist at the same boundaries a straight-run
-/// scan would) and once more after the final row: a crash between
-/// persists loses at most one chunk of work. `on_result` observes every
-/// outcome with its corpus-global index — the CLI's per-image report
-/// lines.
+/// [`chunk_size`](StreamConfig::chunk_size) boundary of the rows this
+/// call records — the stream's own chunk boundaries — and once more after
+/// the final row: a crash between persists loses at most one chunk of
+/// work. A fresh scan, or a resume with the crashed run's chunk size
+/// (whose last checkpoint sits on a multiple of it), persists at the same
+/// rows a straight run would. `on_result` observes every outcome with its
+/// corpus-global index — the CLI's per-image report lines.
 ///
 /// The checkpoint's embedded telemetry is the metrics it carried on
 /// entry (a resumed scan's prior-process metrics) merged with this
 /// engine's snapshot at each persist point, so counters and histogram
 /// moments accumulate across a crash/resume chain. The stream pulls no
 /// position past a chunk boundary before the boundary's last position
-/// is recorded, so each snapshot counts exactly the checkpoint's rows
-/// whenever the persist boundaries fall on the stream's chunk boundaries:
-/// in a fresh scan, and in a resume with the chunk size of the run that
-/// wrote the checkpoint. A resume with another chunk size persists inside
-/// the stream's chunks, where a snapshot can also count positions already
-/// scored past the checkpoint's last row.
+/// is recorded, and every persist falls on such a boundary, so each
+/// snapshot counts exactly the checkpoint's rows — whatever chunk size
+/// the crashed run used.
 ///
 /// The first error stops the stream: nothing more is pulled, and
 /// positions already being scored are discarded.
@@ -90,6 +88,7 @@ pub fn scan_shard(
     mut on_result: impl FnMut(usize, &Result<ScoreVector, ScoreError>),
 ) -> Result<ScanCheckpoint, DetectError> {
     let baseline_metrics = checkpoint.metrics().clone();
+    let done_on_entry = checkpoint.done();
     let mut failure: Option<DetectError> = None;
     {
         let refresh_metrics = |checkpoint: &mut ScanCheckpoint| -> Result<(), DetectError> {
@@ -108,7 +107,7 @@ pub fn scan_shard(
             };
             checkpoint.record(global, &result)?;
             on_result(global, &result);
-            if checkpoint.done().is_multiple_of(config.chunk_size) {
+            if (checkpoint.done() - done_on_entry).is_multiple_of(config.chunk_size) {
                 refresh_metrics(checkpoint)?;
                 persist(checkpoint)?;
             }
@@ -466,6 +465,68 @@ mod tests {
         assert_eq!(persisted, vec![3, 6, 7]);
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
         assert_eq!(final_ckpt.done(), n);
+    }
+
+    /// A resume with a chunk size other than the crashed run's persists on
+    /// the stream's own chunk boundaries, so each checkpoint's telemetry
+    /// counts exactly its rows — even while a helper has already scored
+    /// the row after the one being recorded.
+    #[test]
+    fn a_resume_with_another_chunk_size_counts_telemetry_exactly() {
+        use std::time::{Duration, Instant};
+        let n = 12;
+        let all = keys(n);
+        let kept: Vec<usize> = (0..n).collect();
+        let fingerprint = CorpusFingerprint::of_keys(&all);
+        let fresh = || ScanCheckpoint::new(ShardSpec::full(), fingerprint, methods());
+        let engine = DetectionEngine::new(Size::square(8)).with_methods(methods());
+        // The crashed run used chunk size 3 and was killed after its first
+        // checkpoint: 3 rows, no telemetry carried over.
+        let mut source = FnSource::new(n, |i| slot_image(i, false));
+        let config = StreamConfig::default().with_threads(1).with_chunk_size(3);
+        let crashed =
+            scan_shard(&engine, &mut source, &kept, &config, fresh(), |_| Ok(()), |_, _| {})
+                .unwrap()
+                .prefix(3);
+
+        let engine = engine.with_telemetry(decamouflage_telemetry::Telemetry::enabled());
+        let scored = || engine.telemetry().counter("decam_engine_scored_total", &[]).value();
+        let mut source = FnSource::new(n - 3, |i| slot_image(3 + i, false));
+        let config = StreamConfig::default().with_threads(2).with_chunk_size(2);
+        let (mut persisted, mut first, mut scored_ahead) = (Vec::new(), true, false);
+        let done = scan_shard(
+            &engine,
+            &mut source,
+            &kept,
+            &config,
+            crashed,
+            |ckpt| {
+                let counted = ckpt.metrics().counters.iter().find_map(|(name, _, value)| {
+                    (name == "decam_engine_scored_total").then_some(*value)
+                });
+                persisted.push((ckpt.done(), counted.unwrap_or(0)));
+                Ok(())
+            },
+            |_, _| {
+                // Hold the first resumed row until the helper has scored
+                // the next one.
+                if std::mem::take(&mut first) {
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while scored() < 2 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    scored_ahead = scored() >= 2;
+                }
+            },
+        )
+        .unwrap();
+        assert!(scored_ahead, "the helper never scored ahead of the first resumed row");
+        assert_eq!(done.done(), n);
+        for &(rows, counted) in &persisted {
+            assert_eq!(counted, (rows - 3) as u64, "the checkpoint at row {rows}");
+        }
+        let rows: Vec<usize> = persisted.iter().map(|&(rows, _)| rows).collect();
+        assert_eq!(rows, [5, 7, 9, 11, 12], "the stream's chunk boundaries, then the end");
     }
 
     /// A source of `count` images that counts its pulls.

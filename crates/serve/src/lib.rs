@@ -17,11 +17,13 @@
 //! deadlines enforced both at the socket and cooperatively between
 //! pipeline stages (`504` on expiry, the handler slot released rather
 //! than leaked), request-size and header limits (`413`/`431`), the
-//! engine's `ScoreFault` taxonomy mapped onto HTTP statuses
-//! (quarantined input → `422` with the fault kind, recovered panic →
-//! `500`, degraded-voting verdicts annotated in the body), and a
-//! graceful SIGTERM drain. See [`server`] for the admission state
-//! machine and [`service`] for the fault→status mapping.
+//! engine's `ScoreFault` taxonomy mapped onto HTTP statuses (an
+//! undecodable body → `422` with the fault kind; an image the engine
+//! refuses → the verdict `check` gives it under the degrade policy:
+//! `422`, or `500` for a recovered panic, under `strict`, a degraded
+//! `200` attack otherwise; degraded-voting verdicts annotated in the
+//! body), and a graceful SIGTERM drain. See [`server`] for the admission
+//! state machine and [`service`] for the fault→status mapping.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -74,10 +74,11 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// Request-head cap (`431` past it).
     pub max_header_bytes: usize,
-    /// Frames (encoded images) read ahead at once while streaming `/scan`
-    /// bodies; each decodes only when it is scored.
-    pub scan_chunk_size: usize,
 }
+
+/// Frames (encoded images) read ahead at once while streaming `/scan`
+/// bodies; each decodes only when it is scored.
+const SCAN_CHUNK_SIZE: usize = 8;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -90,7 +91,6 @@ impl Default for ServerConfig {
             lame_duck: Duration::from_millis(200),
             max_body_bytes: 8 * 1024 * 1024,
             max_header_bytes: 16 * 1024,
-            scan_chunk_size: 8,
         }
     }
 }
@@ -570,7 +570,7 @@ fn scan<R: BufRead>(head: &RequestHead, reader: &mut R, ctx: &ConnContext) -> Op
         ctx.config.max_body_bytes,
         Arc::clone(ctx.service.decoder()),
     );
-    let outcome = ctx.service.scan_source(&mut source, &ctx.token, ctx.config.scan_chunk_size);
+    let outcome = ctx.service.scan_source(&mut source, &ctx.token, SCAN_CHUNK_SIZE);
     if let Some(err) = source.transport_error {
         // The stream died on transport, not on scoring: the transport
         // error picks the status (a mid-scan deadline maps to 504 via

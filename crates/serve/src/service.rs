@@ -1,5 +1,8 @@
 //! The detection service: the paper's [`Ensemble`] (engine + calibrated
 //! thresholds + degrade policy), mapped onto typed request outcomes.
+//! Every engine pass is judged by [`Ensemble::judge`], the rule the
+//! CLI's `check` and `scan` apply, so an image gets the same verdict on
+//! every surface, and each verdict counts on the ensemble's telemetry.
 //!
 //! This layer is transport-free — it consumes bytes/[`ImageSource`]s
 //! and a [`CancelToken`], and produces [`CheckOutcome`]/[`ScanOutcome`]
@@ -7,11 +10,11 @@
 //! status mapping unit-testable without a listener.
 
 use crate::json;
-use decamouflage_core::ensemble::{DegradePolicy, EnsembleDecision};
+use decamouflage_core::ensemble::{DegradePolicy, EnsembleDecision, Refusal};
 use decamouflage_core::persist::ThresholdSet;
 use decamouflage_core::stream::ImageDecoder;
 use decamouflage_core::{
-    CancelToken, DetectError, Ensemble, ImageSource, ScoreFault, ScoreVector, StreamConfig,
+    CancelToken, Ensemble, ImageSource, ScoreError, ScoreFault, ScoreVector, StreamConfig,
 };
 use decamouflage_imaging::Size;
 use std::ops::ControlFlow;
@@ -24,26 +27,31 @@ pub use decamouflage_core::ensemble::PAPER_METHODS as SERVICE_METHODS;
 /// The typed outcome of one `/check`, mapped 1:1 onto an HTTP status.
 #[derive(Debug)]
 pub enum CheckOutcome {
-    /// `200` — scored and voted.
+    /// `200` — the ensemble's verdict. Under a degrading policy that
+    /// includes an image the engine refused: flagged, every member
+    /// unavailable, every score NaN.
     Verdict {
         /// The engine's per-method scores.
         scores: ScoreVector,
         /// The ensemble decision over [`SERVICE_METHODS`].
         verdict: EnsembleDecision,
     },
-    /// `422` — the input was quarantined by the [`ScoreFault`] taxonomy
-    /// (`fault` is [`ScoreFault::kind`]; decode failures use
-    /// `unsupported-format` for bodies no codec claims and `unreadable`
-    /// for structurally broken files, per [`ImageDecoder`], with the codec
-    /// error as the detail).
+    /// `422` — no verdict, by the [`ScoreFault`] taxonomy (`fault` is
+    /// [`ScoreFault::kind`]): a body that never decoded, under every
+    /// policy (`unsupported-format` for bodies no codec claims and
+    /// `unreadable` for structurally broken files, per [`ImageDecoder`],
+    /// with the codec error as the detail), or an image (or its scores)
+    /// [`DegradePolicy::Strict`] refuses.
     Quarantined {
         /// Stable kebab-case fault tag.
         fault: &'static str,
         /// Human-readable detail.
         detail: String,
     },
-    /// `500` — scoring panicked; the panic was recovered and the slot
-    /// quarantined, but the failure is the server's, not the input's.
+    /// `500` — scoring panicked under [`DegradePolicy::Strict`]; the panic
+    /// was recovered and the slot quarantined, but the failure is the
+    /// server's, not the input's. A degrading policy flags the image
+    /// instead.
     Panicked {
         /// The recovered panic message.
         detail: String,
@@ -55,9 +63,12 @@ pub enum CheckOutcome {
 /// One position's result within a `/scan`.
 #[derive(Debug)]
 pub enum ScanEntry {
-    /// The image scored; the ensemble voted.
+    /// The ensemble's verdict — under a degrading policy also on an image
+    /// the engine refused (flagged, every member unavailable).
     Scored(EnsembleDecision),
-    /// The position was quarantined (`fault` = [`ScoreFault::kind`]).
+    /// No verdict (`fault` = [`ScoreFault::kind`]): the frame never
+    /// decoded, or [`DegradePolicy::Strict`] refused the image (a
+    /// recovered panic included) or its scores.
     Quarantined {
         /// Stable kebab-case fault tag.
         fault: &'static str,
@@ -125,28 +136,9 @@ impl DetectionService {
         self
     }
 
-    /// The configured degrade policy.
-    pub fn policy(&self) -> DegradePolicy {
-        self.ensemble.degrade_policy()
-    }
-
-    /// Votes on one score vector, mapping a refused vote onto the
-    /// quarantine `(fault, detail)` pair: under [`DegradePolicy::Strict`]
-    /// a non-finite member score quarantines the request instead of
-    /// voting benign silently.
-    fn vote(&self, scores: &ScoreVector) -> Result<EnsembleDecision, (&'static str, String)> {
-        self.ensemble.vote(Ok(scores)).map_err(|err| match err {
-            DetectError::Score(err) => match err.method {
-                Some(id) => (err.cause.kind(), format!("{} produced {}", id.name(), err.cause)),
-                None => (err.cause.kind(), err.cause.to_string()),
-            },
-            other => ("detect", other.to_string()),
-        })
-    }
-
-    /// Scores one request body end-to-end: decode → engine →
-    /// threshold vote, with a cooperative deadline check between every
-    /// stage. An expired token never interrupts in-flight work — it
+    /// Scores one request body end-to-end: decode → engine → the
+    /// ensemble's verdict, with a cooperative deadline check between
+    /// every stage. An expired token never interrupts in-flight work — it
     /// refuses the *next* stage, so a slot is always either scored or
     /// quarantined, never leaked.
     pub fn check_bytes(&self, body: &[u8], cancel: &CancelToken) -> CheckOutcome {
@@ -168,22 +160,31 @@ impl DetectionService {
         if cancel.is_expired() {
             return CheckOutcome::Expired;
         }
-        let scores = match self.ensemble.engine().score_resilient(&image) {
-            Ok(scores) => scores,
-            Err(err) => {
-                let detail = err.to_string();
-                return match err.cause {
-                    ScoreFault::Panicked { .. } => CheckOutcome::Panicked { detail },
-                    ref cause => CheckOutcome::Quarantined { fault: cause.kind(), detail },
-                };
-            }
-        };
+        let pass = self.ensemble.engine().score_resilient(&image);
         if cancel.is_expired() {
             return CheckOutcome::Expired;
         }
-        match self.vote(&scores) {
-            Ok(verdict) => CheckOutcome::Verdict { scores, verdict },
-            Err((fault, detail)) => CheckOutcome::Quarantined { fault, detail },
+        self.judge_check(pass)
+    }
+
+    /// The `/check` outcome of one engine pass: [`Ensemble::judge`]'s
+    /// verdict, or the refusal as a `422` — a `500` for a recovered panic.
+    fn judge_check(&self, pass: Result<ScoreVector, ScoreError>) -> CheckOutcome {
+        let verdict = self.ensemble.judge(pass.as_ref()).map_err(|refusal| match refusal {
+            Refusal::Failed(err) if err.is_panic() => {
+                CheckOutcome::Panicked { detail: err.to_string() }
+            }
+            refusal => {
+                CheckOutcome::Quarantined { fault: refusal.kind(), detail: refusal.to_string() }
+            }
+        });
+        match verdict {
+            Ok(verdict) => {
+                // A flagged failed pass has no scores to report.
+                let scores = pass.unwrap_or_else(|_| ScoreVector::splat(f64::NAN));
+                CheckOutcome::Verdict { scores, verdict }
+            }
+            Err(outcome) => outcome,
         }
     }
 
@@ -192,8 +193,9 @@ impl DetectionService {
     /// scored) and the request's [`CancelToken`] armed between pipeline
     /// stages.
     ///
-    /// Per-slot failures quarantine the slot — including recovered
-    /// panics, which on the batch path are a position-level fault, not a
+    /// Every position is judged like a `/check` body, except that a
+    /// refusal always quarantines the slot — including a recovered panic,
+    /// which on the batch path is a position-level fault, not a
     /// request-level 500.
     pub fn scan_source(
         &self,
@@ -209,14 +211,10 @@ impl DetectionService {
         let mut entries = Vec::new();
         let (mut flagged, mut benign, mut quarantined, mut degraded) = (0, 0, 0, 0);
         let summary = self.ensemble.engine().score_stream(source, &config, |_index, result| {
-            let entry = match result {
-                Ok(scores) => match self.vote(&scores) {
-                    Ok(verdict) => ScanEntry::Scored(verdict),
-                    Err((fault, detail)) => ScanEntry::Quarantined { fault, detail },
-                },
-                Err(err) => {
-                    let detail = err.to_string();
-                    ScanEntry::Quarantined { fault: err.cause.kind(), detail }
+            let entry = match self.ensemble.judge(result.as_ref()) {
+                Ok(verdict) => ScanEntry::Scored(verdict),
+                Err(refusal) => {
+                    ScanEntry::Quarantined { fault: refusal.kind(), detail: refusal.to_string() }
                 }
             };
             match &entry {
@@ -439,6 +437,40 @@ mod tests {
             fault == "below-minimum-size" || fault == "degenerate-dimensions",
             "unexpected fault {fault}"
         );
+    }
+
+    /// An image the engine refuses gets the verdict `check` gives it:
+    /// refused by `Strict` (a recovered panic as a 500), flagged with no
+    /// member voting by the degrading policies — on `/check` and `/scan`.
+    #[test]
+    fn a_refused_image_follows_the_degrade_policy() {
+        use decamouflage_core::stream::SliceSource;
+        let tiny = Image::from_fn_gray(1, 1, |_, _| 1.0);
+        let panicked = || Err(ScoreError::panicked(0, Box::new("boom")));
+        for policy in
+            [DegradePolicy::Strict, DegradePolicy::MajorityOfAvailable, DegradePolicy::FailClosed]
+        {
+            let service = service(policy);
+            let refused = service.check_bytes(&encode_pgm(&tiny), &CancelToken::new());
+            let panic = service.judge_check(panicked());
+            let images = vec![tiny.clone()];
+            let scan = service.scan_source(&mut SliceSource::new(&images), &CancelToken::new(), 4);
+            if policy == DegradePolicy::Strict {
+                assert_eq!(refused.status(), 422, "{refused:?}");
+                assert!(matches!(panic, CheckOutcome::Panicked { .. }), "{panic:?}");
+                assert_eq!(panic.status(), 500);
+                assert_eq!((scan.flagged, scan.quarantined), (0, 1), "{policy:?}");
+                continue;
+            }
+            for outcome in [&refused, &panic] {
+                assert_eq!(outcome.status(), 200, "{policy:?}: {outcome:?}");
+                let json = outcome.to_json();
+                assert!(json.contains("\"verdict\":\"attack\",\"degraded\":true"), "{json}");
+                assert!(json.contains("\"votes\":{}"), "{json}");
+                assert!(json.contains("\"scaling/mse\":\"NaN\""), "{json}");
+            }
+            assert_eq!((scan.flagged, scan.degraded, scan.quarantined), (1, 1, 0), "{policy:?}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! handy for wiring dashboards before real traffic exists.
 
 use decamouflage::detection::calibrate::calibrate_whitebox;
-use decamouflage::detection::ensemble::{DegradePolicy, Ensemble};
+use decamouflage::detection::ensemble::{DegradePolicy, Ensemble, FailedPass, Refusal};
 use decamouflage::detection::persist::ThresholdSet;
 use decamouflage::detection::stream::{DirectorySource, FnSource, ImageDecoder, StreamConfig};
 use decamouflage::detection::{
@@ -104,7 +104,8 @@ fn print_usage() {
          written by extension. `check`/`scan` exit 0 = benign, 2 = attack(s) found.\n\
          --degrade: what to do when an ensemble voter cannot score an image —\n  \
          strict (default: report an error), majority (majority of the remaining voters),\n  \
-         fail-closed (flag the image as an attack).\n\
+         fail-closed (flag the image as an attack). An image no voter can score is\n  \
+         refused by strict and flagged by both others; an undecodable file is never judged.\n\
          --chunk-size: files read ahead of the last printed verdict during scan (default 64) —\n  \
          peak memory is bounded by one such window regardless of directory size.\n\
          --shard k/N: scan only the k-th of N stable hash-partitions of the directory;\n  \
@@ -413,9 +414,9 @@ fn cmd_calibrate(args: &[String]) -> Result<ExitCode, String> {
 /// (skipped files are never decoded); `--checkpoint FILE` persists
 /// progress atomically at every chunk boundary, stopping the scan if a
 /// write fails, and `--resume` continues from it. The engine scores the
-/// same three methods as `check`'s ensemble and the verdict is the same
-/// [`Ensemble::vote`]; on resume the summary covers the whole shard,
-/// freshly printed lines only the newly scanned images.
+/// same three methods as `check`'s ensemble and each line is the same
+/// verdict, through [`Ensemble::judge`]; on resume the summary covers the
+/// whole shard, freshly printed lines only the newly scanned images.
 fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
     let parsed = parse_args(
         args,
@@ -490,43 +491,30 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
         },
         |global, result| {
             let shown = all_paths[global].display();
-            match result {
-                Ok(scores) => match ensemble.vote(Ok(scores)) {
-                    Ok(decision) if decision.is_attack => println!("ATTACK      {shown}"),
-                    Ok(_) => println!("benign      {shown}"),
-                    // Only Strict refuses to vote: a non-finite score.
-                    Err(err) => println!("quarantined {shown}: {err}"),
-                },
-                Err(err) => match &err.cause {
-                    // The file never decoded.
+            match ensemble.judge(result.as_ref()) {
+                Ok(decision) if decision.is_attack => println!("ATTACK      {shown}"),
+                Ok(_) => println!("benign      {shown}"),
+                // A file that never decoded says why; any other refusal
+                // (only `Strict` refuses a decoded image) is quarantined.
+                Err(Refusal::Failed(err)) => match &err.cause {
                     ScoreFault::Unreadable { message } => {
                         println!("unreadable  {shown}: {message}");
                     }
-                    // No codec claims the bytes — a wrong file type, not
-                    // a suspicious image, so it never feeds fail-closed.
                     ScoreFault::UnsupportedFormat { message } => {
                         println!("unsupported {shown}: {message}");
                     }
-                    // The file loaded but could not be scored; the degrade
-                    // policy decides whether that is suspicious in itself.
-                    _ if matches!(policy, DegradePolicy::FailClosed) => {
-                        println!("ATTACK      {shown}");
-                    }
-                    _ => {
-                        println!("quarantined {shown}: {err}");
-                    }
+                    _ => println!("quarantined {shown}: {err}"),
                 },
+                Err(refusal) => println!("quarantined {shown}: {refusal}"),
             }
         },
     )
     .map_err(|e| e.to_string())?;
 
     // The summary covers the whole shard — including rows a previous
-    // (resumed) process completed — so it comes from the checkpoint, not
-    // from this process's print counters.
-    let mut flagged = 0usize;
-    let mut unreadable = 0usize;
-    let mut quarantined = 0usize;
+    // (resumed) process completed — so it recounts the checkpoint's rows
+    // through the same rules, not this process's print counters.
+    let (mut flagged, mut quarantined, mut unreadable) = (0usize, 0usize, 0usize);
     for row in 0..final_checkpoint.scored_indices().len() {
         match ensemble.vote(Ok(&final_checkpoint.score_vector_at(row))) {
             Ok(decision) => flagged += usize::from(decision.is_attack),
@@ -534,14 +522,10 @@ fn cmd_scan(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     for record in final_checkpoint.quarantined() {
-        // Decode-level failures (corrupt file, wrong file type) never
-        // feed fail-closed — they are not suspicious scoring.
-        if matches!(record.kind(), "unreadable" | "unsupported-format") {
-            unreadable += 1;
-        } else if matches!(policy, DegradePolicy::FailClosed) {
-            flagged += 1;
-        } else {
-            quarantined += 1;
+        match policy.failed_pass(record.kind()) {
+            FailedPass::Flagged => flagged += 1,
+            FailedPass::Refused => quarantined += 1,
+            FailedPass::Undecoded => unreadable += 1,
         }
     }
     println!(

@@ -298,6 +298,15 @@ fn scan_metrics_out_round_trips_through_the_parser() {
         .find(|l| l.starts_with("decam_engine_stage_seconds_count{stage=\"decode\"}"))
         .unwrap_or_else(|| panic!("no decode stage samples:\n{text}"));
     assert!(decode.ends_with(" 3"), "expected 3 decode samples: {decode}");
+    // Every verdict line is one recorded ensemble decision.
+    let verdict_lines =
+        stdout.lines().filter(|l| l.starts_with("ATTACK ") || l.starts_with("benign ")).count();
+    assert_eq!(verdict_lines, 3, "{stdout}");
+    let decisions: f64 = ["attack", "benign"]
+        .iter()
+        .filter_map(|v| parsed.sample_value("decam_ensemble_decisions_total", &[("verdict", v)]))
+        .sum();
+    assert_eq!(decisions, verdict_lines as f64, "{text}");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -561,128 +570,173 @@ fn scan_rejects_empty_directories() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// One vote behind every front end: on every fixture image, `check`'s
-/// verdict and member lines, the file's `scan` line and the service's
-/// `check_bytes` agree, under every degrade policy. So do they on an
-/// image the engine refuses, each front end mapping the refusal onto its
-/// policy.
+/// One verdict rule behind every surface: for every fixture image —
+/// scored, refused by validation, unreadable or unsupported — and every
+/// degrade policy, `check` (exit code, member and verdict lines), `scan`
+/// (the image's line, the summary, the exit code), the service's `/check`
+/// (status, verdict or fault) and its `/scan` (the image's entry) agree
+/// on one expected outcome.
 #[test]
 fn check_scan_and_service_agree_on_every_fixture() {
+    use decamouflage::detection::ensemble::Ensemble;
     use decamouflage::detection::persist::ThresholdSet;
+    use decamouflage::detection::stream::DirectorySource;
     use decamouflage::detection::{CancelToken, DegradePolicy};
+    use decamouflage::imaging::codec::decode_auto;
     use decamouflage::imaging::{Image, Size};
+    use decamouflage::serve::service::ScanEntry;
     use decamouflage::serve::{CheckOutcome, DetectionService};
+
+    /// What every surface reports for one image.
+    #[derive(Debug, Clone, Copy)]
+    enum Expected {
+        /// A verdict; `degraded` when a member could not vote.
+        Verdict { attack: bool, degraded: bool },
+        /// No verdict: `scan` labels the line `label`, the service reports
+        /// the fault kind `fault`.
+        Refused { label: &'static str, fault: &'static str },
+    }
+    let refused = |label, fault| Expected::Refused { label, fault };
 
     let root = fixtures("parity");
     let thresholds = calibrate(&root);
     let set = ThresholdSet::load(&thresholds).unwrap();
-    let dirs = [root.join("benign"), root.join("attack"), root.clone()];
-    // Below the 11-pixel SSIM window, so validation refuses it.
-    let refused_dir = root.join("refused");
-    std::fs::create_dir_all(&refused_dir).unwrap();
-    let refused = refused_dir.join("small.bmp");
+    // Files the engine cannot score: an image below the 11-pixel SSIM
+    // window (validation refuses it), a truncated BMP, and text named
+    // `.bmp`.
+    let odd = root.join("odd");
+    std::fs::create_dir_all(&odd).unwrap();
     let smooth = Image::from_fn_gray(10, 10, |x, y| (100.0 + 4.0 * (x + y) as f64).round());
-    write_bmp_file(&smooth, &refused).unwrap();
-    for (mode, policy) in [
-        ("strict", DegradePolicy::Strict),
-        ("majority", DegradePolicy::MajorityOfAvailable),
-        ("fail-closed", DegradePolicy::FailClosed),
+    write_bmp_file(&smooth, odd.join("undersized.bmp")).unwrap();
+    let bmp = std::fs::read(root.join("benign/0.bmp")).unwrap();
+    std::fs::write(odd.join("truncated.bmp"), &bmp[..bmp.len() / 2]).unwrap();
+    std::fs::write(odd.join("text.bmp"), b"plain text, not an image\n").unwrap();
+    let dirs = [root.join("benign"), root.join("attack"), root.clone(), odd];
+    let thresholds_arg = ["--thresholds", thresholds.to_str().unwrap()];
+    // The undersized image under each policy: refused only by `strict`,
+    // flagged with no member voting by the degrading policies.
+    let unvoted_attack = Expected::Verdict { attack: true, degraded: true };
+    for (mode, policy, undersized) in [
+        ("strict", DegradePolicy::Strict, refused("quarantined", "below-minimum-size")),
+        ("majority", DegradePolicy::MajorityOfAvailable, unvoted_attack),
+        ("fail-closed", DegradePolicy::FailClosed, unvoted_attack),
     ] {
         let service = DetectionService::new(Size::square(16), &set, policy).unwrap();
+        let reference = Ensemble::paper(Size::square(16), &set, policy).unwrap();
         let mut checked = 0;
         for dir in &dirs {
-            let (_, scan_out, stderr) = run(bin()
+            let (scan_code, scan_out, stderr) = run(bin()
                 .arg("scan")
                 .arg(dir)
                 .args(["--target", "16x16", "--degrade", mode])
-                .args(["--thresholds", thresholds.to_str().unwrap()]));
-            let mut images: Vec<PathBuf> = std::fs::read_dir(dir)
-                .unwrap()
-                .map(|entry| entry.unwrap().path())
-                .filter(|path| path.extension().is_some_and(|ext| ext == "bmp"))
-                .collect();
-            images.sort();
-            for image in images {
+                .args(thresholds_arg));
+            let mut source = DirectorySource::open(dir).unwrap();
+            let images = source.paths().to_vec();
+            let scanned = service.scan_source(&mut source, &CancelToken::new(), 8);
+            assert_eq!(scanned.entries.len(), images.len(), "{mode} {}", dir.display());
+            let mut tally = [0usize; 4]; // flagged, accepted, quarantined, unreadable
+            for (index, (image, entry)) in images.iter().zip(&scanned.entries).enumerate() {
                 let shown = image.display().to_string();
+                let what = format!("{mode} {shown}");
+                let body = std::fs::read(image).unwrap();
+                let name = image.file_name().unwrap().to_str().unwrap();
+                let expected = match name {
+                    "undersized.bmp" => undersized,
+                    "truncated.bmp" => refused("unreadable", "unreadable"),
+                    "text.bmp" => refused("unsupported", "unsupported-format"),
+                    _ => {
+                        let decision = reference.decide(&decode_auto(&body).unwrap().1).unwrap();
+                        Expected::Verdict { attack: decision.is_attack, degraded: false }
+                    }
+                };
                 let scan_line = scan_out
                     .lines()
-                    .find(|line| line.ends_with(&format!(" {shown}")))
-                    .unwrap_or_else(|| panic!("no scan line for {shown}: {scan_out} {stderr}"));
-                let scan_attack = scan_line.starts_with("ATTACK ");
-
-                let (code, check_out, _) = run(bin()
+                    .find(|line| {
+                        line.ends_with(&format!(" {shown}"))
+                            || line.contains(&format!(" {shown}: "))
+                    })
+                    .unwrap_or_else(|| panic!("{what}: no scan line: {scan_out} {stderr}"));
+                let (code, check_out, check_err) = run(bin()
                     .arg("check")
-                    .arg(&image)
+                    .arg(image)
                     .args(["--target", "16x16", "--degrade", mode])
-                    .args(["--thresholds", thresholds.to_str().unwrap()]));
-                let check_attack = code == 2;
-                let verdict_line = if check_attack {
-                    format!("{shown}: ATTACK (majority vote)")
-                } else {
-                    format!("{shown}: benign")
-                };
-                let mut lines: Vec<&str> = check_out.lines().collect();
-                assert_eq!(lines.pop(), Some(verdict_line.as_str()), "{mode} {shown}");
-
-                let body = std::fs::read(&image).unwrap();
+                    .args(thresholds_arg));
                 let outcome = service.check_bytes(&body, &CancelToken::new());
-                let CheckOutcome::Verdict { verdict, .. } = outcome else {
-                    panic!("{mode} {shown}: the service did not vote: {outcome:?}");
-                };
-                let members: Vec<String> = verdict
-                    .votes
-                    .iter()
-                    .map(|(id, vote)| format!("{id}: {}", if *vote { "ATTACK" } else { "benign" }))
-                    .collect();
-                assert_eq!(lines, members, "{mode} {shown}: check and service members differ");
-                assert_eq!(check_attack, verdict.is_attack, "{mode} {shown}: check vs service");
-                assert_eq!(scan_attack, verdict.is_attack, "{mode} {shown}: scan vs service");
+                match expected {
+                    Expected::Verdict { attack, degraded } => {
+                        let (label, exit, last) = if attack {
+                            ("ATTACK", 2, format!("{shown}: ATTACK (majority vote)"))
+                        } else {
+                            ("benign", 0, format!("{shown}: benign"))
+                        };
+                        assert_eq!(scan_line, format!("{label:<11} {shown}"), "{what}");
+                        assert_eq!(code, exit, "{what}: {check_out} {check_err}");
+                        let mut lines: Vec<&str> = check_out.lines().collect();
+                        assert_eq!(lines.pop(), Some(last.as_str()), "{what}");
+                        assert_eq!(outcome.status(), 200, "{what}: {outcome:?}");
+                        let CheckOutcome::Verdict { verdict, .. } = &outcome else {
+                            panic!("{what}: /check gave no verdict: {outcome:?}");
+                        };
+                        assert_eq!(verdict.is_attack, attack, "{what}: /check");
+                        assert_eq!(!verdict.is_complete(), degraded, "{what}: /check");
+                        let members: Vec<String> = verdict
+                            .votes
+                            .iter()
+                            .map(|(id, vote)| {
+                                format!("{id}: {}", if *vote { "ATTACK" } else { "benign" })
+                            })
+                            .chain(
+                                verdict
+                                    .unavailable
+                                    .iter()
+                                    .map(|(id, reason)| format!("{id}: unavailable ({reason})")),
+                            )
+                            .collect();
+                        assert_eq!(lines, members, "{what}: check and /check members differ");
+                        assert!(
+                            matches!(entry, ScanEntry::Scored(decision) if decision == verdict),
+                            "{what}: /scan gave {entry:?}"
+                        );
+                        tally[usize::from(!attack)] += 1;
+                    }
+                    Expected::Refused { label, fault } => {
+                        let detail = scan_line
+                            .strip_prefix(&format!("{label:<11} {shown}: "))
+                            .unwrap_or_else(|| panic!("{what}: scan gave {scan_line}"));
+                        // `scan` addresses an engine refusal by its stream
+                        // index, `check` by image 0.
+                        let detail = detail.replacen(&format!("image {index} "), "image 0 ", 1);
+                        assert_eq!(code, 1, "{what}: check must refuse: {check_out}");
+                        assert_eq!(check_out, "", "{what}");
+                        assert!(
+                            check_err.contains(&detail),
+                            "{what}: {check_err} lacks {detail:?}"
+                        );
+                        assert_eq!(outcome.status(), 422, "{what}: {outcome:?}");
+                        assert!(
+                            matches!(outcome, CheckOutcome::Quarantined { fault: f, .. } if f == fault),
+                            "{what}: /check gave {outcome:?}"
+                        );
+                        assert!(
+                            matches!(entry, ScanEntry::Quarantined { fault: f, .. } if *f == fault),
+                            "{what}: /scan gave {entry:?}"
+                        );
+                        // `scan` counts a file that never decoded apart.
+                        tally[if label == "quarantined" { 2 } else { 3 }] += 1;
+                    }
+                }
                 checked += 1;
             }
+            let [flagged, accepted, quarantined, unreadable] = tally;
+            let summary = format!(
+                "scanned {} images: {flagged} flagged, {accepted} accepted, \
+                 {quarantined} quarantined, {unreadable} unreadable",
+                images.len()
+            );
+            assert_eq!(scan_out.lines().last(), Some(summary.as_str()), "{mode} {}", dir.display());
+            assert_eq!(scan_code, if flagged > 0 { 2 } else { 0 }, "{mode} {}", dir.display());
         }
-        assert_eq!(checked, 10, "every fixture image was compared");
-
-        let shown = refused.display().to_string();
-        let (_, scan_out, stderr) = run(bin()
-            .arg("scan")
-            .arg(&refused_dir)
-            .args(["--target", "16x16", "--degrade", mode])
-            .args(["--thresholds", thresholds.to_str().unwrap()]));
-        let scan_line = scan_out
-            .lines()
-            .find(|line| line.contains(&format!(" {shown}")))
-            .unwrap_or_else(|| panic!("no scan line for {shown}: {scan_out} {stderr}"));
-        let (code, check_out, check_err) = run(bin()
-            .arg("check")
-            .arg(&refused)
-            .args(["--target", "16x16", "--degrade", mode])
-            .args(["--thresholds", thresholds.to_str().unwrap()]));
-        let outcome = service.check_bytes(&std::fs::read(&refused).unwrap(), &CancelToken::new());
-        assert!(
-            matches!(outcome, CheckOutcome::Quarantined { fault: "below-minimum-size", .. }),
-            "{mode}: the service did not refuse the undersized image: {outcome:?}"
-        );
-        let quarantined = format!("quarantined {shown}: ");
-        let attack_line = format!("{shown}: ATTACK (majority vote)");
-        match policy {
-            DegradePolicy::Strict => {
-                let reason = scan_line
-                    .strip_prefix(&quarantined)
-                    .unwrap_or_else(|| panic!("{mode}: scan did not quarantine: {scan_line}"));
-                assert_eq!(code, 1, "{mode}: check must refuse: {check_out}");
-                assert!(check_err.contains(reason), "{mode}: {check_err} lacks {reason:?}");
-            }
-            DegradePolicy::MajorityOfAvailable => {
-                assert!(scan_line.starts_with(&quarantined), "{mode}: {scan_line}");
-                assert_eq!(code, 2, "{mode}: no member voted, so check fails closed");
-                assert_eq!(check_out.lines().last(), Some(attack_line.as_str()), "{mode}");
-            }
-            _ => {
-                assert_eq!(scan_line, format!("ATTACK      {shown}"), "{mode}");
-                assert_eq!(code, 2, "{mode}: {check_err}");
-                assert_eq!(check_out.lines().last(), Some(attack_line.as_str()), "{mode}");
-            }
-        }
+        assert_eq!(checked, 13, "{mode}: every fixture image was compared");
     }
     std::fs::remove_dir_all(&root).ok();
 }

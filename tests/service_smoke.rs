@@ -126,8 +126,17 @@ fn serve_binary_survives_mixed_traffic_and_drains_on_sigterm() {
         assert!(allowed.contains(&status), "{kind} got {status}: {response}");
     }
 
+    // The server runs `--degrade majority`: an image validation refuses
+    // (1x1 is below every analysis window) is flagged, with no member
+    // able to vote — the verdict `check` and `scan` give it.
+    let tiny = encode_pgm(&Image::from_fn_gray(1, 1, |_, _| 1.0));
+    let refused = post_check(addr, &tiny);
+    assert_eq!(status_of(&refused), "200", "{refused}");
+    assert!(refused.contains("\"verdict\":\"attack\",\"degraded\":true"), "{refused}");
+
     // The ledger: every finished request shows up in /metrics under its
-    // route and status, and the fault classes are accounted.
+    // route and status, the fault classes are accounted, and so is every
+    // verdict.
     let metrics = get(addr, "/metrics");
     assert_eq!(status_of(&metrics), "200", "{metrics}");
     assert!(
@@ -143,6 +152,7 @@ fn serve_binary_survives_mixed_traffic_and_drains_on_sigterm() {
         "{metrics}"
     );
     assert!(metrics.contains("decam_http_in_flight"), "{metrics}");
+    assert!(metrics.contains("decam_ensemble_decisions_total{verdict=\"attack\"}"), "{metrics}");
     assert!(metrics.contains("decam_http_request_seconds"), "{metrics}");
 
     // SIGTERM → graceful drain → exit 0 within the drain deadline.
