@@ -1,11 +1,13 @@
 //! Corpus construction and one-pass multi-detector scoring.
 
 use decamouflage_core::parallel::{default_threads, parallel_map_indices};
-use decamouflage_core::{DetectError, DetectionEngine, MethodId, ScoreError, ScoreVector};
+use decamouflage_core::{
+    DetectError, DetectionEngine, FilteringDetector, MethodId, MetricKind, ScoreError, ScoreVector,
+};
 use decamouflage_datasets::{DatasetProfile, SampleGenerator};
-use decamouflage_imaging::scale::ScaleAlgorithm;
+use decamouflage_imaging::scale::{round_trip, ScaleAlgorithm};
 use decamouflage_imaging::Image;
-use decamouflage_metrics::{histogram_intersection, psnr, SampleSummary};
+use decamouflage_metrics::{histogram_intersection, psnr, MetricError, SampleSummary};
 
 /// Attack images drawn from a round-robin mix of vulnerable scaling
 /// algorithms — the realistic "attacks in the wild" mix the defender faces.
@@ -108,11 +110,12 @@ impl DetectorSet {
         &self.engine
     }
 
-    /// Scores one image with all scorers in `IDX_*` order, in one engine
-    /// pass: every registry method comes from
-    /// [`DetectionEngine::score_with_artifacts`] (bit-identical to
-    /// [`DetectionEngine::reference_score`]), and the PSNR / colour-histogram negative
-    /// results reuse the engine's round-tripped and filtered intermediates.
+    /// Scores one image with all scorers in `IDX_*` order. Every registry
+    /// method comes from one [`DetectionEngine::score_resilient`] pass
+    /// (bit-identical to [`DetectionEngine::reference_score`]); the PSNR /
+    /// colour-histogram negative results compare the image with the
+    /// engine's round trip (the same cached plans, through [`round_trip`])
+    /// and the paper's minimum filter ([`FilteringDetector::filtered`]).
     ///
     /// # Panics
     ///
@@ -131,21 +134,19 @@ impl DetectorSet {
     /// Returns the quarantine [`ScoreError`] for invalid inputs and any
     /// scoring failure (index `0`; batch callers re-address it).
     pub fn try_score_all(&self, image: &Image) -> Result<[f64; SCORER_COUNT], ScoreError> {
-        self.engine.validate_image(image)?;
-        let artifacts =
-            self.engine.score_with_artifacts(image).map_err(|err| ScoreError::detect(0, err))?;
-        let round = &artifacts.round_tripped;
-        let filtered = &artifacts.filtered;
+        let scores = self.engine.score_resilient(image)?;
+        let detect = |err: DetectError| ScoreError::detect(0, err);
+        let (_, round) = round_trip(image, self.engine.target(), self.engine.algorithm())
+            .map_err(|err| detect(err.into()))?;
+        let filtered = FilteringDetector::new(MetricKind::Mse).filtered(image).map_err(detect)?;
         let mut row = [f64::NAN; SCORER_COUNT];
-        for (id, score) in artifacts.scores.iter() {
+        for (id, score) in scores.iter() {
             row[id as usize] = score;
         }
-        let metric = |err: decamouflage_metrics::MetricError| {
-            ScoreError::detect(0, decamouflage_core::DetectError::from(err))
-        };
-        row[IDX_SCALING_PSNR] = psnr(image, round).map_err(metric)?;
-        row[IDX_FILTERING_PSNR] = psnr(image, filtered).map_err(metric)?;
-        row[IDX_COLORHIST] = histogram_intersection(image, round, 64).map_err(metric)?;
+        let metric = |err: MetricError| detect(err.into());
+        row[IDX_SCALING_PSNR] = psnr(image, &round).map_err(metric)?;
+        row[IDX_FILTERING_PSNR] = psnr(image, &filtered).map_err(metric)?;
+        row[IDX_COLORHIST] = histogram_intersection(image, &round, 64).map_err(metric)?;
         Ok(row)
     }
 }

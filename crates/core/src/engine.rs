@@ -5,19 +5,24 @@
 //! plans and run two round trips, each SSIM evaluation blurs the *input*
 //! image again, and both frequency-domain methods transform the image
 //! separately. [`DetectionEngine`] scores an image with every enabled
-//! method in one pass and shares the intermediates instead:
+//! method in one pass of two independent branches, sharing the
+//! intermediates within each:
 //!
-//! * one round trip through cached resampling plans
-//!   ([`ScalerCache`]) serves both scaling metrics,
-//! * one rank-filter pass serves both filtering metrics,
-//! * one [`SsimReference`] (precomputed `blur(I)`, `blur(I²)`) serves the
-//!   scaling *and* filtering SSIM scores, with the blurs on the fast
-//!   scratch-buffer convolution path,
-//! * one planned DFT serves the CSP count (via the fused
-//!   [`count_csp_in_spectrum_with_mags`] pipeline) **and** the radial
-//!   peak-excess score, which also share one `log(1 + |F|)` buffer — with
-//!   the engine's default rectangular peak window the windowing step is
+//! * **spatial** — one round trip through cached resampling plans
+//!   ([`round_trip`]) serves both scaling metrics, one rank-filter pass
+//!   serves both filtering metrics, and one [`SsimReference`]
+//!   (precomputed `blur(I)`, `blur(I²)`) serves the scaling *and*
+//!   filtering SSIM scores, with the blurs on the fast scratch-buffer
+//!   convolution path;
+//! * **spectral** — one gray view and one planned DFT serve the CSP count
+//!   (via the fused [`count_csp_in_spectrum_with_mags`] pipeline) **and**
+//!   the radial peak-excess score, which also share one `log(1 + |F|)`
+//!   buffer. Peak excess reads the spectrum under a rectangular window,
 //!   the identity, so no second transform runs.
+//!
+//! Each stage runs only when an enabled method reads it: an engine
+//! restricted to CSP never round-trips or filters, and one restricted to
+//! the scaling metrics never transforms.
 //!
 //! The methods themselves live in the typed registry
 //! ([`MethodId`]): scores come back as a dense
@@ -42,15 +47,15 @@ use crate::steganalysis::SteganalysisDetector;
 use crate::stream::{self, ImageSource, SharedPool, SourceItem, StreamConfig, StreamSummary};
 use crate::DetectError;
 use decamouflage_imaging::filter::{rank_filter, RankKind};
-use decamouflage_imaging::scale::{ScaleAlgorithm, ScalerCache};
+use decamouflage_imaging::scale::{round_trip, ScaleAlgorithm};
 use decamouflage_imaging::{Image, Size};
 use decamouflage_metrics::{mse, SsimConfig, SsimReference};
 use decamouflage_spectral::csp::{count_csp_in_spectrum_with_mags, CspConfig};
 use decamouflage_spectral::dft2d::dft2_planned;
 use decamouflage_spectral::radial::peak_excess;
-use decamouflage_spectral::window::{apply_window, WindowKind};
+use decamouflage_spectral::window::WindowKind;
 use decamouflage_telemetry::{Counter, HistogramHandle, Telemetry};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -114,24 +119,6 @@ impl EngineMetrics {
     }
 }
 
-/// Scores plus the shared intermediate images, for callers that feed
-/// additional scorers (PSNR, colour histograms, …) from the same round
-/// trip.
-#[derive(Debug, Clone)]
-pub struct EngineArtifacts {
-    /// The image downscaled to the CNN input size.
-    pub downscaled: Image,
-    /// The round-tripped image `upscale(downscale(I))`.
-    pub round_tripped: Image,
-    /// The rank-filtered image.
-    pub filtered: Image,
-    /// The centred log-magnitude spectrum the peak-excess score was read
-    /// from. `Some` iff [`MethodId::PeakExcess`] is enabled.
-    pub centered_spectrum: Option<Image>,
-    /// The engine scores (`NaN` for disabled methods).
-    pub scores: ScoreVector,
-}
-
 /// Scores one image with every enabled detection method while sharing
 /// intermediates (see the module docs).
 ///
@@ -158,7 +145,6 @@ pub struct DetectionEngine {
     filter_window: usize,
     filter_rank: RankKind,
     csp_config: CspConfig,
-    peak_window: WindowKind,
     methods: MethodSet,
     faults: Option<Arc<FaultPlan>>,
     metrics: EngineMetrics,
@@ -168,8 +154,7 @@ impl DetectionEngine {
     /// Creates an engine with the reproduction's standard configuration for
     /// a CNN input size: a bilinear defender round trip, the default SSIM
     /// window, the paper's 2×2 minimum filter, the target-tuned CSP
-    /// configuration of [`SteganalysisDetector::for_target`], a rectangular
-    /// peak-excess window (so the CSP spectrum is reused as-is) and every
+    /// configuration of [`SteganalysisDetector::for_target`] and every
     /// registered method enabled.
     pub fn new(target: Size) -> Self {
         Self {
@@ -179,7 +164,6 @@ impl DetectionEngine {
             filter_window: 2,
             filter_rank: RankKind::Minimum,
             csp_config: SteganalysisDetector::for_target(target).config().clone(),
-            peak_window: WindowKind::Rectangular,
             methods: MethodSet::all(),
             faults: None,
             metrics: EngineMetrics::new(decamouflage_telemetry::global()),
@@ -212,16 +196,6 @@ impl DetectionEngine {
     #[must_use]
     pub fn with_csp_config(mut self, config: CspConfig) -> Self {
         self.csp_config = config;
-        self
-    }
-
-    /// Overrides the peak-excess window function. Anything other than
-    /// [`WindowKind::Rectangular`] costs a second DFT per image, because
-    /// the CSP spectrum (computed on the unwindowed image) can no longer
-    /// be shared.
-    #[must_use]
-    pub fn with_peak_window(mut self, window: WindowKind) -> Self {
-        self.peak_window = window;
         self
     }
 
@@ -276,11 +250,6 @@ impl DetectionEngine {
         self.algorithm
     }
 
-    /// The peak-excess window function.
-    pub const fn peak_window(&self) -> WindowKind {
-        self.peak_window
-    }
-
     /// The enabled methods.
     pub const fn methods(&self) -> MethodSet {
         self.methods
@@ -316,139 +285,125 @@ impl DetectionEngine {
                 SteganalysisDetector::with_config(self.csp_config.clone()).score(image)
             }
             MethodId::PeakExcess => PeakExcessDetector::for_target(self.target)
-                .with_window(self.peak_window)
+                .with_window(WindowKind::Rectangular)
                 .score(image),
             #[cfg(test)]
             MethodId::DummyMean => Ok(dummy_mean(image)),
         }
     }
 
-    /// Scores `image` with every enabled method, returning the shared
-    /// intermediates alongside the scores. The spatial intermediates
-    /// (round trip, filtered image) are always produced — they are the
-    /// artifact contract downstream scorers rely on.
+    /// Scores `image` with every enabled method in one pass: the spatial
+    /// branch, then the spectral branch, each running only the stages an
+    /// enabled method reads (see the module docs). Disabled methods score
+    /// `NaN`.
     ///
     /// # Errors
     ///
     /// Propagates imaging and metric failures ([`DetectError::Imaging`] /
     /// [`DetectError::Metric`]).
-    pub fn score_with_artifacts(&self, image: &Image) -> Result<EngineArtifacts, DetectError> {
+    pub fn score(&self, image: &Image) -> Result<ScoreVector, DetectError> {
         let _total = self.metrics.score_seconds.span();
-        let cache = ScalerCache::global();
-        let src = image.size();
-        // One round trip through cached plans; `downscaled` is computed
-        // once and reused for the upscale leg.
-        let (downscaled, round_tripped) = {
-            let _stage = self.metrics.scale_round_trip.span();
-            let downscaled = cache.get(src, self.target, self.algorithm)?.apply(image)?;
-            let round_tripped = cache.get(self.target, src, self.algorithm)?.apply(&downscaled)?;
-            (downscaled, round_tripped)
-        };
-        let filtered = {
-            let _stage = self.metrics.rank_filter.span();
-            rank_filter(image, self.filter_window, self.filter_rank)?
-        };
-
         let mut scores = ScoreVector::splat(f64::NAN);
+        self.score_spatial(image, &mut scores)?;
+        self.score_spectral(image, &mut scores);
+        #[cfg(test)]
+        if self.methods.contains(MethodId::DummyMean) {
+            scores.set(MethodId::DummyMean, dummy_mean(image));
+        }
+        self.metrics.scored_total.inc();
+        Ok(scores)
+    }
 
-        if self.methods.contains(MethodId::ScalingMse) {
-            let _method = self.metrics.method(MethodId::ScalingMse).span();
-            scores.set(MethodId::ScalingMse, mse(image, &round_tripped)?);
+    /// The spatial branch: one round trip serves both scaling metrics, one
+    /// rank-filter pass both filtering metrics, and one [`SsimReference`]
+    /// both SSIM scores. Each stage runs only for the enabled methods that
+    /// read it.
+    fn score_spatial(&self, image: &Image, scores: &mut ScoreVector) -> Result<(), DetectError> {
+        let round_tripped = if self.any_enabled([MethodId::ScalingMse, MethodId::ScalingSsim]) {
+            let _stage = self.metrics.scale_round_trip.span();
+            Some(round_trip(image, self.target, self.algorithm)?.1)
+        } else {
+            None
+        };
+        let filtered = if self.any_enabled([MethodId::FilteringMse, MethodId::FilteringSsim]) {
+            let _stage = self.metrics.rank_filter.span();
+            Some(rank_filter(image, self.filter_window, self.filter_rank)?)
+        } else {
+            None
+        };
+        // Each method with the stage output it compares the input against;
+        // an enabled method's stage always ran.
+        let mse_methods =
+            [(MethodId::ScalingMse, &round_tripped), (MethodId::FilteringMse, &filtered)];
+        for (id, other) in mse_methods {
+            if let Some(other) = other.as_ref().filter(|_| self.methods.contains(id)) {
+                let _method = self.metrics.method(id).span();
+                scores.set(id, mse(image, other)?);
+            }
         }
-        if self.methods.contains(MethodId::FilteringMse) {
-            let _method = self.metrics.method(MethodId::FilteringMse).span();
-            scores.set(MethodId::FilteringMse, mse(image, &filtered)?);
-        }
-        if self.methods.contains(MethodId::ScalingSsim)
-            || self.methods.contains(MethodId::FilteringSsim)
-        {
+        let ssim_methods =
+            [(MethodId::ScalingSsim, &round_tripped), (MethodId::FilteringSsim, &filtered)];
+        if self.any_enabled(ssim_methods.map(|(id, _)| id)) {
             // One reference-side SSIM precomputation serves both comparisons.
             let reference = {
                 let _stage = self.metrics.ssim_reference.span();
                 SsimReference::new(image, &self.ssim_config)?
             };
-            if self.methods.contains(MethodId::ScalingSsim) {
-                let _method = self.metrics.method(MethodId::ScalingSsim).span();
-                scores.set(MethodId::ScalingSsim, reference.score_against(&round_tripped)?);
-            }
-            if self.methods.contains(MethodId::FilteringSsim) {
-                let _method = self.metrics.method(MethodId::FilteringSsim).span();
-                scores.set(MethodId::FilteringSsim, reference.score_against(&filtered)?);
+            for (id, other) in ssim_methods {
+                if let Some(other) = other.as_ref().filter(|_| self.methods.contains(id)) {
+                    let _method = self.metrics.method(id).span();
+                    scores.set(id, reference.score_against(other)?);
+                }
             }
         }
-
-        let mut centered_spectrum = None;
-        if self.methods.contains(MethodId::Csp) || self.methods.contains(MethodId::PeakExcess) {
-            // One shared gray view serves both frequency-domain methods:
-            // Gray inputs are borrowed as-is (zero copies, nothing timed),
-            // RGB inputs pay for exactly one fused luma pass — never one
-            // per method.
-            let gray: std::borrow::Cow<'_, Image> = if image.channel_count() == 1 {
-                std::borrow::Cow::Borrowed(image)
-            } else {
-                let _stage = self.metrics.luma.span();
-                std::borrow::Cow::Owned(
-                    Image::from_gray_plane(
-                        image.width(),
-                        image.height(),
-                        image.luma().into_owned(),
-                    )
-                    .expect("luma plane is sized width*height"),
-                )
-            };
-            // One planned DFT serves both frequency-domain methods, and —
-            // since both start from `log(1 + |F|)` of the same grid — one
-            // log-magnitude buffer serves their fused passes (the logs are
-            // the expensive half of each).
-            let (spectrum, mags) = {
-                let _stage = self.metrics.dft.span();
-                let spectrum = dft2_planned(&gray);
-                let mags = spectrum.log_magnitudes();
-                (spectrum, mags)
-            };
-            if self.methods.contains(MethodId::Csp) {
-                let _method = self.metrics.method(MethodId::Csp).span();
-                scores.set(
-                    MethodId::Csp,
-                    count_csp_in_spectrum_with_mags(&spectrum, &mags, &self.csp_config).count
-                        as f64,
-                );
-            }
-            if self.methods.contains(MethodId::PeakExcess) {
-                let _method = self.metrics.method(MethodId::PeakExcess).span();
-                let peak =
-                    PeakExcessDetector::for_target(self.target).with_window(self.peak_window);
-                let centred = if self.peak_window == WindowKind::Rectangular {
-                    // A rectangular window is the identity, so the CSP
-                    // plan's DFT *is* the windowed spectrum — shift and
-                    // log-normalise its shared magnitudes instead of
-                    // transforming again.
-                    spectrum.centered_log_magnitude_from(&mags)
-                } else {
-                    dft2_planned(&apply_window(&gray, self.peak_window)).centered_log_magnitude()
-                };
-                let (min_r, max_r) = peak.radii_for(image);
-                scores.set(MethodId::PeakExcess, peak_excess(&centred, min_r.max(1), max_r.max(2)));
-                centered_spectrum = Some(centred);
-            }
-        }
-
-        #[cfg(test)]
-        if self.methods.contains(MethodId::DummyMean) {
-            scores.set(MethodId::DummyMean, dummy_mean(image));
-        }
-
-        self.metrics.scored_total.inc();
-        Ok(EngineArtifacts { downscaled, round_tripped, filtered, centered_spectrum, scores })
+        Ok(())
     }
 
-    /// Scores `image` with every enabled method.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DetectionEngine::score_with_artifacts`].
-    pub fn score(&self, image: &Image) -> Result<ScoreVector, DetectError> {
-        Ok(self.score_with_artifacts(image)?.scores)
+    /// The spectral branch: one gray view and one planned DFT serve both
+    /// frequency-domain methods, which also share one `log(1 + |F|)`
+    /// buffer (the logs are the expensive half of each fused pass). Runs
+    /// only when CSP or peak excess is enabled.
+    fn score_spectral(&self, image: &Image, scores: &mut ScoreVector) {
+        if !self.any_enabled([MethodId::Csp, MethodId::PeakExcess]) {
+            return;
+        }
+        // Gray inputs are borrowed as-is (zero copies, nothing timed); RGB
+        // inputs pay for exactly one fused luma pass — never one per method.
+        let gray = if image.channel_count() == 1 {
+            Cow::Borrowed(image)
+        } else {
+            let _stage = self.metrics.luma.span();
+            Cow::Owned(
+                Image::from_gray_plane(image.width(), image.height(), image.luma().into_owned())
+                    .expect("luma plane is sized width*height"),
+            )
+        };
+        let (spectrum, mags) = {
+            let _stage = self.metrics.dft.span();
+            let spectrum = dft2_planned(&gray);
+            let mags = spectrum.log_magnitudes();
+            (spectrum, mags)
+        };
+        if self.methods.contains(MethodId::Csp) {
+            let _method = self.metrics.method(MethodId::Csp).span();
+            let count = count_csp_in_spectrum_with_mags(&spectrum, &mags, &self.csp_config).count;
+            scores.set(MethodId::Csp, count as f64);
+        }
+        if self.methods.contains(MethodId::PeakExcess) {
+            let _method = self.metrics.method(MethodId::PeakExcess).span();
+            // Peak excess reads the spectrum under a rectangular window,
+            // the identity, so the CSP plan's DFT *is* its spectrum: shift
+            // and log-normalise the shared magnitudes instead of
+            // transforming again.
+            let centred = spectrum.centered_log_magnitude_from(&mags);
+            let (min_r, max_r) = PeakExcessDetector::for_target(self.target).radii_for(image);
+            scores.set(MethodId::PeakExcess, peak_excess(&centred, min_r.max(1), max_r.max(2)));
+        }
+    }
+
+    /// Whether any of `ids` is enabled: the gate of a stage they share.
+    fn any_enabled(&self, ids: [MethodId; 2]) -> bool {
+        ids.into_iter().any(|id| self.methods.contains(id))
     }
 
     /// Input quarantine: rejects images that cannot be scored meaningfully
@@ -694,7 +649,6 @@ mod tests {
     use crate::threshold::{Direction, Threshold};
     use decamouflage_attack::{craft_attack, AttackConfig};
     use decamouflage_imaging::scale::Scaler;
-    use decamouflage_spectral::dft2d::centered_spectrum;
 
     fn smooth(n: usize) -> Image {
         Image::from_fn_gray(n, n, |x, y| {
@@ -733,37 +687,25 @@ mod tests {
         }
     }
 
+    /// The one cached round trip, which the engine's scaling stage and the
+    /// bench harness's PSNR and colour-histogram scorers read, equals the
+    /// uncached reference bit for bit.
     #[test]
-    fn engine_peak_excess_matches_standalone_for_every_window() {
-        for window in
-            [WindowKind::Rectangular, WindowKind::Hann, WindowKind::Hamming, WindowKind::Blackman]
-        {
-            let engine = DetectionEngine::new(Size::square(16)).with_peak_window(window);
-            for image in [smooth(64), attack_image(64, 16), smooth_rgb(48)] {
-                assert_eq!(
-                    engine.score(&image).unwrap().peak_excess(),
-                    engine.reference_score(MethodId::PeakExcess, &image).unwrap(),
-                    "window {window:?}"
-                );
-            }
+    fn cached_round_trip_is_bit_identical_to_the_reference() {
+        let target = Size::square(16);
+        let scaling = ScalingDetector::new(target, ScaleAlgorithm::Bilinear, MetricKind::Mse);
+        let non_square = Image::from_fn_gray(56, 40, |x, y| ((x * 7 + y * 13) % 251) as f64);
+        for image in [smooth(48), smooth_rgb(48), non_square] {
+            let (downscaled, cached) =
+                round_trip(&image, target, ScaleAlgorithm::Bilinear).unwrap();
+            let reference = scaling.round_tripped(&image).unwrap();
+            assert_eq!(downscaled.size(), target);
+            assert_eq!((cached.size(), cached.channels()), (image.size(), image.channels()));
+            let bits = |image: &Image| {
+                image.planes().iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&cached), bits(&reference), "{}x{}", image.width(), image.height());
         }
-    }
-
-    #[test]
-    fn artifacts_match_detector_intermediates() {
-        let engine = DetectionEngine::new(Size::square(16));
-        let image = smooth(48);
-        let artifacts = engine.score_with_artifacts(&image).unwrap();
-        let scaling =
-            ScalingDetector::new(Size::square(16), ScaleAlgorithm::Bilinear, MetricKind::Mse);
-        assert_eq!(artifacts.round_tripped, scaling.round_tripped(&image).unwrap());
-        let filtering = FilteringDetector::new(MetricKind::Mse);
-        assert_eq!(artifacts.filtered, filtering.filtered(&image).unwrap());
-        assert_eq!(artifacts.downscaled.size(), Size::square(16));
-        // The rectangular peak window shares the CSP spectrum, and the
-        // shared spectrum equals the staged centered_spectrum bit-for-bit.
-        let centred = artifacts.centered_spectrum.expect("peak excess enabled by default");
-        assert_eq!(centred, centered_spectrum(&image));
     }
 
     #[test]
@@ -791,11 +733,6 @@ mod tests {
                 assert!(scores.get(id).is_nan(), "{id} should be disabled");
             }
         }
-        // Without peak excess the artifacts carry no spectrum.
-        let engine = DetectionEngine::new(Size::square(16))
-            .with_methods(MethodSet::all().without(MethodId::PeakExcess));
-        let artifacts = engine.score_with_artifacts(&image).unwrap();
-        assert!(artifacts.centered_spectrum.is_none());
     }
 
     #[test]
@@ -919,11 +856,9 @@ mod tests {
             .with_algorithm(ScaleAlgorithm::Nearest)
             .with_ssim_config(ssim)
             .with_filter(3, RankKind::Median)
-            .with_csp_config(csp)
-            .with_peak_window(WindowKind::Hann);
+            .with_csp_config(csp);
         assert_eq!(engine.algorithm(), ScaleAlgorithm::Nearest);
         assert_eq!(engine.target(), Size::square(8));
-        assert_eq!(engine.peak_window(), WindowKind::Hann);
         assert_eq!(engine.methods(), MethodSet::all());
         // Scores still agree with the references under the customised
         // configuration, so every builder reached both paths.

@@ -82,7 +82,7 @@ pub mod stream;
 pub mod threshold;
 
 pub use config::ModelInputSize;
-pub use engine::{DetectionEngine, EngineArtifacts};
+pub use engine::DetectionEngine;
 pub use ensemble::{DegradePolicy, Ensemble};
 pub use error::{DetectError, ScoreError, ScoreFault};
 pub use eval::{evaluate_decisions, evaluate_threshold, ConfusionCounts, EvalMetrics};

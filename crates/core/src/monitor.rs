@@ -417,10 +417,11 @@ mod tests {
         assert_eq!(stats.flagged, 1);
         assert_eq!(stats.window_len, 2, "only accepted images reach the window");
 
-        // A failed engine pass quarantines the same way.
-        let broken = dummy_engine().with_filter(0, RankKind::Minimum);
+        // A failed engine pass quarantines the same way: a zero-sized
+        // rank filter fails the stage the monitored method reads.
+        let broken = DetectionEngine::new(Size::square(2)).with_filter(0, RankKind::Minimum);
         let t = Threshold::new(100.0, Direction::AboveIsAttack);
-        let mut m = DetectionMonitor::new(&broken, MethodId::DummyMean, t, 50.0, 5.0, 4, 3.0)
+        let mut m = DetectionMonitor::new(&broken, MethodId::FilteringMse, t, 50.0, 5.0, 4, 3.0)
             .expect("monitor");
         assert!(m.screen(&flat(48.0)).is_err());
         assert_eq!(m.stats().quarantined, 1);

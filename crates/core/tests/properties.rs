@@ -8,20 +8,10 @@ use decamouflage_core::{
     evaluate_decisions, ConfusionCounts, DetectionEngine, Direction, MethodId, Threshold,
 };
 use decamouflage_imaging::{Image, Size};
-use decamouflage_spectral::window::WindowKind;
 use proptest::prelude::*;
 
 fn arb_direction() -> impl Strategy<Value = Direction> {
     prop_oneof![Just(Direction::AboveIsAttack), Just(Direction::BelowIsAttack)]
-}
-
-fn arb_window() -> impl Strategy<Value = WindowKind> {
-    prop_oneof![
-        Just(WindowKind::Rectangular),
-        Just(WindowKind::Hann),
-        Just(WindowKind::Hamming),
-        Just(WindowKind::Blackman),
-    ]
 }
 
 proptest! {
@@ -135,18 +125,15 @@ proptest! {
     }
 
     #[test]
-    fn engine_peak_excess_is_bit_identical_to_standalone(
-        seed in 0u64..1000,
-        window in arb_window(),
-    ) {
+    fn engine_peak_excess_is_bit_identical_to_standalone(seed in 0u64..1000) {
         // The engine derives the peak-excess score from the spectrum it
-        // plans for CSP; for every window kind it must equal the
-        // standalone detector EXACTLY (no tolerance).
+        // plans for CSP; it must equal the standalone detector EXACTLY
+        // (no tolerance).
         let image = Image::from_fn_gray(40, 40, |x, y| {
             let p = (x as f64 * 0.19 + y as f64 * 0.11 + seed as f64 * 0.37).sin();
             (127.0 + 120.0 * p).round()
         });
-        let engine = DetectionEngine::new(Size::square(10)).with_peak_window(window);
+        let engine = DetectionEngine::new(Size::square(10));
         let engine_score = engine.score(&image).unwrap().get(MethodId::PeakExcess);
         prop_assert_eq!(engine_score, engine.reference_score(MethodId::PeakExcess, &image).unwrap());
     }

@@ -101,6 +101,54 @@ fn engine_records_stage_and_method_latencies() {
     );
 }
 
+/// The engine stages a method reads. `luma` runs only for RGB inputs.
+fn stages_read_by(id: MethodId) -> &'static [&'static str] {
+    match id {
+        MethodId::ScalingMse => &["validate", "scale_round_trip"],
+        MethodId::ScalingSsim => &["validate", "scale_round_trip", "ssim_reference"],
+        MethodId::FilteringMse => &["validate", "rank_filter"],
+        MethodId::FilteringSsim => &["validate", "rank_filter", "ssim_reference"],
+        MethodId::Csp | MethodId::PeakExcess => &["validate", "luma", "dft"],
+    }
+}
+
+/// An engine restricted to one method runs only the stages that method
+/// reads: each stage series records one sample per scored image when the
+/// method reads the stage (per RGB image for `luma`) and none otherwise.
+#[test]
+fn stages_run_only_for_the_methods_that_read_them() {
+    let rgb_image = |index: u64| {
+        Image::from_fn_rgb(32, 32, move |x, y| {
+            let v = 120.0 + 60.0 * ((x as f64 + index as f64) * 0.07).sin();
+            [v.round(), (v * 0.8 + y as f64).round(), 255.0 - v.round()]
+        })
+    };
+    let images: Vec<Image> =
+        (0..COUNT as u64).map(benign_image).chain((0..COUNT as u64).map(rgb_image)).collect();
+    for &id in MethodId::ALL {
+        let telemetry = Telemetry::enabled();
+        let engine = engine().with_methods(MethodSet::of(&[id])).with_telemetry(telemetry.clone());
+        for image in &images {
+            engine.score_resilient(image).expect("scores");
+        }
+        for stage in
+            ["validate", "luma", "scale_round_trip", "rank_filter", "ssim_reference", "dft"]
+        {
+            let expected = match (stages_read_by(id).contains(&stage), stage) {
+                (false, _) => 0,
+                (true, "luma") => COUNT,
+                (true, _) => images.len(),
+            };
+            let samples = telemetry
+                .histogram("decam_engine_stage_seconds", &[("stage", stage)])
+                .snapshot()
+                .expect("enabled")
+                .count();
+            assert_eq!(samples, expected as u64, "{id} engine, stage {stage}");
+        }
+    }
+}
+
 /// Quarantines are counted under their structured fault-kind label, one
 /// increment per quarantined slot, across both resilient entry points.
 #[test]

@@ -44,8 +44,6 @@ mod error;
 mod geometry;
 mod image;
 
-pub mod transform;
-
 pub mod codec;
 pub mod draw;
 pub mod filter;

@@ -273,6 +273,10 @@ pub fn resize_antialiased(
 /// original size — the round trip at the heart of the paper's *scaling
 /// detection* method. Returns `(downscaled, roundtripped)`.
 ///
+/// Both legs run on plans from [`ScalerCache::global`], so scoring many
+/// same-sized images builds each plan once; a cached plan applies
+/// bit-identically to a freshly built [`Scaler`].
+///
 /// # Errors
 ///
 /// Propagates any scaler construction error.
@@ -281,8 +285,9 @@ pub fn round_trip(
     target: Size,
     algorithm: ScaleAlgorithm,
 ) -> Result<(Image, Image), ImagingError> {
-    let down = Scaler::new(img.size(), target, algorithm)?.apply(img)?;
-    let up = Scaler::new(target, img.size(), algorithm)?.apply(&down)?;
+    let cache = ScalerCache::global();
+    let down = cache.get(img.size(), target, algorithm)?.apply(img)?;
+    let up = cache.get(target, img.size(), algorithm)?.apply(&down)?;
     Ok((down, up))
 }
 

@@ -6,9 +6,6 @@ use decamouflage_imaging::filter::{
 };
 use decamouflage_imaging::filter::{maximum_filter, minimum_filter, rank_filter, RankKind};
 use decamouflage_imaging::scale::{CoeffMatrix, ScaleAlgorithm, Scaler, ScalerCache};
-use decamouflage_imaging::transform::{
-    flip_horizontal, flip_vertical, rotate180, rotate90_ccw, rotate90_cw, transpose,
-};
 use decamouflage_imaging::{Channels, Image, Size};
 use proptest::prelude::*;
 
@@ -63,18 +60,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn transform_group_relations(img in arb_image()) {
-        prop_assert_eq!(rotate180(&img), flip_horizontal(&flip_vertical(&img)));
-        prop_assert_eq!(rotate90_ccw(&rotate90_cw(&img)), img.clone());
-        prop_assert_eq!(transpose(&transpose(&img)), img.clone());
-        // Transpose swaps the two flips.
-        prop_assert_eq!(
-            transpose(&flip_horizontal(&img)),
-            flip_vertical(&transpose(&img))
-        );
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use decamouflage::datasets::{DatasetProfile, SampleGenerator};
 use decamouflage::imaging::scale::ScaleAlgorithm;
-use decamouflage::imaging::transform::{flip_horizontal, flip_vertical, rotate180, rotate90_cw};
 use decamouflage::imaging::Image;
 use decamouflage::spectral::csp::{count_csp, CspConfig};
 use decamouflage::spectral::dft2d::{centered_spectrum, dft2_planned, idft2};
@@ -17,6 +16,47 @@ fn benign() -> Image {
 
 fn attack() -> Image {
     SampleGenerator::new(DatasetProfile::tiny(), ScaleAlgorithm::Bilinear).attack_image(3).unwrap()
+}
+
+/// The `width × height` image whose pixel `(x, y)` is `img`'s pixel
+/// `source(x, y)`, all channels moved together.
+fn remap(
+    img: &Image,
+    width: usize,
+    height: usize,
+    source: impl Fn(usize, usize) -> (usize, usize),
+) -> Image {
+    let mut out = Image::zeros(width, height, img.channels());
+    for y in 0..height {
+        for x in 0..width {
+            let (sx, sy) = source(x, y);
+            for ch in 0..img.channel_count() {
+                out.set(x, y, ch, img.get(sx, sy, ch));
+            }
+        }
+    }
+    out
+}
+
+fn flip_horizontal(img: &Image) -> Image {
+    let (w, h) = (img.width(), img.height());
+    remap(img, w, h, |x, y| (w - 1 - x, y))
+}
+
+fn flip_vertical(img: &Image) -> Image {
+    let (w, h) = (img.width(), img.height());
+    remap(img, w, h, |x, y| (x, h - 1 - y))
+}
+
+fn rotate180(img: &Image) -> Image {
+    let (w, h) = (img.width(), img.height());
+    remap(img, w, h, |x, y| (w - 1 - x, h - 1 - y))
+}
+
+/// Rotates 90 degrees clockwise: the output is `h` wide and `w` tall.
+fn rotate90_cw(img: &Image) -> Image {
+    let (w, h) = (img.width(), img.height());
+    remap(img, h, w, |x, y| (y, h - 1 - x))
 }
 
 #[test]
@@ -103,7 +143,6 @@ fn peak_excess_agrees_with_csp_on_the_tiny_corpus() {
     let profile = DatasetProfile::tiny();
     let g = SampleGenerator::new(profile.clone(), ScaleAlgorithm::Bilinear);
     let engine = DetectionEngine::new(profile.target_size)
-        .with_peak_window(WindowKind::Hann)
         .with_methods(MethodSet::of(&[MethodId::PeakExcess]));
     let score = |image| engine.score(&image).unwrap().peak_excess();
     let mut separations = 0;
