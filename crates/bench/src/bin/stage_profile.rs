@@ -29,20 +29,26 @@
 //!    engine pass;
 //! 7. `dft(448²) / dft(512²)` stays under [`DFT_RATIO_LIMIT`];
 //! 8. PNG and JPEG decode stay under [`DECODE_BUDGET_US`] µs/image, and
-//!    every file decodes and is counted once (checked).
+//!    every file decodes and is counted once (checked);
+//! 9. a 448² Gray paper-set [`DetectionEngine::score_resilient`] pass on a
+//!    worker of a private 2-worker pool whose other worker is idle — which
+//!    lends it the spatial branch — stays under [`TWO_CORE_LIMIT`] times
+//!    the same pass inline on this thread, with bit-identical scores
+//!    (checked). Its `single_image` engine rows give both timings.
 //!
-//! Gates 2, 3 and 5 time their jobs interleaved on one thread and read the
-//! median of per-pass ratios, so the host's speed cancels out of them;
-//! gate 4 runs on every core and keeps its best-of-5 ratio (see
-//! [`stream_gate`]).
+//! Gates 2, 3, 5 and 9 time their jobs interleaved and read the median of
+//! per-pass ratios, so the host's speed cancels out of them; gates 2, 3
+//! and 5 run on one thread, gate 9 on two. Gate 4 runs on every core and
+//! keeps its best-of-5 ratio (see [`stream_gate`]).
 //!
 //! Usage: `stage_profile` (no arguments).
 
 use decamouflage_bench::corpus::MixedAttackGenerator;
-use decamouflage_core::parallel::default_threads;
+use decamouflage_core::ensemble::PAPER_METHODS;
+use decamouflage_core::parallel::{default_threads, WorkerPool};
 use decamouflage_core::stream::{BufferPool, DirectorySource, ImageSource, Pulled};
 use decamouflage_core::{
-    DetectionEngine, FnSource, MethodId, ScoreVector, SliceSource, StreamConfig,
+    DetectionEngine, FnSource, MethodId, MethodSet, ScoreVector, SliceSource, StreamConfig,
 };
 use decamouflage_datasets::DatasetProfile;
 use decamouflage_imaging::codec::{encode_bmp, encode_jpeg, encode_png, encode_ppm};
@@ -53,6 +59,7 @@ use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 // Gate limits, numbered as in the list above. A gate holds when its value
@@ -69,6 +76,12 @@ const TELEMETRY_LIMIT: f64 = 1.02;
 const SSIM_SHARE_LIMIT: f64 = 0.50;
 const DFT_RATIO_LIMIT: f64 = 1.5;
 const DECODE_BUDGET_US: f64 = 1500.0;
+// Gate 9 was tuned on the same 2-core VM. There the spatial branch takes
+// about 8.8 ms at 448² Gray and the spectral one about 11.4 ms, so with
+// them on two cores a pass should take about max(8.8, 11.4) / 20.2 ≈ 0.57
+// of the inline one; it read 0.57–0.58, handoffs included. A host with no
+// second core free reads near 1.
+const TWO_CORE_LIMIT: f64 = 0.80;
 
 /// Images in the 128² corpus, benign and attack alternating.
 const CORPUS_IMAGES: usize = 64;
@@ -96,7 +109,7 @@ const GATE_ATTEMPTS: usize = 5;
 fn main() -> ExitCode {
     let corpus = generate(128, CORPUS_IMAGES);
     let decode = decode_rows(&corpus[..DECODE_IMAGES]);
-    let engine = engine_rows(&corpus);
+    let mut engine = engine_rows(&corpus);
     assert_reference_identity(&corpus);
     let mut gates = engine_gates(&corpus);
     gates.push(stream_gate(&corpus));
@@ -112,6 +125,9 @@ fn main() -> ExitCode {
         let row = decode.iter().find(|row| row.format == format).expect("every format decodes");
         gates.push(Gate::once(name, row.us_per_image, DECODE_BUDGET_US));
     }
+    let (single_image, gate) = two_core_gate();
+    engine.extend(single_image);
+    gates.push(gate);
 
     println!("-- gates --");
     for gate in &gates {
@@ -546,6 +562,69 @@ fn telemetry_gate(corpus: &[Image]) -> Gate {
     decamouflage_telemetry::parse_prometheus_text(&exposition)
         .expect("the exposition must pass the strict parser");
     gate
+}
+
+/// Gate 9: one 448² Gray paper-set image through
+/// [`DetectionEngine::score_resilient`], inline on this thread and as a job
+/// on a worker of a private 2-worker pool. The job starts once both
+/// workers wait for work, so its worker has an idle peer to lend the
+/// spatial branch to; the timing is this thread's, handoffs included.
+/// Panics if a lent pass scores differently or none forked. Returns the
+/// `single_image` rows (`inline`, `two_core`) with the gate.
+fn two_core_gate() -> (Vec<Row>, Gate) {
+    const SIDE: usize = 448;
+    let telemetry = Telemetry::enabled();
+    let engine = Arc::new(
+        DetectionEngine::new(target_for(SIDE))
+            .with_methods(MethodSet::of(PAPER_METHODS))
+            .with_telemetry(telemetry.clone()),
+    );
+    let image = Arc::new(generate(SIDE, 1).remove(0));
+    let expected = engine.score(&image).expect("the paper-size image scores");
+    let pool = WorkerPool::new(2);
+    let lent = || {
+        while pool.idle_workers() < pool.workers() {
+            std::thread::yield_now();
+        }
+        let (engine, image) = (Arc::clone(&engine), Arc::clone(&image));
+        let (done, finished) = mpsc::channel();
+        pool.spawn(move || {
+            let _ = done.send(engine.score_resilient(&image));
+        });
+        let scores = finished.recv().expect("the pool ran the pass").expect("the pass scores");
+        assert_bit_identical(&scores, &expected, "a lent pass");
+    };
+    let (mut inline_s, mut two_core_s) = (Vec::new(), Vec::new());
+    let mut gate = interleaved(
+        &mut [
+            &mut || {
+                inline_s.push(seconds(|| drop(engine.score_resilient(&image))));
+            },
+            &mut || two_core_s.push(seconds(lent)),
+        ],
+        &[("single_image_two_core", &|t| t[1] / t[0], TWO_CORE_LIMIT)],
+    )
+    .remove(0);
+    gate.threads = 2;
+    let forked =
+        telemetry.counter("decam_engine_single_pass_total", &[("outcome", "forked")]).value();
+    assert!(forked > 0, "no two-core pass forked");
+    println!("448² gray single_image: {forked} of {} two-core passes forked", two_core_s.len());
+    let rows = [("inline", inline_s), ("two_core", two_core_s)]
+        .into_iter()
+        .map(|(name, times)| {
+            let series = Series {
+                kind: "single_image",
+                name: name.to_string(),
+                samples: times.len() as u64,
+                seconds: times.iter().sum(),
+            };
+            let (kind, us) = (series.kind, series.us_per_image());
+            println!("{SIDE:>3}² gray {kind:<6} {name:<24} {us:10.1} µs/image");
+            Row { side: SIDE, layout: "gray", series }
+        })
+        .collect();
+    (rows, gate)
 }
 
 /// One JSON object on one line, from `(key, rendered value)` pairs.

@@ -40,7 +40,7 @@ use crate::error::{ScoreError, ScoreFault};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::filtering::FilteringDetector;
 use crate::method::{MethodId, MethodSet, MetricKind, ScoreVector};
-use crate::parallel::{parallel_map_indices, WorkerPool};
+use crate::parallel::{idle_peer, parallel_map_indices, WorkerPool};
 use crate::peak_excess::PeakExcessDetector;
 use crate::scaling::ScalingDetector;
 use crate::steganalysis::SteganalysisDetector;
@@ -83,11 +83,21 @@ struct EngineMetrics {
     method_seconds: [HistogramHandle; MethodId::COUNT],
     /// `decam_engine_scored_total`: successfully scored images.
     scored_total: Counter,
+    /// `decam_engine_single_pass_total{outcome=...}`: single-image passes
+    /// by where the spatial branch ran — on an idle peer (`forked`), back
+    /// on the caller because no peer had started it when the spectral
+    /// branch ended (`reclaimed`), or on the caller from the start
+    /// (`inline`).
+    forked: Counter,
+    reclaimed: Counter,
+    inline: Counter,
 }
 
 impl EngineMetrics {
     fn new(telemetry: Telemetry) -> Self {
         let stage = |name| telemetry.histogram("decam_engine_stage_seconds", &[("stage", name)]);
+        let single_pass =
+            |outcome| telemetry.counter("decam_engine_single_pass_total", &[("outcome", outcome)]);
         Self {
             score_seconds: telemetry.histogram("decam_engine_score_seconds", &[]),
             validate: stage("validate"),
@@ -103,6 +113,9 @@ impl EngineMetrics {
                 )
             }),
             scored_total: telemetry.counter("decam_engine_scored_total", &[]),
+            forked: single_pass("forked"),
+            reclaimed: single_pass("reclaimed"),
+            inline: single_pass("inline"),
             telemetry,
         }
     }
@@ -148,7 +161,17 @@ pub struct DetectionEngine {
     methods: MethodSet,
     faults: Option<Arc<FaultPlan>>,
     metrics: EngineMetrics,
+    /// The branch that panics when it runs (`"spatial"` or `"spectral"`).
+    #[cfg(test)]
+    panic_in: Option<&'static str>,
 }
+
+/// The methods the spatial branch scores.
+const SPATIAL_METHODS: [MethodId; 4] =
+    [MethodId::ScalingMse, MethodId::ScalingSsim, MethodId::FilteringMse, MethodId::FilteringSsim];
+
+/// The methods the spectral branch scores.
+const SPECTRAL_METHODS: [MethodId; 2] = [MethodId::Csp, MethodId::PeakExcess];
 
 impl DetectionEngine {
     /// Creates an engine with the reproduction's standard configuration for
@@ -167,6 +190,8 @@ impl DetectionEngine {
             methods: MethodSet::all(),
             faults: None,
             metrics: EngineMetrics::new(decamouflage_telemetry::global()),
+            #[cfg(test)]
+            panic_in: None,
         }
     }
 
@@ -302,14 +327,46 @@ impl DetectionEngine {
     /// Propagates imaging and metric failures ([`DetectError::Imaging`] /
     /// [`DetectError::Metric`]).
     pub fn score(&self, image: &Image) -> Result<ScoreVector, DetectError> {
+        self.pass(image, false)
+    }
+
+    /// The engine pass. Its only choice is where the spatial branch runs.
+    /// With `lend` (single-image scoring, see
+    /// [`DetectionEngine::score_resilient`]), when both branches have work
+    /// and this thread is a pool worker whose pool has an idle worker
+    /// right now, that worker runs the spatial branch while this thread
+    /// runs the spectral one; if it has not started the spatial branch
+    /// when the spectral one ends, this thread runs it too. Otherwise both
+    /// branches run here, spatial first. Each branch runs the same
+    /// operations in the same order on whichever thread runs it, so the
+    /// scores are bit-identical either way.
+    fn pass(&self, image: &Image, lend: bool) -> Result<ScoreVector, DetectError> {
         let _total = self.metrics.score_seconds.span();
-        let mut scores = ScoreVector::splat(f64::NAN);
-        self.score_spatial(image, &mut scores)?;
-        self.score_spectral(image, &mut scores);
-        #[cfg(test)]
-        if self.methods.contains(MethodId::DummyMean) {
-            scores.set(MethodId::DummyMean, dummy_mean(image));
-        }
+        let both = self.any_enabled(SPATIAL_METHODS) && self.any_enabled(SPECTRAL_METHODS);
+        let peer = if lend && both { idle_peer() } else { None };
+        let scores = match peer {
+            None => {
+                if lend {
+                    self.metrics.inline.inc();
+                }
+                let mut scores = self.score_spatial(image)?;
+                self.score_spectral(image, &mut scores);
+                scores
+            }
+            Some(peer) => {
+                let caller = std::thread::current().id();
+                let spatial = || (self.score_spatial(image), std::thread::current().id() == caller);
+                let mut spectral = ScoreVector::splat(f64::NAN);
+                let ((), (spatial, reclaimed)) =
+                    peer.join(spatial, || self.score_spectral(image, &mut spectral));
+                if reclaimed { &self.metrics.reclaimed } else { &self.metrics.forked }.inc();
+                let mut scores = spatial?;
+                for id in SPECTRAL_METHODS {
+                    scores.set(id, spectral.get(id));
+                }
+                scores
+            }
+        };
         self.metrics.scored_total.inc();
         Ok(scores)
     }
@@ -317,8 +374,11 @@ impl DetectionEngine {
     /// The spatial branch: one round trip serves both scaling metrics, one
     /// rank-filter pass both filtering metrics, and one [`SsimReference`]
     /// both SSIM scores. Each stage runs only for the enabled methods that
-    /// read it.
-    fn score_spatial(&self, image: &Image, scores: &mut ScoreVector) -> Result<(), DetectError> {
+    /// read it. The spectral methods score `NaN` here.
+    fn score_spatial(&self, image: &Image) -> Result<ScoreVector, DetectError> {
+        #[cfg(test)]
+        self.inject_panic("spatial");
+        let mut scores = ScoreVector::splat(f64::NAN);
         let round_tripped = if self.any_enabled([MethodId::ScalingMse, MethodId::ScalingSsim]) {
             let _stage = self.metrics.scale_round_trip.span();
             Some(round_trip(image, self.target, self.algorithm)?.1)
@@ -356,7 +416,11 @@ impl DetectionEngine {
                 }
             }
         }
-        Ok(())
+        #[cfg(test)]
+        if self.methods.contains(MethodId::DummyMean) {
+            scores.set(MethodId::DummyMean, dummy_mean(image));
+        }
+        Ok(scores)
     }
 
     /// The spectral branch: one gray view and one planned DFT serve both
@@ -364,7 +428,9 @@ impl DetectionEngine {
     /// buffer (the logs are the expensive half of each fused pass). Runs
     /// only when CSP or peak excess is enabled.
     fn score_spectral(&self, image: &Image, scores: &mut ScoreVector) {
-        if !self.any_enabled([MethodId::Csp, MethodId::PeakExcess]) {
+        #[cfg(test)]
+        self.inject_panic("spectral");
+        if !self.any_enabled(SPECTRAL_METHODS) {
             return;
         }
         // Gray inputs are borrowed as-is (zero copies, nothing timed); RGB
@@ -401,9 +467,24 @@ impl DetectionEngine {
         }
     }
 
-    /// Whether any of `ids` is enabled: the gate of a stage they share.
-    fn any_enabled(&self, ids: [MethodId; 2]) -> bool {
+    /// Whether any of `ids` is enabled: the gate of a stage or branch they
+    /// share.
+    fn any_enabled<const N: usize>(&self, ids: [MethodId; N]) -> bool {
         ids.into_iter().any(|id| self.methods.contains(id))
+    }
+
+    /// Makes the named branch panic when it runs.
+    #[cfg(test)]
+    fn panicking_in(mut self, branch: &'static str) -> Self {
+        self.panic_in = Some(branch);
+        self
+    }
+
+    #[cfg(test)]
+    fn inject_panic(&self, branch: &str) {
+        if self.panic_in == Some(branch) {
+            panic!("injected panic in the {branch} branch");
+        }
     }
 
     /// Input quarantine: rejects images that cannot be scored meaningfully
@@ -467,7 +548,7 @@ impl DetectionEngine {
                 return Err(too_small(side, "SSIM window", id));
             }
         }
-        if let Some(id) = first_enabled([MethodId::Csp, MethodId::PeakExcess]) {
+        if let Some(id) = first_enabled(SPECTRAL_METHODS) {
             if min_side < 2 {
                 return Err(too_small(2, "spectrum plan", id));
             }
@@ -480,13 +561,26 @@ impl DetectionEngine {
     /// errors and payload panics into a structured [`ScoreError`] instead
     /// of letting them unwind into the caller.
     ///
+    /// Called on a [`WorkerPool`] worker (a `serve` handler, say) while
+    /// another worker of the same pool waits for a job, the pass lends
+    /// its spatial branch to that worker and runs the spectral branch
+    /// itself, so one image scores on two cores. Anywhere else — on a
+    /// thread no pool owns, with no idle peer, or when only one branch has
+    /// work — both branches run on the calling thread. The scores are
+    /// bit-identical either way, and
+    /// `decam_engine_single_pass_total{outcome}` counts where the spatial
+    /// branch ran. The batch and streamed paths
+    /// ([`DetectionEngine::score_images`],
+    /// [`DetectionEngine::score_stream`]) never lend: they already keep
+    /// every worker busy with an image of its own.
+    ///
     /// # Errors
     ///
     /// A [`ScoreError`] with index `0` for validation rejections, scoring
     /// failures ([`ScoreFault::Detect`]) or recovered panics
-    /// ([`ScoreFault::Panicked`]).
+    /// ([`ScoreFault::Panicked`]), in either branch.
     pub fn score_resilient(&self, image: &Image) -> Result<ScoreVector, ScoreError> {
-        self.score_slot(0, None, || Ok(image)).0
+        self.score_slot(0, None, true, || Ok(image)).0
     }
 
     /// The engine's one fault-isolation boundary, shared by
@@ -501,11 +595,13 @@ impl DetectionEngine {
     /// pre-streaming eager slot exactly, which is what keeps streamed and
     /// eager scoring bit-identical. Every quarantined slot counts once on
     /// `decam_engine_quarantined_total`. Returns the image alongside the
-    /// result so a streamed caller can recycle its buffers.
+    /// result so a streamed caller can recycle its buffers. `lend` is the
+    /// pass's (see [`DetectionEngine::score_resilient`]).
     fn score_slot<I: Borrow<Image>>(
         &self,
         index: usize,
         plan: Option<&FaultPlan>,
+        lend: bool,
         item: impl FnOnce() -> Result<I, ScoreError>,
     ) -> (Result<ScoreVector, ScoreError>, Option<I>) {
         // The engine holds no interior mutability of its own and the
@@ -527,7 +623,9 @@ impl DetectionEngine {
             };
             let result = match self.validate_image(image.borrow()) {
                 Err(err) => Err(err.at_index(index)),
-                Ok(()) => self.score(image.borrow()).map_err(|err| ScoreError::detect(index, err)),
+                Ok(()) => {
+                    self.pass(image.borrow(), lend).map_err(|err| ScoreError::detect(index, err))
+                }
             };
             (result, Some(image))
         }));
@@ -547,7 +645,7 @@ impl DetectionEngine {
         pulled: SourceItem,
         pool: &SharedPool,
     ) -> Result<ScoreVector, ScoreError> {
-        let (result, image) = self.score_slot(index, self.faults.as_deref(), || {
+        let (result, image) = self.score_slot(index, self.faults.as_deref(), false, || {
             pulled.and_then(|item| item.into_image(&mut |samples| pool.take(samples)))
         });
         if let Some(image) = image {
@@ -625,7 +723,7 @@ impl DetectionEngine {
         threads: usize,
     ) -> Vec<Result<ScoreVector, ScoreError>> {
         parallel_map_indices(images.len(), threads, |index| {
-            self.score_slot(index, self.faults.as_deref(), || Ok(&images[index])).0
+            self.score_slot(index, self.faults.as_deref(), false, || Ok(&images[index])).0
         })
     }
 }
@@ -649,6 +747,7 @@ mod tests {
     use crate::threshold::{Direction, Threshold};
     use decamouflage_attack::{craft_attack, AttackConfig};
     use decamouflage_imaging::scale::Scaler;
+    use std::time::{Duration, Instant};
 
     fn smooth(n: usize) -> Image {
         Image::from_fn_gray(n, n, |x, y| {
@@ -821,6 +920,124 @@ mod tests {
         let engine = DetectionEngine::new(Size::square(16)).with_ssim_config(bad_ssim);
         let err = engine.score_resilient(&smooth(48)).unwrap_err();
         assert!(matches!(err.cause, ScoreFault::Detect(_)));
+    }
+
+    /// Runs `work` on a worker of `pool` once every worker waits for a job,
+    /// so the worker running it has an idle peer.
+    fn on_a_worker_with_an_idle_peer<T: Send + 'static>(
+        pool: &WorkerPool,
+        work: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let waited = Instant::now();
+        while pool.idle_workers() < pool.workers() {
+            assert!(waited.elapsed() < Duration::from_secs(10), "the pool never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        pool.spawn(move || {
+            let _ = done.send(work());
+        });
+        finished.recv_timeout(Duration::from_secs(120)).expect("the job ran to completion")
+    }
+
+    /// `score_resilient` of `image` on a worker of `pool` with an idle peer.
+    fn lent(
+        pool: &WorkerPool,
+        engine: &DetectionEngine,
+        image: &Image,
+    ) -> Result<ScoreVector, ScoreError> {
+        let (engine, image) = (engine.clone(), image.clone());
+        on_a_worker_with_an_idle_peer(pool, move || engine.score_resilient(&image))
+    }
+
+    /// Score bits, so that disabled methods' `NaN`s compare equal.
+    fn bits(scores: &ScoreVector) -> Vec<u64> {
+        scores.iter().map(|(_, score)| score.to_bits()).collect()
+    }
+
+    /// `decam_engine_single_pass_total` as `[forked, reclaimed, inline]`.
+    fn single_passes(telemetry: &Telemetry) -> [u64; 3] {
+        ["forked", "reclaimed", "inline"].map(|outcome| {
+            telemetry.counter("decam_engine_single_pass_total", &[("outcome", outcome)]).value()
+        })
+    }
+
+    /// On a pool worker with an idle peer, a pass whose branches both have
+    /// work lends its spatial branch (the peer runs it, or the caller
+    /// reclaims it) and scores bit-identically to `score`; an engine with
+    /// one branch runs inline.
+    #[test]
+    fn a_lent_pass_scores_bit_identically_to_the_inline_pass() {
+        let pool = WorkerPool::new(2);
+        let engines = [
+            (MethodSet::of(crate::ensemble::PAPER_METHODS), true),
+            (MethodSet::all(), true),
+            (MethodSet::of(&SPATIAL_METHODS), false),
+            (MethodSet::of(&SPECTRAL_METHODS), false),
+        ];
+        for (methods, both_branches) in engines {
+            for image in [smooth(48), attack_image(64, 16), smooth_rgb(48)] {
+                let telemetry = Telemetry::enabled();
+                let engine = DetectionEngine::new(Size::square(16))
+                    .with_methods(methods)
+                    .with_telemetry(telemetry.clone());
+                let scores = lent(&pool, &engine, &image).unwrap();
+                assert_eq!(bits(&scores), bits(&engine.score(&image).unwrap()), "{methods:?}");
+                let [forked, reclaimed, inline] = single_passes(&telemetry);
+                let expected = if both_branches { (1, 0) } else { (0, 1) };
+                assert_eq!((forked + reclaimed, inline), expected, "{methods:?}");
+            }
+        }
+    }
+
+    /// A thread no pool owns, and the batch and streamed slots, never
+    /// lend: their work is what it was before lending existed.
+    #[test]
+    fn only_single_image_passes_on_a_pool_worker_lend() {
+        let telemetry = Telemetry::enabled();
+        let engine = DetectionEngine::new(Size::square(16)).with_telemetry(telemetry.clone());
+        let images = [smooth(48), smooth_rgb(48)];
+        engine.score_images(&images, 2);
+        let config = crate::StreamConfig::default().with_threads(2);
+        engine.score_stream(&mut crate::SliceSource::new(&images), &config, |_, _| {
+            ControlFlow::Continue(())
+        });
+        engine.score(&images[0]).unwrap();
+        assert_eq!(single_passes(&telemetry), [0, 0, 0], "batch slots and `score` never count");
+        engine.score_resilient(&images[0]).unwrap();
+        assert_eq!(single_passes(&telemetry), [0, 0, 1], "the test thread is no pool's worker");
+    }
+
+    /// A refused image, a scoring error and a panic in either branch come
+    /// back from a lent pass as the very `ScoreError` of the inline pass,
+    /// and a panic quarantines only its own call: the pool and its workers
+    /// go on scoring.
+    #[test]
+    fn a_lent_pass_fails_like_the_inline_pass() {
+        let pool = WorkerPool::new(2);
+        let engine = DetectionEngine::new(Size::square(16));
+        let mut poisoned = smooth(48);
+        poisoned.set(3, 5, 0, f64::NAN);
+        let bad_ssim = SsimConfig { sigma: 0.0, ..SsimConfig::default() };
+        let cases = [
+            (engine.clone(), poisoned),
+            (engine.clone(), smooth(4)),
+            (engine.clone().with_ssim_config(bad_ssim), smooth(48)),
+            (engine.clone().panicking_in("spatial"), smooth(48)),
+            (engine.clone().panicking_in("spectral"), smooth_rgb(48)),
+        ];
+        for (failing, image) in cases {
+            let inline = failing.score_resilient(&image).unwrap_err();
+            let lent = lent(&pool, &failing, &image).unwrap_err();
+            assert_eq!(format!("{lent:?}"), format!("{inline:?}"));
+        }
+        let telemetry = Telemetry::enabled();
+        let engine = engine.with_telemetry(telemetry.clone());
+        let image = smooth(48);
+        let scores = lent(&pool, &engine, &image).unwrap();
+        assert_eq!(bits(&scores), bits(&engine.score(&image).unwrap()));
+        let [forked, reclaimed, _] = single_passes(&telemetry);
+        assert_eq!(forked + reclaimed, 1, "both workers survived the panics");
     }
 
     #[test]

@@ -53,8 +53,9 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the worker pool in `parallel` carries one
-// documented `#[allow(unsafe_code)]` for its scoped-job lifetime erasure.
+// `deny` rather than `forbid`: the worker pool's fork-join in `parallel`
+// carries the documented `#[allow(unsafe_code)]` sites of its scoped-job
+// lifetime erasure.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -83,7 +83,9 @@ pub enum MethodId {
     FilteringSsim,
     /// Steganalysis: centered-spectrum-point count.
     Csp,
-    /// Steganalysis extension: windowed radial peak excess.
+    /// Steganalysis extension: radial peak excess of the unwindowed
+    /// (rectangular-window) spectrum, the one the CSP count reads; see
+    /// [`crate::peak_excess`] for the standalone detector's Hann default.
     PeakExcess,
     /// Test-only seventh method proving the one-registration contract:
     /// scores the image's mean intensity.

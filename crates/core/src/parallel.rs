@@ -7,24 +7,76 @@
 //! the same workers. Both fan-outs — [`parallel_map_indices`] over a
 //! resident corpus and the windowed driver behind
 //! [`DetectionEngine::score_stream`](crate::DetectionEngine::score_stream) —
-//! stand on one scoped fork-join, `WorkerPool::join`.
+//! stand on one scoped fork-join, `WorkerPool::join`. A job running on a
+//! worker can also lend work to an idle worker of its own pool (`idle_peer`):
+//! that is how a single-image pass runs its two branches on two cores.
 
+use std::cell::OnceCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 /// A unit of work executed on a pool thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The sending end of a pool's job queue, shared by the pool and its
+/// workers; `None` once the pool is shut down.
+type Queue = Arc<Mutex<Option<mpsc::Sender<Job>>>>;
+
+thread_local! {
+    /// The pool this thread works for: set when a pool worker starts, unset
+    /// on every other thread.
+    static HOME: OnceCell<Home> = const { OnceCell::new() };
+}
+
+/// A worker's handle on its own pool: the queue it takes jobs from and
+/// the count of the pool's workers blocked waiting for one.
+#[derive(Debug, Clone)]
+pub(crate) struct Home {
+    queue: Queue,
+    waiting: Arc<AtomicUsize>,
+}
+
+/// The pool this thread works for, when this thread is one of its workers
+/// and another of its workers is blocked waiting for a job right now.
+///
+/// The answer can be stale by the time work is handed over: a job queued
+/// since (a newly admitted connection, say) may take that worker first.
+/// [`Home::join`] does not wait on a helper no worker has started, so a
+/// lost race costs nothing but the parallelism.
+pub(crate) fn idle_peer() -> Option<Home> {
+    HOME.with(|home| home.get().filter(|home| home.waiting.load(Ordering::SeqCst) > 0).cloned())
+}
+
+impl Home {
+    /// [`WorkerPool::join`] with one helper on this thread's own pool:
+    /// runs `caller` here while a worker runs `helper`, and returns both
+    /// results once both are done. If no worker has started `helper` by
+    /// the time `caller` returns, `helper` runs here, after `caller`.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `caller`, else of `helper`, after both have
+    /// finished.
+    pub(crate) fn join<H: Send, R>(
+        &self,
+        helper: impl Fn() -> H + Sync,
+        caller: impl FnOnce() -> R,
+    ) -> (R, H) {
+        let (mine, mut theirs) = fork_join(&self.queue, 1, helper, caller);
+        (mine, theirs.pop().expect("one helper, one result"))
+    }
+}
+
 /// A fixed-size pool of long-lived worker threads.
 ///
 /// Jobs are submitted over a shared channel; idle workers block on it.
 /// A scoped fork-join sits on top: the caller thread participates in the
-/// work and blocks until every helper has finished, so borrowed closures
-/// are safe to run on the pool (see the safety note in the
-/// implementation). [`WorkerPool::map_indices`] is that join over an
-/// index range.
+/// work and blocks until every helper a worker has started has finished,
+/// so borrowed closures are safe to run on the pool (see the safety note
+/// in the implementation). [`WorkerPool::map_indices`] is that join over
+/// an index range.
 ///
 /// # Example
 ///
@@ -37,7 +89,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// ```
 #[derive(Debug)]
 pub struct WorkerPool {
-    sender: Mutex<Option<mpsc::Sender<Job>>>,
+    sender: Queue,
+    /// Workers blocked waiting for a job.
+    waiting: Arc<AtomicUsize>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
 }
@@ -52,31 +106,41 @@ impl WorkerPool {
         let workers = workers.max(1);
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
+        let home = Home { queue: Arc::new(Mutex::new(Some(sender))), waiting: Arc::default() };
         let handles: Vec<JoinHandle<()>> = (0..workers)
             .filter_map(|index| {
                 let receiver = Arc::clone(&receiver);
+                let home = home.clone();
                 let spawned = std::thread::Builder::new()
                     .name(format!("decam-worker-{index}"))
-                    .spawn(move || loop {
-                        // The guard is a temporary: the lock is released as
-                        // soon as `recv` returns, before the job runs. A
-                        // poisoned receiver lock only means another worker
-                        // panicked *between* jobs; the queue itself is fine.
-                        let job = receiver.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                        match job {
-                            // A panicking job must not take the worker down:
-                            // a fork-join re-raises the payload on the
-                            // caller side instead. Recovered panics are
-                            // counted (the lookup only runs on this cold
-                            // path).
-                            Ok(job) => {
-                                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                                    decamouflage_telemetry::global()
-                                        .counter("decam_pool_panics_recovered_total", &[])
-                                        .inc();
+                    .spawn(move || {
+                        let waiting = Arc::clone(&home.waiting);
+                        HOME.with(|cell| cell.set(home).expect("a new thread has no pool"));
+                        loop {
+                            // The guard is a temporary: the lock is released
+                            // as soon as `recv` returns, before the job runs.
+                            // A poisoned receiver lock only means another
+                            // worker panicked *between* jobs; the queue
+                            // itself is fine.
+                            waiting.fetch_add(1, Ordering::SeqCst);
+                            let job =
+                                receiver.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                            waiting.fetch_sub(1, Ordering::SeqCst);
+                            match job {
+                                // A panicking job must not take the worker
+                                // down: a fork-join re-raises the payload on
+                                // the caller side instead. Recovered panics
+                                // are counted (the lookup only runs on this
+                                // cold path).
+                                Ok(job) => {
+                                    if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                                        decamouflage_telemetry::global()
+                                            .counter("decam_pool_panics_recovered_total", &[])
+                                            .inc();
+                                    }
                                 }
+                                Err(_) => break,
                             }
-                            Err(_) => break,
                         }
                     });
                 match spawned {
@@ -95,7 +159,7 @@ impl WorkerPool {
             })
             .collect();
         let workers = handles.len();
-        Self { sender: Mutex::new(Some(sender)), handles, workers }
+        Self { sender: home.queue, waiting: home.waiting, handles, workers }
     }
 
     /// Number of worker threads.
@@ -103,43 +167,16 @@ impl WorkerPool {
         self.workers
     }
 
+    /// Workers blocked waiting for a job right now.
+    pub fn idle_workers(&self) -> usize {
+        self.waiting.load(Ordering::SeqCst)
+    }
+
     /// The process-wide pool used by [`parallel_map_indices`], sized by
     /// [`default_threads`] on first use.
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| WorkerPool::new(default_threads()))
-    }
-
-    /// Queues a job for the workers, or hands it back when none can take
-    /// it (pool shut down, all workers gone).
-    fn try_submit(&self, job: Job) -> Result<(), Job> {
-        // With telemetry enabled, the job is wrapped to keep the queue
-        // depth gauge and executed-jobs counter accurate; disabled, the
-        // job goes through untouched (no allocation, no clock).
-        let telemetry = decamouflage_telemetry::global();
-        let job: Job = if telemetry.is_enabled() {
-            let depth = telemetry.gauge("decam_pool_queue_depth", &[]);
-            let executed = telemetry.counter("decam_pool_jobs_total", &[]);
-            depth.inc();
-            Box::new(move || {
-                depth.dec();
-                executed.inc();
-                job();
-            })
-        } else {
-            job
-        };
-        let guard = self.sender.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.as_ref() {
-            Some(sender) => sender.send(job).map_err(|send_error| send_error.0),
-            None => Err(job),
-        }
-    }
-
-    /// Runs a job no worker could take on the calling thread.
-    fn run_inline(job: Job) {
-        decamouflage_telemetry::global().counter("decam_pool_inline_fallback_total", &[]).inc();
-        job();
     }
 
     /// Fire-and-forget: hands `job` to a pool worker. The job runs exactly
@@ -150,18 +187,25 @@ impl WorkerPool {
     /// take a worker down. There is no completion signal — callers that need
     /// one should close over a channel or atomic.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        if let Err(job) = self.try_submit(Box::new(job)) {
-            Self::run_inline(job);
+        if let Err(job) = try_submit(&self.sender, Box::new(job)) {
+            count_inline_fallback();
+            job();
         }
     }
 
     /// The one fork-join: runs `caller` on this thread while up to
     /// `helpers` pool workers each run `helper` once, and returns
     /// `caller`'s result with every helper's result once all of them have
-    /// finished. Both closures may borrow from the caller's stack. A
-    /// helper the pool cannot take (pool shut down, all workers gone) runs
-    /// on this thread after `caller`, and with no helper at all `caller`
-    /// simply runs inline: the caller must do any share the helpers leave.
+    /// finished. Both closures may borrow from the caller's stack.
+    ///
+    /// A helper no worker has started by the time `caller` returns is
+    /// claimed back and runs on this thread, after `caller`; so is one the
+    /// pool cannot take (pool shut down, all workers gone). The join
+    /// therefore never waits on a queued job — only on helpers already
+    /// running — and with no helper at all `caller` simply runs inline:
+    /// the caller must do any share the helpers leave. A claimed-back
+    /// helper stays in the queue; the worker that pops it later finds it
+    /// claimed and runs nothing.
     ///
     /// `caller` must make every helper return: a helper that waits for
     /// work from `caller` must be released on every exit path of
@@ -185,59 +229,7 @@ impl WorkerPool {
             return (caller(), Vec::new());
         }
         decamouflage_telemetry::global().gauge("decam_pool_workers", &[]).set(self.workers as f64);
-        let (tx, rx) = mpsc::channel::<std::thread::Result<H>>();
-        let mut rejected = Vec::new();
-        for _ in 0..helpers {
-            let tx = tx.clone();
-            let helper = &helper;
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(helper));
-                // Sending is the job's final use of the borrowed state; the
-                // sender clone drops when the closure returns, which is what
-                // disconnects `rx` below.
-                let _ = tx.send(result);
-            });
-            // SAFETY: the job borrows `helper` from this stack frame, which
-            // the type system cannot tie to the 'static-job channel. The
-            // frame outlives every borrow because `join` returns or unwinds
-            // only after `rx` has reported disconnection, and `rx`
-            // disconnects only once every job has run to completion and
-            // dropped its `tx` clone — on a worker, or, when the pool could
-            // not take it, on this thread right after `caller`. Every panic
-            // on the way is caught before it can skip that wait: a panic in
-            // the helper (a streamed slot's work, say) by the job's
-            // `catch_unwind`, and a panic in `caller` (a source pull, a
-            // slot it scores itself, the stream's `consume`) by the
-            // `catch_unwind` below, which holds it until the join is over.
-            // The captures have no drop glue touching borrowed data (a
-            // shared reference and an owned `Sender`).
-            #[allow(unsafe_code)]
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-            if let Err(job) = self.try_submit(job) {
-                rejected.push(job);
-            }
-        }
-        drop(tx);
-
-        let mine = catch_unwind(AssertUnwindSafe(caller));
-        // Run after `caller`, a rejected helper finds its work taken: a
-        // drained index range, or a stream window `caller` has closed.
-        rejected.into_iter().for_each(Self::run_inline);
-        let mut outputs = Vec::new();
-        let mut helper_panic = None;
-        for result in rx {
-            match result {
-                Ok(output) => outputs.push(output),
-                Err(payload) => {
-                    helper_panic.get_or_insert(payload);
-                }
-            }
-        }
-        match (mine, helper_panic) {
-            (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
-            (Ok(mine), None) => (mine, outputs),
-        }
+        fork_join(&self.sender, helpers, helper, caller)
     }
 
     /// Maps `f` over `0..n` using the caller plus up to `threads - 1` pool
@@ -287,6 +279,143 @@ impl Drop for WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// Queues a job for `queue`'s workers, or hands it back when none can take
+/// it (pool shut down, all workers gone).
+fn try_submit(queue: &Mutex<Option<mpsc::Sender<Job>>>, job: Job) -> Result<(), Job> {
+    // With telemetry enabled, the job is wrapped to keep the queue
+    // depth gauge and executed-jobs counter accurate; disabled, the
+    // job goes through untouched (no allocation, no clock).
+    let telemetry = decamouflage_telemetry::global();
+    let job: Job = if telemetry.is_enabled() {
+        let depth = telemetry.gauge("decam_pool_queue_depth", &[]);
+        let executed = telemetry.counter("decam_pool_jobs_total", &[]);
+        depth.inc();
+        Box::new(move || {
+            depth.dec();
+            executed.inc();
+            job();
+        })
+    } else {
+        job
+    };
+    let guard = queue.lock().unwrap_or_else(PoisonError::into_inner);
+    match guard.as_ref() {
+        Some(sender) => sender.send(job).map_err(|send_error| send_error.0),
+        None => Err(job),
+    }
+}
+
+/// Counts a job no worker could take, which then runs on the calling
+/// thread.
+fn count_inline_fallback() {
+    decamouflage_telemetry::global().counter("decam_pool_inline_fallback_total", &[]).inc();
+}
+
+/// A fork-join helper lent to a worker as a raw pointer, so that a job a
+/// worker pops after its join has returned holds no reference into the
+/// join's frame.
+struct Borrowed<F>(*const F);
+
+// SAFETY: the pointer is only ever read as `&F`, and `F: Sync`.
+#[allow(unsafe_code)]
+unsafe impl<F: Sync> Send for Borrowed<F> {}
+
+impl<F> Borrowed<F> {
+    /// The pointer. A method, so that a closure reading it captures the
+    /// whole `Send` wrapper rather than the bare pointer field.
+    fn get(&self) -> *const F {
+        self.0
+    }
+}
+
+/// The fork-join behind [`WorkerPool::join`] and [`Home::join`]: `helpers`
+/// jobs on `queue`'s workers, each claimed by whoever starts it first — a
+/// worker, or this thread once `caller` has returned.
+fn fork_join<F, H, R>(
+    queue: &Mutex<Option<mpsc::Sender<Job>>>,
+    helpers: usize,
+    helper: F,
+    caller: impl FnOnce() -> R,
+) -> (R, Vec<H>)
+where
+    F: Fn() -> H + Sync,
+    H: Send,
+{
+    let (tx, rx) = mpsc::channel::<std::thread::Result<H>>();
+    let claims: Vec<Arc<AtomicBool>> = (0..helpers)
+        .map(|_| {
+            let claim = Arc::new(AtomicBool::new(false));
+            let (won, tx, borrowed) = (Arc::clone(&claim), tx.clone(), Borrowed(&helper));
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                if won.swap(true, Ordering::AcqRel) {
+                    // Claimed back: `join` may be gone, so touch nothing
+                    // borrowed.
+                    return;
+                }
+                // SAFETY: this job won its claim, so `join` is waiting for
+                // its result and `helper` is alive.
+                #[allow(unsafe_code)]
+                let helper = unsafe { &*borrowed.get() };
+                let _ = tx.send(catch_unwind(AssertUnwindSafe(helper)));
+            });
+            // SAFETY: the job reaches `helper` in this stack frame, which
+            // the type system cannot tie to the 'static-job channel. It
+            // reads the pointer only after winning its claim, and `join`
+            // returns or unwinds only after every claim is settled: each
+            // job `join` claims back runs `helper` here instead, and each
+            // job a worker won has sent its result, which `join` receives
+            // — the job's final use of borrowed state. A job that a worker
+            // pops after `join` has returned finds its claim taken and
+            // touches nothing borrowed: its captures are an `Arc` flag, a
+            // pointer it never reads and an owned `Sender`, whose channel
+            // holds no message because `join` received every result sent.
+            // Every panic on the way is caught before it can skip the
+            // wait: a panic in a helper (a streamed slot's work, say) by
+            // its `catch_unwind`, and a panic in `caller` (a source pull, a
+            // slot it scores itself, the stream's `consume`) by the
+            // `catch_unwind` below, which holds it until the join is over.
+            #[allow(unsafe_code)]
+            let job: Job =
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+            // A job no worker can take stays unclaimed: this thread runs
+            // its helper after `caller`.
+            if try_submit(queue, job).is_err() {
+                count_inline_fallback();
+            }
+            claim
+        })
+        .collect();
+    drop(tx);
+
+    let mine = catch_unwind(AssertUnwindSafe(caller));
+    // Claimed back after `caller`, a helper finds its work taken: a drained
+    // index range, or a stream window `caller` has closed.
+    let mut results = Vec::with_capacity(helpers);
+    let mut started = 0;
+    for claim in &claims {
+        if claim.swap(true, Ordering::AcqRel) {
+            started += 1;
+        } else {
+            results.push(catch_unwind(AssertUnwindSafe(&helper)));
+        }
+    }
+    results.extend(rx.iter().take(started));
+    let mut outputs = Vec::with_capacity(helpers);
+    let mut helper_panic = None;
+    for result in results {
+        match result {
+            Ok(output) => outputs.push(output),
+            Err(payload) => {
+                helper_panic.get_or_insert(payload);
+            }
+        }
+    }
+    match (mine, helper_panic) {
+        (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+        (Ok(mine), None) => (mine, outputs),
     }
 }
 
@@ -531,6 +660,60 @@ mod tests {
             || finished.store(true, Ordering::SeqCst),
         );
         assert_eq!(helpers, [true], "one worker, one helper, run after the caller");
+    }
+
+    /// A join never waits on a helper no worker has started: with the only
+    /// worker held busy, the caller runs the helper itself and the join
+    /// returns before the worker is released. The worker then pops the
+    /// claimed job and runs nothing.
+    #[test]
+    fn join_claims_back_a_helper_no_worker_has_started() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let pool = Arc::new(WorkerPool::new(1));
+        let (busy, holding) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        pool.spawn(move || {
+            busy.send(()).unwrap();
+            let _ = released.recv_timeout(Duration::from_secs(30));
+        });
+        holding.recv_timeout(Duration::from_secs(10)).expect("the worker took the blocker");
+        assert_eq!(pool.idle_workers(), 0);
+
+        // Joined on a thread of its own, so that a join that waited for the
+        // held worker fails this test instead of hanging it.
+        let helper_runs = Arc::new(AtomicUsize::new(0));
+        let (joined, join_result) = mpsc::channel();
+        let joiner = {
+            let (pool, helper_runs) = (Arc::clone(&pool), Arc::clone(&helper_runs));
+            std::thread::spawn(move || {
+                let caller_ran = AtomicBool::new(false);
+                let outcome = pool.join(
+                    1,
+                    || {
+                        helper_runs.fetch_add(1, Ordering::SeqCst);
+                        (std::thread::current().id(), caller_ran.load(Ordering::SeqCst))
+                    },
+                    || {
+                        caller_ran.store(true, Ordering::SeqCst);
+                        std::thread::current().id()
+                    },
+                );
+                joined.send(outcome).unwrap();
+            })
+        };
+        let (caller, helpers) = join_result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the join waited on a helper no worker had started");
+        assert_eq!(helpers, [(caller, true)], "the caller ran the helper, after its own share");
+        release.send(()).unwrap();
+        joiner.join().unwrap();
+
+        // The freed worker pops the claimed job before the next one.
+        let (after, popped) = mpsc::channel();
+        pool.spawn(move || after.send(()).unwrap());
+        popped.recv_timeout(Duration::from_secs(10)).expect("the worker is free again");
+        assert_eq!(helper_runs.load(Ordering::SeqCst), 1, "a claimed helper runs once");
     }
 
     #[test]

@@ -1,12 +1,21 @@
-//! Alternative frequency-domain detector: windowed radial peak excess.
+//! Alternative frequency-domain detector: radial peak excess.
 //!
 //! An extension beyond the paper's three methods: instead of counting
 //! blobs, measure how far the brightest off-centre spectral sample towers
-//! over the radial background at its radius (after Hann windowing to
-//! suppress boundary leakage). This score is continuous — unlike the
-//! integer CSP count — which makes it calibrable with the same white-box /
-//! black-box machinery as the spatial methods and a useful fourth ensemble
-//! member against adaptive attackers.
+//! over the radial background at its radius. This score is continuous —
+//! unlike the integer CSP count — which makes it calibrable with the same
+//! white-box / black-box machinery as the spatial methods, and a candidate
+//! fourth ensemble member against adaptive attackers.
+//!
+//! Every `steganalysis/peak-excess` score is taken under the
+//! **rectangular** window, i.e. on the unwindowed spectrum: the engine
+//! pass reads the CSP transform's spectrum as is, and
+//! [`DetectionEngine::reference_score`](crate::DetectionEngine::reference_score)
+//! sets [`WindowKind::Rectangular`] to match it. The Hann window is only
+//! this standalone detector's default, and only this module's unit tests
+//! reach it. The two windows do not score alike: on those tests' 128²
+//! benign/attack pair the Hann score separates the attack and the
+//! rectangular one does not (ROADMAP item 7 has the numbers).
 
 use crate::DetectError;
 use decamouflage_imaging::{Image, Size};
@@ -14,7 +23,12 @@ use decamouflage_spectral::dft2d::centered_spectrum;
 use decamouflage_spectral::radial::peak_excess;
 use decamouflage_spectral::window::{apply_window, WindowKind};
 
-/// Windowed radial peak-excess scorer.
+/// Radial peak-excess scorer over a windowed spectrum.
+///
+/// The window defaults to Hann, but the method's scores — the engine's and
+/// [`DetectionEngine::reference_score`](crate::DetectionEngine::reference_score)'s
+/// — always use [`WindowKind::Rectangular`]; only this module's unit tests
+/// score with the default (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PeakExcessDetector {
     window: WindowKind,
@@ -24,7 +38,8 @@ pub struct PeakExcessDetector {
 
 impl PeakExcessDetector {
     /// Creates a detector with the default configuration (Hann window,
-    /// radii between 10% and 90% of the half-minimum dimension).
+    /// which no engine score uses; radii between 10% and 90% of the
+    /// half-minimum dimension).
     pub fn new() -> Self {
         Self { window: WindowKind::Hann, min_radius_frac: 0.1, max_radius_frac: 0.9 }
     }

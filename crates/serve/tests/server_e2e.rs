@@ -6,7 +6,7 @@
 //! tests assert *deltas and presence*, never exact global totals.
 
 use decamouflage_core::persist::ThresholdSet;
-use decamouflage_core::{DegradePolicy, Direction, MethodId, Threshold};
+use decamouflage_core::{CancelToken, DegradePolicy, Direction, MethodId, Threshold};
 use decamouflage_imaging::codec::encode_pgm;
 use decamouflage_imaging::{Image, Size};
 use decamouflage_serve::{DetectionService, Server, ServerConfig, ServerHandle};
@@ -132,6 +132,53 @@ fn serves_the_full_route_surface_and_drains_clean() {
     handle.shutdown();
     assert!(join.join().expect("server thread"), "drain completed");
     assert_eq!(handle.in_flight(), 0);
+}
+
+/// The body of a raw HTTP response.
+fn body_of(response: &str) -> &str {
+    response.split_once("\r\n\r\n").map_or("", |(_, body)| body)
+}
+
+/// `decam_engine_single_pass_total{outcome="forked"}` on `/metrics`.
+fn forked_passes(addr: SocketAddr) -> f64 {
+    let metrics = exchange(addr, &get("/metrics"));
+    decamouflage_telemetry::parse_prometheus_text(body_of(&metrics))
+        .expect("a parseable exposition")
+        .sample_value("decam_engine_single_pass_total", &[("outcome", "forked")])
+        .unwrap_or(0.0)
+}
+
+/// A `/check` on an idle two-handler server lends its spatial branch to
+/// the other handler: the response body is byte-identical to the
+/// in-process verdict, and `/metrics` counts the forked pass. A request
+/// can find the other handler still finishing the last exchange (and
+/// score inline), so it is retried a few times.
+#[test]
+fn an_idle_handler_scores_the_spatial_branch_of_a_peers_check() {
+    let (addr, handle, join) = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        handlers: 2,
+        drain_deadline: Duration::from_secs(5),
+        lame_duck: Duration::from_millis(50),
+        ..ServerConfig::default()
+    });
+    let image = encode_pgm(&Image::from_fn_gray(160, 160, |x, y| ((x * 7 + y * 3) % 97) as f64));
+    let expected = service().check_bytes(&image, &CancelToken::new()).to_json();
+    let before = forked_passes(addr);
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        let check = exchange(addr, &post("/check", &image));
+        assert_eq!(status_of(&check), "200", "{check}");
+        assert_eq!(body_of(&check), expected, "a lent pass changed the verdict body");
+        if forked_passes(addr) > before {
+            break;
+        }
+        assert!(attempts < 20, "no /check forked in {attempts} attempts");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
+    assert!(join.join().expect("server thread"), "drain completed");
 }
 
 #[test]
