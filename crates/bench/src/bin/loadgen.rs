@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -94,14 +93,27 @@ fn thresholds() -> ThresholdSet {
     set
 }
 
-/// The request mix, rotated per request so every worker exercises every
-/// fault class.
+/// The request mix. Request `i` of worker `w` is
+/// `MIX[(w + i) % MIX.len()]`, so every run offers the same mix however
+/// the workers are scheduled, and each round of 8 workers offers all of
+/// `MIX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Valid,
     Malformed,
     Oversized,
     SlowLoris,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Self::Valid => "valid",
+            Self::Malformed => "malformed",
+            Self::Oversized => "oversized",
+            Self::SlowLoris => "slow-loris",
+        }
+    }
 }
 
 const MIX: [Kind; 8] = [
@@ -236,12 +248,10 @@ fn run() -> Result<ExitCode, String> {
     // Storm phase.
     let storm_started = Instant::now();
     let (tx, rx) = mpsc::channel::<Sample>();
-    let sequence = Arc::new(AtomicUsize::new(0));
     let mut storm_threads = Vec::new();
     for worker in 0..load.workers {
         let tx = tx.clone();
         let body = Arc::clone(&body);
-        let sequence = Arc::clone(&sequence);
         let deadline = load.deadline;
         let open_loop = load.open_loop;
         let interval = load.interval;
@@ -253,8 +263,7 @@ fn run() -> Result<ExitCode, String> {
                     // of how long the previous request took.
                     std::thread::sleep(interval * worker.min(4) as u32);
                 }
-                let slot = sequence.fetch_add(1, Ordering::Relaxed);
-                let kind = MIX[(slot + worker + i) % MIX.len()];
+                let kind = MIX[(worker + i) % MIX.len()];
                 let sample = run_one(addr, kind, &body, deadline);
                 let _ = tx.send(sample);
             }
@@ -263,19 +272,14 @@ fn run() -> Result<ExitCode, String> {
     drop(tx);
     let latency = Histogram::latency_seconds();
     let mut status_counts: BTreeMap<String, u64> = BTreeMap::new();
-    let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut kind_status_counts: BTreeMap<&'static str, BTreeMap<String, u64>> = BTreeMap::new();
     let mut stalled = 0u64;
     let mut worst = Duration::ZERO;
     for sample in rx {
         latency.record(sample.latency.as_secs_f64());
         *status_counts.entry(sample.status.clone()).or_default() += 1;
-        let kind = match sample.kind {
-            Kind::Valid => "valid",
-            Kind::Malformed => "malformed",
-            Kind::Oversized => "oversized",
-            Kind::SlowLoris => "slow-loris",
-        };
-        *kind_counts.entry(kind).or_default() += 1;
+        let kind = sample.kind.name();
+        *kind_status_counts.entry(kind).or_default().entry(sample.status.clone()).or_default() += 1;
         worst = worst.max(sample.latency);
         // The robustness contract: the server resolves every request —
         // verdict, typed rejection, shed or timeout — within the
@@ -352,9 +356,17 @@ fn run() -> Result<ExitCode, String> {
         .map(|(status, count)| format!("\"{}\": {count}", json::escape(status)))
         .collect();
     out.push_str(&rendered.join(", "));
-    out.push_str("}, \"kind_counts\": {");
-    let rendered: Vec<String> =
-        kind_counts.iter().map(|(kind, count)| format!("\"{kind}\": {count}")).collect();
+    out.push_str("}, \"kind_status_counts\": {");
+    let rendered: Vec<String> = kind_status_counts
+        .iter()
+        .map(|(kind, counts)| {
+            let counts: Vec<String> = counts
+                .iter()
+                .map(|(status, count)| format!("\"{}\": {count}", json::escape(status)))
+                .collect();
+            format!("\"{kind}\": {{{}}}", counts.join(", "))
+        })
+        .collect();
     out.push_str(&rendered.join(", "));
     out.push_str(&format!(
         "}}, \"stalled_past_deadline\": {stalled}, \"worst_latency_seconds\": {}, ",

@@ -13,10 +13,12 @@
 //! | `GET /healthz` | readiness; flips to `503 draining` first during shutdown |
 //!
 //! Robustness is the headline, not throughput: a bounded admission
-//! queue with a typed `503 + Retry-After` shed path, per-request
-//! deadlines enforced both at the socket and cooperatively between
-//! pipeline stages (`504` on expiry, the handler slot released rather
-//! than leaked), request-size and header limits (`413`/`431`), the
+//! queue with a typed `503 + Retry-After` shed path, requests read on
+//! per-connection reader threads so a slow client never holds a scoring
+//! handler, per-request deadlines enforced on every socket read and
+//! cooperatively between pipeline stages (`504` on expiry, the
+//! admission slot released rather than leaked), request-size and header
+//! limits (`413`/`431`), the
 //! engine's `ScoreFault` taxonomy mapped onto HTTP statuses (an
 //! undecodable body → `422` with the fault kind; an image the engine
 //! refuses → the verdict `check` gives it under the degrade policy:

@@ -53,6 +53,16 @@ impl ServiceMetrics {
     pub fn latency(&self, route: &str, seconds: f64) {
         self.telemetry.histogram("decam_http_request_seconds", &[("route", route)]).record(seconds);
     }
+
+    /// Records the time one request spent in `phase` into
+    /// `decam_http_phase_seconds{route,phase}`: `read` runs from accept
+    /// until the request is read (or its read fails), `queue` from then
+    /// until a handler starts scoring it.
+    pub fn phase(&self, route: &str, phase: &str, seconds: f64) {
+        self.telemetry
+            .histogram("decam_http_phase_seconds", &[("route", route), ("phase", phase)])
+            .record(seconds);
+    }
 }
 
 #[cfg(test)]
@@ -67,12 +77,14 @@ mod tests {
         metrics.request("/check", "200");
         metrics.shed("overload");
         metrics.latency("/check", 0.01);
+        metrics.phase("/check", "queue", 0.002);
         metrics.deadline_expired.inc();
         let text = telemetry.prometheus_text().unwrap();
         assert!(text.contains("decam_http_in_flight 1"));
         assert!(text.contains("decam_http_requests_total{route=\"/check\",status=\"200\"} 1"));
         assert!(text.contains("decam_http_shed_total{reason=\"overload\"} 1"));
         assert!(text.contains("decam_http_request_seconds_count{route=\"/check\"} 1"));
+        assert!(text.contains("decam_http_phase_seconds_count{phase=\"queue\",route=\"/check\"} 1"));
         assert!(text.contains("decam_http_deadline_expired_total 1"));
     }
 
@@ -81,6 +93,7 @@ mod tests {
         let metrics = ServiceMetrics::new(&Telemetry::disabled());
         metrics.in_flight.inc();
         metrics.request("/scan", "504");
+        metrics.phase("/scan", "read", 0.5);
         assert_eq!(metrics.in_flight.value(), 0.0);
     }
 }

@@ -6,21 +6,35 @@
 //!
 //! 1. **Overload shed** — when the in-flight count has reached
 //!    `handlers + queue_limit`, *or* more than `queue_limit` of this
-//!    server's handler jobs wait for a pool worker, the connection is
+//!    server's scoring jobs wait for a handler, the connection is
 //!    answered `503 + Retry-After` and closed without touching a
 //!    handler. The server sheds instead of queueing
 //!    unboundedly — latency for admitted requests stays bounded.
-//! 2. **Admit** — the connection is handed to a handler on the shared
-//!    [`WorkerPool`] with a freshly-armed per-request [`CancelToken`].
+//! 2. **Admit** — the connection gets a reader thread of its own and a
+//!    freshly-armed per-request [`CancelToken`]. A reader that cannot be
+//!    started sheds the connection like an overload.
+//!
+//! # Reading and scoring
+//!
+//! The reader takes the request off the socket and answers everything
+//! that needs no scoring itself: `/healthz`, `/metrics`, `404`/`405` and
+//! every transport error. A complete `/check` body becomes a job on the
+//! handler pool ([`WorkerPool`]); the reader waits for its outcome and
+//! writes the response, so no handler ever blocks on a `/check` socket
+//! and an idle handler stays free to score a peer's lent spatial branch.
+//! `/scan` streams: after the head, its connection goes to a handler,
+//! which reads each frame as it scores.
 //!
 //! # Deadlines
 //!
-//! The token's deadline drives both socket timeouts (a stalled peer
-//! cannot hold a handler past it) and the cooperative between-stage
-//! checks in the pipeline (`decode → score → vote`, and between stream
-//! chunks on `/scan`). Expiry after the request was read answers `504`;
-//! a peer that never finishes sending gets `408`. Either way the
-//! handler slot is released promptly — quarantined, never leaked.
+//! The token's deadline bounds every socket read of the request — each
+//! read re-arms the socket timeout from the time left and fails once the
+//! deadline has passed, so a client that trickles bytes cannot outlast
+//! it — and drives the cooperative between-stage checks in the pipeline
+//! (`decode → score → vote`, and between stream chunks on `/scan`).
+//! Expiry answers `504`; a peer whose read times out before the
+//! deadline gets `408`. Either way the admission slot is released
+//! promptly — quarantined, never leaked.
 //!
 //! # Drain
 //!
@@ -29,23 +43,26 @@
 //! while a short lame-duck window keeps the socket observable, then the
 //! listener closes and in-flight requests get up to the drain deadline
 //! to finish. [`Server::run`] returns a [`DrainReport`] saying whether
-//! the drain completed.
+//! the drain completed. While serving, the accept thread blocks in
+//! `accept`; a watcher thread polls the two triggers and wakes it with
+//! a loopback connection.
 
 use crate::http::{
     parse_head, read_head, read_sized_body, BodyPlan, ChunkedReader, HttpError, RequestHead,
     Response,
 };
 use crate::metrics::ServiceMetrics;
-use crate::service::DetectionService;
+use crate::service::{CheckOutcome, DetectionService};
 use crate::shutdown_signal;
 use decamouflage_core::parallel::WorkerPool;
 use decamouflage_core::stream::{ImageDecoder, Pulled, SourceItem};
 use decamouflage_core::{CancelToken, ImageSource};
 use decamouflage_imaging::codec::SampleAlloc;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`Server::bind`].
@@ -53,14 +70,15 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port.
     pub addr: String,
-    /// Handler threads on the worker pool.
+    /// Handler threads on the worker pool. Handlers only score: each
+    /// connection is read and answered on a reader thread of its own.
     pub handlers: usize,
     /// Admission bound past the handlers: the maximum accepted-but-
-    /// unfinished connections is `handlers + queue_limit`, and a handler
-    /// backlog (admitted jobs no worker has started) past `queue_limit`
-    /// also sheds.
+    /// unfinished connections is `handlers + queue_limit`, and a backlog
+    /// of scoring jobs (complete requests no handler has started) past
+    /// `queue_limit` also sheds.
     pub queue_limit: usize,
-    /// Per-request deadline (socket timeouts + between-stage checks).
+    /// Per-request deadline (every socket read + between-stage checks).
     pub deadline: Duration,
     /// Maximum time in-flight requests get to finish after a drain
     /// starts. Should comfortably exceed `deadline`.
@@ -80,6 +98,14 @@ pub struct ServerConfig {
 /// bodies; each decodes only when it is scored.
 const SCAN_CHUNK_SIZE: usize = 8;
 
+/// How long a failed `accept` backs off, and how often the drain polls
+/// its listener and the in-flight count.
+const POLL: Duration = Duration::from_millis(2);
+
+/// How often the shutdown watcher looks at the drain triggers: it bounds
+/// how late a drain starts, and no request waits on it.
+const WATCH_INTERVAL: Duration = Duration::from_millis(10);
+
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
@@ -95,14 +121,23 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared mutable server state (accept thread + handlers + handle).
+/// Shared mutable server state (accept thread + readers + handlers +
+/// handle).
 #[derive(Debug, Default)]
 struct ServerState {
     in_flight: AtomicUsize,
-    /// Handler jobs on this server's pool that no worker has started.
+    /// Scoring jobs on this server's pool that no handler has started.
     queued: AtomicUsize,
     draining: AtomicBool,
     shutdown: AtomicBool,
+}
+
+impl ServerState {
+    /// Whether a drain was asked for, by [`ServerHandle::shutdown`] or
+    /// SIGTERM.
+    fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || shutdown_signal::seen()
+    }
 }
 
 /// How a drain ended.
@@ -137,7 +172,7 @@ impl ServerHandle {
     }
 }
 
-/// Everything one connection handler needs, cloned per admission.
+/// Everything one request needs, cloned per admission.
 struct ConnContext {
     service: Arc<DetectionService>,
     state: Arc<ServerState>,
@@ -147,9 +182,16 @@ struct ConnContext {
     accepted_at: Instant,
 }
 
-/// Releases the admission slot when the handler finishes — including
-/// by panic (the pool recovers the panic; this guard's `Drop` still
-/// runs during unwind, so a crashed handler never leaks its slot).
+impl ConnContext {
+    /// Ends the request's read phase, which runs from accept.
+    fn read_done(&self, route: &str) {
+        self.metrics.phase(route, "read", self.accepted_at.elapsed().as_secs_f64());
+    }
+}
+
+/// Releases the admission slot when the connection is done — including
+/// by panic (this guard's `Drop` still runs during unwind, so a crashed
+/// reader or handler never leaks its slot).
 struct InFlightGuard {
     state: Arc<ServerState>,
     metrics: Arc<ServiceMetrics>,
@@ -162,6 +204,69 @@ impl Drop for InFlightGuard {
     }
 }
 
+/// One admitted connection: its socket, its request's context, and the
+/// admission slot it holds until it is dropped.
+struct Connection {
+    stream: Arc<TcpStream>,
+    ctx: ConnContext,
+    _slot: InFlightGuard,
+}
+
+impl Connection {
+    /// Writes `response` (`None`: the peer is gone), closes the socket
+    /// and accounts the request under `route`.
+    fn finish(self, route: &'static str, response: Option<Response>) {
+        let mut stream = &*self.stream;
+        let status = match response {
+            Some(response) => {
+                // Even past the deadline the response must flush: the 504
+                // itself needs a write window.
+                let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
+                match response.write_to(&mut stream) {
+                    Ok(()) => response.status.to_string(),
+                    Err(_) => "closed".to_string(),
+                }
+            }
+            None => "closed".to_string(),
+        };
+        let _ = stream.shutdown(Shutdown::Both);
+        let metrics = &self.ctx.metrics;
+        if status == "504" {
+            metrics.deadline_expired.inc();
+        }
+        metrics.request(route, &status);
+        metrics.latency(route, self.ctx.accepted_at.elapsed().as_secs_f64());
+    }
+
+    /// [`Connection::finish`] for a request answered where it was read,
+    /// whose read phase ends here.
+    fn answer(self, route: &'static str, response: Option<Response>) {
+        self.ctx.read_done(route);
+        self.finish(route, response);
+    }
+}
+
+/// The socket as a request's reads see it: each read re-arms the socket
+/// timeout from the time the request has left, and fails once its
+/// deadline has passed, so a peer that trickles bytes cannot keep a
+/// read going past the deadline.
+struct DeadlineReader {
+    stream: Arc<TcpStream>,
+    token: CancelToken,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(left) = self.token.remaining() {
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        (&*self.stream).read(buf)
+    }
+}
+
 /// The bound, not-yet-running server.
 #[derive(Debug)]
 pub struct Server {
@@ -170,7 +275,8 @@ pub struct Server {
     config: ServerConfig,
     state: Arc<ServerState>,
     metrics: Arc<ServiceMetrics>,
-    pool: WorkerPool,
+    /// The handlers: readers submit scoring jobs here.
+    pool: Arc<WorkerPool>,
 }
 
 impl Server {
@@ -185,12 +291,11 @@ impl Server {
     /// Propagates bind/configuration I/O errors.
     pub fn bind(config: ServerConfig, service: DetectionService) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let telemetry = decamouflage_telemetry::global();
         Ok(Self {
             listener,
             service: Arc::new(service),
-            pool: WorkerPool::new(config.handlers.max(1)),
+            pool: Arc::new(WorkerPool::new(config.handlers.max(1))),
             config,
             state: Arc::new(ServerState::default()),
             metrics: Arc::new(ServiceMetrics::new(&telemetry)),
@@ -219,29 +324,32 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Currently infallible at runtime (accept errors back off and
-    /// retry); the `Result` reserves the right to surface fatal
-    /// listener failures.
+    /// A failure to start the shutdown watcher or to switch the listener
+    /// to the drain's polling; accept errors back off and retry.
     pub fn run(self) -> io::Result<DrainReport> {
-        let poll = Duration::from_millis(2);
-        loop {
-            if self.state.shutdown.load(Ordering::SeqCst) || shutdown_signal::seen() {
-                break;
-            }
+        let watcher = self.watch_for_shutdown()?;
+        let woken = loop {
             match self.listener.accept() {
+                Ok((stream, _)) if self.state.shutdown_requested() => break Some(stream),
                 Ok((stream, _)) => self.admit(stream),
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
+                Err(_) if self.state.shutdown_requested() => break None,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
                 // Transient accept failures (e.g. EMFILE under a
                 // connection storm): back off instead of spinning.
-                Err(_) => std::thread::sleep(poll),
+                Err(_) => std::thread::sleep(POLL),
             }
-        }
+        };
 
         // Drain sequence. Readiness flips before anything else so load
         // balancers stop routing here while we are still observable.
         self.state.draining.store(true, Ordering::SeqCst);
         let drain_started = Instant::now();
+        // The connection that ended the serving loop (the watcher's, or a
+        // client's that beat it) is served like any other in the drain.
+        if let Some(stream) = woken {
+            self.admit(stream);
+        }
+        self.listener.set_nonblocking(true)?;
         loop {
             let elapsed = drain_started.elapsed();
             if elapsed >= self.config.drain_deadline {
@@ -253,9 +361,8 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _)) => self.admit(stream),
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => std::thread::sleep(poll),
+                Err(_) => std::thread::sleep(POLL),
             }
         }
         // Stop accepting; give stragglers the rest of the deadline.
@@ -263,10 +370,38 @@ impl Server {
         while self.state.in_flight.load(Ordering::SeqCst) > 0
             && drain_started.elapsed() < self.config.drain_deadline
         {
-            std::thread::sleep(poll);
+            std::thread::sleep(POLL);
         }
+        // With `draining` set, the watcher has returned or returns within
+        // one interval.
+        let _ = watcher.join();
         let in_flight_at_exit = self.state.in_flight.load(Ordering::SeqCst);
         Ok(DrainReport { drained: in_flight_at_exit == 0, in_flight_at_exit })
+    }
+
+    /// Starts the thread that ends the serving loop: it polls the drain
+    /// triggers and, once one fires, wakes the blocking `accept` with a
+    /// connection of its own.
+    fn watch_for_shutdown(&self) -> io::Result<JoinHandle<()>> {
+        let state = Arc::clone(&self.state);
+        let mut wake = self.listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        std::thread::Builder::new().name("decam-serve-watch".into()).spawn(move || {
+            while !state.draining.load(Ordering::SeqCst) {
+                if state.shutdown_requested()
+                    && TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok()
+                {
+                    return;
+                }
+                std::thread::sleep(WATCH_INTERVAL);
+            }
+        })
     }
 
     /// The per-connection admission decision (accept thread).
@@ -276,27 +411,38 @@ impl Server {
         let backlog = self.state.queued.load(Ordering::SeqCst);
         if in_flight >= self.max_in_flight() || backlog > self.config.queue_limit {
             self.metrics.shed("overload");
-            reject(stream, overloaded_response());
+            reject(&stream, overloaded_response());
             return;
         }
         self.state.in_flight.fetch_add(1, Ordering::SeqCst);
         self.metrics.in_flight.inc();
-        let ctx = ConnContext {
-            service: Arc::clone(&self.service),
-            state: Arc::clone(&self.state),
-            metrics: Arc::clone(&self.metrics),
-            config: self.config.clone(),
-            token: CancelToken::expiring_in(self.config.deadline),
-            accepted_at,
+        let stream = Arc::new(stream);
+        let conn = Connection {
+            stream: Arc::clone(&stream),
+            ctx: ConnContext {
+                service: Arc::clone(&self.service),
+                state: Arc::clone(&self.state),
+                metrics: Arc::clone(&self.metrics),
+                config: self.config.clone(),
+                token: CancelToken::expiring_in(self.config.deadline),
+                accepted_at,
+            },
+            _slot: InFlightGuard {
+                state: Arc::clone(&self.state),
+                metrics: Arc::clone(&self.metrics),
+            },
         };
-        let guard =
-            InFlightGuard { state: Arc::clone(&self.state), metrics: Arc::clone(&self.metrics) };
-        self.state.queued.fetch_add(1, Ordering::SeqCst);
-        self.pool.spawn(move || {
-            ctx.state.queued.fetch_sub(1, Ordering::SeqCst);
-            let _guard = guard;
-            handle_connection(stream, &ctx);
-        });
+        let pool = Arc::clone(&self.pool);
+        // Readers are detached: the drain waits on their admission slots,
+        // which a connection releases when it drops, on unwind too.
+        let reader = std::thread::Builder::new()
+            .name("decam-reader".into())
+            .spawn(move || read_request(conn, &pool));
+        if reader.is_err() {
+            // The failed spawn dropped the connection, and its slot with it.
+            self.metrics.shed("overload");
+            reject(&stream, overloaded_response());
+        }
     }
 }
 
@@ -312,82 +458,66 @@ fn draining_response() -> Response {
 
 /// Best-effort response on the accept thread; a tiny body fits the
 /// fresh socket buffer, so this cannot stall the accept loop.
-fn reject(mut stream: TcpStream, response: Response) {
+fn reject(mut stream: &TcpStream, response: Response) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = response.write_to(&mut stream);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Applies the request deadline to the socket, flooring at 10ms so an
-/// already-expired token still yields a fast error instead of panicking
-/// `set_read_timeout(Some(0))`.
-fn apply_socket_deadline(stream: &TcpStream, token: &CancelToken) {
-    if let Some(remaining) = token.remaining() {
-        let timeout = remaining.max(Duration::from_millis(10));
-        let _ = stream.set_read_timeout(Some(timeout));
-        let _ = stream.set_write_timeout(Some(timeout));
-    }
-}
-
-/// One connection, end to end: read → route → respond → account.
-fn handle_connection(stream: TcpStream, ctx: &ConnContext) {
-    let _ = stream.set_nodelay(true);
-    apply_socket_deadline(&stream, &ctx.token);
-    let Ok(read_half) = stream.try_clone() else {
-        ctx.metrics.request("unknown", "closed");
-        return;
+/// A reader thread: reads one request under its deadline and answers it,
+/// handing only scoring to a handler.
+fn read_request(conn: Connection, pool: &WorkerPool) {
+    let _ = conn.stream.set_nodelay(true);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: Arc::clone(&conn.stream),
+        token: conn.ctx.token.clone(),
+    });
+    let head = match read_head(&mut reader, conn.ctx.config.max_header_bytes) {
+        Ok(Some(bytes)) => parse_head(&bytes),
+        Ok(None) => return conn.answer("none", None),
+        Err(err) => Err(err),
     };
-    let mut reader = BufReader::new(read_half);
-    let (route, response) = route_request(&mut reader, ctx);
-    let mut stream = stream;
-    let status = match response {
-        Some(response) => {
-            // Even past the deadline the response must flush: the 504
-            // itself needs a write window.
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-            let status = response.status;
-            match response.write_to(&mut stream) {
-                Ok(()) => status.to_string(),
-                Err(_) => "closed".to_string(),
-            }
-        }
-        None => "closed".to_string(),
-    };
-    let _ = stream.flush();
-    let _ = stream.shutdown(Shutdown::Both);
-    if status == "504" {
-        ctx.metrics.deadline_expired.inc();
-    }
-    ctx.metrics.request(route, &status);
-    ctx.metrics.latency(route, ctx.accepted_at.elapsed().as_secs_f64());
-}
-
-/// Reads and dispatches one request; `None` means the peer is gone and
-/// there is nothing to write.
-fn route_request<R: BufRead>(
-    reader: &mut R,
-    ctx: &ConnContext,
-) -> (&'static str, Option<Response>) {
-    let head_bytes = match read_head(reader, ctx.config.max_header_bytes) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => return ("none", None),
-        Err(err) => return ("unknown", error_response(err, &ctx.token)),
-    };
-    let head = match parse_head(&head_bytes) {
+    let head = match head {
         Ok(head) => head,
-        Err(err) => return ("unknown", error_response(err, &ctx.token)),
+        Err(err) => {
+            let response = error_response(err, &conn.ctx.token);
+            return conn.answer("unknown", response);
+        }
     };
     match (head.method.as_str(), head.path()) {
-        ("GET", "/healthz") => ("/healthz", Some(healthz(ctx))),
-        ("GET", "/metrics") => ("/metrics", Some(metrics_exposition())),
-        ("POST", "/check") => ("/check", check(&head, reader, ctx)),
-        ("POST", "/scan") => ("/scan", scan(&head, reader, ctx)),
-        (_, "/healthz" | "/metrics" | "/check" | "/scan") => (
+        ("GET", "/healthz") => {
+            let response = healthz(&conn.ctx);
+            conn.answer("/healthz", Some(response));
+        }
+        ("GET", "/metrics") => conn.answer("/metrics", Some(metrics_exposition())),
+        ("POST", "/check") => check(&head, &mut reader, conn, pool),
+        ("POST", "/scan") => scan_on_handler(head, reader, conn, pool),
+        (_, "/healthz" | "/metrics" | "/check" | "/scan") => conn.answer(
             "method-not-allowed",
             Some(Response::json(405, "{\"error\":\"method-not-allowed\"}".into())),
         ),
-        _ => ("not-found", Some(Response::json(404, "{\"error\":\"not-found\"}".into()))),
+        _ => {
+            conn.answer("not-found", Some(Response::json(404, "{\"error\":\"not-found\"}".into())))
+        }
     }
+}
+
+/// Queues `job` on a handler. `queued` counts it until a handler starts
+/// it; that wait is the request's queue phase.
+fn submit(
+    pool: &WorkerPool,
+    state: Arc<ServerState>,
+    metrics: Arc<ServiceMetrics>,
+    route: &'static str,
+    job: impl FnOnce() + Send + 'static,
+) {
+    let ready = Instant::now();
+    state.queued.fetch_add(1, Ordering::SeqCst);
+    pool.spawn(move || {
+        state.queued.fetch_sub(1, Ordering::SeqCst);
+        metrics.phase(route, "queue", ready.elapsed().as_secs_f64());
+        job();
+    });
 }
 
 /// Readiness: `200 ok` while serving, `503 draining` once a drain has
@@ -447,17 +577,31 @@ fn error_response(err: HttpError, token: &CancelToken) -> Option<Response> {
     }
 }
 
-/// `POST /check`: one image body → one verdict.
-fn check<R: BufRead>(head: &RequestHead, reader: &mut R, ctx: &ConnContext) -> Option<Response> {
-    if let Some(response) = shed_if_draining(ctx) {
-        return Some(response);
+/// `POST /check`: the reader reads the body, a handler scores it, and
+/// the reader writes the verdict.
+fn check<R: BufRead>(head: &RequestHead, reader: &mut R, conn: Connection, pool: &WorkerPool) {
+    if let Some(response) = shed_if_draining(&conn.ctx) {
+        return conn.answer("/check", Some(response));
     }
-    let body = match read_check_body(head, reader, ctx) {
+    let body = match read_check_body(head, reader, &conn.ctx) {
         Ok(body) => body,
-        Err(err) => return error_response(err, &ctx.token),
+        Err(err) => {
+            let response = error_response(err, &conn.ctx.token);
+            return conn.answer("/check", response);
+        }
     };
-    let outcome = ctx.service.check_bytes(&body, &ctx.token);
-    Some(Response::json(outcome.status(), outcome.to_json()))
+    conn.ctx.read_done("/check");
+    let (service, token) = (Arc::clone(&conn.ctx.service), conn.ctx.token.clone());
+    let (sender, outcome) = mpsc::sync_channel(1);
+    submit(pool, Arc::clone(&conn.ctx.state), Arc::clone(&conn.ctx.metrics), "/check", move || {
+        let _ = sender.send(service.check_bytes(&body, &token));
+    });
+    // Scoring isolates the engine's own panics; a job that still ends
+    // without an outcome panicked around it.
+    let outcome = outcome.recv().unwrap_or_else(|_| CheckOutcome::Panicked {
+        detail: "the scoring job ended without an outcome".into(),
+    });
+    conn.finish("/check", Some(Response::json(outcome.status(), outcome.to_json())));
 }
 
 /// Reads a `/check` body under the size cap; chunked frames concatenate
@@ -554,12 +698,29 @@ impl<R: BufRead> ImageSource for BodyImageSource<'_, R> {
     }
 }
 
-/// `POST /scan`: stream the body through the engine with bounded
-/// memory; each chunked frame is one image.
-fn scan<R: BufRead>(head: &RequestHead, reader: &mut R, ctx: &ConnContext) -> Option<Response> {
-    if let Some(response) = shed_if_draining(ctx) {
-        return Some(response);
+/// `POST /scan` after its head: the connection goes to a handler, which
+/// streams the body through the engine and writes the response. The
+/// frames are read as they are scored, so the read phase ends with the
+/// head.
+fn scan_on_handler(
+    head: RequestHead,
+    mut reader: BufReader<DeadlineReader>,
+    conn: Connection,
+    pool: &WorkerPool,
+) {
+    if let Some(response) = shed_if_draining(&conn.ctx) {
+        return conn.answer("/scan", Some(response));
     }
+    conn.ctx.read_done("/scan");
+    submit(pool, Arc::clone(&conn.ctx.state), Arc::clone(&conn.ctx.metrics), "/scan", move || {
+        let response = scan(&head, &mut reader, &conn.ctx);
+        conn.finish("/scan", response);
+    });
+}
+
+/// Streams a `/scan` body through the engine with bounded memory; each
+/// chunked frame is one image.
+fn scan<R: BufRead>(head: &RequestHead, reader: &mut R, ctx: &ConnContext) -> Option<Response> {
     let plan = match head.body_plan() {
         Ok(plan) => plan,
         Err(err) => return error_response(err, &ctx.token),

@@ -1,10 +1,10 @@
 //! A process-wide SIGTERM latch.
 //!
-//! The accept loop polls [`seen`] between accepts; orchestrators send
-//! SIGTERM and the server drains instead of dying mid-request. The
-//! handler itself only stores into an `AtomicBool` — the one operation
-//! that is async-signal-safe — and the drain logic runs on the accept
-//! thread, never in signal context.
+//! The server's shutdown watcher polls [`seen`] and wakes the blocking
+//! accept loop; orchestrators send SIGTERM and the server drains
+//! instead of dying mid-request. The handler itself only stores into an
+//! `AtomicBool` — the one operation that is async-signal-safe — and the
+//! drain logic runs on the accept thread, never in signal context.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -3,12 +3,15 @@
 //! lines, truncated heads, Content-Length overflow or mismatch,
 //! interleaved CRLF, hostile chunk framing — parsing must end in a
 //! well-formed 4xx-mappable error or a clean result, never a panic and
-//! never unbounded buffering.
+//! never unbounded buffering. A socket hands a request over in pieces,
+//! so every reader also gives the same result whatever sizes the reads
+//! come in, interrupted reads included.
 
 use decamouflage_serve::http::{
     parse_head, read_head, read_sized_body, BodyPlan, ChunkedReader, HttpError,
 };
 use proptest::prelude::*;
+use std::io::{self, BufRead, BufReader, Read};
 
 /// Arbitrary byte soup, biased toward HTTP-ish structure so the
 /// interesting branches (CRLF handling, header splits, hex sizes) get
@@ -43,6 +46,69 @@ fn arb_chunked_bytes() -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(0u8..=255u8, 0..16),
     ];
     proptest::collection::vec(atom, 0..8).prop_map(|atoms| atoms.concat())
+}
+
+/// Read sizes for [`Pieces`]: a zero is an interrupted read.
+fn arb_piece_sizes() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..24, 1..8)
+}
+
+/// The wire bytes as a socket hands them out: each read returns at most
+/// the next of `sizes` (cycled) bytes, and a zero size fails the read
+/// with `Interrupted`.
+struct Pieces<'a> {
+    bytes: &'a [u8],
+    sizes: Vec<usize>,
+    next: usize,
+}
+
+impl<'a> Pieces<'a> {
+    /// `bytes` in pieces of `sizes`, buffered as the server buffers its
+    /// socket, with `capacity` bytes.
+    fn buffered(bytes: &'a [u8], mut sizes: Vec<usize>, capacity: usize) -> BufReader<Self> {
+        if sizes.iter().all(|&size| size == 0) {
+            sizes.push(1);
+        }
+        BufReader::with_capacity(capacity, Self { bytes, sizes, next: 0 })
+    }
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.bytes.is_empty() || buf.is_empty() {
+            return Ok(0);
+        }
+        let size = self.sizes[self.next % self.sizes.len()];
+        self.next += 1;
+        if size == 0 {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let (piece, rest) = self.bytes.split_at(size.min(buf.len()).min(self.bytes.len()));
+        buf[..piece.len()].copy_from_slice(piece);
+        self.bytes = rest;
+        Ok(piece.len())
+    }
+}
+
+/// Every result of a [`ChunkedReader`] up to its first non-frame.
+fn frames_of<R: BufRead>(reader: &mut R, budget: usize) -> Vec<String> {
+    let mut frames = ChunkedReader::new(reader, budget);
+    let mut results = Vec::new();
+    loop {
+        let next = frames.next_frame();
+        let done = !matches!(next, Ok(Some(_)));
+        results.push(format!("{next:?}"));
+        if done {
+            return results;
+        }
+    }
+}
+
+/// What is left on a reader.
+fn rest_of<R: Read>(reader: &mut R) -> Vec<u8> {
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("in-memory reads only fail as Interrupted");
+    rest
 }
 
 proptest! {
@@ -146,5 +212,48 @@ proptest! {
         prop_assert_eq!(head.method.as_str(), "POST");
         prop_assert_eq!(head.path(), target.as_str());
         prop_assert_eq!(head.body_plan().unwrap(), BodyPlan::Sized(length));
+    }
+
+    /// `read_head` gives the same head or error, and leaves the same
+    /// bytes buffered for the body, whatever the read sizes.
+    #[test]
+    fn read_head_is_blind_to_read_boundaries(
+        bytes in arb_wire_bytes(),
+        cap in 16usize..512,
+        sizes in arb_piece_sizes(),
+        capacity in 1usize..64,
+    ) {
+        let mut whole = bytes.as_slice();
+        let mut pieces = Pieces::buffered(&bytes, sizes, capacity);
+        let (expected, got) = (read_head(&mut whole, cap), read_head(&mut pieces, cap));
+        prop_assert_eq!(format!("{expected:?}"), format!("{got:?}"));
+        prop_assert_eq!(rest_of(&mut whole), rest_of(&mut pieces));
+    }
+
+    /// A sized body reads the same whatever the read sizes.
+    #[test]
+    fn sized_body_reads_are_blind_to_read_boundaries(
+        body in proptest::collection::vec(0u8..=255u8, 0..128),
+        claimed in 0usize..160,
+        sizes in arb_piece_sizes(),
+        capacity in 1usize..64,
+    ) {
+        let expected = read_sized_body(&mut body.as_slice(), claimed, 1024);
+        let got = read_sized_body(&mut Pieces::buffered(&body, sizes, capacity), claimed, 1024);
+        prop_assert_eq!(format!("{expected:?}"), format!("{got:?}"));
+    }
+
+    /// The chunked decoder yields the same frames and the same error
+    /// whatever the read sizes.
+    #[test]
+    fn chunked_frames_are_blind_to_read_boundaries(
+        bytes in arb_chunked_bytes(),
+        budget in 1usize..256,
+        sizes in arb_piece_sizes(),
+        capacity in 1usize..64,
+    ) {
+        let expected = frames_of(&mut bytes.as_slice(), budget);
+        let got = frames_of(&mut Pieces::buffered(&bytes, sizes, capacity), budget);
+        prop_assert_eq!(expected, got);
     }
 }

@@ -10,7 +10,7 @@ use decamouflage_core::{CancelToken, DegradePolicy, Direction, MethodId, Thresho
 use decamouflage_imaging::codec::encode_pgm;
 use decamouflage_imaging::{Image, Size};
 use decamouflage_serve::{DetectionService, Server, ServerConfig, ServerHandle};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -323,5 +323,137 @@ fn draining_server_flips_healthz_and_sheds_work_before_closing() {
     assert_eq!(status_of(&shed), "503", "{shed}");
     assert!(shed.contains("\"error\":\"draining\""), "{shed}");
 
+    assert!(join.join().expect("server thread"), "drain completed");
+}
+
+/// Opens a slow-loris connection (a partial head, then silence) and
+/// waits until the server has admitted it as its only connection.
+fn open_loris(addr: SocketAddr, handle: &ServerHandle) -> TcpStream {
+    let mut loris = TcpStream::connect(addr).expect("connect loris");
+    loris.write_all(b"POST /check HTTP/1.1\r\n").expect("partial head");
+    let waited = Instant::now();
+    while handle.in_flight() != 1 {
+        assert!(waited.elapsed() < Duration::from_secs(5), "loris never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    loris
+}
+
+/// A slow client holds a reader thread and an admission slot, never a
+/// handler: on a one-handler server, a `/check` sent while a silent
+/// slow-loris connection is open scores at once instead of waiting for
+/// the loris to time out, and its read and queue phases reach `/metrics`.
+#[test]
+fn a_check_scores_on_the_only_handler_while_a_slow_loris_is_open() {
+    let deadline = Duration::from_secs(4);
+    let (addr, handle, join) = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        handlers: 1,
+        deadline,
+        drain_deadline: Duration::from_secs(8),
+        lame_duck: Duration::from_millis(50),
+        ..ServerConfig::default()
+    });
+    let loris = open_loris(addr, &handle);
+
+    let started = Instant::now();
+    let check = exchange(addr, &post("/check", &benign_pgm()));
+    let waited = started.elapsed();
+    assert_eq!(status_of(&check), "200", "{check}");
+    assert!(waited < deadline / 4, "the /check waited {waited:?} behind the loris");
+
+    let metrics = exchange(addr, &get("/metrics"));
+    for phase in ["read", "queue"] {
+        let series =
+            format!("decam_http_phase_seconds_count{{phase=\"{phase}\",route=\"/check\"}}");
+        assert!(metrics.contains(&series), "no {series} in {metrics}");
+    }
+    drop(loris);
+    handle.shutdown();
+    assert!(join.join().expect("server thread"), "drain completed");
+}
+
+/// With a silent slow-loris connection open on a two-handler server,
+/// both handlers stay free to score, so a `/check` lends its spatial
+/// branch to the other one; the verdict body is byte-identical to the
+/// in-process one. The fork counter is process-global and the other
+/// tests here fork at most twice between them, so six forks in twelve
+/// requests are this test's own.
+#[test]
+fn a_check_forks_onto_the_other_handler_while_a_slow_loris_is_open() {
+    let (addr, handle, join) = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        handlers: 2,
+        deadline: Duration::from_secs(10),
+        drain_deadline: Duration::from_secs(15),
+        lame_duck: Duration::from_millis(50),
+        ..ServerConfig::default()
+    });
+    let loris = open_loris(addr, &handle);
+    let image = encode_pgm(&Image::from_fn_gray(160, 160, |x, y| ((x * 7 + y * 3) % 97) as f64));
+    let expected = service().check_bytes(&image, &CancelToken::new()).to_json();
+    let before = forked_passes(addr);
+    for _ in 0..12 {
+        // Let the last request's handlers get back to waiting for a job.
+        std::thread::sleep(Duration::from_millis(20));
+        let check = exchange(addr, &post("/check", &image));
+        assert_eq!(status_of(&check), "200", "{check}");
+        assert_eq!(body_of(&check), expected, "a lent pass changed the verdict body");
+    }
+    let forked = forked_passes(addr) - before;
+    assert!(forked >= 6.0, "{forked} of 12 /check passes forked beside the loris");
+    drop(loris);
+    handle.shutdown();
+    assert!(join.join().expect("server thread"), "drain completed");
+}
+
+/// The deadline bounds a client that keeps sending, not only one that
+/// goes silent: a head trickled one byte every 100 ms is cut off at the
+/// 500 ms deadline with a 408/504 or a close.
+#[test]
+fn a_client_trickling_its_head_is_cut_off_at_the_deadline() {
+    let deadline = Duration::from_millis(500);
+    let (addr, handle, join) = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        handlers: 1,
+        deadline,
+        drain_deadline: Duration::from_secs(5),
+        lame_duck: Duration::from_millis(50),
+        ..ServerConfig::default()
+    });
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().expect("clone the socket");
+    let started = Instant::now();
+    // A head that never ends, one byte at a time, for up to 4 s.
+    let trickle = std::thread::spawn(move || {
+        let head = b"POST /check HTTP/1.1\r\nX-Trickle: ".iter().chain(std::iter::repeat(&b'a'));
+        for &byte in head.take(40) {
+            if writer.write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    let mut response = Vec::new();
+    let read = (&stream).read_to_end(&mut response);
+    let waited = started.elapsed();
+    let response = String::from_utf8_lossy(&response);
+    match read {
+        Ok(_) => assert!(
+            response.starts_with("HTTP/1.1 408")
+                || response.starts_with("HTTP/1.1 504")
+                || response.is_empty(),
+            "expected a timeout rejection or a close, got: {response}"
+        ),
+        // The server closed with trickled bytes unread: a close too.
+        Err(err) => assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{err}"),
+    }
+    assert!(
+        waited < deadline + Duration::from_secs(1),
+        "the trickling client kept its request open for {waited:?}"
+    );
+    trickle.join().expect("trickle thread");
+    handle.shutdown();
     assert!(join.join().expect("server thread"), "drain completed");
 }
