@@ -35,6 +35,13 @@ echo "== planar equivalence (release, simd): golden engine scores =="
 # suite, happen inside the workspace test runs above.
 cargo test --release --test planar_equivalence --features simd
 
+echo "== spectral kernels (release, simd): bit identity to the recursion =="
+# The AVX butterflies, the in-place column strips among them, as the
+# benchmark ships them: optimised, with `simd`. The suite pins every smooth
+# length, the 2-D pass at the paper's sizes and the ln-free CSP counter to
+# their oracles bit for bit.
+cargo test --release -p decamouflage-spectral --features simd
+
 echo "== benchmark package: build + unit tests =="
 # The end-to-end benchmark (BENCHMARK.json) is a workspace of its own, so
 # nothing above compiles it. Its unit tests include the replay's score

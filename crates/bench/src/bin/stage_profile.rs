@@ -9,8 +9,12 @@
 //! telemetry records — the pass, each stage, each per-method increment — for
 //! Gray and RGB at 128² (a 64-image corpus) and at the paper's Table 7 sizes
 //! 336², 448² and 560², plus Gray 512², the DFT gate's radix-2 reference.
-//! Images score through [`DetectionEngine::score_resilient`], which validates
-//! and then scores, as every production caller does.
+//! Those engines run every method (`"methods": "all"`); the `"paper"` rows
+//! give the pass, the `dft` stage and the CSP increment of the paper's
+//! method set ([`PAPER_METHODS`], what `check`, `scan` and `serve` run) at
+//! the Table 7 sizes, Gray. Images score through
+//! [`DetectionEngine::score_resilient`], which validates and then scores, as
+//! every production caller does.
 //!
 //! Its `gates` rows are the perf gates; the program exits non-zero if one
 //! fails, and panics if a correctness check does:
@@ -76,11 +80,13 @@ const TELEMETRY_LIMIT: f64 = 1.02;
 const SSIM_SHARE_LIMIT: f64 = 0.50;
 const DFT_RATIO_LIMIT: f64 = 1.5;
 const DECODE_BUDGET_US: f64 = 1500.0;
-// Gate 9 was tuned on the same 2-core VM. There the spatial branch takes
-// about 8.8 ms at 448² Gray and the spectral one about 11.4 ms, so with
-// them on two cores a pass should take about max(8.8, 11.4) / 20.2 ≈ 0.57
-// of the inline one; it read 0.57–0.58, handoffs included. A host with no
-// second core free reads near 1.
+// Gate 9 was tuned on the same 2-core VM, when the spatial branch took
+// about 8.8 ms at 448² Gray and the spectral one about 11.4 ms: with them
+// on two cores a pass should take about max(8.8, 11.4) / 20.2 ≈ 0.57 of
+// the inline one, and it read 0.57–0.58, handoffs included. Since the
+// batched FFT columns and the ln-free CSP count the spectral branch is the
+// shorter one (about 3.9 ms against 6 ms), so the gate reads 0.66–0.74. A
+// host with no second core free reads near 1.
 const TWO_CORE_LIMIT: f64 = 0.80;
 
 /// Images in the 128² corpus, benign and attack alternating.
@@ -94,6 +100,9 @@ const SIDES: [usize; 4] = [128, 336, 448, 560];
 
 /// The radix-2 reference side of the DFT gate, profiled Gray only.
 const REFERENCE_SIDE: usize = 512;
+
+/// The paper's Table 7 sizes, profiled Gray with the paper's method set.
+const PAPER_SIDES: [usize; 3] = [336, 448, 560];
 
 /// Leading corpus images written in every format, and passes over them.
 const DECODE_IMAGES: usize = 48;
@@ -326,11 +335,24 @@ fn profile(engine: &DetectionEngine, images: &[Image], passes: usize) -> Vec<Ser
 struct Row {
     side: usize,
     layout: &'static str,
+    /// `all` for an engine running every method, `paper` for
+    /// [`PAPER_METHODS`].
+    methods: &'static str,
     series: Series,
 }
 
+impl Row {
+    fn new(side: usize, layout: &'static str, methods: &'static str, series: Series) -> Self {
+        let (kind, name, us) = (series.kind, &series.name, series.us_per_image());
+        println!("{side:>3}² {layout:<4} {methods:<5} {kind:<6} {name:<24} {us:10.1} µs/image");
+        Self { side, layout, methods, series }
+    }
+}
+
 /// Profiles Gray and RGB at every [`SIDES`] size — the 128² corpus, one
-/// benign image at each paper size — and Gray at [`REFERENCE_SIDE`].
+/// benign image at each paper size — and Gray at [`REFERENCE_SIDE`], every
+/// method enabled; then the paper set's pass, `dft` stage and CSP
+/// increment, Gray, at each of [`PAPER_SIDES`].
 fn engine_rows(corpus: &[Image]) -> Vec<Row> {
     let configs = SIDES
         .into_iter()
@@ -343,18 +365,32 @@ fn engine_rows(corpus: &[Image]) -> Vec<Row> {
             if layout == "rgb" { gray.iter().map(Image::to_rgb).collect() } else { gray };
         let engine = DetectionEngine::new(target_for(side)).with_telemetry(Telemetry::enabled());
         for series in profile(&engine, &images, PASSES) {
-            let (kind, name, us) = (series.kind, &series.name, series.us_per_image());
-            println!("{side:>3}² {layout:<4} {kind:<6} {name:<24} {us:10.1} µs/image");
-            rows.push(Row { side, layout, series });
+            rows.push(Row::new(side, layout, "all", series));
+        }
+    }
+    for side in PAPER_SIDES {
+        let engine = DetectionEngine::new(target_for(side))
+            .with_methods(MethodSet::of(PAPER_METHODS))
+            .with_telemetry(Telemetry::enabled());
+        for series in profile(&engine, &generate(side, 1), PASSES) {
+            let kept = match series.kind {
+                "engine" => true,
+                "stage" => series.name == "dft",
+                _ => series.name == MethodId::Csp.name(),
+            };
+            if kept {
+                rows.push(Row::new(side, "gray", "paper", series));
+            }
         }
     }
     rows
 }
 
+/// A Gray all-methods row's µs/image.
 fn gray_us(rows: &[Row], side: usize, kind: &str, name: &str) -> f64 {
     rows.iter()
         .find(|row| {
-            (row.side, row.layout, row.series.kind) == (side, "gray", kind)
+            (row.side, row.layout, row.methods, row.series.kind) == (side, "gray", "all", kind)
                 && row.series.name == name
         })
         .unwrap_or_else(|| panic!("no {side}² gray {kind} {name} row"))
@@ -619,9 +655,7 @@ fn two_core_gate() -> (Vec<Row>, Gate) {
                 samples: times.len() as u64,
                 seconds: times.iter().sum(),
             };
-            let (kind, us) = (series.kind, series.us_per_image());
-            println!("{SIDE:>3}² gray {kind:<6} {name:<24} {us:10.1} µs/image");
-            Row { side: SIDE, layout: "gray", series }
+            Row::new(SIDE, "gray", "paper", series)
         })
         .collect();
     (rows, gate)
@@ -656,6 +690,7 @@ fn ledger(decode: &[DecodeRow], engine: &[Row], gates: &[Gate]) -> String {
             object(&[
                 ("side", row.side.to_string()),
                 ("layout", text(row.layout)),
+                ("methods", text(row.methods)),
                 ("kind", text(row.series.kind)),
                 ("name", text(&row.series.name)),
                 ("samples", row.series.samples.to_string()),
@@ -720,8 +755,10 @@ mod tests {
             for s in &series {
                 assert_eq!(s.samples, expected(s), "{layout} {} {} samples", s.kind, s.name);
             }
-            let rows: Vec<Row> =
-                rows.into_iter().map(|series| Row { side: 64, layout, series }).collect();
+            let rows: Vec<Row> = rows
+                .into_iter()
+                .map(|series| Row { side: 64, layout, methods: "all", series })
+                .collect();
             let text = ledger(&[], &rows, &[]);
             for s in series.iter().filter(|s| expected(s) > 0) {
                 let entry = format!(

@@ -15,10 +15,10 @@
 //!   filtering SSIM scores, with the blurs on the fast scratch-buffer
 //!   convolution path;
 //! * **spectral** — one gray view and one planned DFT serve the CSP count
-//!   (via the fused [`count_csp_in_spectrum_with_mags`] pipeline) **and**
-//!   the radial peak-excess score, which also share one `log(1 + |F|)`
-//!   buffer. Peak excess reads the spectrum under a rectangular window,
-//!   the identity, so no second transform runs.
+//!   (via the fused, ln-free [`count_csp_in_spectrum`] pipeline) **and**
+//!   the radial peak-excess score, the only reader of the full
+//!   `log(1 + |F|)` buffer. Peak excess reads the spectrum under a
+//!   rectangular window, the identity, so no second transform runs.
 //!
 //! Each stage runs only when an enabled method reads it: an engine
 //! restricted to CSP never round-trips or filters, and one restricted to
@@ -50,7 +50,7 @@ use decamouflage_imaging::filter::{rank_filter, RankKind};
 use decamouflage_imaging::scale::{round_trip, ScaleAlgorithm};
 use decamouflage_imaging::{Image, Size};
 use decamouflage_metrics::{mse, SsimConfig, SsimReference};
-use decamouflage_spectral::csp::{count_csp_in_spectrum_with_mags, CspConfig};
+use decamouflage_spectral::csp::{count_csp_in_spectrum, CspConfig};
 use decamouflage_spectral::dft2d::dft2_planned;
 use decamouflage_spectral::radial::peak_excess;
 use decamouflage_spectral::window::WindowKind;
@@ -424,9 +424,10 @@ impl DetectionEngine {
     }
 
     /// The spectral branch: one gray view and one planned DFT serve both
-    /// frequency-domain methods, which also share one `log(1 + |F|)`
-    /// buffer (the logs are the expensive half of each fused pass). Runs
-    /// only when CSP or peak excess is enabled.
+    /// frequency-domain methods. CSP counts from `|F|²` with the ln-free
+    /// [`count_csp_in_spectrum`]; only peak excess builds the full
+    /// `log(1 + |F|)` buffer, inside its own method span. Runs only when
+    /// CSP or peak excess is enabled.
     fn score_spectral(&self, image: &Image, scores: &mut ScoreVector) {
         #[cfg(test)]
         self.inject_panic("spectral");
@@ -444,24 +445,22 @@ impl DetectionEngine {
                     .expect("luma plane is sized width*height"),
             )
         };
-        let (spectrum, mags) = {
+        let spectrum = {
             let _stage = self.metrics.dft.span();
-            let spectrum = dft2_planned(&gray);
-            let mags = spectrum.log_magnitudes();
-            (spectrum, mags)
+            dft2_planned(&gray)
         };
         if self.methods.contains(MethodId::Csp) {
             let _method = self.metrics.method(MethodId::Csp).span();
-            let count = count_csp_in_spectrum_with_mags(&spectrum, &mags, &self.csp_config).count;
+            let count = count_csp_in_spectrum(&spectrum, &self.csp_config).count;
             scores.set(MethodId::Csp, count as f64);
         }
         if self.methods.contains(MethodId::PeakExcess) {
             let _method = self.metrics.method(MethodId::PeakExcess).span();
             // Peak excess reads the spectrum under a rectangular window,
             // the identity, so the CSP plan's DFT *is* its spectrum: shift
-            // and log-normalise the shared magnitudes instead of
-            // transforming again.
-            let centred = spectrum.centered_log_magnitude_from(&mags);
+            // and log-normalise its magnitudes instead of transforming
+            // again.
+            let centred = spectrum.centered_log_magnitude();
             let (min_r, max_r) = PeakExcessDetector::for_target(self.target).radii_for(image);
             scores.set(MethodId::PeakExcess, peak_excess(&centred, min_r.max(1), max_r.max(2)));
         }

@@ -52,7 +52,8 @@ impl Connectivity {
 
 /// Labels all connected components of non-zero pixels in `binary` and
 /// returns them in scan order. RGB inputs are reduced to their first
-/// channel being non-zero.
+/// channel being non-zero: plane 0 becomes a byte mask, labelled by the
+/// same flood fill the fused CSP counters run on theirs.
 ///
 /// # Example
 ///
@@ -68,53 +69,81 @@ impl Connectivity {
 /// assert_eq!(blobs[0].area, 1);
 /// ```
 pub fn label_components(binary: &Image, connectivity: Connectivity) -> Vec<Component> {
-    let (w, h) = (binary.width(), binary.height());
-    let mut visited = vec![false; w * h];
+    let mut mask: Vec<u8> = binary.plane(0).iter().map(|&v| u8::from(v != 0.0)).collect();
+    label_mask(&mut mask, binary.width(), binary.height(), connectivity)
+}
+
+/// Labels all connected components of the non-zero bytes of `mask`, a
+/// row-major `width` × `height` grid, and returns them in scan order. The
+/// flood fill clears every byte it labels, so the mask is its own visited
+/// set and ends all zero.
+///
+/// # Panics
+///
+/// Panics if `mask` does not hold `width * height` bytes.
+pub(crate) fn label_mask(
+    mask: &mut [u8],
+    width: usize,
+    height: usize,
+    connectivity: Connectivity,
+) -> Vec<Component> {
+    assert_eq!(mask.len(), width * height, "mask shape mismatch");
     let mut components = Vec::new();
     let mut stack: Vec<(usize, usize)> = Vec::new();
-
-    for sy in 0..h {
-        for sx in 0..w {
-            if visited[sy * w + sx] || binary.get(sx, sy, 0) == 0.0 {
-                continue;
-            }
-            // Flood fill a new component.
-            let label = components.len();
-            let mut area = 0usize;
-            let mut sum = (0.0f64, 0.0f64);
-            let mut bbox = (sx, sy, sx, sy);
-            visited[sy * w + sx] = true;
-            stack.push((sx, sy));
-            while let Some((x, y)) = stack.pop() {
-                area += 1;
-                sum.0 += x as f64;
-                sum.1 += y as f64;
-                bbox.0 = bbox.0.min(x);
-                bbox.1 = bbox.1.min(y);
-                bbox.2 = bbox.2.max(x);
-                bbox.3 = bbox.3.max(y);
-                for &(dx, dy) in connectivity.offsets() {
-                    let nx = x as isize + dx;
-                    let ny = y as isize + dy;
-                    if nx < 0 || ny < 0 || nx >= w as isize || ny >= h as isize {
-                        continue;
-                    }
-                    let (nx, ny) = (nx as usize, ny as usize);
-                    if !visited[ny * w + nx] && binary.get(nx, ny, 0) != 0.0 {
-                        visited[ny * w + nx] = true;
-                        stack.push((nx, ny));
-                    }
+    let mut next = 0;
+    while let Some(seed) = next_set(mask, next) {
+        next = seed + 1;
+        // Flood fill a new component.
+        let (sx, sy) = (seed % width, seed / width);
+        let label = components.len();
+        let mut area = 0usize;
+        let mut sum = (0.0f64, 0.0f64);
+        let mut bbox = (sx, sy, sx, sy);
+        mask[seed] = 0;
+        stack.push((sx, sy));
+        while let Some((x, y)) = stack.pop() {
+            area += 1;
+            sum.0 += x as f64;
+            sum.1 += y as f64;
+            bbox.0 = bbox.0.min(x);
+            bbox.1 = bbox.1.min(y);
+            bbox.2 = bbox.2.max(x);
+            bbox.3 = bbox.3.max(y);
+            for &(dx, dy) in connectivity.offsets() {
+                let nx = x as isize + dx;
+                let ny = y as isize + dy;
+                if nx < 0 || ny < 0 || nx >= width as isize || ny >= height as isize {
+                    continue;
+                }
+                let (nx, ny) = (nx as usize, ny as usize);
+                if mask[ny * width + nx] != 0 {
+                    mask[ny * width + nx] = 0;
+                    stack.push((nx, ny));
                 }
             }
-            components.push(Component {
-                label,
-                area,
-                centroid: (sum.0 / area as f64, sum.1 / area as f64),
-                bbox,
-            });
         }
+        components.push(Component {
+            label,
+            area,
+            centroid: (sum.0 / area as f64, sum.1 / area as f64),
+            bbox,
+        });
     }
     components
+}
+
+/// The index of the first non-zero byte of `mask` at or after `from`. A
+/// binarised spectrum is nearly all zero, so this skips eight bytes at a
+/// time.
+fn next_set(mask: &[u8], from: usize) -> Option<usize> {
+    let mut at = from;
+    while let Some(word) = mask.get(at..at + 8) {
+        if word != [0; 8] {
+            break;
+        }
+        at += 8;
+    }
+    mask[at..].iter().position(|&b| b != 0).map(|offset| at + offset)
 }
 
 /// Counts components with `area >= min_area` — the blob counting used by

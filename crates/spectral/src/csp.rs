@@ -6,10 +6,10 @@
 //! Benign natural images yield a single central blob; image-scaling attack
 //! images add periodic side peaks and yield two or more.
 
-use crate::components::{label_components, Component, Connectivity};
-use crate::dft2d::centered_spectrum;
+use crate::components::{label_components, label_mask, Component, Connectivity};
+use crate::dft2d::{centered_spectrum, Spectrum2D};
 use crate::spectrum::{binarize, low_pass_mask};
-use decamouflage_imaging::{Channels, Image};
+use decamouflage_imaging::Image;
 
 /// Tuning parameters of the CSP counter.
 ///
@@ -98,22 +98,25 @@ pub struct CspArtifacts {
     pub report: CspReport,
 }
 
-/// Labels the binary spectrum, drops specks, merges central satellites and
-/// produces the final point count. Shared tail of [`analyze_csp`] and
-/// [`count_csp_in_spectrum_with_mags`].
-fn report_from_binary(binary: &Image, config: &CspConfig) -> CspReport {
-    let components: Vec<Component> = label_components(binary, config.connectivity)
-        .into_iter()
-        .filter(|c| c.area >= config.min_area)
-        .collect();
+/// Drops the specks among the labelled blobs of a `width` × `height`
+/// binary spectrum, merges central satellites and produces the final point
+/// count. Shared tail of [`analyze_csp`] and the fused counters.
+fn report_from_components(
+    components: Vec<Component>,
+    width: usize,
+    height: usize,
+    config: &CspConfig,
+) -> CspReport {
+    let components: Vec<Component> =
+        components.into_iter().filter(|c| c.area >= config.min_area).collect();
 
     // Blobs inside the central merge zone are satellites of the DC point:
     // they count as one centered spectrum point together.
-    let cx = (binary.width() as f64 - 1.0) / 2.0;
-    let cy = (binary.height() as f64 - 1.0) / 2.0;
-    let merge_radius = config.center_merge_radius_px.unwrap_or_else(|| {
-        0.5 * binary.width().min(binary.height()) as f64 * config.center_merge_radius_frac
-    });
+    let cx = (width as f64 - 1.0) / 2.0;
+    let cy = (height as f64 - 1.0) / 2.0;
+    let merge_radius = config
+        .center_merge_radius_px
+        .unwrap_or_else(|| 0.5 * width.min(height) as f64 * config.center_merge_radius_frac);
     let central = components.iter().filter(|c| c.distance_to(cx, cy) <= merge_radius).count();
     let outlying = components.len() - central;
     let count = outlying + usize::from(central > 0);
@@ -127,7 +130,8 @@ pub fn analyze_csp(img: &Image, config: &CspConfig) -> CspArtifacts {
     let radius = config.radius_for(centered.width(), centered.height());
     let masked = low_pass_mask(&centered, radius);
     let binary = binarize(&masked, config.binarize_threshold);
-    let report = report_from_binary(&binary, config);
+    let components = label_components(&binary, config.connectivity);
+    let report = report_from_components(components, binary.width(), binary.height(), config);
     CspArtifacts { centered, masked, binary, report }
 }
 
@@ -141,10 +145,7 @@ pub fn count_csp(img: &Image, config: &CspConfig) -> CspReport {
 /// ([`crate::dft2d::dft2_planned`]) and its precomputed
 /// [`crate::dft2d::Spectrum2D::log_magnitudes`] buffer, with the
 /// `fftshift`, log-magnitude normalisation, low-pass mask and binarisation
-/// fused into one pass over the frequency grid. An engine that needs the
-/// spectrum for several methods (CSP counting, radial peak excess) runs
-/// the transform and the logs — the expensive half of the pass — once and
-/// feeds the same buffers to each consumer.
+/// fused into one pass over the frequency grid.
 ///
 /// Every float operation matches the staged pipeline — the same
 /// `ln(1 + |F|)` values, the same global maximum, the same
@@ -152,12 +153,14 @@ pub fn count_csp(img: &Image, config: &CspConfig) -> CspReport {
 /// — so the resulting binary image, components and count are **bit-identical**
 /// to [`count_csp`] (asserted by unit and property tests). Only the three
 /// intermediate spectrum images and the shifted coefficient copy are gone.
+/// This is the full-`ln` oracle of [`count_csp_in_spectrum`], and its
+/// fallback.
 ///
 /// # Panics
 ///
 /// Panics if `mags` does not have one entry per coefficient.
 pub fn count_csp_in_spectrum_with_mags(
-    spec: &crate::dft2d::Spectrum2D,
+    spec: &Spectrum2D,
     mags: &[f64],
     config: &CspConfig,
 ) -> CspReport {
@@ -168,33 +171,196 @@ pub fn count_csp_in_spectrum_with_mags(
         max = max.max(m);
     }
     let scale = if max > 0.0 { 1.0 / max } else { 0.0 };
+    let threshold = config.binarize_threshold;
+    // A masked-out sample is 0.0, which a threshold <= 0 counts as bright.
+    let mut mask = centred_mask(w, h, config, |i, inside| {
+        (if inside { mags[i] * scale } else { 0.0 }) >= threshold
+    });
+    let components = label_mask(&mut mask, w, h, config.connectivity);
+    report_from_components(components, w, h, config)
+}
 
+/// Relative width of the guard bands of [`count_csp_in_spectrum`]. The
+/// roundings the bands must absorb (`ln`, `sqrt`, `expm1`, `1 + |F|` and
+/// the products, each within a few ULPs) are near `1e-15` relative, so a
+/// band a million times wider is safe and still holds almost no
+/// coefficient of a real spectrum.
+const GUARD: f64 = 1e-9;
+
+/// Smallest log-domain brightness bound `threshold · max` that
+/// [`count_csp_in_spectrum`] decides from `|F|²`: below it, `1 + |F|`
+/// rounds in absolute steps (`2⁻⁵²`) no longer far below the band
+/// `GUARD · bound`.
+const MIN_LEVEL: f64 = 1e-6;
+
+/// [`count_csp_in_spectrum_with_mags`] without a log-magnitude buffer and
+/// with an exact `ln` for only a handful of coefficients; the report —
+/// count and every [`Component`] — is identical.
+///
+/// The oracle sets a centred pixel inside the low-pass disk when
+/// `ln(1 + |F|) · (1 / max) >= threshold`, with `max` the largest
+/// `ln(1 + |F|)` of the grid. Both sides are monotone in `|F|²`, up to
+/// roundings of a few ULPs, so this counter works on `|F|²` (two products
+/// and a sum, as [`Complex64::norm`](crate::Complex64::norm) starts):
+///
+/// - **The maximum.** Only coefficients whose `|F|²` lies within
+///   `1e-9` (relative) of the largest `|F|²` take the exact `ln`; every
+///   other one is smaller by far more than `ln` can err, so the fold over
+///   the band is the oracle's `max` bit for bit.
+/// - **The bound.** With `L = threshold · max`, a coefficient is bright if
+///   `|F|² >= expm1(L (1 + 3·1e-9))²` and dark if
+///   `|F|² <= expm1(L (1 − 3·1e-9))²`; between the two it takes the exact
+///   `ln` and the oracle's own predicate. Outside the band the verdict
+///   holds with a margin of `1e-9 · L` in the log domain, against
+///   roundings near `1e-15 · L`.
+///
+/// For an image with non-negative samples no `|F|` exceeds the DC term
+/// `|Σ p|`, so one pass binarises against the DC term's bound while it
+/// finds the true maximum; only when the two differ (negative samples,
+/// rounding ties) does a second pass binarise again.
+///
+/// It falls back to the oracle (and its full `ln` pass) where the margins
+/// are not assured: a threshold that is not positive (masked-out pixels are
+/// then bright too), a spectrum whose largest `|F|` is below 1 or not
+/// finite, a bound `L` below `1e-6`, or one whose magnitude
+/// overflows. NaN coefficients are dark, and skipped by the maximum, in
+/// both.
+pub fn count_csp_in_spectrum(spec: &Spectrum2D, config: &CspConfig) -> CspReport {
+    let (w, h) = (spec.width(), spec.height());
+    let data = spec.as_slice();
+    let threshold = config.binarize_threshold;
+    let fallback = || count_csp_in_spectrum_with_mags(spec, &spec.log_magnitudes(), config);
+    // Binarise against the DC term's bound while finding the true maximum.
+    let guess = data.first().map(|dc| (1.0 + dc.norm()).ln());
+    let mut peak = Peak::default();
+    let guessed = guess.and_then(|max| Band::new(max, threshold)).map(|band| {
+        // Seeding the peak with the DC term keeps its band list short.
+        peak.see(data[0].norm_sqr());
+        centred_mask(w, h, config, |i, inside| {
+            let n2 = data[i].norm_sqr();
+            peak.see(n2);
+            inside && band.bright(n2)
+        })
+    });
+    if guessed.is_none() {
+        data.iter().for_each(|c| peak.see(c.norm_sqr()));
+    }
+    let Some(max) = peak.log_max() else { return fallback() };
+    let mut mask = match guessed {
+        Some(mask) if guess.map(f64::to_bits) == Some(max.to_bits()) => mask,
+        _ => {
+            let Some(band) = Band::new(max, threshold) else { return fallback() };
+            centred_mask(w, h, config, |i, inside| inside && band.bright(data[i].norm_sqr()))
+        }
+    };
+    let components = label_mask(&mut mask, w, h, config.connectivity);
+    report_from_components(components, w, h, config)
+}
+
+/// The largest `|F|²` seen so far, and every `|F|²` seen within [`GUARD`]
+/// of the running largest. That floor only rises, so the list holds every
+/// value within the final band.
+#[derive(Debug)]
+struct Peak {
+    top: f64,
+    floor: f64,
+    near: Vec<f64>,
+}
+
+impl Default for Peak {
+    fn default() -> Self {
+        Self { top: f64::MIN, floor: f64::MIN, near: Vec::new() }
+    }
+}
+
+impl Peak {
+    /// Records one `|F|²`; NaN is skipped, as `f64::max` skips it.
+    #[inline]
+    fn see(&mut self, n2: f64) {
+        if n2 >= self.floor {
+            self.near.push(n2);
+            if n2 > self.top {
+                self.top = n2;
+                self.floor = n2 * (1.0 - GUARD);
+            }
+        }
+    }
+
+    /// The oracle's normalising maximum `max ln(1 + |F|)`, with the exact
+    /// `ln` of only the band; `None` when the largest `|F|²` is below 1 or
+    /// not finite.
+    fn log_max(self) -> Option<f64> {
+        if !(1.0..f64::INFINITY).contains(&self.top) {
+            return None;
+        }
+        let max = self
+            .near
+            .into_iter()
+            .filter(|&n2| n2 >= self.floor)
+            .map(|n2| (1.0 + n2.sqrt()).ln())
+            .fold(f64::MIN, f64::max);
+        Some(max)
+    }
+}
+
+/// [`count_csp_in_spectrum`]'s brightness test for one normalising
+/// maximum: `|F|²` bounds `dark < bright` with the oracle's predicate
+/// between them.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    dark: f64,
+    bright: f64,
+    scale: f64,
+    threshold: f64,
+}
+
+impl Band {
+    /// The band for the normalising maximum `max`, or `None` when it cannot
+    /// decide (see [`count_csp_in_spectrum`]).
+    fn new(max: f64, threshold: f64) -> Option<Self> {
+        let level = threshold * max;
+        if level.is_nan() || level < MIN_LEVEL {
+            return None;
+        }
+        let magnitude_squared = |factor: f64| {
+            let magnitude = (level * factor).exp_m1();
+            magnitude * magnitude
+        };
+        let bright = magnitude_squared(1.0 + 3.0 * GUARD);
+        bright.is_finite().then(|| Self {
+            dark: magnitude_squared(1.0 - 3.0 * GUARD),
+            bright,
+            scale: 1.0 / max,
+            threshold,
+        })
+    }
+
+    /// Whether a coefficient of squared magnitude `n2` inside the disk is
+    /// bright: the oracle's `ln(1 + |F|) · scale >= threshold`.
+    #[inline]
+    fn bright(&self, n2: f64) -> bool {
+        n2 >= self.bright
+            || (n2 > self.dark && (1.0 + n2.sqrt()).ln() * self.scale >= self.threshold)
+    }
+}
+
+/// The binary low-pass-masked centred spectrum as a byte mask: centred
+/// position `(x, y)` reads the unshifted coefficient at index
+/// `((y - h/2) mod h) · w + (x - w/2) mod w` and is set when
+/// `bright(index, inside)` holds, `inside` being whether the position lies
+/// within the disk of radius [`CspConfig::radius_for`]. Per row the
+/// modulo splits into two contiguous runs of the source row, and the disk
+/// test is the staged pipeline's `dx² + dy² > r²` on the same values.
+fn centred_mask(
+    w: usize,
+    h: usize,
+    config: &CspConfig,
+    mut bright: impl FnMut(usize, bool) -> bool,
+) -> Vec<u8> {
     let radius = config.radius_for(w, h);
     let r2 = radius * radius;
     let cx = (w as f64 - 1.0) / 2.0;
     let cy = (h as f64 - 1.0) / 2.0;
-    let (half_w, half_h) = (w / 2, h / 2);
-    let mut binary = Image::zeros(w, h, Channels::Gray);
-    let out = binary.plane_mut(0);
-    // Inverse fftshift: centred position (x, y) reads the unshifted
-    // coefficient at ((x - w/2) mod w, (y - h/2) mod h). Per row the modulo
-    // splits into exactly two contiguous runs of the source row, so the
-    // inner loops are stride-1 zips with no index arithmetic; the float
-    // operations per pixel are unchanged (bit-identical binarisation).
-    fn fuse_row(
-        out: &mut [f64],
-        mags: &[f64],
-        dx2: &[f64],
-        dy2: f64,
-        r2: f64,
-        scale: f64,
-        threshold: f64,
-    ) {
-        for ((o, &m), &d2) in out.iter_mut().zip(mags).zip(dx2) {
-            let masked = if d2 + dy2 > r2 { 0.0 } else { m * scale };
-            *o = if masked >= threshold { 1.0 } else { 0.0 };
-        }
-    }
     // dx² depends only on the column, so it is hoisted into a per-width
     // table (same `(x as f64 - cx)²` operations, just computed once).
     let dx2: Vec<f64> = (0..w)
@@ -203,39 +369,30 @@ pub fn count_csp_in_spectrum_with_mags(
             dx * dx
         })
         .collect();
+    let (half_w, half_h) = (w / 2, h / 2);
     let split = w - half_w;
-    for y in 0..h {
+    let mut mask = vec![0u8; w * h];
+    for (y, row) in mask.chunks_exact_mut(w.max(1)).enumerate() {
         let dy = y as f64 - cy;
         let dy2 = dy * dy;
-        let sv = (y + h - half_h) % h;
-        let mags_row = &mags[sv * w..(sv + 1) * w];
-        let (out_lo, out_hi) = out[y * w..(y + 1) * w].split_at_mut(half_w);
-        fuse_row(
-            out_lo,
-            &mags_row[split..],
-            &dx2[..half_w],
-            dy2,
-            r2,
-            scale,
-            config.binarize_threshold,
-        );
-        fuse_row(
-            out_hi,
-            &mags_row[..split],
-            &dx2[half_w..],
-            dy2,
-            r2,
-            scale,
-            config.binarize_threshold,
-        );
+        let source = (y + h - half_h) % h * w;
+        let (lo, hi) = row.split_at_mut(half_w);
+        for (x, out) in lo.iter_mut().enumerate() {
+            *out = u8::from(bright(source + split + x, dx2[x] + dy2 <= r2));
+        }
+        for (x, out) in hi.iter_mut().enumerate() {
+            *out = u8::from(bright(source + x, dx2[half_w + x] + dy2 <= r2));
+        }
     }
-    report_from_binary(&binary, config)
+    mask
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dft2d::dft2_planned;
+    use crate::Complex64;
+    use proptest::prelude::*;
 
     /// The fused pass on a freshly planned spectrum.
     fn fused_csp(img: &Image, config: &CspConfig) -> CspReport {
@@ -304,6 +461,8 @@ mod tests {
                 let staged = count_csp(img, &config);
                 let fused = fused_csp(img, &config);
                 assert_eq!(staged, fused, "{}x{}", img.width(), img.height());
+                let ln_free = count_csp_in_spectrum(&dft2_planned(img), &config);
+                assert_eq!(staged, ln_free, "ln-free {}x{}", img.width(), img.height());
             }
         }
     }
@@ -379,5 +538,155 @@ mod tests {
         let config = CspConfig { center_merge_radius_px: Some(1000.0), ..CspConfig::default() };
         let report = count_csp(&combed(64, 4), &config);
         assert_eq!(report.count, 1);
+    }
+
+    /// A deterministic xorshift stream, so one proptest seed builds a whole
+    /// spectrum.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+            options[(self.next() % options.len() as u64) as usize]
+        }
+
+        /// A value in `±1` scaled by `10^k`, `k` uniform in `[0, decades)`.
+        fn wide(&mut self, decades: f64) -> f64 {
+            (2.0 * self.unit() - 1.0) * 10f64.powf(self.unit() * decades)
+        }
+    }
+
+    /// `|F|` equal to each of `magnitudes`, one ULP below and one above.
+    fn with_neighbours(magnitudes: &[f64]) -> Vec<f64> {
+        magnitudes.iter().flat_map(|&m| [m.next_down(), m, m.next_up()]).collect()
+    }
+
+    /// Spectrum `kind` of `w` × `h` coefficients for `threshold`: random,
+    /// random under a small DC term (so the maximum is elsewhere),
+    /// magnitudes at the brightness band's edges and at the bound itself,
+    /// ties at the maximum, all zero, near zero, and NaN-poisoned.
+    fn adversarial_spectrum(
+        kind: usize,
+        w: usize,
+        h: usize,
+        seed: u64,
+        threshold: f64,
+    ) -> Spectrum2D {
+        let mut rng = Stream(seed | 1);
+        let n = w * h;
+        let mut data: Vec<Complex64> =
+            (0..n).map(|_| Complex64::new(rng.wide(4.0), rng.wide(4.0))).collect();
+        let dc = 128.0 * n as f64 + 1e4;
+        data[0] = Complex64::from_real(dc);
+        let place = |rng: &mut Stream, data: &mut [Complex64], values: &[f64]| {
+            for slot in data.iter_mut().skip(1) {
+                if rng.unit() < 0.7 {
+                    let value = rng.pick(values);
+                    // A real or an imaginary coefficient of magnitude `value`.
+                    *slot = if rng.unit() < 0.5 {
+                        Complex64::new(value, 0.0)
+                    } else {
+                        Complex64::new(0.0, -value)
+                    };
+                }
+            }
+        };
+        match kind {
+            0 => {}
+            1 => data[0] = Complex64::new(0.5, -0.25),
+            2 => {
+                let max = (1.0 + dc).ln();
+                let mut edges = vec![(threshold * max).exp_m1()];
+                if let Some(band) = Band::new(max, threshold) {
+                    edges.extend([band.dark.sqrt(), band.bright.sqrt()]);
+                }
+                let edges: Vec<f64> = edges.into_iter().filter(|m| m.is_finite()).collect();
+                if !edges.is_empty() {
+                    place(&mut rng, &mut data, &with_neighbours(&edges));
+                }
+            }
+            3 => {
+                let a = 1.0 + rng.unit() * 100.0;
+                data[0] = Complex64::new(3.0 * a, 4.0 * a);
+                let top = data[0].norm();
+                place(&mut rng, &mut data, &with_neighbours(&[top, top * (1.0 - GUARD)]));
+                for slot in data.iter_mut().skip(1) {
+                    if rng.unit() < 0.2 {
+                        *slot = Complex64::new(4.0 * a, -3.0 * a);
+                    }
+                }
+            }
+            4 => data.iter_mut().for_each(|c| *c = Complex64::ZERO),
+            5 => {
+                for c in &mut data {
+                    let scale = 10f64.powf(-rng.unit() * 320.0);
+                    *c = Complex64::new(rng.wide(0.0) * scale, rng.wide(0.0) * scale);
+                }
+            }
+            _ => {
+                for c in data.iter_mut() {
+                    if rng.unit() < 0.2 {
+                        *c = Complex64::new(f64::NAN, rng.wide(2.0));
+                    }
+                }
+            }
+        }
+        Spectrum2D::from_parts(w, h, data)
+    }
+
+    const THRESHOLDS: [f64; 11] =
+        [0.72, 0.66, 0.3, 0.95, 1.0, 0.0, -0.5, f64::NAN, 1.5, 1e-9, 1e-5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn ln_free_count_matches_the_full_ln_oracle(
+            kind in 0usize..7,
+            w in 1usize..=13,
+            h in 1usize..=13,
+            seed in any::<u64>(),
+            threshold_choice in 0usize..=THRESHOLDS.len(),
+            random_threshold in 0.05f64..0.99,
+            four in any::<bool>(),
+            merge_px in any::<bool>(),
+        ) {
+            let threshold = THRESHOLDS.get(threshold_choice).copied().unwrap_or(random_threshold);
+            let config = CspConfig {
+                binarize_threshold: threshold,
+                connectivity: if four { Connectivity::Four } else { Connectivity::Eight },
+                center_merge_radius_px: merge_px.then_some(2.5),
+                ..CspConfig::default()
+            };
+            let spec = adversarial_spectrum(kind, w, h, seed, threshold);
+            let oracle = count_csp_in_spectrum_with_mags(&spec, &spec.log_magnitudes(), &config);
+            let fast = count_csp_in_spectrum(&spec, &config);
+            prop_assert_eq!(fast.count, oracle.count);
+            prop_assert_eq!(fast.components, oracle.components);
+        }
+    }
+
+    #[test]
+    fn the_dc_term_bounds_every_magnitude_of_a_non_negative_image() {
+        // The single-pass case of the ln-free counter: for samples >= 0 the
+        // DC term is the largest magnitude, so its log is the maximum.
+        for img in [smooth_benign(64), combed(48, 3)] {
+            let spec = dft2_planned(&img);
+            let mags = spec.log_magnitudes();
+            let max = mags.iter().copied().fold(f64::MIN, f64::max);
+            assert_eq!(mags[0].to_bits(), max.to_bits());
+        }
     }
 }

@@ -38,6 +38,14 @@ impl Spectrum2D {
         &self.data
     }
 
+    /// A spectrum from its row-major coefficients, for tests that need
+    /// chosen magnitudes.
+    #[cfg(test)]
+    pub(crate) fn from_parts(width: usize, height: usize, data: Vec<Complex64>) -> Self {
+        assert_eq!(data.len(), width * height, "coefficient buffer shape mismatch");
+        Self { width, height, data }
+    }
+
     /// Applies `fftshift`: swaps quadrants so the DC component moves to the
     /// grid centre. Returns a new spectrum.
     ///
@@ -77,10 +85,10 @@ impl Spectrum2D {
     /// The raw log-magnitudes `log(1 + |F|)` of every coefficient, flat on
     /// the *unshifted* grid.
     ///
-    /// This is the shared front half of [`Spectrum2D::centered_log_magnitude`]
-    /// and the fused CSP pass ([`crate::csp::count_csp_in_spectrum_with_mags`]): an
-    /// engine scoring both methods computes these transcendentals once and
-    /// hands the buffer to each consumer.
+    /// This is the front half of [`Spectrum2D::centered_log_magnitude`] and
+    /// of the full-`ln` CSP oracle
+    /// ([`crate::csp::count_csp_in_spectrum_with_mags`]); the ln-free
+    /// [`crate::csp::count_csp_in_spectrum`] reads `|F|²` instead.
     pub fn log_magnitudes(&self) -> Vec<f64> {
         self.data.iter().map(|c| (1.0 + c.norm()).ln()).collect()
     }
@@ -95,19 +103,9 @@ impl Spectrum2D {
     /// Output is bit-identical to the staged pipeline; it just skips one
     /// full-grid `Complex64` clone and the per-pixel scatter.
     pub fn centered_log_magnitude(&self) -> Image {
-        self.centered_log_magnitude_from(&self.log_magnitudes())
-    }
-
-    /// [`Spectrum2D::centered_log_magnitude`] given the precomputed
-    /// [`Spectrum2D::log_magnitudes`] buffer of this spectrum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mags` does not have one entry per coefficient.
-    pub fn centered_log_magnitude_from(&self, mags: &[f64]) -> Image {
         let (w, h) = (self.width, self.height);
-        assert_eq!(mags.len(), w * h, "log-magnitude buffer shape mismatch");
-        let scale = normalisation_scale(mags);
+        let mags = self.log_magnitudes();
+        let scale = normalisation_scale(&mags);
         let half_w = w / 2;
         let half_h = h / 2;
         let split = w - half_w;
@@ -145,72 +143,102 @@ fn normalisation_scale(mags: &[f64]) -> f64 {
 }
 
 thread_local! {
-    /// Reusable row/column buffers for [`dft2_planned`]. The FFT *plans*
-    /// are already cached per-length inside [`crate::fft`]; this adds the
-    /// per-call packing buffers on top so a corpus run stops allocating
-    /// them once per row pair.
-    static DFT2_SCRATCH: std::cell::RefCell<Dft2Scratch> =
-        std::cell::RefCell::new(Dft2Scratch::default());
-}
-
-#[derive(Debug, Default)]
-struct Dft2Scratch {
-    packed: Vec<Complex64>,
-    col: Vec<Complex64>,
+    /// The reusable line buffer of [`dft2_planned`]: a packed row pair in
+    /// the row pass, then one column at a time for heights whose columns
+    /// are not transformed in strips. The FFT *plans* are cached per length
+    /// inside [`crate::fft`]; this keeps a corpus run from allocating the
+    /// buffer once per row pair.
+    static DFT2_LINE: std::cell::RefCell<Vec<Complex64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Forward 2-D DFT of a grayscale image (RGB inputs are converted to
 /// luminance first). Row transforms run first, then column transforms.
 ///
-/// Because the input rows are real-valued, two rows are packed into one
-/// complex transform (`z = a + i b`) and separated afterwards using the
-/// conjugate symmetry `A[k] = (Z[k] + conj(Z[N-k]))/2`,
-/// `B[k] = (Z[k] - conj(Z[N-k]))/(2i)` — halving the row-pass cost. The
-/// row-packing and column buffers are thread-local and persist across
-/// calls, and every 1-D transform runs in place in them.
+/// Because the input rows are real-valued, two rows are packed straight
+/// from the luma plane into one complex transform (`z = a + i b`) and
+/// separated afterwards using the conjugate symmetry
+/// `A[k] = (Z[k] + conj(Z[N-k]))/2`, `B[k] = (Z[k] - conj(Z[N-k]))/(2i)` —
+/// halving the row-pass cost.
+///
+/// When the height takes the mixed-radix path, the row pass writes each
+/// row where that plan's digit reversal puts it, and the plan then
+/// transforms the columns in place, four at a time, with no copy out or
+/// back. Other heights (powers
+/// of two, Bluestein lengths) copy each column through a thread-local
+/// buffer. Every coefficient is bit-identical either way: each column gets
+/// the operation sequence of its own 1-D [`fft`].
 pub fn dft2_planned(img: &Image) -> Spectrum2D {
-    DFT2_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        // Borrow the luma plane: for Gray inputs this is the stored plane
-        // itself — no copy between the image and the transform.
-        let luma = img.luma();
-        let (w, h) = (img.width(), img.height());
-        let mut grid: Vec<Complex64> = luma.iter().map(|&v| Complex64::from_real(v)).collect();
-
+    // Borrow the luma plane: for Gray inputs this is the stored plane
+    // itself — no copy between the image and the transform.
+    let luma = img.luma();
+    let (w, h) = (img.width(), img.height());
+    let columns = crate::fft::mixed_radix_plan(h);
+    // `slot[y]`: the grid row that input row `y` of the column pass starts in.
+    let mut slot: Vec<usize> = (0..h).collect();
+    if let Some(plan) = &columns {
+        for (position, &source) in plan.gather().iter().enumerate() {
+            slot[source] = position;
+        }
+    }
+    let mut grid = vec![Complex64::ZERO; w * h];
+    DFT2_LINE.with(|line| {
+        let line = &mut *line.borrow_mut();
         // Rows: two real rows per complex FFT.
-        let packed = &mut scratch.packed;
         let mut pair = 0;
         while pair + 1 < h {
-            let (ya, yb) = (pair, pair + 1);
-            packed.clear();
-            packed.extend((0..w).map(|x| Complex64::new(grid[ya * w + x].re, grid[yb * w + x].re)));
-            fft(packed);
+            let (a, b) = (&luma[pair * w..(pair + 1) * w], &luma[(pair + 1) * w..(pair + 2) * w]);
+            line.clear();
+            line.extend(a.iter().zip(b).map(|(&a, &b)| Complex64::new(a, b)));
+            fft(line);
+            let (row_a, row_b) = two_rows_mut(&mut grid, w, slot[pair], slot[pair + 1]);
             for k in 0..w {
-                let z_k = packed[k];
-                let z_nk = packed[(w - k) % w].conj();
-                let a = (z_k + z_nk) * 0.5;
-                let b = Complex64::new(0.5 * (z_k.im - z_nk.im), 0.5 * (z_nk.re - z_k.re));
-                grid[ya * w + k] = a;
-                grid[yb * w + k] = b;
+                let z_k = line[k];
+                let z_nk = line[if k == 0 { 0 } else { w - k }].conj();
+                row_a[k] = (z_k + z_nk) * 0.5;
+                row_b[k] = Complex64::new(0.5 * (z_k.im - z_nk.im), 0.5 * (z_nk.re - z_k.re));
             }
             pair += 2;
         }
         if pair < h {
             // Odd row count: transform the last row alone.
-            fft(&mut grid[pair * w..(pair + 1) * w]);
+            let row = &mut grid[slot[pair] * w..(slot[pair] + 1) * w];
+            for (c, &v) in row.iter_mut().zip(&luma[pair * w..]) {
+                *c = Complex64::from_real(v);
+            }
+            fft(row);
         }
-        // Columns.
-        let col = &mut scratch.col;
-        for x in 0..w {
-            col.clear();
-            col.extend((0..h).map(|y| grid[y * w + x]));
-            fft(col);
-            for (y, &v) in col.iter().enumerate() {
-                grid[y * w + x] = v;
+        match columns {
+            Some(plan) => plan.forward_columns(&mut grid, w),
+            None => {
+                for x in 0..w {
+                    line.clear();
+                    line.extend((0..h).map(|y| grid[y * w + x]));
+                    fft(line);
+                    for (y, &v) in line.iter().enumerate() {
+                        grid[y * w + x] = v;
+                    }
+                }
             }
         }
-        Spectrum2D { width: w, height: h, data: grid }
-    })
+    });
+    Spectrum2D { width: w, height: h, data: grid }
+}
+
+/// Rows `a` and `b` (distinct) of the row-major `grid`, `w` wide.
+fn two_rows_mut(
+    grid: &mut [Complex64],
+    w: usize,
+    a: usize,
+    b: usize,
+) -> (&mut [Complex64], &mut [Complex64]) {
+    if a < b {
+        let (lo, hi) = grid.split_at_mut(b * w);
+        (&mut lo[a * w..(a + 1) * w], &mut hi[..w])
+    } else {
+        let (lo, hi) = grid.split_at_mut(a * w);
+        (&mut hi[..w], &mut lo[b * w..(b + 1) * w])
+    }
 }
 
 /// Inverse 2-D DFT back to a real image (the imaginary residue is dropped).

@@ -96,20 +96,33 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// This thread's cached [`MixedRadixPlan`] for length `n`, if [`fft`]
+/// transforms that length through one: `n > 1`, smooth and not a power of
+/// two.
+///
+/// [`MixedRadixPlan`]: crate::mixed_radix::MixedRadixPlan
+pub(crate) fn mixed_radix_plan(
+    n: usize,
+) -> Option<std::rc::Rc<crate::mixed_radix::MixedRadixPlan>> {
+    if n <= 1 || n.is_power_of_two() || !crate::mixed_radix::is_smooth(n) {
+        return None;
+    }
+    Some(MIXED_PLANS.with(|cache| {
+        cache
+            .borrow_mut()
+            .entry(n)
+            .or_insert_with(|| std::rc::Rc::new(crate::mixed_radix::MixedRadixPlan::new(n)))
+            .clone()
+    }))
+}
+
 /// Smooth-length transform of `data`, in place, through a cached
 /// [`MixedRadixPlan`]. The unnormalised inverse is the forward transform
 /// of the conjugate, conjugated back (`ifft` applies the `1/N` itself).
 ///
 /// [`MixedRadixPlan`]: crate::mixed_radix::MixedRadixPlan
 fn mixed_radix_cached(data: &mut [Complex64], dir: Direction) {
-    let n = data.len();
-    let plan = MIXED_PLANS.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry(n)
-            .or_insert_with(|| std::rc::Rc::new(crate::mixed_radix::MixedRadixPlan::new(n)))
-            .clone()
-    });
+    let plan = mixed_radix_plan(data.len()).expect("a smooth length that is not a power of two");
     let conjugate = |data: &mut [Complex64]| data.iter_mut().for_each(|v| *v = v.conj());
     if dir == Direction::Inverse {
         conjugate(data);

@@ -8,11 +8,13 @@
 //!   for smooth composite lengths, and Bluestein's chirp-z transform for the
 //!   rest, all behind per-length plan caches,
 //! * [`dft2d`] — 2-D forward/inverse transforms (two real rows packed per
-//!   complex FFT), `fftshift` and the log-magnitude *centered spectrum*,
+//!   complex FFT; mixed-radix columns transformed in place, four at a
+//!   time), `fftshift` and the log-magnitude *centered spectrum*,
 //! * [`spectrum`] — low-pass masking and binarisation of centred spectra,
 //! * [`components`] — connected-component labelling (the contour counting of
 //!   the paper),
-//! * [`csp`] — the end-to-end *centered spectrum points* counter,
+//! * [`csp`] — the end-to-end *centered spectrum points* counter, and the
+//!   ln-free one the detection engine runs on a planned spectrum,
 //! * [`window`] / [`radial`] — apodisation and radially averaged profiles
 //!   for the sensitivity ablations and the peak-excess extension detector.
 //!

@@ -27,6 +27,12 @@
 //! per-stage table holding exactly the twiddle the recursion used, so the
 //! results are bit-identical to the textbook recursion (kept as the oracle
 //! in the property suite).
+//!
+//! `MixedRadixPlan::forward_columns` runs the same stages down the columns
+//! of a row-major grid, in place, four adjacent columns at a time: every
+//! column gets the operation sequence [`MixedRadixPlan::forward`] would give
+//! it, so each coefficient is bit-identical to transforming the column
+//! alone.
 
 use crate::Complex64;
 use std::f64::consts::PI;
@@ -63,6 +69,21 @@ pub fn is_smooth(n: usize) -> bool {
         }
     }
     m == 1
+}
+
+/// Calls `$stage::<R>($args)` for the prime radix `R` of a plan stage.
+macro_rules! dispatch {
+    ($radix:expr, $stage:ident($($arg:expr),*)) => {
+        match $radix {
+            2 => $stage::<2>($($arg),*),
+            3 => $stage::<3>($($arg),*),
+            5 => $stage::<5>($($arg),*),
+            7 => $stage::<7>($($arg),*),
+            11 => $stage::<11>($($arg),*),
+            13 => $stage::<13>($($arg),*),
+            radix => unreachable!("radix {radix} is not a prime <= {MAX_SMALL_PRIME}"),
+        }
+    };
 }
 
 /// One butterfly stage: every block of `radix * span` samples combines
@@ -155,6 +176,12 @@ impl MixedRadixPlan {
         self.n <= 1
     }
 
+    /// The digit reversal: `gather()[p]` is the input index that
+    /// [`MixedRadixPlan::forward`] moves to position `p` before its stages.
+    pub(crate) fn gather(&self) -> &[usize] {
+        &self.gather
+    }
+
     /// Forward transform (no normalisation) of `data`, in place. `scratch`
     /// is resized as needed; passing the same buffer to every call keeps
     /// repeated transforms allocation-free.
@@ -170,18 +197,48 @@ impl MixedRadixPlan {
             *slot = scratch[source];
         }
         for stage in &self.stages {
-            match stage.radix {
-                2 => run_stage::<2>(data, stage),
-                3 => run_stage::<3>(data, stage),
-                5 => run_stage::<5>(data, stage),
-                7 => run_stage::<7>(data, stage),
-                11 => run_stage::<11>(data, stage),
-                13 => run_stage::<13>(data, stage),
-                radix => unreachable!("radix {radix} is not a prime <= {MAX_SMALL_PRIME}"),
+            dispatch!(stage.radix, run_stage(data, stage));
+        }
+    }
+
+    /// [`MixedRadixPlan::forward`] of every column of the row-major `grid`
+    /// (`width` columns of [`MixedRadixPlan::len`] rows), in place, less
+    /// the digit reversal: row `p` must already hold input row
+    /// `gather()[p]`, as [`crate::dft2d::dft2_planned`]'s row pass writes
+    /// it.
+    ///
+    /// Columns go in strips of four adjacent ones, so one 64-byte line per
+    /// row holds a strip when the grid is line-aligned, and every stage runs
+    /// over a strip while it is in cache. Each column gets exactly the
+    /// operation sequence [`MixedRadixPlan::forward`] gives it, so every
+    /// coefficient is bit-identical to transforming the column alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid.len()` is not `width` times the plan length.
+    pub(crate) fn forward_columns(&self, grid: &mut [Complex64], width: usize) {
+        assert_eq!(grid.len(), self.n * width, "grid shape mismatch");
+        // When every row starts at the same offset within a cache line, a
+        // narrower first strip puts the rest on line boundaries.
+        let lead = if width.is_multiple_of(STRIP) {
+            (STRIP - (grid.as_ptr() as usize / std::mem::size_of::<Complex64>()) % STRIP) % STRIP
+        } else {
+            0
+        };
+        let mut x0 = 0;
+        while x0 < width {
+            let end = if x0 == 0 && lead > 0 { lead } else { width.min(x0 + STRIP) };
+            for stage in &self.stages {
+                dispatch!(stage.radix, run_strip_stage(grid, width, x0..end, stage));
             }
+            x0 = end;
         }
     }
 }
+
+/// Columns per strip of [`MixedRadixPlan::forward_columns`]: four
+/// `Complex64`, one 64-byte cache line.
+const STRIP: usize = 4;
 
 /// Runs every radix-`R` butterfly of one stage over `data`, in place.
 fn run_stage<const R: usize>(data: &mut [Complex64], stage: &Stage) {
@@ -200,28 +257,67 @@ fn run_stage<const R: usize>(data: &mut [Complex64], stage: &Stage) {
     }
     for block in data.chunks_exact_mut(R * stage.span) {
         for k1 in 0..stage.span {
-            butterfly::<R>(block, stage.span, &stage.twiddles, k1);
+            butterfly::<R>(block, |i| i, stage.span, &stage.twiddles, k1);
         }
     }
 }
 
-/// Butterfly `k1` of one `R * span` block, in place: loads the inputs
-/// `block[n1 * span + k1]`, then writes output `j` to `block[k1 + span * j]`
-/// as `acc = 0; acc += x[n1] * w` in ascending `n1` — the exact operation
+/// Runs every radix-`R` butterfly of one stage down the `columns` of a
+/// row-major grid `width` columns wide, in place.
+fn run_strip_stage<const R: usize>(
+    grid: &mut [Complex64],
+    width: usize,
+    columns: std::ops::Range<usize>,
+    stage: &Stage,
+) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[allow(unsafe_code)]
+    let columns = if columns.len() >= 2 && std::arch::is_x86_feature_detected!("avx") {
+        let pairs = columns.len() / 2;
+        // SAFETY: AVX support was just verified at runtime.
+        unsafe {
+            avx::butterflies_down_columns::<R>(
+                grid,
+                width,
+                columns.start,
+                pairs,
+                stage.span,
+                &stage.twiddles,
+            );
+        }
+        // A strip of three columns leaves its last one to the scalar loop.
+        columns.start + 2 * pairs..columns.end
+    } else {
+        columns
+    };
+    for block in grid.chunks_exact_mut(R * stage.span * width) {
+        for k1 in 0..stage.span {
+            for x in columns.clone() {
+                butterfly::<R>(block, |row| row * width + x, stage.span, &stage.twiddles, k1);
+            }
+        }
+    }
+}
+
+/// Butterfly `k1` of one `R * span` block, in place, with the block's
+/// element `i` at `block[at(i)]`: loads the inputs `n1 * span + k1`, then
+/// writes output `j` to element `k1 + span * j` as
+/// `acc = 0; acc += x[n1] * w` in ascending `n1` — the exact operation
 /// sequence of the recursive combine step.
 fn butterfly<const R: usize>(
     block: &mut [Complex64],
+    at: impl Fn(usize) -> usize,
     span: usize,
     twiddles: &[Complex64],
     k1: usize,
 ) {
-    let x: [Complex64; R] = std::array::from_fn(|n1| block[n1 * span + k1]);
+    let x: [Complex64; R] = std::array::from_fn(|n1| block[at(n1 * span + k1)]);
     for j in 0..R {
         let mut acc = Complex64::ZERO;
         for (n1, &v) in x.iter().enumerate() {
             acc += v * twiddles[(n1 * R + j) * span + k1];
         }
-        block[k1 + span * j] = acc;
+        block[at(k1 + span * j)] = acc;
     }
 }
 
@@ -241,9 +337,9 @@ mod avx {
 
     use super::Complex64;
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_castpd128_pd256, _mm256_insertf128_pd,
-        _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm_loadu_pd,
+        __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_broadcast_sd, _mm256_castpd128_pd256,
+        _mm256_insertf128_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm_loadu_pd,
     };
 
     /// `x · w` per lane, with `x_swap` the re/im swap of `x`.
@@ -296,7 +392,66 @@ mod avx {
                 k1 += 2;
             }
             if pairs < span {
-                super::butterfly::<R>(block, span, twiddles, pairs);
+                super::butterfly::<R>(block, |i| i, span, twiddles, pairs);
+            }
+        }
+    }
+
+    /// A stage down `pairs` adjacent column pairs, from column `x0`, of a
+    /// row-major grid `width` columns wide. Each register holds the same
+    /// row of two columns and both lanes share one broadcast twiddle, so
+    /// every lane runs the scalar butterfly of its own column.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn butterflies_down_columns<const R: usize>(
+        grid: &mut [Complex64],
+        width: usize,
+        x0: usize,
+        pairs: usize,
+        span: usize,
+        twiddles: &[Complex64],
+    ) {
+        assert!(x0 + 2 * pairs <= width, "strip inside the grid");
+        assert_eq!(twiddles.len(), R * R * span, "stage table shape");
+        let t = twiddles.as_ptr() as *const f64;
+        for block in grid.chunks_exact_mut(R * span * width) {
+            let p = block.as_mut_ptr() as *mut f64;
+            // The first f64 of row `row`, column `x` of this block.
+            let at = |row: usize, x: usize| 2 * (row * width + x);
+            for k1 in 0..span {
+                for x in (x0..x0 + 2 * pairs).step_by(2) {
+                    let mut v = [_mm256_setzero_pd(); R];
+                    let mut v_swap = [_mm256_setzero_pd(); R];
+                    for n1 in 0..R {
+                        // SAFETY: row `n1 * span + k1 < R * span`, the
+                        // block's rows, and columns `x + 1 < width`.
+                        v[n1] = unsafe { _mm256_loadu_pd(p.add(at(n1 * span + k1, x))) };
+                        v_swap[n1] = _mm256_permute_pd::<0x5>(v[n1]);
+                    }
+                    for j in 0..R {
+                        let mut acc = _mm256_setzero_pd();
+                        for n1 in 0..R {
+                            // SAFETY: `(n1 * R + j) * span + k1 < R * R * span`,
+                            // the table length asserted above.
+                            let w = unsafe { t.add(2 * ((n1 * R + j) * span + k1)) };
+                            // SAFETY: `w` points at one in-table `Complex64`.
+                            let (w_re, w_im) = unsafe {
+                                (_mm256_broadcast_sd(&*w), _mm256_broadcast_sd(&*w.add(1)))
+                            };
+                            let product = _mm256_addsub_pd(
+                                _mm256_mul_pd(v[n1], w_re),
+                                _mm256_mul_pd(v_swap[n1], w_im),
+                            );
+                            acc = _mm256_add_pd(acc, product);
+                        }
+                        // SAFETY: row `k1 + span * j < R * span`; every input
+                        // of this butterfly pair is already in `v`.
+                        unsafe { _mm256_storeu_pd(p.add(at(k1 + span * j, x)), acc) };
+                    }
+                }
             }
         }
     }
@@ -446,6 +601,50 @@ mod tests {
         let mut sources = plan.gather.clone();
         sources.sort_unstable();
         assert!(sources.iter().copied().eq(0..360), "the gather is a permutation");
+    }
+
+    #[test]
+    fn column_strips_are_bit_identical_to_per_column_transforms() {
+        for n in [3usize, 6, 7, 12, 15, 21, 45, 77, 143, 169, 336] {
+            let plan = MixedRadixPlan::new(n);
+            for width in 1..=9 {
+                // Offsetting the grid inside its buffer moves its cache-line
+                // alignment, and with it the first strip's width.
+                for offset in 0..4 {
+                    let columns: Vec<Vec<Complex64>> = (0..width)
+                        .map(|x| {
+                            (0..n)
+                                .map(|y| {
+                                    Complex64::new(
+                                        ((x * 31 + y * 7) % 19) as f64,
+                                        x as f64 - y as f64,
+                                    )
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let mut buffer = vec![Complex64::ZERO; offset + n * width];
+                    let grid = &mut buffer[offset..];
+                    for (p, &source) in plan.gather().iter().enumerate() {
+                        for (x, column) in columns.iter().enumerate() {
+                            grid[p * width + x] = column[source];
+                        }
+                    }
+                    plan.forward_columns(grid, width);
+                    for (x, column) in columns.iter().enumerate() {
+                        let expected = forward(&plan, column);
+                        for (y, want) in expected.iter().enumerate() {
+                            let got = grid[y * width + x];
+                            assert!(
+                                got.re.to_bits() == want.re.to_bits()
+                                    && got.im.to_bits() == want.im.to_bits(),
+                                "n={n} width={width} offset={offset} ({x}, {y}): {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

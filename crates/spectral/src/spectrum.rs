@@ -16,8 +16,9 @@ pub type BinaryImage = Image;
 /// to zero, everything else is kept.
 ///
 /// `radius` is the paper's threshold `D_T`; [`crate::csp::CspConfig`]
-/// expresses it as a fraction of the half-diagonal so that it scales with
-/// image size.
+/// expresses it as a fraction of half the smaller image side
+/// ([`crate::csp::CspConfig::radius_for`]) so that it scales with image
+/// size.
 pub fn low_pass_mask(spectrum: &Image, radius: f64) -> Image {
     let cx = (spectrum.width() as f64 - 1.0) / 2.0;
     let cy = (spectrum.height() as f64 - 1.0) / 2.0;

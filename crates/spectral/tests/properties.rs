@@ -3,7 +3,7 @@
 use decamouflage_imaging::{Channels, Image};
 use decamouflage_spectral::components::{count_components, label_components, Connectivity};
 use decamouflage_spectral::csp::{
-    count_csp, count_csp_in_spectrum_with_mags, CspConfig, CspReport,
+    count_csp, count_csp_in_spectrum, count_csp_in_spectrum_with_mags, CspConfig, CspReport,
 };
 use decamouflage_spectral::dft2d::{centered_spectrum, dft2_planned, idft2};
 use decamouflage_spectral::fft::{dft_naive, fft, ifft};
@@ -147,6 +147,7 @@ proptest! {
         let fused = fused_csp(&img, &config);
         prop_assert_eq!(fused.count, staged.count);
         prop_assert_eq!(fused.components, staged.components);
+        prop_assert_eq!(count_csp_in_spectrum(&dft2_planned(&img), &config), staged);
     }
 
     #[test]
@@ -276,6 +277,7 @@ proptest! {
         let fused = fused_csp(&img, &config);
         prop_assert_eq!(fused.count, staged.count);
         prop_assert_eq!(fused.components, staged.components);
+        prop_assert_eq!(count_csp_in_spectrum(&dft2_planned(&img), &config), staged);
         prop_assert!(staged.count <= img.width() * img.height());
     }
 }
@@ -465,8 +467,21 @@ fn mixed_radix_is_bit_identical_to_the_recursion_on_every_smooth_length() {
     }
 }
 
+/// The 1-D transform `dft2_planned` must reproduce: the recursive
+/// reference for every length `fft` sends down the mixed-radix path, and
+/// `fft` itself (radix-2 or Bluestein) for the rest.
+fn reference_transform(input: &[Complex64]) -> Vec<Complex64> {
+    let n = input.len();
+    if is_smooth(n) && !n.is_power_of_two() {
+        return mixed_radix_recursive_reference(input);
+    }
+    let mut data = input.to_vec();
+    fft(&mut data);
+    data
+}
+
 /// `dft2_planned`'s row-pair and column sequence, with every 1-D transform
-/// taken by the recursive reference.
+/// taken by [`reference_transform`].
 fn dft2_through_the_recursion(img: &Image) -> Vec<Complex64> {
     let (w, h) = (img.width(), img.height());
     let mut grid: Vec<Complex64> = img.luma().iter().map(|&v| Complex64::from_real(v)).collect();
@@ -475,7 +490,7 @@ fn dft2_through_the_recursion(img: &Image) -> Vec<Complex64> {
         let (ya, yb) = (pair, pair + 1);
         let packed: Vec<Complex64> =
             (0..w).map(|x| Complex64::new(grid[ya * w + x].re, grid[yb * w + x].re)).collect();
-        let packed = mixed_radix_recursive_reference(&packed);
+        let packed = reference_transform(&packed);
         for k in 0..w {
             let z_k = packed[k];
             let z_nk = packed[(w - k) % w].conj();
@@ -487,12 +502,12 @@ fn dft2_through_the_recursion(img: &Image) -> Vec<Complex64> {
         pair += 2;
     }
     if pair < h {
-        let row = mixed_radix_recursive_reference(&grid[pair * w..(pair + 1) * w]);
+        let row = reference_transform(&grid[pair * w..(pair + 1) * w]);
         grid[pair * w..(pair + 1) * w].copy_from_slice(&row);
     }
     for x in 0..w {
         let col: Vec<Complex64> = (0..h).map(|y| grid[y * w + x]).collect();
-        for (y, v) in mixed_radix_recursive_reference(&col).into_iter().enumerate() {
+        for (y, v) in reference_transform(&col).into_iter().enumerate() {
             grid[y * w + x] = v;
         }
     }
@@ -501,7 +516,12 @@ fn dft2_through_the_recursion(img: &Image) -> Vec<Complex64> {
 
 #[test]
 fn dft2_is_bit_identical_to_the_recursion_at_paper_sizes() {
-    for (w, h) in [(336usize, 336usize), (448, 448), (560, 560), (336, 560)] {
+    // Widths with `w % 4` of 1, 2 and 3 leave narrower column strips, an
+    // odd height transforms its last row alone, and 334 = 2 · 167 is a
+    // height whose columns take Bluestein's path.
+    let sizes = [(336usize, 336usize), (448, 448), (560, 560), (336, 560)];
+    let extra = [(325, 336), (330, 343), (343, 448), (448, 334)];
+    for (w, h) in sizes.into_iter().chain(extra) {
         let img = Image::from_fn_gray(w, h, |x, y| ((x * 131 + y * 71 + x * y) % 256) as f64);
         assert_bits_identical(
             dft2_planned(&img).as_slice(),
