@@ -42,6 +42,13 @@ echo "== spectral kernels (release, simd): bit identity to the recursion =="
 # their oracles bit for bit.
 cargo test --release -p decamouflage-spectral --features simd
 
+echo "== SSIM row kernel (release, simd): bit identity to the staged planes =="
+# The row-emitting convolution and the SSIM sweep on it, in the optimised
+# `simd` build the benchmark ships: the row kernel against the reference
+# convolution, every SSIM entry point against the staged `ssim_map` oracle
+# (Gray and RGB, two candidates per sweep), and the sweep's allocation budget.
+cargo test --release -p decamouflage-imaging -p decamouflage-metrics --features simd
+
 echo "== benchmark package: build + unit tests =="
 # The end-to-end benchmark (BENCHMARK.json) is a workspace of its own, so
 # nothing above compiles it. Its unit tests include the replay's score

@@ -83,9 +83,12 @@ const DECODE_BUDGET_US: f64 = 1500.0;
 // Gate 9 was tuned on the same 2-core VM, when the spatial branch took
 // about 8.8 ms at 448² Gray and the spectral one about 11.4 ms: with them
 // on two cores a pass should take about max(8.8, 11.4) / 20.2 ≈ 0.57 of
-// the inline one, and it read 0.57–0.58, handoffs included. Since the
-// batched FFT columns and the ln-free CSP count the spectral branch is the
-// shorter one (about 3.9 ms against 6 ms), so the gate reads 0.66–0.74. A
+// the inline one, and it read 0.57–0.58, handoffs included. The batched
+// FFT columns and the ln-free CSP count then made the spectral branch the
+// shorter one (about 3.9 ms against 6 ms), and the gate read 0.66–0.74.
+// Since SSIM streams in one sweep the spatial branch takes about 4.3 ms
+// against the spectral 3.6 ms, so a pass should take about 4.3 / 7.9 ≈
+// 0.54 of the inline one; the gate reads 0.61–0.70, handoffs included. A
 // host with no second core free reads near 1.
 const TWO_CORE_LIMIT: f64 = 0.80;
 

@@ -10,10 +10,10 @@
 //!
 //! * **spatial** — one round trip through cached resampling plans
 //!   ([`round_trip`]) serves both scaling metrics, one rank-filter pass
-//!   serves both filtering metrics, and one [`SsimReference`]
-//!   (precomputed `blur(I)`, `blur(I²)`) serves the scaling *and*
-//!   filtering SSIM scores, with the blurs on the fast scratch-buffer
-//!   convolution path;
+//!   serves both filtering metrics, and one [`SsimReference`] sweep
+//!   scores the scaling *and* filtering SSIM: it blurs `I` and `I²` once
+//!   and both candidates' statistics row by row, holding no full-size
+//!   plane;
 //! * **spectral** — one gray view and one planned DFT serve the CSP count
 //!   (via the fused, ln-free [`count_csp_in_spectrum`] pipeline) **and**
 //!   the radial peak-excess score, the only reader of the full
@@ -59,6 +59,7 @@ use std::borrow::{Borrow, Cow};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Pre-resolved telemetry handles for the engine's hot path. Resolving
 /// the `(name, labels)` keys once at construction keeps scoring free of
@@ -373,8 +374,8 @@ impl DetectionEngine {
 
     /// The spatial branch: one round trip serves both scaling metrics, one
     /// rank-filter pass both filtering metrics, and one [`SsimReference`]
-    /// both SSIM scores. Each stage runs only for the enabled methods that
-    /// read it. The spectral methods score `NaN` here.
+    /// sweep both SSIM scores. Each stage runs only for the enabled methods
+    /// that read it. The spectral methods score `NaN` here.
     fn score_spatial(&self, image: &Image) -> Result<ScoreVector, DetectError> {
         #[cfg(test)]
         self.inject_panic("spatial");
@@ -401,18 +402,28 @@ impl DetectionEngine {
                 scores.set(id, mse(image, other)?);
             }
         }
-        let ssim_methods =
-            [(MethodId::ScalingSsim, &round_tripped), (MethodId::FilteringSsim, &filtered)];
-        if self.any_enabled(ssim_methods.map(|(id, _)| id)) {
-            // One reference-side SSIM precomputation serves both comparisons.
+        let (ssim_ids, candidates): (Vec<MethodId>, Vec<&Image>) =
+            [(MethodId::ScalingSsim, &round_tripped), (MethodId::FilteringSsim, &filtered)]
+                .into_iter()
+                .filter_map(|(id, other)| Some((id, other.as_ref()?)))
+                .filter(|(id, _)| self.methods.contains(*id))
+                .unzip();
+        if !candidates.is_empty() {
             let reference = {
                 let _stage = self.metrics.ssim_reference.span();
                 SsimReference::new(image, &self.ssim_config)?
             };
-            for (id, other) in ssim_methods {
-                if let Some(other) = other.as_ref().filter(|_| self.methods.contains(id)) {
-                    let _method = self.metrics.method(id).span();
-                    scores.set(id, reference.score_against(other)?);
+            // One sweep blurs the input once for every comparison. Its time
+            // is split evenly between the enabled SSIM methods, so each
+            // records one sample per image and together they sum to the
+            // sweep; with telemetry off no clock is read.
+            let started = self.metrics.telemetry.is_enabled().then(Instant::now);
+            let values = reference.score_against_each(&candidates)?;
+            let share = started.map(|t| t.elapsed().as_secs_f64() / ssim_ids.len() as f64);
+            for (id, value) in ssim_ids.into_iter().zip(values) {
+                scores.set(id, value);
+                if let Some(share) = share {
+                    self.metrics.method(id).record(share);
                 }
             }
         }

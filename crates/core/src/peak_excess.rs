@@ -15,7 +15,8 @@
 //! this standalone detector's default, and only this module's unit tests
 //! reach it. The two windows do not score alike: on those tests' 128²
 //! benign/attack pair the Hann score separates the attack and the
-//! rectangular one does not (ROADMAP item 7 has the numbers).
+//! rectangular one does not (the ROADMAP item "Delete what no production
+//! surface runs", under "Which window is peak excess?", has the numbers).
 
 use crate::DetectError;
 use decamouflage_imaging::{Image, Size};

@@ -4,17 +4,22 @@
 //!
 //! * [`convolve_separable`] — the scalar reference: per-pixel clamped reads,
 //!   easy to audit, used by tests as ground truth.
-//! * [`convolve_separable_with_scratch`] / [`convolve_planes_with_scratch`]
-//!   — the production path: flat, contiguous, row-major passes over
-//!   `&[f64]` buffers with the per-pixel bounds checks hoisted out of the
-//!   inner loops, **bit-identical** to the reference (each output sample
-//!   accumulates the same taps in the same ascending order starting from
-//!   `0.0`, with border clamping applied to exactly the same reads).
+//! * [`convolve_planes_by_row`] — the production path: flat, contiguous,
+//!   row-major passes over `&[f64]` buffers with the per-pixel bounds
+//!   checks hoisted out of the inner loops, emitting each output row of
+//!   every plane as soon as its vertical window is complete, and
+//!   **bit-identical** to the reference (each output sample accumulates the
+//!   same taps in the same ascending order starting from `0.0`, with border
+//!   clamping applied to exactly the same reads).
+//!   [`convolve_planes_with_scratch`] and
+//!   [`convolve_separable_with_scratch`] collect its rows into planes.
 //!
-//! The interior of the horizontal pass and the whole vertical pass run
-//! tap-outer: for each tap, one stride-1 SAXPY over the row
-//! ([`crate::simd::axpy`]), which the autovectorizer turns into packed
-//! mul/add at the SSE2 baseline and the `simd` feature widens to AVX.
+//! Both passes run tap-outer over whole rows, border pixels included (the
+//! horizontal pass reads a source row padded with copies of its edge
+//! samples): one register-accumulating sweep per group of taps
+//! ([`crate::simd::weighted_sum_rows`]), which the autovectorizer turns
+//! into packed mul/add at the SSE2 baseline and the `simd` feature widens
+//! to AVX.
 
 use crate::simd::{weighted_sum_rows, WEIGHTED_SUM_MAX_ROWS};
 use crate::{Image, ImagingError};
@@ -148,19 +153,26 @@ pub fn convolve_separable(
     Ok(out)
 }
 
-/// Reusable buffers for [`convolve_separable_with_scratch`] and
-/// [`convolve_planes_with_scratch`].
+/// Reusable buffers for [`convolve_separable_with_scratch`],
+/// [`convolve_planes_with_scratch`] and [`convolve_planes_by_row`].
 ///
-/// Holding one of these across calls avoids the intermediate-image
-/// allocation of every convolution; buffers grow to the largest image seen.
+/// Holding one of these across calls avoids every allocation of the
+/// convolution; buffers grow to the widest image and the most planes seen,
+/// and none of them is a full image plane.
 #[derive(Debug, Default)]
 pub struct ConvScratch {
-    /// Ring of horizontally convolved rows feeding the vertical pass. Sized
-    /// to the next power of two above the vertical kernel length, so the
-    /// intermediate stays L1-resident instead of a full image plane.
-    ring: Vec<f64>,
-    /// Staging row for [`PlaneSource::Product`] planes (one image row).
+    /// One ring of horizontally convolved rows per plane, feeding the
+    /// vertical pass: a block of output rows' windows tall (or the image's
+    /// height, if smaller), so the intermediate is a few rows instead of a
+    /// full image plane.
+    rings: Vec<f64>,
+    /// The source row being convolved, its border samples replicated on
+    /// each side by the horizontal kernel's reach.
     row: Vec<f64>,
+    /// The current block of output rows: per row, every plane's, plane-major.
+    out_rows: Vec<f64>,
+    /// Ring offsets of the vertical taps of each output row in the block.
+    offsets: Vec<usize>,
 }
 
 impl ConvScratch {
@@ -206,67 +218,158 @@ impl PlaneSource<'_> {
     }
 }
 
-/// Convolves one flat stride-1 plane row with `taps`/`anchor`, writing
-/// into `mid_row`. `int_lo..int_hi` is the pixel range where every tap
-/// lands in bounds; border pixels use the clamped reads of the reference
-/// implementation, interior pixels run tap-outer stride-1 SAXPY. Both
-/// accumulate each output over ascending taps from 0.0, so the float sums
-/// are bit-identical to the reference's sample-outer loop.
-fn hconv_row(
-    src_row: &[f64],
-    mid_row: &mut [f64],
-    taps: &[f64],
-    anchor: usize,
-    w: usize,
-    int_lo: usize,
-    int_hi: usize,
-) {
-    let border = |x: usize, mid_row: &mut [f64]| {
-        let mut acc = 0.0;
-        for (k, &wgt) in taps.iter().enumerate() {
-            let sx = (x as isize + k as isize - anchor as isize).clamp(0, w as isize - 1) as usize;
-            acc += wgt * src_row[sx];
+/// `out = Σ_k taps[k] · row(k)`: one register-accumulating sweep per group
+/// of [`WEIGHTED_SUM_MAX_ROWS`] taps, groups chained with
+/// `accumulate = true`, so each output adds its taps in ascending order from
+/// 0.0 — the order of the reference's sample-outer loop, bit for bit. Both
+/// passes use it: the horizontal one over shifted windows of a padded
+/// source row, the vertical one over ring rows.
+fn tap_sum<'r>(out: &mut [f64], taps: &[f64], row: impl Fn(usize) -> &'r [f64]) {
+    let mut srcs: [&[f64]; WEIGHTED_SUM_MAX_ROWS] = [&[]; WEIGHTED_SUM_MAX_ROWS];
+    for (k0, group) in
+        (0..taps.len()).step_by(WEIGHTED_SUM_MAX_ROWS).zip(taps.chunks(WEIGHTED_SUM_MAX_ROWS))
+    {
+        for (s, k) in srcs.iter_mut().zip(k0..k0 + group.len()) {
+            *s = row(k);
         }
-        mid_row[x] = acc;
-    };
-    for x in 0..int_lo {
-        border(x, mid_row);
+        weighted_sum_rows(out, &srcs[..group.len()], group, k0 > 0);
     }
-    if int_hi > int_lo {
-        let dst = &mut mid_row[int_lo..int_hi];
-        let len = dst.len();
-        // All taps of one group fuse into a single register-accumulating
-        // sweep; wider kernels chain groups with `accumulate = true`
-        // (per-element add order stays ascending — bit-identical).
-        let mut srcs: [&[f64]; WEIGHTED_SUM_MAX_ROWS] = [&[]; WEIGHTED_SUM_MAX_ROWS];
-        for (k0, group) in
-            (0..taps.len()).step_by(WEIGHTED_SUM_MAX_ROWS).zip(taps.chunks(WEIGHTED_SUM_MAX_ROWS))
+}
+
+/// Output rows each plane's vertical pass produces per visit. A block
+/// reads each of the plane's ring rows once from a cache level the other
+/// planes have pushed them to, instead of once per output row.
+const ROW_BLOCK: usize = 4;
+
+/// Row-emitting fused separable convolution of several equally shaped
+/// `width * height` planes: calls `emit(y, rows)` once row `y` of every
+/// blurred plane is complete, for `y` ascending. `rows` holds those rows
+/// back to back, plane-major: row `y` of `planes[p]` blurred is
+/// `rows[p * width..(p + 1) * width]`.
+///
+/// Nothing full-size is allocated or written. Each plane keeps a ring of
+/// horizontally convolved rows, as tall as the vertical window plus a
+/// block of four output rows, filled just ahead of the window, so
+/// a caller that reduces each row as it arrives (the SSIM sweep of
+/// `decamouflage-metrics`) never holds a blurred plane.
+///
+/// Every value is **bit-identical** to [`convolve_separable`] on that plane
+/// (with products materialised via `zip_map`): the horizontal pass reads a
+/// source row padded with copies of its edge samples, where each tap reads
+/// exactly the reference's clamped sample, and the vertical pass reads the
+/// (clamped) ring rows; both reduce each output as one register-accumulating
+/// weighted sum of all taps, grouped by [`WEIGHTED_SUM_MAX_ROWS`] — the same
+/// taps in the same ascending order from `0.0`.
+///
+/// # Errors
+///
+/// Returns [`ImagingError::BufferSizeMismatch`] if any plane's length
+/// differs from `width * height` (including the two factors of a
+/// [`PlaneSource::Product`]); `emit` is then never called.
+pub fn convolve_planes_by_row(
+    planes: &[PlaneSource<'_>],
+    width: usize,
+    height: usize,
+    horizontal: &Kernel1D,
+    vertical: &Kernel1D,
+    scratch: &mut ConvScratch,
+    mut emit: impl FnMut(usize, &[f64]),
+) -> Result<(), ImagingError> {
+    let (w, h) = (width, height);
+    for plane in planes {
+        let len = plane.len()?;
+        if len != w * h {
+            return Err(ImagingError::BufferSizeMismatch { expected: w * h, actual: len });
+        }
+    }
+    if planes.is_empty() || w == 0 || h == 0 {
+        return Ok(());
+    }
+    let taps_h = horizontal.weights();
+    let anchor_h = horizontal.anchor();
+
+    let taps_v = vertical.weights();
+    let anchor_v = vertical.anchor();
+    // A block of output rows reads at most `block + taps_v.len() - 1`
+    // distinct source rows (`h` in a shorter image). With slot
+    // `sy % ring_rows`, filling a block's new rows overwrites only rows
+    // below its window.
+    let block = ROW_BLOCK.min(h);
+    let ring_rows = (block + taps_v.len() - 1).min(h);
+    let (n, ring_len, slab) = (planes.len(), ring_rows * w, planes.len() * w);
+
+    let ConvScratch { rings, row, out_rows, offsets } = scratch;
+    rings.resize(n * ring_len, 0.0);
+    row.resize(w + taps_h.len() - 1, 0.0);
+    out_rows.resize(block * slab, 0.0);
+    offsets.resize(block * taps_v.len(), 0);
+
+    // First source row not yet h-convolved into the rings.
+    let mut next_mid = 0usize;
+    for y0 in (0..h).step_by(block) {
+        let rows_in_block = block.min(h - y0);
+        // Highest source row the block's vertical windows touch.
+        let hi = (y0 + rows_in_block - 1 + taps_v.len() - 1).saturating_sub(anchor_v).min(h - 1);
+        // Ring offset of every tap of every output row, shared by the
+        // planes.
+        for (r, row_offsets) in
+            offsets.chunks_exact_mut(taps_v.len()).take(rows_in_block).enumerate()
         {
-            for (s, k) in srcs.iter_mut().zip(k0..k0 + group.len()) {
-                let src_lo = int_lo + k - anchor;
-                *s = &src_row[src_lo..src_lo + len];
+            for (k, offset) in row_offsets.iter_mut().enumerate() {
+                let sy = ((y0 + r + k) as isize - anchor_v as isize).clamp(0, h as isize - 1);
+                *offset = (sy as usize % ring_rows) * w;
             }
-            weighted_sum_rows(dst, &srcs[..group.len()], group, k0 > 0);
+        }
+        for (p, plane) in planes.iter().enumerate() {
+            let ring = &mut rings[p * ring_len..(p + 1) * ring_len];
+            for sy in next_mid..=hi {
+                let lo = sy * w;
+                let middle = &mut row[anchor_h..anchor_h + w];
+                match plane {
+                    PlaneSource::Plane(src) => middle.copy_from_slice(&src[lo..lo + w]),
+                    PlaneSource::Product(a, b) => {
+                        for ((r, &av), &bv) in
+                            middle.iter_mut().zip(&a[lo..lo + w]).zip(&b[lo..lo + w])
+                        {
+                            *r = av * bv;
+                        }
+                    }
+                }
+                // Replicate the edge samples over the kernel's reach, so
+                // `row[x + k]` is the reference's clamped read of tap `k` at
+                // pixel `x` and border pixels take the interior's sweep.
+                let (first, last) = (row[anchor_h], row[anchor_h + w - 1]);
+                row[..anchor_h].fill(first);
+                row[anchor_h + w..].fill(last);
+                let slot = sy % ring_rows;
+                tap_sum(&mut ring[slot * w..(slot + 1) * w], taps_h, |k| &row[k..k + w]);
+            }
+            for (r, row_offsets) in
+                offsets.chunks_exact(taps_v.len()).take(rows_in_block).enumerate()
+            {
+                let out_row = &mut out_rows[r * slab + p * w..r * slab + (p + 1) * w];
+                tap_sum(out_row, taps_v, |k| &ring[row_offsets[k]..row_offsets[k] + w]);
+            }
+        }
+        next_mid = next_mid.max(hi + 1);
+        for (r, rows) in out_rows.chunks_exact(slab).take(rows_in_block).enumerate() {
+            emit(y0 + r, rows);
         }
     }
-    for x in int_hi..w {
-        border(x, mid_row);
-    }
+    Ok(())
 }
 
 /// Fused separable convolution of several equally shaped `width * height`
 /// planes in one call: each `planes[i]` is blurred into `outputs[i]`
 /// (resized to `width * height`, row-major — the layout of
-/// [`Image::plane`]).
+/// [`Image::plane`]). This is [`convolve_planes_by_row`] with every emitted
+/// row copied into its plane.
 ///
 /// Results are **bit-identical** to calling [`convolve_separable`] on each
 /// plane (with products materialised via `zip_map`); what the fusion buys
-/// is memory: the horizontal intermediate is a ring of `O(kernel)` rows
-/// streamed just ahead of the vertical window — L1-resident instead of a
-/// full image plane — plus one staging row and caller-reused output buffers
-/// instead of five intermediate images per SSIM score. The vertical pass
-/// reduces each output row as one register-accumulating weighted sum of the
-/// (clamped) ring rows of all taps, grouped by [`WEIGHTED_SUM_MAX_ROWS`].
+/// is memory: the horizontal intermediate is a ring of `O(kernel)` rows per
+/// plane instead of a full image plane, the products are formed one
+/// staging row at a time, and the outputs are caller-reused buffers.
 ///
 /// # Errors
 ///
@@ -288,79 +391,15 @@ pub fn convolve_planes_with_scratch(
             message: format!("{} planes but {} outputs", planes.len(), outputs.len()),
         });
     }
-    if planes.is_empty() {
-        return Ok(());
+    for out in outputs.iter_mut() {
+        out.clear();
+        out.reserve(width * height);
     }
-    let (w, h) = (width, height);
-    for plane in planes {
-        let len = plane.len()?;
-        if len != w * h {
-            return Err(ImagingError::BufferSizeMismatch { expected: w * h, actual: len });
+    convolve_planes_by_row(planes, width, height, horizontal, vertical, scratch, |_, rows| {
+        for (p, out) in outputs.iter_mut().enumerate() {
+            out.extend_from_slice(&rows[p * width..(p + 1) * width]);
         }
-    }
-    let samples = w * h;
-    let row_len = w;
-
-    // Interior pixel range of the horizontal pass: every tap in bounds
-    // means x - anchor >= 0 and x + (len - 1 - anchor) <= w - 1, i.e.
-    // x in [anchor, w + anchor - len].
-    let taps_h = horizontal.weights();
-    let anchor_h = horizontal.anchor();
-    let int_lo = anchor_h.min(w);
-    let int_hi = (w + anchor_h + 1).saturating_sub(taps_h.len()).clamp(int_lo, w);
-
-    let taps_v = vertical.weights();
-    let anchor_v = vertical.anchor();
-    // Ring capacity: power of two covering the vertical window, so slot
-    // lookup is `sy % ring_cap` and a row is only overwritten once every
-    // output that reads it has been produced.
-    let ring_cap = taps_v.len().next_power_of_two();
-
-    let ConvScratch { ring, row } = scratch;
-    ring.resize(ring_cap * row_len, 0.0);
-    row.resize(row_len, 0.0);
-
-    for (plane, out) in planes.iter().zip(outputs.iter_mut()) {
-        out.resize(samples, 0.0);
-        // First source row not yet h-convolved into the ring.
-        let mut next_mid = 0usize;
-        for y in 0..h {
-            // Highest source row the vertical window of `y` touches.
-            let hi = (y + taps_v.len() - 1).saturating_sub(anchor_v).min(h - 1);
-            while next_mid <= hi {
-                let slot = next_mid % ring_cap;
-                let mid_row = &mut ring[slot * row_len..(slot + 1) * row_len];
-                let src_row: &[f64] = match plane {
-                    PlaneSource::Plane(p) => &p[next_mid * row_len..(next_mid + 1) * row_len],
-                    PlaneSource::Product(a, b) => {
-                        let a_row = &a[next_mid * row_len..(next_mid + 1) * row_len];
-                        let b_row = &b[next_mid * row_len..(next_mid + 1) * row_len];
-                        for ((r, &av), &bv) in row.iter_mut().zip(a_row).zip(b_row) {
-                            *r = av * bv;
-                        }
-                        row
-                    }
-                };
-                hconv_row(src_row, mid_row, taps_h, anchor_h, w, int_lo, int_hi);
-                next_mid += 1;
-            }
-            let out_row = &mut out[y * row_len..(y + 1) * row_len];
-            let mut srcs: [&[f64]; WEIGHTED_SUM_MAX_ROWS] = [&[]; WEIGHTED_SUM_MAX_ROWS];
-            for (k0, group) in (0..taps_v.len())
-                .step_by(WEIGHTED_SUM_MAX_ROWS)
-                .zip(taps_v.chunks(WEIGHTED_SUM_MAX_ROWS))
-            {
-                for (s, k) in srcs.iter_mut().zip(k0..k0 + group.len()) {
-                    let sy = (y as isize + k as isize - anchor_v as isize).clamp(0, h as isize - 1)
-                        as usize;
-                    let slot = sy % ring_cap;
-                    *s = &ring[slot * row_len..(slot + 1) * row_len];
-                }
-                weighted_sum_rows(out_row, &srcs[..group.len()], group, k0 > 0);
-            }
-        }
-    }
-    Ok(())
+    })
 }
 
 /// [`convolve_separable`] with reusable scratch buffers and a fast interior
@@ -511,44 +550,75 @@ mod tests {
         }
     }
 
+    /// The row kernel, and the planes collected from it, against the
+    /// reference: Gray and RGB planes with their products, windows wider
+    /// than the image, 1-row and 1-column images, and heights below the
+    /// ring.
     #[test]
     fn fused_planes_are_bit_identical_to_staged_reference() {
         let mut scratch = ConvScratch::new();
-        let a = Image::from_fn_rgb(13, 9, |x, y| {
-            let v = ((x * 31 + y * 17) % 64) as f64 - 12.5;
+        let texture = |x: usize, y: usize| ((x * 31 + y * 17) % 64) as f64 - 12.5;
+        let rgb = |x, y| {
+            let v = texture(x, y);
             [v, v * 0.5 - 7.0, 255.0 - v]
-        });
-        let b = a.map(|v| (v * 0.9 + 4.0).min(255.0));
-        for kh in [
+        };
+        let images = [
+            Image::from_fn_rgb(13, 9, rgb),
+            Image::from_fn_gray(13, 9, texture),
+            Image::from_fn_rgb(7, 11, rgb),
+            Image::from_fn_gray(1, 6, texture),
+            Image::from_fn_gray(9, 1, texture),
+            Image::from_fn_gray(1, 1, texture),
+            Image::from_fn_rgb(12, 3, |x, y| [texture(x, y), texture(y, x), 1.5]),
+        ];
+        let kernels = [
+            Kernel1D::centered(vec![0.25, 0.5, 0.25]).unwrap(),
             Kernel1D::centered(vec![1.0 / 11.0; 11]).unwrap(),
+            Kernel1D::centered((1..=23).map(|k| k as f64 / 276.0).collect()).unwrap(),
             Kernel1D::new(vec![0.3, 0.3, 0.4], 0).unwrap(),
-        ] {
-            let kv = Kernel1D::centered(vec![0.25, 0.5, 0.25]).unwrap();
+        ];
+        for a in &images {
+            let b = a.map(|v| (v * 0.9 + 4.0).min(255.0));
+            let (w, h) = (a.width(), a.height());
             let mut sources = Vec::new();
-            for c in 0..3 {
+            for c in 0..a.channel_count() {
                 sources.push(PlaneSource::Plane(a.plane(c)));
                 sources.push(PlaneSource::Product(a.plane(c), a.plane(c)));
                 sources.push(PlaneSource::Product(a.plane(c), b.plane(c)));
             }
-            let mut outs: Vec<Vec<f64>> = vec![Vec::new(); 9];
-            let mut out_refs: Vec<&mut Vec<f64>> = outs.iter_mut().collect();
-            convolve_planes_with_scratch(
-                &sources,
-                a.width(),
-                a.height(),
-                &kh,
-                &kv,
-                &mut scratch,
-                &mut out_refs,
-            )
-            .unwrap();
-            let staged = |img: &Image| convolve_separable(img, &kh, &kv).unwrap();
-            let aa = a.zip_map(&a, |x, y| x * y).unwrap();
+            let aa = a.zip_map(a, |x, y| x * y).unwrap();
             let ab = a.zip_map(&b, |x, y| x * y).unwrap();
-            for c in 0..3 {
-                assert_eq!(outs[3 * c], staged(&a).plane(c), "plane {c}");
-                assert_eq!(outs[3 * c + 1], staged(&aa).plane(c), "a*a plane {c}");
-                assert_eq!(outs[3 * c + 2], staged(&ab).plane(c), "a*b plane {c}");
+            for kh in &kernels {
+                for kv in &kernels {
+                    let label = format!("{w}x{h}, kernels {}/{}", kh.len(), kv.len());
+                    let staged = [a, &aa, &ab].map(|img| convolve_separable(img, kh, kv).unwrap());
+                    let expected = |p: usize| staged[p % 3].plane(p / 3);
+                    let mut next = 0;
+                    convolve_planes_by_row(&sources, w, h, kh, kv, &mut scratch, |y, rows| {
+                        assert_eq!((y, rows.len()), (next, sources.len() * w), "{label}");
+                        for (p, row) in rows.chunks_exact(w).enumerate() {
+                            assert_eq!(row, &expected(p)[y * w..(y + 1) * w], "{label} plane {p}");
+                        }
+                        next += 1;
+                    })
+                    .unwrap();
+                    assert_eq!(next, h, "{label}: every row emitted once");
+                    let mut outs: Vec<Vec<f64>> = vec![Vec::new(); sources.len()];
+                    let mut out_refs: Vec<&mut Vec<f64>> = outs.iter_mut().collect();
+                    convolve_planes_with_scratch(
+                        &sources,
+                        w,
+                        h,
+                        kh,
+                        kv,
+                        &mut scratch,
+                        &mut out_refs,
+                    )
+                    .unwrap();
+                    for (p, out) in outs.iter().enumerate() {
+                        assert_eq!(out, expected(p), "{label} plane {p}, collected");
+                    }
+                }
             }
         }
     }

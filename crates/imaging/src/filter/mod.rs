@@ -15,8 +15,8 @@ mod gaussian;
 mod rank;
 
 pub use conv::{
-    convolve_planes_with_scratch, convolve_separable, convolve_separable_with_scratch, ConvScratch,
-    Kernel1D, PlaneSource,
+    convolve_planes_by_row, convolve_planes_with_scratch, convolve_separable,
+    convolve_separable_with_scratch, ConvScratch, Kernel1D, PlaneSource,
 };
 pub use gaussian::{gaussian_blur, gaussian_kernel};
 pub use rank::{maximum_filter, median_filter, minimum_filter, rank_filter, RankKind};

@@ -1,36 +1,40 @@
 //! Structural similarity (SSIM) index — Wang et al. 2004, the paper's
 //! Equation 6.
+//!
+//! Every SSIM score runs through one kernel, the streaming sweep behind
+//! [`SsimReference`]: it blurs µa, a², and per candidate µb, b² and ab row
+//! by row ([`convolve_planes_by_row`]), combines each output row as soon as
+//! its vertical window is complete and adds it to the running sum in flat
+//! pixel order. No blurred plane and no copy of an input is ever held;
+//! [`ssim_map`], which must write a map, keeps the staged planes and is the
+//! test oracle the sweep is checked against bit for bit.
 
 use crate::error::check_same_shape;
 use crate::MetricError;
 use decamouflage_imaging::filter::{
-    convolve_planes_with_scratch, gaussian_kernel, ConvScratch, Kernel1D, PlaneSource,
+    convolve_planes_by_row, convolve_planes_with_scratch, gaussian_kernel, ConvScratch, Kernel1D,
+    PlaneSource,
 };
-use decamouflage_imaging::Image;
-
-/// Per-thread buffers for the fused SSIM sweeps: convolution scratch plus
-/// the blurred-plane outputs — one buffer per (statistic, channel) pair,
-/// grown on demand (five statistics: µa, µb, σa-side, σb-side, σab-side).
-struct SsimScratch {
-    conv: ConvScratch,
-    planes: Vec<Vec<f64>>,
-}
+use decamouflage_imaging::simd::ssim_combine;
+use decamouflage_imaging::{Channels, Image};
+use std::cell::RefCell;
 
 thread_local! {
-    /// Shared buffers for [`ssim_map`] and [`SsimReference`] scoring.
-    static SSIM_SCRATCH: std::cell::RefCell<SsimScratch> =
-        std::cell::RefCell::new(SsimScratch { conv: ConvScratch::new(), planes: Vec::new() });
+    /// Per-thread buffers of the SSIM sweep: the convolution rings and one
+    /// combined row, a few rows tall each, never a full plane.
+    static SWEEP_SCRATCH: RefCell<(ConvScratch, Vec<f64>)> =
+        RefCell::new((ConvScratch::new(), Vec::new()));
 }
 
-/// The per-pixel SSIM formula over per-channel blurred planes, invoking
-/// `emit(pixel_value)` in flat pixel order. Each statistic is a slice of
-/// `ch` plane slices; the inner loop walks channels in ascending order per
-/// pixel — the same per-sample, channel-inner accumulation order as the
-/// historical interleaved implementation, so every sum is bit-identical.
+/// The per-pixel SSIM formula over per-channel blurred rows or planes,
+/// invoking `emit(pixel_value)` in flat pixel order. Each statistic is a
+/// slice of `ch` equally long slices; the inner loop walks channels in
+/// ascending order per pixel — the same per-sample, channel-inner
+/// accumulation order as the historical interleaved implementation, so
+/// every sum is bit-identical.
 ///
-/// Single-channel callers should prefer [`ssim_formula_flat`], which runs
-/// the same arithmetic through the vectorizable
-/// [`decamouflage_imaging::simd::ssim_combine`] primitive.
+/// Single-channel callers use [`ssim_combine`], which runs the same
+/// arithmetic vectorised, bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn ssim_formula(
     mu_a: &[&[f64]],
@@ -58,28 +62,6 @@ fn ssim_formula(
         }
         emit(acc / channels);
     }
-}
-
-/// Single-channel [`ssim_formula`] writing one value per pixel into `dst`
-/// (resized to fit) via the flat [`ssim_combine`] pass. Bit-identical to
-/// the closure form: the primitive replays the per-channel loop's exact
-/// operation sequence, including the accumulator seed and channel average.
-///
-/// [`ssim_combine`]: decamouflage_imaging::simd::ssim_combine
-#[allow(clippy::too_many_arguments)]
-fn ssim_formula_flat(
-    dst: &mut Vec<f64>,
-    mu_a: &[f64],
-    mu_b: &[f64],
-    a_sq: &[f64],
-    b_sq: &[f64],
-    ab: &[f64],
-    c1: f64,
-    c2: f64,
-) {
-    dst.clear();
-    dst.resize(mu_a.len(), 0.0);
-    decamouflage_imaging::simd::ssim_combine(dst, mu_a, mu_b, a_sq, b_sq, ab, c1, c2);
 }
 
 /// SSIM parameters. Defaults follow the reference implementation used by
@@ -115,6 +97,13 @@ impl SsimConfig {
     fn c2(&self) -> f64 {
         let v = self.k2 * self.dynamic_range;
         v * v
+    }
+
+    /// Validates the parameters and builds the Gaussian window.
+    fn kernel(&self) -> Result<Kernel1D, MetricError> {
+        self.validate()?;
+        gaussian_kernel(self.sigma, Some(self.radius))
+            .map_err(|e| MetricError::InvalidParameter { message: e.to_string() })
     }
 
     fn validate(&self) -> Result<(), MetricError> {
@@ -155,98 +144,92 @@ impl SsimConfig {
 /// # }
 /// ```
 pub fn ssim(a: &Image, b: &Image, config: &SsimConfig) -> Result<f64, MetricError> {
-    let map = ssim_map(a, b, config)?;
-    Ok(map.mean_sample())
+    check_same_shape(a, b)?;
+    SsimReference::new(a, config)?.score_against(b)
 }
 
 /// Per-pixel SSIM map (averaged over channels for RGB inputs).
+///
+/// The map is built from staged, full-size blurred planes
+/// ([`convolve_planes_with_scratch`]) and its mean equals [`ssim`] bit for
+/// bit, which makes it the oracle the streaming sweep is tested against.
 ///
 /// # Errors
 ///
 /// Same conditions as [`ssim`].
 pub fn ssim_map(a: &Image, b: &Image, config: &SsimConfig) -> Result<Image, MetricError> {
     check_same_shape(a, b)?;
-    config.validate()?;
-    let kernel = gaussian_kernel(config.sigma, Some(config.radius))
-        .map_err(|e| MetricError::InvalidParameter { message: e.to_string() })?;
-
+    let kernel = config.kernel()?;
     let ch = a.channel_count();
-    let mut map = Image::zeros(a.width(), a.height(), decamouflage_imaging::Channels::Gray);
-    SSIM_SCRATCH.with(|scratch| {
-        let SsimScratch { conv, planes } = &mut *scratch.borrow_mut();
-        if planes.len() < 5 * ch {
-            planes.resize_with(5 * ch, Vec::new);
-        }
-        // Sources in statistic-major order: outs[s * ch + c] holds statistic
-        // `s` of channel `c`.
-        let mut sources = Vec::with_capacity(5 * ch);
-        for c in 0..ch {
-            sources.push(PlaneSource::Plane(a.plane(c)));
-        }
-        for c in 0..ch {
-            sources.push(PlaneSource::Plane(b.plane(c)));
-        }
-        for c in 0..ch {
-            sources.push(PlaneSource::Product(a.plane(c), a.plane(c)));
-        }
-        for c in 0..ch {
-            sources.push(PlaneSource::Product(b.plane(c), b.plane(c)));
-        }
-        for c in 0..ch {
-            sources.push(PlaneSource::Product(a.plane(c), b.plane(c)));
-        }
-        {
-            let mut outs: Vec<&mut Vec<f64>> = planes.iter_mut().take(5 * ch).collect();
-            convolve_planes_with_scratch(
-                &sources,
-                a.width(),
-                a.height(),
-                &kernel,
-                &kernel,
-                conv,
-                &mut outs,
-            )
-            .expect("separable convolution cannot fail");
-        }
-        if ch == 1 {
-            decamouflage_imaging::simd::ssim_combine(
-                map.plane_mut(0),
-                &planes[0],
-                &planes[1],
-                &planes[2],
-                &planes[3],
-                &planes[4],
-                config.c1(),
-                config.c2(),
-            );
-        } else {
-            let stat =
-                |s: usize| (0..ch).map(|c| planes[s * ch + c].as_slice()).collect::<Vec<_>>();
-            let (mu_a, mu_b, a_sq, b_sq, ab) = (stat(0), stat(1), stat(2), stat(3), stat(4));
-            let mut out = map.plane_mut(0).iter_mut();
-            ssim_formula(&mu_a, &mu_b, &a_sq, &b_sq, &ab, config.c1(), config.c2(), |v| {
-                *out.next().expect("map has one slot per pixel") = v;
-            });
-        }
-    });
+    let sources = statistic_sources(a, &[b]);
+    let mut planes = vec![Vec::new(); 5 * ch];
+    let mut outs: Vec<&mut Vec<f64>> = planes.iter_mut().collect();
+    convolve_planes_with_scratch(
+        &sources,
+        a.width(),
+        a.height(),
+        &kernel,
+        &kernel,
+        &mut ConvScratch::new(),
+        &mut outs,
+    )
+    .expect("separable convolution cannot fail");
+
+    let mut map = Image::zeros(a.width(), a.height(), Channels::Gray);
+    let stat = |s: usize| (0..ch).map(|c| planes[s * ch + c].as_slice()).collect::<Vec<_>>();
+    let (mu_a, a_sq, mu_b, b_sq, ab) = (stat(0), stat(1), stat(2), stat(3), stat(4));
+    if ch == 1 {
+        ssim_combine(
+            map.plane_mut(0),
+            mu_a[0],
+            mu_b[0],
+            a_sq[0],
+            b_sq[0],
+            ab[0],
+            config.c1(),
+            config.c2(),
+        );
+    } else {
+        let mut out = map.plane_mut(0).iter_mut();
+        ssim_formula(&mu_a, &mu_b, &a_sq, &b_sq, &ab, config.c1(), config.c2(), |v| {
+            *out.next().expect("map has one slot per pixel") = v;
+        });
+    }
     Ok(map)
 }
 
-/// Precomputed reference-side SSIM statistics.
+/// The planes the SSIM statistics blur, statistic-major: index `s * ch + c`
+/// holds statistic `s` of channel `c`, with µa at `s = 0`, a² at 1 and
+/// candidate `k`'s µb, b² and ab at `2 + 3k`, `3 + 3k` and `4 + 3k`.
+fn statistic_sources<'i>(a: &'i Image, candidates: &[&'i Image]) -> Vec<PlaneSource<'i>> {
+    let mut sources = Vec::with_capacity((2 + 3 * candidates.len()) * a.channel_count());
+    sources.extend(a.planes().iter().map(|p| PlaneSource::Plane(p)));
+    sources.extend(a.planes().iter().map(|p| PlaneSource::Product(p, p)));
+    for b in candidates {
+        sources.extend(b.planes().iter().map(|p| PlaneSource::Plane(p)));
+        sources.extend(b.planes().iter().map(|p| PlaneSource::Product(p, p)));
+        sources.extend(a.planes().iter().zip(b.planes()).map(|(p, q)| PlaneSource::Product(p, q)));
+    }
+    sources
+}
+
+/// One reference image scored against any number of candidates.
 ///
-/// Comparing one reference image against several candidates (the detection
-/// engine scores the same input against its round-tripped *and* its
-/// rank-filtered variant) recomputes `blur(a)` and `blur(a²)` on every
-/// call of [`ssim`]. `SsimReference` computes them once; each
-/// [`SsimReference::score_against`] then needs only the three
-/// candidate-side blurs.
+/// [`SsimReference::new`] validates the configuration and builds the
+/// Gaussian window; it copies nothing and blurs nothing. Each score is one
+/// streaming sweep over the reference and its candidates:
+/// [`SsimReference::score_against_each`] blurs µa and a² once and, per
+/// candidate, µb, b² and ab — two candidates, as the detection engine
+/// compares its input with the round trip *and* the rank filter, take eight
+/// statistics in one sweep. Each output row is combined as soon as its
+/// vertical window is complete and added to the candidate's running sum, so
+/// the only buffers are a few rows per statistic, kept per thread.
 ///
-/// Scores are **bit-identical** to [`ssim`]: the blurs run through
-/// [`decamouflage_imaging::filter::convolve_separable_with_scratch`]
-/// (exact-equality contract with
-/// [`decamouflage_imaging::filter::convolve_separable`]) and the
-/// per-pixel SSIM formula and final mean
-/// accumulate in the same order as [`ssim_map`] + `mean_sample`.
+/// Scores are **bit-identical** to the mean of [`ssim_map`]: every blurred
+/// value takes the same operations in the same order as the staged planes
+/// (the exact-equality contract of
+/// [`decamouflage_imaging::filter::convolve_planes_by_row`]), the per-pixel
+/// formula is the same, and the sum runs over pixels in flat order.
 ///
 /// # Example
 ///
@@ -257,66 +240,38 @@ pub fn ssim_map(a: &Image, b: &Image, config: &SsimConfig) -> Result<Image, Metr
 /// # fn main() -> Result<(), decamouflage_metrics::MetricError> {
 /// let a = Image::from_fn_gray(24, 24, |x, y| ((x + y) * 5) as f64);
 /// let b = a.map(|v| (v + 10.0).min(255.0));
+/// let c = a.map(|v| 255.0 - v);
 /// let reference = SsimReference::new(&a, &SsimConfig::default())?;
 /// assert_eq!(reference.score_against(&b)?, ssim(&a, &b, &SsimConfig::default())?);
+/// let both = reference.score_against_each(&[&b, &c])?;
+/// assert_eq!(both, [reference.score_against(&b)?, reference.score_against(&c)?]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct SsimReference {
-    a: Image,
-    /// Blurred reference planes µa, one flat row-major plane per channel.
-    mu_a: Vec<Vec<f64>>,
-    /// Blurred squared reference planes (σa side), same layout.
-    a_sq: Vec<Vec<f64>>,
+pub struct SsimReference<'a> {
+    a: &'a Image,
     kernel: Kernel1D,
     config: SsimConfig,
 }
 
-impl SsimReference {
-    /// Precomputes the reference-side window statistics of `a`.
+impl<'a> SsimReference<'a> {
+    /// Prepares `a` for scoring.
     ///
     /// # Errors
     ///
     /// Returns [`MetricError::InvalidParameter`] for unusable configuration
     /// values.
-    pub fn new(a: &Image, config: &SsimConfig) -> Result<Self, MetricError> {
-        config.validate()?;
-        let kernel = gaussian_kernel(config.sigma, Some(config.radius))
-            .map_err(|e| MetricError::InvalidParameter { message: e.to_string() })?;
-        let ch = a.channel_count();
-        let mut mu_a: Vec<Vec<f64>> = vec![Vec::new(); ch];
-        let mut a_sq: Vec<Vec<f64>> = vec![Vec::new(); ch];
-        SSIM_SCRATCH.with(|scratch| {
-            let conv = &mut scratch.borrow_mut().conv;
-            let mut sources = Vec::with_capacity(2 * ch);
-            for c in 0..ch {
-                sources.push(PlaneSource::Plane(a.plane(c)));
-            }
-            for c in 0..ch {
-                sources.push(PlaneSource::Product(a.plane(c), a.plane(c)));
-            }
-            let mut outs: Vec<&mut Vec<f64>> = mu_a.iter_mut().chain(a_sq.iter_mut()).collect();
-            convolve_planes_with_scratch(
-                &sources,
-                a.width(),
-                a.height(),
-                &kernel,
-                &kernel,
-                conv,
-                &mut outs,
-            )
-            .expect("separable convolution cannot fail");
-        });
-        Ok(Self { a: a.clone(), mu_a, a_sq, kernel, config: config.clone() })
+    pub fn new(a: &'a Image, config: &SsimConfig) -> Result<Self, MetricError> {
+        Ok(Self { a, kernel: config.kernel()?, config: config.clone() })
     }
 
     /// The reference image.
-    pub fn image(&self) -> &Image {
-        &self.a
+    pub fn image(&self) -> &'a Image {
+        self.a
     }
 
-    /// The configuration the statistics were built with.
+    /// The configuration the scores use.
     pub fn config(&self) -> &SsimConfig {
         &self.config
     }
@@ -329,80 +284,63 @@ impl SsimReference {
     /// Returns [`MetricError::ShapeMismatch`] when `b` has a different
     /// shape than the reference.
     pub fn score_against(&self, b: &Image) -> Result<f64, MetricError> {
-        check_same_shape(&self.a, b)?;
-        // Same traversal as `ssim_map` followed by `mean_sample`: per-pixel
-        // map values accumulate in y-major (flat) order, so the final sum
-        // matches the staged computation bit for bit.
-        let ch = self.a.channel_count();
-        let mut total = 0.0;
-        SSIM_SCRATCH.with(|scratch| {
-            let SsimScratch { conv, planes } = &mut *scratch.borrow_mut();
-            if planes.len() < 3 * ch + 1 {
-                planes.resize_with(3 * ch + 1, Vec::new);
-            }
-            // Candidate-side statistics in statistic-major order:
-            // planes[s * ch + c]; the last scratch plane holds the combined
-            // single-channel map.
-            let mut sources = Vec::with_capacity(3 * ch);
-            for c in 0..ch {
-                sources.push(PlaneSource::Plane(b.plane(c)));
-            }
-            for c in 0..ch {
-                sources.push(PlaneSource::Product(b.plane(c), b.plane(c)));
-            }
-            for c in 0..ch {
-                sources.push(PlaneSource::Product(self.a.plane(c), b.plane(c)));
-            }
-            {
-                let mut outs: Vec<&mut Vec<f64>> = planes.iter_mut().take(3 * ch).collect();
-                convolve_planes_with_scratch(
-                    &sources,
-                    self.a.width(),
-                    self.a.height(),
-                    &self.kernel,
-                    &self.kernel,
-                    conv,
-                    &mut outs,
-                )
-                .expect("separable convolution cannot fail");
-            }
-            if ch == 1 {
-                // Materialise the per-pixel values flat, then reduce in the
-                // same ascending order the closure form added them.
-                let (stats, tail) = planes.split_at_mut(3);
-                let combined = &mut tail[0];
-                ssim_formula_flat(
-                    combined,
-                    &self.mu_a[0],
-                    &stats[0],
-                    &self.a_sq[0],
-                    &stats[1],
-                    &stats[2],
-                    self.config.c1(),
-                    self.config.c2(),
-                );
-                for &v in combined.iter() {
-                    total += v;
+        Ok(self.score_against_each(&[b])?[0])
+    }
+
+    /// Mean SSIM of every candidate against the reference, in one sweep
+    /// that blurs the reference side once; score `k` equals
+    /// [`SsimReference::score_against`] of `candidates[k]` bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MetricError::ShapeMismatch`] when a candidate has a
+    /// different shape than the reference.
+    pub fn score_against_each(&self, candidates: &[&Image]) -> Result<Vec<f64>, MetricError> {
+        for b in candidates {
+            check_same_shape(self.a, b)?;
+        }
+        if candidates.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (a, w) = (self.a, self.a.width());
+        let ch = a.channel_count();
+        let sources = statistic_sources(a, candidates);
+        let mut totals = vec![0.0; candidates.len()];
+        let (c1, c2) = (self.config.c1(), self.config.c2());
+        SWEEP_SCRATCH.with(|scratch| {
+            let (conv, combined) = &mut *scratch.borrow_mut();
+            combined.resize(w, 0.0);
+            let emit = |_: usize, rows: &[f64]| {
+                let stat = |s: usize, c: usize| &rows[(s * ch + c) * w..(s * ch + c + 1) * w];
+                for (k, total) in totals.iter_mut().enumerate() {
+                    let (mu_b, b_sq, ab) = (2 + 3 * k, 3 + 3 * k, 4 + 3 * k);
+                    if ch == 1 {
+                        ssim_combine(
+                            combined,
+                            stat(0, 0),
+                            stat(mu_b, 0),
+                            stat(1, 0),
+                            stat(b_sq, 0),
+                            stat(ab, 0),
+                            c1,
+                            c2,
+                        );
+                        for &v in combined.iter() {
+                            *total += v;
+                        }
+                    } else {
+                        let rgb = |s: usize| -> [&[f64]; 3] { std::array::from_fn(|c| stat(s, c)) };
+                        let (mu_a, a_sq) = (rgb(0), rgb(1));
+                        let (mu_b, b_sq, ab) = (rgb(mu_b), rgb(b_sq), rgb(ab));
+                        ssim_formula(&mu_a, &mu_b, &a_sq, &b_sq, &ab, c1, c2, |v| *total += v);
+                    }
                 }
-            } else {
-                let stat =
-                    |s: usize| (0..ch).map(|c| planes[s * ch + c].as_slice()).collect::<Vec<_>>();
-                let (mu_b, b_sq, ab) = (stat(0), stat(1), stat(2));
-                let mu_a: Vec<&[f64]> = self.mu_a.iter().map(Vec::as_slice).collect();
-                let a_sq: Vec<&[f64]> = self.a_sq.iter().map(Vec::as_slice).collect();
-                ssim_formula(
-                    &mu_a,
-                    &mu_b,
-                    &a_sq,
-                    &b_sq,
-                    &ab,
-                    self.config.c1(),
-                    self.config.c2(),
-                    |v| total += v,
-                );
-            }
+            };
+            convolve_planes_by_row(&sources, w, a.height(), &self.kernel, &self.kernel, conv, emit)
+                .expect("every plane has the reference's shape");
         });
-        Ok(total / (self.a.width() * self.a.height()) as f64)
+        let pixels = (w * a.height()) as f64;
+        Ok(totals.into_iter().map(|total| total / pixels).collect())
     }
 }
 
@@ -507,30 +445,60 @@ mod tests {
         assert!(ssim(&a, &a, &cfg).is_err());
     }
 
+    /// The sweep against the staged oracle, the mean of [`ssim_map`], bit
+    /// for bit: Gray and RGB, a window wider than half the side, 1-row and
+    /// 1-column images, heights below the ring, and a two-candidate sweep
+    /// equal to two one-candidate sweeps.
     #[test]
     fn reference_scoring_is_bit_identical_to_ssim() {
-        let gray = texture(24);
-        let rgb = Image::from_fn_rgb(17, 13, |x, y| {
-            [(x * 16) as f64, (y * 16) as f64, ((x + y) * 8) as f64]
-        });
+        let gray = |w, h| {
+            Image::from_fn_gray(w, h, |x, y| {
+                128.0 + 80.0 * ((x as f64) * 0.3).sin() + 40.0 * ((y as f64) * 0.2).cos()
+            })
+        };
+        let rgb = |w, h| {
+            Image::from_fn_rgb(w, h, |x, y| {
+                [(x * 16) as f64, (y * 16) as f64, ((x + y) * 8) as f64]
+            })
+        };
+        let images = [gray(24, 24), rgb(17, 13), gray(1, 9), gray(9, 1), rgb(12, 4), gray(30, 7)];
         let small_window = SsimConfig { sigma: 0.8, radius: 2, ..SsimConfig::default() };
-        for cfg in [SsimConfig::default(), small_window] {
-            for a in [&gray, &rgb] {
+        let wide_window = SsimConfig { sigma: 4.0, radius: 13, ..SsimConfig::default() };
+        for cfg in [SsimConfig::default(), small_window, wide_window] {
+            for a in &images {
                 let reference = SsimReference::new(a, &cfg).unwrap();
                 let candidates =
                     [a.clone(), a.map(|v| (v + 11.0).min(255.0)), a.map(|v| 255.0 - v)];
-                for b in &candidates {
-                    assert_eq!(
-                        reference.score_against(b).unwrap(),
-                        ssim(a, b, &cfg).unwrap(),
-                        "{}ch {}x{}",
-                        a.channel_count(),
-                        a.width(),
-                        a.height()
-                    );
+                let label = format!(
+                    "{}ch {}x{} radius {}",
+                    a.channel_count(),
+                    a.width(),
+                    a.height(),
+                    cfg.radius
+                );
+                let oracle: Vec<u64> = candidates
+                    .iter()
+                    .map(|b| ssim_map(a, b, &cfg).unwrap().mean_sample().to_bits())
+                    .collect();
+                for (b, &expected) in candidates.iter().zip(&oracle) {
+                    assert_eq!(reference.score_against(b).unwrap().to_bits(), expected, "{label}");
+                    assert_eq!(ssim(a, b, &cfg).unwrap().to_bits(), expected, "{label}");
                 }
+                let pair = reference.score_against_each(&[&candidates[1], &candidates[2]]).unwrap();
+                let pair: Vec<u64> = pair.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(pair, oracle[1..], "{label}: two-candidate sweep");
             }
         }
+    }
+
+    #[test]
+    fn reference_scores_no_candidates_and_rejects_any_misshapen_one() {
+        let a = texture(12);
+        let reference = SsimReference::new(&a, &SsimConfig::default()).unwrap();
+        assert!(reference.score_against_each(&[]).unwrap().is_empty());
+        let wrong = Image::zeros(12, 13, Channels::Gray);
+        assert!(reference.score_against_each(&[&a, &wrong]).is_err());
+        assert!(reference.score_against(&Image::zeros(12, 12, Channels::Rgb)).is_err());
     }
 
     #[test]
