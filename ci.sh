@@ -10,14 +10,6 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== feature matrix: simd =="
-# The `simd` feature is a pure throughput knob with a bit-identity contract;
-# with it on, the workspace must build and pass the same suite the default
-# run above passed. (No workspace crate has a default feature, so the
-# default run is also the no-default-features configuration.)
-cargo build --release --workspace --features simd
-cargo test -q --workspace --features simd
-
 echo "== examples: every example runs to completion =="
 # Examples are not covered by the test runs; each one asserts its own
 # scenario, so a non-zero exit fails CI.
@@ -27,27 +19,18 @@ for file in examples/*.rs; do
     cargo run --release -q --example "$example"
 done
 
-echo "== planar equivalence (release, simd): golden engine scores =="
-# The planar-layout contract under optimised AVX kernels: engine
-# ScoreVectors bit-identical to the interleaved seed fixture
-# (tests/golden_scores_v1.txt). The debug runs of this suite, and of every
-# fault-injection, telemetry, CLI, streaming, shard, service and codec
-# suite, happen inside the workspace test runs above.
-cargo test --release --test planar_equivalence --features simd
-
-echo "== spectral kernels (release, simd): bit identity to the recursion =="
-# The AVX butterflies, the in-place column strips among them, as the
-# benchmark ships them: optimised, with `simd`. The suite pins every smooth
-# length, the 2-D pass at the paper's sizes and the ln-free CSP counter to
-# their oracles bit for bit.
-cargo test --release -p decamouflage-spectral --features simd
-
-echo "== SSIM row kernel (release, simd): bit identity to the staged planes =="
-# The row-emitting convolution and the SSIM sweep on it, in the optimised
-# `simd` build the benchmark ships: the row kernel against the reference
-# convolution, every SSIM entry point against the staged `ssim_map` oracle
-# (Gray and RGB, two candidates per sweep), and the sweep's allocation budget.
-cargo test --release -p decamouflage-imaging -p decamouflage-metrics --features simd
+echo "== kernels (release): golden scores and bit identity =="
+# The optimised build that `cargo build --release` ships and the benchmark
+# runs; on an AVX CPU every dispatch takes its AVX kernel. The planar-layout
+# contract pins engine ScoreVectors to the interleaved seed fixture
+# (tests/golden_scores_v1.txt) bit for bit. The kernel crates' suites pin
+# each AVX dispatch site to its scalar loop, the butterflies and the ln-free
+# CSP counter to their oracles, every SSIM entry point to the staged
+# `ssim_map` oracle, and the SSIM sweep's allocation budget. The debug runs
+# of these suites, and of every fault-injection, telemetry, CLI, streaming,
+# shard, service and codec suite, happen inside the workspace test run above.
+cargo test --release --test planar_equivalence
+cargo test --release -p decamouflage-spectral -p decamouflage-imaging -p decamouflage-metrics
 
 echo "== benchmark package: build + unit tests =="
 # The end-to-end benchmark (BENCHMARK.json) is a workspace of its own, so
@@ -69,7 +52,7 @@ echo "== perf ledger + gates: stage_profile -> BENCH_stages.json =="
 # bit-identity to the per-method references, engine vs a fixed probe,
 # batch/stream/telemetry overhead, SSIM share, dft(448²)/dft(512²) and the
 # png/jpeg decode budgets. Exit code is the verdict.
-cargo run --release -p decamouflage-bench --bin stage_profile --features simd
+cargo run --release -p decamouflage-bench --bin stage_profile
 
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets --all-features -- -D warnings

@@ -1,13 +1,11 @@
 //! Corpus construction and one-pass multi-detector scoring.
 
 use decamouflage_core::parallel::{default_threads, parallel_map_indices};
-use decamouflage_core::{
-    DetectError, DetectionEngine, FilteringDetector, MethodId, MetricKind, ScoreError, ScoreVector,
-};
+use decamouflage_core::{DetectError, DetectionEngine, MethodId, ScoreError, ScoreVector};
 use decamouflage_datasets::{DatasetProfile, SampleGenerator};
 use decamouflage_imaging::scale::{round_trip, ScaleAlgorithm};
 use decamouflage_imaging::Image;
-use decamouflage_metrics::{histogram_intersection, psnr, MetricError, SampleSummary};
+use decamouflage_metrics::{histogram_intersection, psnr_from_mse, SampleSummary};
 
 /// Attack images drawn from a round-robin mix of vulnerable scaling
 /// algorithms — the realistic "attacks in the wild" mix the defender faces.
@@ -112,10 +110,13 @@ impl DetectorSet {
 
     /// Scores one image with all scorers in `IDX_*` order. Every registry
     /// method comes from one [`DetectionEngine::score_resilient`] pass
-    /// (bit-identical to [`DetectionEngine::reference_score`]); the PSNR /
-    /// colour-histogram negative results compare the image with the
-    /// engine's round trip (the same cached plans, through [`round_trip`])
-    /// and the paper's minimum filter ([`FilteringDetector::filtered`]).
+    /// (bit-identical to [`DetectionEngine::reference_score`]). The two
+    /// PSNR negative results are the pass's `scaling/mse` and
+    /// `filtering/mse` through [`psnr_from_mse`], the bits [`psnr`] gives
+    /// for the same pairs; the colour histogram compares the image with
+    /// its round trip (the engine's cached plans, through [`round_trip`]).
+    ///
+    /// [`psnr`]: decamouflage_metrics::psnr
     ///
     /// # Panics
     ///
@@ -138,15 +139,14 @@ impl DetectorSet {
         let detect = |err: DetectError| ScoreError::detect(0, err);
         let (_, round) = round_trip(image, self.engine.target(), self.engine.algorithm())
             .map_err(|err| detect(err.into()))?;
-        let filtered = FilteringDetector::new(MetricKind::Mse).filtered(image).map_err(detect)?;
         let mut row = [f64::NAN; SCORER_COUNT];
         for (id, score) in scores.iter() {
             row[id as usize] = score;
         }
-        let metric = |err: MetricError| detect(err.into());
-        row[IDX_SCALING_PSNR] = psnr(image, &round).map_err(metric)?;
-        row[IDX_FILTERING_PSNR] = psnr(image, &filtered).map_err(metric)?;
-        row[IDX_COLORHIST] = histogram_intersection(image, &round, 64).map_err(metric)?;
+        row[IDX_SCALING_PSNR] = psnr_from_mse(row[IDX_SCALING_MSE]);
+        row[IDX_FILTERING_PSNR] = psnr_from_mse(row[IDX_FILTERING_MSE]);
+        row[IDX_COLORHIST] =
+            histogram_intersection(image, &round, 64).map_err(|err| detect(err.into()))?;
         Ok(row)
     }
 }
@@ -325,6 +325,8 @@ pub fn score_profile(profile: &DatasetProfile, config: HarnessConfig) -> ScoreSe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decamouflage_imaging::filter::minimum_filter;
+    use decamouflage_metrics::psnr;
 
     fn tiny_context(count: usize) -> ExperimentContext {
         ExperimentContext::with_profiles(
@@ -347,9 +349,20 @@ mod tests {
         let profile = DatasetProfile::tiny();
         let detectors = DetectorSet::new(&profile);
         let g = MixedAttackGenerator::new(profile);
-        let scores = detectors.score_all(&g.benign(0));
-        for (i, s) in scores.iter().enumerate() {
-            assert!(s.is_finite(), "{} produced {s}", SCORER_NAMES[i]);
+        for image in [g.benign(0), g.attack(1)] {
+            let scores = detectors.score_all(&image);
+            for (i, s) in scores.iter().enumerate() {
+                assert!(s.is_finite(), "{} produced {s}", SCORER_NAMES[i]);
+            }
+            // The PSNR columns derived from the pass's MSE scores are the
+            // bits of PSNR over the round trip and the 2×2 minimum filter.
+            let engine = detectors.engine();
+            let (_, round) = round_trip(&image, engine.target(), engine.algorithm()).unwrap();
+            let filtered = minimum_filter(&image, 2).unwrap();
+            let want_scaling = psnr(&image, &round).unwrap();
+            let want_filtering = psnr(&image, &filtered).unwrap();
+            assert_eq!(scores[IDX_SCALING_PSNR].to_bits(), want_scaling.to_bits());
+            assert_eq!(scores[IDX_FILTERING_PSNR].to_bits(), want_filtering.to_bits());
         }
     }
 

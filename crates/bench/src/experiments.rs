@@ -5,6 +5,7 @@ use crate::corpus::{
     ExperimentContext, IDX_COLORHIST, IDX_FILTERING_MSE, IDX_FILTERING_PSNR, IDX_FILTERING_SSIM,
     IDX_PEAK_EXCESS, IDX_SCALING_MSE, IDX_SCALING_PSNR, IDX_SCALING_SSIM, IDX_STEGANALYSIS,
 };
+use crate::histogram::Histogram;
 use decamouflage_core::persist::ThresholdSet;
 use decamouflage_core::report::{number, percent, MarkdownTable};
 use decamouflage_core::threshold::{percentile_blackbox, search_whitebox, Direction};
@@ -14,7 +15,7 @@ use decamouflage_core::{
 };
 use decamouflage_datasets::SampleGenerator;
 use decamouflage_imaging::scale::ScaleAlgorithm;
-use decamouflage_metrics::{Histogram, SampleSummary};
+use decamouflage_metrics::SampleSummary;
 
 /// All experiment identifiers, in presentation order.
 pub const ALL_EXPERIMENTS: [&str; 18] = [

@@ -1,7 +1,7 @@
 //! Fixed-width histograms, used to reproduce the paper's distribution
 //! figures (Figures 8–12, 15, 16) as printable series.
 
-use crate::MetricError;
+use decamouflage_metrics::MetricError;
 
 /// One histogram bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +26,7 @@ impl HistogramBin {
 /// # Example
 ///
 /// ```
-/// use decamouflage_metrics::Histogram;
+/// use decamouflage_bench::histogram::Histogram;
 ///
 /// # fn main() -> Result<(), decamouflage_metrics::MetricError> {
 /// let h = Histogram::from_samples(&[0.0, 0.2, 0.4, 0.9, 1.0], 5, Some((0.0, 1.0)))?;
@@ -140,6 +140,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn basic_binning() {
@@ -198,5 +199,17 @@ mod tests {
         let s = h.render_ascii(10);
         assert!(s.lines().count() == 2);
         assert!(s.contains('#'));
+    }
+
+    proptest! {
+        #[test]
+        fn histogram_bins_all_in_range_samples(
+            samples in proptest::collection::vec(0.0f64..100.0, 1..60),
+            bins in 1usize..20,
+        ) {
+            let h = Histogram::from_samples(&samples, bins, Some((0.0, 100.0))).unwrap();
+            prop_assert_eq!(h.total(), samples.len());
+            prop_assert_eq!(h.bins().len(), bins);
+        }
     }
 }

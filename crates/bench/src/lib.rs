@@ -14,6 +14,7 @@
 
 pub mod corpus;
 pub mod experiments;
+pub mod histogram;
 pub mod runtime;
 
 pub use corpus::{ExperimentContext, HarnessConfig, MixedAttackGenerator, ScoreSet};

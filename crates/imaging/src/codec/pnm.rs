@@ -90,6 +90,20 @@ pub fn decode_pnm_into(
     let ch = channels.count();
     let n = width * height;
     let expected = n * ch;
+    // The bytes must be able to hold the declared samples before `alloc` is
+    // asked for a plane: a recycled plane is resized, so every page of it
+    // is written. A binary sample is one byte, a plain (ASCII) one at least
+    // one; exactly one whitespace byte separates the binary header from its
+    // pixel data.
+    if !ascii {
+        cursor.expect_single_whitespace()?;
+    }
+    let data = cursor.rest();
+    if data.len() < expected {
+        return Err(ImagingError::Decode {
+            message: format!("pixel data truncated: have {} bytes, need {expected}", data.len()),
+        });
+    }
     let mut planes: Vec<Vec<f64>> = (0..ch)
         .map(|_| {
             let mut p = alloc(n);
@@ -110,14 +124,6 @@ pub fn decode_pnm_into(
             planes[i % ch][i / ch] = v as f64;
         }
         return Image::from_planes(width, height, channels, planes);
-    }
-    // Exactly one whitespace byte separates the header from pixel data.
-    cursor.expect_single_whitespace()?;
-    let data = cursor.rest();
-    if data.len() < expected {
-        return Err(ImagingError::Decode {
-            message: format!("pixel data truncated: have {} bytes, need {expected}", data.len()),
-        });
     }
     match channels {
         Channels::Gray => {

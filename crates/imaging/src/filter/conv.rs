@@ -18,8 +18,8 @@
 //! horizontal pass reads a source row padded with copies of its edge
 //! samples): one register-accumulating sweep per group of taps
 //! ([`crate::simd::weighted_sum_rows`]), which the autovectorizer turns
-//! into packed mul/add at the SSE2 baseline and the `simd` feature widens
-//! to AVX.
+//! into packed mul/add at the SSE2 baseline and widens to AVX on CPUs that
+//! have it.
 
 use crate::simd::{weighted_sum_rows, WEIGHTED_SUM_MAX_ROWS};
 use crate::{Image, ImagingError};

@@ -17,7 +17,10 @@
 //!   baseline JPEG for real-world corpora, with magic-byte sniffing and
 //!   `decode_into` variants that fill recycled buffers,
 //! * [`draw`] — simple shape rasterisation used by the synthetic dataset
-//!   generator.
+//!   generator,
+//! * [`simd`] — the slice primitives the hot kernels share. There is one
+//!   build: on x86-64 their AVX kernels compile into it and each call picks
+//!   AVX or the scalar loop per CPU, with the same bits either way.
 //!
 //! # Example
 //!
@@ -32,12 +35,10 @@
 //! # }
 //! ```
 
-// The crate is unsafe-free except for the optional `simd` feature, whose
-// `core::arch` intrinsics live behind `#[allow(unsafe_code)]` in `simd.rs`
-// (forbid cannot be locally overridden, so the crate-level lint degrades
-// to `deny` when the feature is on).
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The crate is unsafe-free except for the AVX kernels, whose `core::arch`
+// intrinsics live behind `#[allow(unsafe_code)]` in `simd.rs` (`forbid`
+// cannot be locally overridden, hence `deny`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

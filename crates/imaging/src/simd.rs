@@ -2,18 +2,18 @@
 //!
 //! The convolution, resampling and rank-filter inner loops all reduce to a
 //! handful of flat, stride-1 slice operations. Centralising them here gives
-//! the autovectorizer one obvious target and provides the optional explicit
-//! `core::arch` path behind the `simd` cargo feature.
+//! the autovectorizer one obvious target and one home for the explicit
+//! `core::arch` AVX kernels.
 //!
 //! # Bit-identity contract
 //!
-//! Every operation in this module produces **bit-identical** results with
-//! the feature on or off. The AVX path performs the same scalar operation
-//! sequence per lane — separate multiply and add instructions, never FMA
-//! (a fused multiply-add rounds once instead of twice and would change the
-//! low bits) — so each output element sees exactly the arithmetic of the
-//! scalar loop. The `simd` feature is therefore a pure throughput knob:
-//! scores, artifacts and benches do not move by a ULP when toggling it.
+//! Every operation in this module produces **bit-identical** results on its
+//! scalar loop and on its AVX kernel. The AVX path performs the same scalar
+//! operation sequence per lane — separate multiply and add instructions,
+//! never FMA (a fused multiply-add rounds once instead of twice and would
+//! change the low bits) — so each output element sees exactly the
+//! arithmetic of the scalar loop. Scores, artifacts and benches therefore
+//! do not move by a ULP between a CPU with AVX and one without.
 //!
 //! One asterisk: the contract is exact for every non-`NaN` output, and
 //! `NaN`-for-`NaN` otherwise — `NaN` *payload bits* are not pinned. IEEE 754
@@ -27,16 +27,18 @@
 //!
 //! # Runtime dispatch
 //!
-//! With `--features simd` on x86-64, [`axpy`] and [`fold_min`]/[`fold_max`]
-//! check [`std::arch::is_x86_feature_detected!`] (a cached atomic load) and
-//! fall back to the scalar loop on CPUs without AVX. Off x86-64, or without
-//! the feature, only the scalar loops are compiled.
+//! There is one build. On x86-64 the AVX kernels compile into it, and every
+//! operation here asks one predicate, [`std::arch::is_x86_feature_detected!`]
+//! for `avx` (a cached atomic load), and falls back to its scalar loop on
+//! CPUs without AVX. Off x86-64 only the scalar loops are compiled. The unit
+//! tests run both lanes on the same inputs in one test binary and compare
+//! them bit for bit.
 
 /// `dst[i] += w * src[i]` over two equal-length slices.
 ///
 /// This is the SAXPY step of every tap-outer convolution and resampling
 /// pass. The scalar loop is written so LLVM unrolls and vectorizes it at
-/// the SSE2 baseline; the `simd` feature adds a 4-lane AVX path.
+/// the SSE2 baseline; CPUs with AVX take a 4-lane AVX path.
 ///
 /// # Panics
 ///
@@ -44,9 +46,9 @@
 #[inline]
 pub fn axpy(dst: &mut [f64], src: &[f64], w: f64) {
     assert_eq!(dst.len(), src.len(), "axpy slice length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx") {
+    if use_avx() {
         // SAFETY: AVX support was just verified at runtime.
         unsafe { avx::axpy(dst, src, w) };
         return;
@@ -74,9 +76,9 @@ fn axpy_scalar(dst: &mut [f64], src: &[f64], w: f64) {
 #[inline]
 pub fn fold_min(dst: &mut [f64], src: &[f64]) {
     assert_eq!(dst.len(), src.len(), "fold_min slice length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx") {
+    if use_avx() {
         // SAFETY: AVX support was just verified at runtime.
         unsafe { avx::fold_min(dst, src) };
         return;
@@ -96,9 +98,9 @@ pub fn fold_min(dst: &mut [f64], src: &[f64]) {
 #[inline]
 pub fn fold_max(dst: &mut [f64], src: &[f64]) {
     assert_eq!(dst.len(), src.len(), "fold_max slice length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx") {
+    if use_avx() {
         // SAFETY: AVX support was just verified at runtime.
         unsafe { avx::fold_max(dst, src) };
         return;
@@ -136,9 +138,9 @@ pub fn weighted_sum_rows(dst: &mut [f64], srcs: &[&[f64]], weights: &[f64], accu
     for s in srcs {
         assert_eq!(dst.len(), s.len(), "weighted_sum_rows slice length mismatch");
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx") {
+    if use_avx() {
         // SAFETY: AVX support was just verified at runtime; lengths were
         // just checked.
         unsafe { avx::weighted_sum_rows(dst, srcs, weights, accumulate) };
@@ -164,7 +166,7 @@ pub fn weighted_sum_rows(dst: &mut [f64], srcs: &[&[f64]], weights: &[f64], accu
 /// per-pixel loop — left-associated adds, `(2.0 * µa) * µb` grouping, a
 /// single IEEE division (`vdivpd` is correctly rounded per lane), then the
 /// loop's `0.0 + q` accumulator seed and `/ 1.0` channel average — so the
-/// output is bit-identical with the `simd` feature on or off, including
+/// output is bit-identical on the scalar loop and the AVX kernel, including
 /// signed zeros and `NaN` propagation.
 ///
 /// # Panics
@@ -185,9 +187,9 @@ pub fn ssim_combine(
     for p in [&mu_a, &mu_b, &a_sq, &b_sq, &ab] {
         assert_eq!(dst.len(), p.len(), "ssim_combine slice length mismatch");
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx") {
+    if use_avx() {
         // SAFETY: AVX support was just verified at runtime; lengths were
         // just checked.
         unsafe { avx::ssim_combine(dst, mu_a, mu_b, a_sq, b_sq, ab, c1, c2) };
@@ -225,21 +227,46 @@ fn ssim_combine_scalar(
     }
 }
 
-/// Whether the explicit vector path is compiled in *and* usable on this
-/// CPU. Purely informational (reports, benches); the dispatch above never
-/// needs to be queried externally.
-pub fn explicit_simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        std::arch::is_x86_feature_detected!("avx")
+/// Whether the AVX kernels run on this CPU: the one run-time choice every
+/// operation in this module makes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn use_avx() -> bool {
+    #[cfg(test)]
+    if lanes::SCALAR_ONLY.get() {
+        return false;
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
+    std::arch::is_x86_feature_detected!("avx")
+}
+
+/// Test support: runs one computation on each lane of the dispatch.
+#[cfg(test)]
+mod lanes {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while [`scalar_and_avx`] runs its scalar pass: every
+        /// dispatch on this thread then takes its scalar loop.
+        pub(super) static SCALAR_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `run` with every operation on its scalar loop, then again on
+    /// the AVX kernels, and returns both results. The AVX result is `None`,
+    /// with a note on stderr, on a CPU without AVX.
+    pub(super) fn scalar_and_avx<T>(mut run: impl FnMut() -> T) -> (T, Option<T>) {
+        SCALAR_ONLY.set(true);
+        let scalar = run();
+        SCALAR_ONLY.set(false);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            return (scalar, Some(run()));
+        }
+        eprintln!("no AVX on this CPU: the AVX side was skipped, only the scalar loops ran");
+        (scalar, None)
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx {
     use std::arch::x86_64::{
@@ -592,9 +619,121 @@ mod tests {
         axpy(&mut d, &[1.0; 4], 1.0);
     }
 
+    /// Bit equality modulo `NaN` payloads, which the contract leaves open
+    /// (see the module docs).
+    fn assert_lanes_agree(scalar: &[f64], avx: Option<&[f64]>, case: &str) {
+        let Some(avx) = avx else { return };
+        assert_eq!(scalar.len(), avx.len(), "{case}");
+        for (i, (&s, &a)) in scalar.iter().zip(avx).enumerate() {
+            assert!(
+                s.to_bits() == a.to_bits() || (s.is_nan() && a.is_nan()),
+                "{case} element {i}: scalar {s:?} vs avx {a:?}"
+            );
+        }
+    }
+
+    /// Every slice length the lane tests run: each 4- and 16-element AVX
+    /// block meets every tail length.
+    const LENGTHS: std::ops::RangeInclusive<usize> = 0..=37;
+
+    /// Finite samples with a few signed zeros and a `NaN` mixed in.
+    fn samples(n: usize, seed: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| match (i * 7 + seed * 3) % 17 {
+                0 => -0.0,
+                5 => 0.0,
+                11 if seed % 2 == 1 => f64::NAN,
+                k => ((i + seed * 13) as f64 * 0.7).sin() * 50.0 + k as f64,
+            })
+            .collect()
+    }
+
+    /// Runs a two-slice operation over every length on both lanes.
+    fn slice_op_lanes_agree(name: &str, op: impl Fn(&mut [f64], &[f64])) {
+        for n in LENGTHS {
+            for seed in 0..3 {
+                let (src, dst) = (samples(n, seed), samples(n, seed + 1));
+                let (scalar, avx) = lanes::scalar_and_avx(|| {
+                    let mut out = dst.clone();
+                    op(&mut out, &src);
+                    out
+                });
+                let case = format!("{name} n={n} seed={seed}");
+                assert_lanes_agree(&scalar, avx.as_deref(), &case);
+            }
+        }
+    }
+
     #[test]
-    fn explicit_simd_flag_is_consistent() {
-        // Whatever the answer, it must be stable across calls.
-        assert_eq!(explicit_simd_active(), explicit_simd_active());
+    fn axpy_lanes_agree() {
+        for w in [0.37, -1.5, -0.0] {
+            slice_op_lanes_agree(&format!("axpy w={w}"), |dst, src| axpy(dst, src, w));
+        }
+    }
+
+    #[test]
+    fn fold_min_lanes_agree() {
+        slice_op_lanes_agree("fold_min", fold_min);
+    }
+
+    #[test]
+    fn fold_max_lanes_agree() {
+        slice_op_lanes_agree("fold_max", fold_max);
+    }
+
+    #[test]
+    fn weighted_sum_rows_lanes_agree() {
+        for n in LENGTHS {
+            for rows in 1..=WEIGHTED_SUM_MAX_ROWS {
+                let srcs: Vec<Vec<f64>> = (0..rows).map(|k| samples(n, 2 * k)).collect();
+                let srcs: Vec<&[f64]> = srcs.iter().map(Vec::as_slice).collect();
+                let weights: Vec<f64> = (0..rows).map(|k| (k as f64 * 0.9).cos() * 1.7).collect();
+                let dst = samples(n, 1);
+                for accumulate in [false, true] {
+                    let (scalar, avx) = lanes::scalar_and_avx(|| {
+                        let mut out = dst.clone();
+                        weighted_sum_rows(&mut out, &srcs, &weights, accumulate);
+                        out
+                    });
+                    let case = format!("weighted_sum_rows n={n} rows={rows} acc={accumulate}");
+                    assert_lanes_agree(&scalar, avx.as_deref(), &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ssim_combine_lanes_agree() {
+        // Signed zeros and the ends of the finite range, so products
+        // overflow, underflow to (signed) zero and turn `0 / 0` into `NaN`.
+        const EXTREMES: [f64; 12] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            255.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            1e154,
+            -1e154,
+        ];
+        for n in LENGTHS {
+            let plane = |k: usize| -> Vec<f64> {
+                (0..n).map(|i| EXTREMES[(i * (k + 3) + k * 5) % EXTREMES.len()]).collect()
+            };
+            let (mu_a, mu_b, a_sq, b_sq, ab) = (plane(0), plane(1), plane(2), plane(3), plane(4));
+            for (c1, c2) in [(6.5025, 58.5225), (0.0, 0.0), (-0.0, 0.0), (f64::MAX, 5e-324)] {
+                let (scalar, avx) = lanes::scalar_and_avx(|| {
+                    let mut out = vec![f64::NAN; n];
+                    ssim_combine(&mut out, &mu_a, &mu_b, &a_sq, &b_sq, &ab, c1, c2);
+                    out
+                });
+                let case = format!("ssim_combine n={n} c1={c1} c2={c2}");
+                assert_lanes_agree(&scalar, avx.as_deref(), &case);
+            }
+        }
     }
 }

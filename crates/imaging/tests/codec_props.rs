@@ -7,8 +7,8 @@
 //! oversized allocation.
 
 use decamouflage_imaging::codec::{
-    decode_auto, decode_bmp, decode_jpeg, decode_png, decode_pnm, encode_bmp, encode_jpeg,
-    encode_pgm, encode_png, encode_ppm, inflate, zlib_compress, zlib_decompress,
+    decode_auto, decode_auto_into, decode_bmp, decode_jpeg, decode_png, decode_pnm, encode_bmp,
+    encode_jpeg, encode_pgm, encode_png, encode_ppm, inflate, zlib_compress, zlib_decompress,
 };
 use decamouflage_imaging::{Channels, Image};
 use proptest::prelude::*;
@@ -153,6 +153,45 @@ fn hostile_headers_do_not_allocate_unbounded() {
     // sample buffer is allocated (the other codecs share the budget).
     let huge = b"P5\n999999999 999999999\n255\n\x00";
     assert!(decode_pnm(huge).is_err());
+    // Within the budget, every PNM and BMP sample takes at least one byte
+    // of the file, so a decoder that checks its data before allocating
+    // never asks for more samples than the file has bytes.
+    let valid = Image::from_fn_rgb(5, 3, |x, y| [(x * 40) as f64, (y * 70) as f64, 9.0]);
+    let mut bmp_header = encode_bmp(&valid);
+    bmp_header[18..22].copy_from_slice(&8192u32.to_le_bytes());
+    bmp_header[22..26].copy_from_slice(&8192u32.to_le_bytes());
+    let hostile: [&[u8]; 6] = [
+        b"P5\n8192 8192\n255\n",
+        b"P6\n8192 8192\n255\n",
+        b"P5\n4096 4096\n255\n",
+        b"P2\n8192 8192\n255\n0 1 2\n",
+        b"P3\n8192 8192\n255\n0 1 2\n",
+        &bmp_header,
+    ];
+    let plain_gray = b"P2\n3 2\n255\n0 10 20\n30 40 255\n";
+    let plain_rgb = b"P3\n1 2\n255\n1 2 3  4 5 6\n";
+    let valid_files = [
+        encode_pgm(&valid),
+        encode_ppm(&valid),
+        encode_bmp(&valid),
+        plain_gray.to_vec(),
+        plain_rgb.to_vec(),
+    ];
+    let cases =
+        hostile.iter().map(|b| (*b, false)).chain(valid_files.iter().map(|b| (&b[..], true)));
+    for (bytes, decodes) in cases {
+        let mut requested = 0;
+        let result = decode_auto_into(bytes, &mut |n| {
+            requested += n;
+            assert!(
+                requested <= bytes.len(),
+                "{} bytes asked for {requested} samples",
+                bytes.len()
+            );
+            vec![0.0; n]
+        });
+        assert_eq!(result.is_ok(), decodes, "{:?}", String::from_utf8_lossy(&bytes[..2]));
+    }
     // A zlib bomb must stop at the output cap, not inflate forever.
     let bomb = zlib_compress(&vec![0u8; 1 << 16]);
     assert!(zlib_decompress(&bomb, 1 << 10).is_err());

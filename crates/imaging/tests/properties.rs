@@ -158,11 +158,11 @@ proptest! {
 
 // --- Vectorized-kernel equivalence suite -----------------------------------
 //
-// Every fast kernel behind the `simd` feature must be bit-identical to the
-// plain scalar loop it replaced — including NaN payloads, signed zeros and
-// overflow-range values. These properties run the public dispatchers (which
-// take the AVX path when the feature and the CPU allow it) against scalar
-// references written out verbatim, and compare `to_bits` per element.
+// Every AVX kernel must be bit-identical to the plain scalar loop it
+// replaced — including NaN payloads, signed zeros and overflow-range values.
+// These properties run the public dispatchers (which take the AVX path when
+// the CPU has AVX) against scalar references written out verbatim, and
+// compare `to_bits` per element.
 
 use decamouflage_imaging::simd::{
     axpy, fold_max, fold_min, ssim_combine, weighted_sum_rows, WEIGHTED_SUM_MAX_ROWS,

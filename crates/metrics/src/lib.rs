@@ -28,14 +28,12 @@
 
 mod colorhist;
 mod error;
-mod histogram;
 mod mse;
 mod ssim;
 mod stats;
 
 pub use colorhist::{color_histogram, histogram_intersection, ColorHistogram};
 pub use error::MetricError;
-pub use histogram::{Histogram, HistogramBin};
-pub use mse::{mae, max_abs_diff, mse, psnr};
+pub use mse::{mae, max_abs_diff, mse, psnr, psnr_from_mse};
 pub use ssim::{ssim, ssim_map, SsimConfig, SsimReference};
 pub use stats::{percentile, OnlineStats, SampleSummary};

@@ -92,11 +92,18 @@ pub fn max_abs_diff(a: &Image, b: &Image) -> Result<f64, MetricError> {
 ///
 /// Returns [`MetricError::ShapeMismatch`] when the shapes differ.
 pub fn psnr(a: &Image, b: &Image) -> Result<f64, MetricError> {
-    let err = mse(a, b)?;
-    if err == 0.0 {
-        return Ok(f64::INFINITY);
+    Ok(psnr_from_mse(mse(a, b)?))
+}
+
+/// The PSNR of a pair whose [`mse`] is `mse`: `10·log10(255² / mse)`
+/// decibels, `f64::INFINITY` at zero. [`psnr`] is exactly [`mse`] followed
+/// by this step, so a caller that already holds the MSE gets the same bits
+/// without a second pass over the images.
+pub fn psnr_from_mse(mse: f64) -> f64 {
+    if mse == 0.0 {
+        return f64::INFINITY;
     }
-    Ok(10.0 * ((255.0f64 * 255.0) / err).log10())
+    10.0 * ((255.0f64 * 255.0) / mse).log10()
 }
 
 #[cfg(test)]

@@ -202,18 +202,18 @@ fn radix2(data: &mut [Complex64], dir: Direction) {
     // Butterfly stages.
     let mut len = 2;
     for twiddles in &plan.stages {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        if len == 2 && n >= 4 && std::arch::is_x86_feature_detected!("avx") {
+        if len == 2 && n >= 4 && crate::use_avx() {
             // SAFETY: AVX support was just verified at runtime and the
             // length is a power of two >= 4.
             unsafe { avx::butterflies_len2(data) };
             len <<= 1;
             continue;
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        if len >= 4 && std::arch::is_x86_feature_detected!("avx") {
+        if len >= 4 && crate::use_avx() {
             for chunk in data.chunks_exact_mut(len) {
                 // SAFETY: AVX support was just verified at runtime, and
                 // `twiddles.len() == len / 2` matches the chunk halves.
@@ -235,7 +235,7 @@ fn radix2(data: &mut [Complex64], dir: Direction) {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx {
     //! Explicit AVX butterfly pass for [`super::radix2`].
@@ -463,9 +463,9 @@ mod tests {
 
     #[test]
     fn radix2_is_bit_identical_to_scalar_reference() {
-        // With `--features simd` this pins the AVX butterflies (odd tail
-        // included via n = 2) to the exact scalar results; without the
-        // feature it pins the shared-twiddle-table restructure.
+        // Pins the dispatching transform (the AVX butterflies on a CPU with
+        // AVX; n = 2 always takes the scalar loop) to the exact historical
+        // results.
         for n in [2usize, 4, 8, 16, 64, 128, 512, 1024] {
             let input = signal(n);
             let mut reference = input.clone();
@@ -477,6 +477,29 @@ mod tests {
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                     "n={n} bin {i}: {a} vs {b}"
                 );
+            }
+        }
+    }
+
+    /// Both radix-2 dispatch sites, the length-2 stage and the length ≥ 4
+    /// stages: every power-of-two length that reaches them, forward and
+    /// inverse, scalar loops against AVX kernels.
+    #[test]
+    fn radix2_stage_lanes_agree() {
+        for n in (2..=10).map(|bits| 1usize << bits) {
+            let input = signal(n);
+            for inverse in [false, true] {
+                let (scalar, avx) = crate::lanes::scalar_and_avx(|| {
+                    let mut data = input.clone();
+                    if inverse {
+                        ifft(&mut data);
+                    } else {
+                        fft(&mut data);
+                    }
+                    data
+                });
+                let case = format!("radix-2 n={n} inverse={inverse}");
+                crate::lanes::assert_agree(&scalar, avx.as_deref(), &case);
             }
         }
     }

@@ -242,9 +242,9 @@ const STRIP: usize = 4;
 
 /// Runs every radix-`R` butterfly of one stage over `data`, in place.
 fn run_stage<const R: usize>(data: &mut [Complex64], stage: &Stage) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx") {
+    if crate::use_avx() {
         // SAFETY: AVX support was just verified at runtime.
         unsafe {
             if stage.span == 1 {
@@ -270,9 +270,9 @@ fn run_strip_stage<const R: usize>(
     columns: std::ops::Range<usize>,
     stage: &Stage,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    let columns = if columns.len() >= 2 && std::arch::is_x86_feature_detected!("avx") {
+    let columns = if columns.len() >= 2 && crate::use_avx() {
         let pairs = columns.len() / 2;
         // SAFETY: AVX support was just verified at runtime.
         unsafe {
@@ -321,7 +321,7 @@ fn butterfly<const R: usize>(
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx {
     //! Explicit AVX butterflies for [`super::run_stage`].
@@ -642,6 +642,58 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Lengths whose plans hold a span-1 stage and a span > 1 stage (odd
+    /// and even spans among them) of every radix.
+    const STAGE_LENGTHS: [usize; 20] =
+        [4, 6, 8, 9, 12, 25, 45, 49, 63, 75, 77, 121, 143, 169, 242, 338, 336, 448, 560, 1001];
+
+    /// Both `run_stage` dispatch sites, span 1 and span > 1, for radices 2,
+    /// 3, 5, 7, 11 and 13: scalar loops against AVX kernels.
+    #[test]
+    fn stage_lanes_agree() {
+        let mut covered = std::collections::BTreeSet::new();
+        for n in STAGE_LENGTHS {
+            let plan = MixedRadixPlan::new(n);
+            covered.extend(plan.stages.iter().map(|stage| (stage.radix, stage.span > 1)));
+            let input = signal(n);
+            let (scalar, avx) = crate::lanes::scalar_and_avx(|| forward(&plan, &input));
+            crate::lanes::assert_agree(&scalar, avx.as_deref(), &format!("n={n}"));
+        }
+        for radix in [2, 3, 5, 7, 11, 13] {
+            for wide in [false, true] {
+                assert!(covered.contains(&(radix, wide)), "radix {radix}, span > 1: {wide}");
+            }
+        }
+    }
+
+    /// The `run_strip_stage` dispatch site: every stage of every
+    /// [`STAGE_LENGTHS`] plan down strips of 1 to 9 columns, placed at an
+    /// odd column of a wider grid, scalar loops against AVX kernels.
+    #[test]
+    fn strip_stage_lanes_agree() {
+        let width = 11;
+        for n in STAGE_LENGTHS {
+            let plan = MixedRadixPlan::new(n);
+            let grid: Vec<Complex64> = (0..n * width)
+                .map(|i| Complex64::new(((i * 31) % 19) as f64 - 9.0, (i as f64 * 0.37).sin()))
+                .collect();
+            for (s, stage) in plan.stages.iter().enumerate() {
+                for columns in 1..=9 {
+                    let (scalar, avx) = crate::lanes::scalar_and_avx(|| {
+                        let mut out = grid.clone();
+                        dispatch!(
+                            stage.radix,
+                            run_strip_stage(&mut out, width, 1..1 + columns, stage)
+                        );
+                        out
+                    });
+                    let case = format!("n={n} stage {s} columns={columns}");
+                    crate::lanes::assert_agree(&scalar, avx.as_deref(), &case);
                 }
             }
         }
