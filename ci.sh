@@ -63,4 +63,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== workspace Rust line count =="
+# Gates nothing: the one place a change's line count is read from. The
+# benchmark package is a workspace of its own and is not counted.
+find crates src tests examples -name '*.rs' -not -path 'crates/bench/src/bin/benchmark/*' | xargs cat | wc -l
+
 echo "CI OK"

@@ -26,9 +26,8 @@ use decamouflage_core::{DegradePolicy, Direction, MethodId, Threshold};
 use decamouflage_imaging::codec::encode_pgm;
 use decamouflage_imaging::{Image, Size};
 use decamouflage_serve::flags::{parse_bounded_ms, parse_bounded_usize};
-use decamouflage_serve::json;
 use decamouflage_serve::{DetectionService, Server, ServerConfig};
-use decamouflage_telemetry::Histogram;
+use decamouflage_telemetry::{escape_json, json_number, Histogram};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -348,12 +347,12 @@ fn run() -> Result<ExitCode, String> {
     ));
     out.push_str(&format!(
         "  \"storm\": {{\"requests\": {total_requests}, \"elapsed_seconds\": {}, ",
-        json::number(storm_elapsed.as_secs_f64())
+        json_number(storm_elapsed.as_secs_f64())
     ));
     out.push_str("\"status_counts\": {");
     let rendered: Vec<String> = status_counts
         .iter()
-        .map(|(status, count)| format!("\"{}\": {count}", json::escape(status)))
+        .map(|(status, count)| format!("\"{}\": {count}", escape_json(status)))
         .collect();
     out.push_str(&rendered.join(", "));
     out.push_str("}, \"kind_status_counts\": {");
@@ -362,7 +361,7 @@ fn run() -> Result<ExitCode, String> {
         .map(|(kind, counts)| {
             let counts: Vec<String> = counts
                 .iter()
-                .map(|(status, count)| format!("\"{}\": {count}", json::escape(status)))
+                .map(|(status, count)| format!("\"{}\": {count}", escape_json(status)))
                 .collect();
             format!("\"{kind}\": {{{}}}", counts.join(", "))
         })
@@ -370,14 +369,14 @@ fn run() -> Result<ExitCode, String> {
     out.push_str(&rendered.join(", "));
     out.push_str(&format!(
         "}}, \"stalled_past_deadline\": {stalled}, \"worst_latency_seconds\": {}, ",
-        json::number(worst.as_secs_f64())
+        json_number(worst.as_secs_f64())
     ));
     out.push_str(&format!(
         "\"latency_seconds\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}}}}},\n",
         snapshot.count(),
-        json::number(snapshot.p50().unwrap_or(f64::NAN)),
-        json::number(snapshot.p99().unwrap_or(f64::NAN)),
-        json::number(snapshot.p999().unwrap_or(f64::NAN)),
+        json_number(snapshot.p50().unwrap_or(f64::NAN)),
+        json_number(snapshot.p99().unwrap_or(f64::NAN)),
+        json_number(snapshot.p999().unwrap_or(f64::NAN)),
     ));
     out.push_str(&format!(
         "  \"post_storm\": {{\"probes\": {post_storm_probes}, \"ok\": {post_storm_ok}}},\n"
@@ -387,7 +386,7 @@ fn run() -> Result<ExitCode, String> {
          \"in_flight_gauge_after_drain\": {}}},\n",
         report.drained,
         report.in_flight_at_exit,
-        json::number(in_flight_after)
+        json_number(in_flight_after)
     ));
     out.push_str(&format!(
         "  \"server\": {{\"shed_overload\": {shed_overload}, \

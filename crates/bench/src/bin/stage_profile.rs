@@ -57,8 +57,7 @@ use decamouflage_core::{
 use decamouflage_datasets::DatasetProfile;
 use decamouflage_imaging::codec::{encode_bmp, encode_jpeg, encode_png, encode_ppm};
 use decamouflage_imaging::{Image, Size};
-use decamouflage_serve::json;
-use decamouflage_telemetry::Telemetry;
+use decamouflage_telemetry::{escape_json, json_number, Telemetry};
 use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -673,8 +672,8 @@ fn object(fields: &[(&str, String)]) -> String {
 
 /// Renders `BENCH_stages.json`.
 fn ledger(decode: &[DecodeRow], engine: &[Row], gates: &[Gate]) -> String {
-    let text = |value: &str| format!("\"{}\"", json::escape(value));
-    let number = |value: f64| json::number((value * 1e4).round() / 1e4);
+    let text = |value: &str| format!("\"{}\"", escape_json(value));
+    let number = |value: f64| json_number((value * 1e4).round() / 1e4);
     let decode: Vec<String> = decode
         .iter()
         .map(|row| {

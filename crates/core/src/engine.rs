@@ -1,11 +1,11 @@
-//! Shared-intermediate batch detection engine.
+//! The detection engine: one scoring pass for every method, and one naive
+//! oracle it is tested against.
 //!
-//! Scoring one image with the detection methods independently recomputes
-//! everything from scratch: the scaling detectors build four resampling
-//! plans and run two round trips, each SSIM evaluation blurs the *input*
-//! image again, and both frequency-domain methods transform the image
-//! separately. [`DetectionEngine`] scores an image with every enabled
-//! method in one pass of two independent branches, sharing the
+//! Scored one method at a time, as [`DetectionEngine::reference_score`]
+//! does, an image pays for four resampling plans and two round trips, one
+//! blur of the input per SSIM score, and one transform per
+//! frequency-domain method. [`DetectionEngine`] scores an image with every
+//! enabled method in one pass of two independent branches, sharing the
 //! intermediates within each:
 //!
 //! * **spatial** — one round trip through cached resampling plans
@@ -17,8 +17,8 @@
 //! * **spectral** — one gray view and one planned DFT serve the CSP count
 //!   (via the fused, ln-free [`count_csp_in_spectrum`] pipeline) **and**
 //!   the radial peak-excess score, the only reader of the full
-//!   `log(1 + |F|)` buffer. Peak excess reads the spectrum under a
-//!   rectangular window, the identity, so no second transform runs.
+//!   `log(1 + |F|)` buffer. Peak excess scores the unwindowed spectrum,
+//!   so no second transform runs.
 //!
 //! Each stage runs only when an enabled method reads it: an engine
 //! restricted to CSP never round-trips or filters, and one restricted to
@@ -29,31 +29,32 @@
 //! [`ScoreVector`] and the set of methods to run is a [`MethodSet`]
 //! ([`DetectionEngine::with_methods`]).
 //!
-//! Every shared path is bit-identical to its staged counterpart, so engine
-//! scores equal the naive per-method detectors exactly — asserted against
-//! [`DetectionEngine::reference_score`] by the tests in this module and the
-//! crate's property tests. The naive detectors stay as that reference (and
-//! the honest cold baseline for the benchmark suite); production code
-//! scores only through the engine pass.
+//! The engine holds each method's whole configuration — target, scaler,
+//! SSIM window, rank filter, CSP pipeline — and its builders are the only
+//! way to change it. [`DetectionEngine::reference_score`] reads the same
+//! fields but computes each method from scratch with the staged
+//! primitives, sharing no intermediate with the pass; only the peak-excess
+//! radius band is common to both. Every shared path is bit-identical to
+//! its staged counterpart, so each pass score equals its reference bit
+//! for bit — asserted by the tests in this module, the crate's property
+//! tests and `stage_profile`'s first gate. Production code scores only
+//! through the pass; the reference is the oracle and the cold baseline of
+//! the benchmarks.
 
 use crate::error::{ScoreError, ScoreFault};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::filtering::FilteringDetector;
 use crate::method::{MethodId, MethodSet, MetricKind, ScoreVector};
 use crate::parallel::{idle_peer, parallel_map_indices, WorkerPool};
-use crate::peak_excess::PeakExcessDetector;
-use crate::scaling::ScalingDetector;
 use crate::steganalysis::SteganalysisDetector;
 use crate::stream::{self, ImageSource, SharedPool, SourceItem, StreamConfig, StreamSummary};
 use crate::DetectError;
 use decamouflage_imaging::filter::{rank_filter, RankKind};
-use decamouflage_imaging::scale::{round_trip, ScaleAlgorithm};
+use decamouflage_imaging::scale::{round_trip, ScaleAlgorithm, Scaler};
 use decamouflage_imaging::{Image, Size};
-use decamouflage_metrics::{mse, SsimConfig, SsimReference};
-use decamouflage_spectral::csp::{count_csp_in_spectrum, CspConfig};
-use decamouflage_spectral::dft2d::dft2_planned;
+use decamouflage_metrics::{mse, ssim, SsimConfig, SsimReference};
+use decamouflage_spectral::csp::{count_csp, count_csp_in_spectrum, CspConfig};
+use decamouflage_spectral::dft2d::{centered_spectrum, dft2_planned};
 use decamouflage_spectral::radial::peak_excess;
-use decamouflage_spectral::window::WindowKind;
 use decamouflage_telemetry::{Counter, HistogramHandle, Telemetry};
 use std::borrow::{Borrow, Cow};
 use std::ops::ControlFlow;
@@ -282,37 +283,44 @@ impl DetectionEngine {
     }
 
     /// The naive reference score of one method under this engine's
-    /// configuration: the standalone detector computed from scratch, with
-    /// no shared intermediates. Every engine score equals it bit for bit;
-    /// it exists as the oracle the engine is tested against and as the
-    /// cold baseline of the benchmarks, and scores `id` whether or not the
-    /// engine enables it.
+    /// configuration, computed from scratch with the staged primitives:
+    ///
+    /// * scaling — `upscale(downscale(I))` through two freshly built
+    ///   [`Scaler`]s (not the plan cache behind [`round_trip`]), then
+    ///   [`mse`] or [`ssim`] against `I`;
+    /// * filtering — [`rank_filter`], then [`mse`] or [`ssim`];
+    /// * CSP — the staged [`count_csp`] pipeline;
+    /// * peak excess — [`peak_excess`] over [`centered_spectrum`] of the
+    ///   gray image, in the pass's radius band.
+    ///
+    /// It shares no intermediate with the pass. Every pass score equals it
+    /// bit for bit; it exists as the oracle the pass is tested against and
+    /// as the cold baseline of the benchmarks, and scores `id` whether or
+    /// not the engine enables it.
     ///
     /// # Errors
     ///
-    /// Propagates the detector's imaging and metric failures.
+    /// Propagates imaging and metric failures ([`DetectError::Imaging`] /
+    /// [`DetectError::Metric`]).
     pub fn reference_score(&self, id: MethodId, image: &Image) -> Result<f64, DetectError> {
-        let scaling = |metric| {
-            ScalingDetector::new(self.target, self.algorithm, metric)
-                .with_ssim_config(self.ssim_config.clone())
-        };
-        let filtering = |metric| {
-            FilteringDetector::new(metric)
-                .with_window(self.filter_window)
-                .with_rank(self.filter_rank)
-                .with_ssim_config(self.ssim_config.clone())
+        let compare = |candidate: &Image| -> Result<f64, DetectError> {
+            match id.metric() {
+                Some(MetricKind::Ssim) => Ok(ssim(image, candidate, &self.ssim_config)?),
+                _ => Ok(mse(image, candidate)?),
+            }
         };
         match id {
-            MethodId::ScalingMse => scaling(MetricKind::Mse).score(image),
-            MethodId::ScalingSsim => scaling(MetricKind::Ssim).score(image),
-            MethodId::FilteringMse => filtering(MetricKind::Mse).score(image),
-            MethodId::FilteringSsim => filtering(MetricKind::Ssim).score(image),
-            MethodId::Csp => {
-                SteganalysisDetector::with_config(self.csp_config.clone()).score(image)
+            MethodId::ScalingMse | MethodId::ScalingSsim => {
+                compare(&reference_round_trip(image, self.target, self.algorithm)?)
             }
-            MethodId::PeakExcess => PeakExcessDetector::for_target(self.target)
-                .with_window(WindowKind::Rectangular)
-                .score(image),
+            MethodId::FilteringMse | MethodId::FilteringSsim => {
+                compare(&rank_filter(image, self.filter_window, self.filter_rank)?)
+            }
+            MethodId::Csp => Ok(count_csp(image, &self.csp_config).count as f64),
+            MethodId::PeakExcess => {
+                let (min_radius, max_radius) = peak_excess_radii(self.target, image);
+                Ok(peak_excess(&centered_spectrum(&image.to_gray()), min_radius, max_radius))
+            }
             #[cfg(test)]
             MethodId::DummyMean => Ok(dummy_mean(image)),
         }
@@ -467,13 +475,12 @@ impl DetectionEngine {
         }
         if self.methods.contains(MethodId::PeakExcess) {
             let _method = self.metrics.method(MethodId::PeakExcess).span();
-            // Peak excess reads the spectrum under a rectangular window,
-            // the identity, so the CSP plan's DFT *is* its spectrum: shift
-            // and log-normalise its magnitudes instead of transforming
-            // again.
+            // Peak excess scores the unwindowed spectrum, so the CSP plan's
+            // DFT *is* its spectrum: shift and log-normalise its magnitudes
+            // instead of transforming again.
             let centred = spectrum.centered_log_magnitude();
-            let (min_r, max_r) = PeakExcessDetector::for_target(self.target).radii_for(image);
-            scores.set(MethodId::PeakExcess, peak_excess(&centred, min_r.max(1), max_r.max(2)));
+            let (min_radius, max_radius) = peak_excess_radii(self.target, image);
+            scores.set(MethodId::PeakExcess, peak_excess(&centred, min_radius, max_radius));
         }
     }
 
@@ -738,6 +745,31 @@ impl DetectionEngine {
     }
 }
 
+/// `upscale(downscale(image))` through two freshly built [`Scaler`]s: the
+/// scaling methods' reference round trip, independent of the plan cache
+/// behind [`round_trip`].
+fn reference_round_trip(
+    image: &Image,
+    target: Size,
+    algorithm: ScaleAlgorithm,
+) -> Result<Image, DetectError> {
+    let down = Scaler::new(image.size(), target, algorithm)?.apply(image)?;
+    Ok(Scaler::new(target, image.size(), algorithm)?.apply(&down)?)
+}
+
+/// The `(min_radius, max_radius)` band peak excess searches in an image's
+/// centred spectrum, read by the pass and the reference alike. A
+/// scaling attack's periodic peaks lie at least `min(target dims)`
+/// spectral pixels from the centre, so the band starts at half that (at
+/// most 80% of the image's half-minimum side) and ends at 90% of the
+/// half-minimum side; it spans at least radii 1 to 2, so the DC sample is
+/// never in it.
+fn peak_excess_radii(target: Size, image: &Image) -> (usize, usize) {
+    let half_min = 0.5 * image.width().min(image.height()) as f64;
+    let inner = (0.5 * target.width.min(target.height) as f64).min(half_min * 0.8);
+    ((inner as usize).max(1), ((half_min * 0.9) as usize).max(2))
+}
+
 /// The score of the test-only [`MethodId::DummyMean`]: the image's mean
 /// intensity over all channels.
 #[cfg(test)]
@@ -756,13 +788,18 @@ mod tests {
     use crate::persist::ThresholdSet;
     use crate::threshold::{Direction, Threshold};
     use decamouflage_attack::{craft_attack, AttackConfig};
-    use decamouflage_imaging::scale::Scaler;
+    use decamouflage_imaging::ImagingError;
     use std::time::{Duration, Instant};
 
-    fn smooth(n: usize) -> Image {
+    /// A smooth `n`² Gray image, `base + a·sin(fx·x) + b·cos(fy·y)` rounded.
+    fn waves(n: usize, base: f64, (a, fx): (f64, f64), (b, fy): (f64, f64)) -> Image {
         Image::from_fn_gray(n, n, |x, y| {
-            (128.0 + 60.0 * ((x as f64) * 0.06).sin() + 40.0 * ((y as f64) * 0.045).cos()).round()
+            (base + a * ((x as f64) * fx).sin() + b * ((y as f64) * fy).cos()).round()
         })
+    }
+
+    fn smooth(n: usize) -> Image {
+        waves(n, 128.0, (60.0, 0.06), (40.0, 0.045))
     }
 
     fn smooth_rgb(n: usize) -> Image {
@@ -772,11 +809,27 @@ mod tests {
         })
     }
 
-    fn attack_image(src: usize, dst: usize) -> Image {
-        let scaler =
-            Scaler::new(Size::square(src), Size::square(dst), ScaleAlgorithm::Bilinear).unwrap();
+    /// `source` with a busy `dst`² target embedded against `algorithm`.
+    fn crafted(source: &Image, dst: usize, algorithm: ScaleAlgorithm) -> Image {
+        let scaler = Scaler::new(source.size(), Size::square(dst), algorithm).unwrap();
         let target = Image::from_fn_gray(dst, dst, |x, y| ((x * 83 + y * 47) % 256) as f64);
-        craft_attack(&smooth(src), &target, &scaler, &AttackConfig::default()).unwrap().image
+        craft_attack(source, &target, &scaler, &AttackConfig::default()).unwrap().image
+    }
+
+    fn attack_image(src: usize, dst: usize) -> Image {
+        crafted(&smooth(src), dst, ScaleAlgorithm::Bilinear)
+    }
+
+    /// The pass's scores of `image`, each enabled one checked bit for bit
+    /// against [`DetectionEngine::reference_score`], so that whatever a
+    /// test asserts on them holds for the reference too.
+    fn scored(engine: &DetectionEngine, image: &Image) -> ScoreVector {
+        let scores = engine.score(image).unwrap();
+        for id in engine.methods().iter() {
+            let reference = engine.reference_score(id, image).unwrap();
+            assert_eq!(scores.get(id).to_bits(), reference.to_bits(), "{id}");
+        }
+        scores
     }
 
     #[test]
@@ -797,17 +850,17 @@ mod tests {
     }
 
     /// The one cached round trip, which the engine's scaling stage and the
-    /// bench harness's PSNR and colour-histogram scorers read, equals the
-    /// uncached reference bit for bit.
+    /// bench harness's colour-histogram scorer read, equals the reference
+    /// round trip through freshly built scalers bit for bit, and has the
+    /// input's shape.
     #[test]
     fn cached_round_trip_is_bit_identical_to_the_reference() {
         let target = Size::square(16);
-        let scaling = ScalingDetector::new(target, ScaleAlgorithm::Bilinear, MetricKind::Mse);
         let non_square = Image::from_fn_gray(56, 40, |x, y| ((x * 7 + y * 13) % 251) as f64);
         for image in [smooth(48), smooth_rgb(48), non_square] {
             let (downscaled, cached) =
                 round_trip(&image, target, ScaleAlgorithm::Bilinear).unwrap();
-            let reference = scaling.round_tripped(&image).unwrap();
+            let reference = reference_round_trip(&image, target, ScaleAlgorithm::Bilinear).unwrap();
             assert_eq!(downscaled.size(), target);
             assert_eq!((cached.size(), cached.channels()), (image.size(), image.channels()));
             let bits = |image: &Image| {
@@ -817,14 +870,97 @@ mod tests {
         }
     }
 
+    /// Every method separates a smooth image from an attack on it, in the
+    /// pass and in the reference alike.
     #[test]
     fn engine_separates_benign_from_attack() {
         let engine = DetectionEngine::new(Size::square(16));
-        let benign = engine.score(&smooth(64)).unwrap();
-        let attack = engine.score(&attack_image(64, 16)).unwrap();
-        assert!(attack.scaling_mse() > benign.scaling_mse() * 10.0);
-        assert!(attack.scaling_ssim() < benign.scaling_ssim());
+        let benign = scored(&engine, &smooth(64));
+        let attack = scored(&engine, &attack_image(64, 16));
+        assert!(attack.scaling_mse() > 10.0 * benign.scaling_mse().max(1.0));
+        assert!(benign.scaling_ssim() > 0.8, "benign SSIM {}", benign.scaling_ssim());
+        assert!(attack.scaling_ssim() < benign.scaling_ssim() - 0.2);
         assert!(attack.csp() >= 2.0, "attack CSP = {}", attack.csp());
+
+        // A nearest-neighbour attack breaks a nearest round trip, and a
+        // bilinear one too (the black-box mismatch).
+        let nearest_attack = crafted(&smooth(64), 16, ScaleAlgorithm::Nearest);
+        for algorithm in [ScaleAlgorithm::Nearest, ScaleAlgorithm::Bilinear] {
+            let engine = DetectionEngine::new(Size::square(16))
+                .with_algorithm(algorithm)
+                .with_methods(MethodSet::of(&[MethodId::ScalingMse]));
+            let benign = scored(&engine, &smooth(64)).scaling_mse();
+            let attack = scored(&engine, &nearest_attack).scaling_mse();
+            assert!(attack > 5.0 * benign.max(1.0), "{algorithm:?}: {benign} vs {attack}");
+        }
+
+        // The filter exposes the embedded pixels under both metrics, and
+        // under MSE with every rank kind.
+        let source = waves(64, 128.0, (55.0, 0.05), (45.0, 0.04));
+        let (benign, attack) = (source.clone(), crafted(&source, 16, ScaleAlgorithm::Bilinear));
+        for kind in [RankKind::Minimum, RankKind::Median, RankKind::Maximum] {
+            let engine = DetectionEngine::new(Size::square(16))
+                .with_filter(2, kind)
+                .with_methods(MethodSet::of(&[MethodId::FilteringMse, MethodId::FilteringSsim]));
+            let (benign, attack) = (scored(&engine, &benign), scored(&engine, &attack));
+            let ratio = attack.filtering_mse() / benign.filtering_mse().max(1e-9);
+            assert!(ratio > 2.0, "{kind:?} ratio only {ratio}");
+            if kind == RankKind::Minimum {
+                assert!(attack.filtering_ssim() < benign.filtering_ssim());
+            }
+        }
+
+        // One centered spectrum point for the benign image and two or more
+        // for the attack, under the default and the target-tuned CSP
+        // configurations; the universal threshold needs no calibration.
+        let source = waves(128, 120.0, (60.0, 0.05), (40.0, 0.035));
+        let attack = crafted(&source, 32, ScaleAlgorithm::Bilinear);
+        let csp_only =
+            DetectionEngine::new(Size::square(32)).with_methods(MethodSet::of(&[MethodId::Csp]));
+        let universal = SteganalysisDetector::universal_threshold();
+        for engine in [csp_only.clone().with_csp_config(CspConfig::default()), csp_only.clone()] {
+            let (benign, attack) = (scored(&engine, &source).csp(), scored(&engine, &attack).csp());
+            assert_eq!(benign, 1.0, "benign CSP {benign}");
+            assert!(attack >= 2.0, "attack CSP {attack}");
+            assert!(!universal.is_attack(benign) && universal.is_attack(attack));
+        }
+        let no_blob_is_large_enough = CspConfig { min_area: 1_000_000, ..CspConfig::default() };
+        let engine = csp_only.with_csp_config(no_blob_is_large_enough);
+        assert_eq!(scored(&engine, &waves(64, 120.0, (60.0, 0.05), (40.0, 0.035))).csp(), 0.0);
+    }
+
+    /// Peak excess scores degenerate inputs finitely, and its band leaves
+    /// out the radii inside half the target's side.
+    #[test]
+    fn peak_excess_is_finite_on_degenerate_inputs() {
+        let engine = DetectionEngine::new(Size::square(8))
+            .with_methods(MethodSet::of(&[MethodId::PeakExcess]));
+        for image in [
+            Image::filled(8, 8, decamouflage_imaging::Channels::Gray, 0.0),
+            Image::filled(4, 4, decamouflage_imaging::Channels::Gray, 255.0),
+            Image::from_fn_gray(16, 3, |x, y| ((x * y) % 256) as f64),
+        ] {
+            let score = scored(&engine, &image).peak_excess();
+            assert!(score.is_finite() && score >= 0.0, "{score}");
+        }
+        let (min_radius, max_radius) = peak_excess_radii(Size::square(32), &smooth(128));
+        assert_eq!(min_radius, 16);
+        assert!(max_radius > min_radius);
+    }
+
+    /// A configuration the pass refuses, the reference refuses with the
+    /// same typed error instead of panicking.
+    #[test]
+    fn the_reference_fails_the_way_the_pass_fails() {
+        let engine = DetectionEngine::new(Size::square(8)).with_filter(0, RankKind::Minimum);
+        let image = smooth(24);
+        let invalid = |error: Option<DetectError>| {
+            matches!(error, Some(DetectError::Imaging(ImagingError::InvalidParameter { .. })))
+        };
+        assert!(invalid(engine.score(&image).err()));
+        for id in [MethodId::FilteringMse, MethodId::FilteringSsim] {
+            assert!(invalid(engine.reference_score(id, &image).err()), "{id}");
+        }
     }
 
     #[test]

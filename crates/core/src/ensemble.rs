@@ -239,11 +239,6 @@ impl Ensemble {
         &self.members
     }
 
-    /// The degradation policy for members that cannot vote.
-    pub const fn degrade_policy(&self) -> DegradePolicy {
-        self.policy
-    }
-
     /// Votes on the outcome of one engine pass: each member thresholds its
     /// method's score, and a strict majority of the voting members
     /// decides. A member is unavailable when its score is non-finite or
@@ -637,6 +632,5 @@ mod tests {
         let e = Ensemble::paper(Size::square(16), &set, DegradePolicy::FailClosed).unwrap();
         assert_eq!(e.engine().methods(), MethodSet::of(PAPER_METHODS));
         assert_eq!(e.members().iter().map(|(id, _)| *id).collect::<Vec<_>>(), PAPER_METHODS);
-        assert_eq!(e.degrade_policy(), DegradePolicy::FailClosed);
     }
 }

@@ -82,21 +82,6 @@ pub struct EvalMetrics {
     pub frr: f64,
 }
 
-impl EvalMetrics {
-    /// Formats the metrics as the percentage row used by the report tables,
-    /// e.g. `"99.9% | 100.0% | 99.9% | 0.0% | 0.1%"`.
-    pub fn as_percent_row(&self) -> String {
-        format!(
-            "{:.1}% | {:.1}% | {:.1}% | {:.1}% | {:.1}%",
-            self.accuracy * 100.0,
-            self.precision * 100.0,
-            self.recall * 100.0,
-            self.far * 100.0,
-            self.frr * 100.0
-        )
-    }
-}
-
 /// Evaluates a batch of `(truth, decision)` pairs.
 ///
 /// # Errors
@@ -191,12 +176,6 @@ mod tests {
     fn empty_batch_is_rejected() {
         assert!(evaluate_decisions(std::iter::empty()).is_err());
         assert!(ConfusionCounts::default().metrics().is_err());
-    }
-
-    #[test]
-    fn percent_row_formatting() {
-        let m = evaluate_decisions([(true, true), (false, false)]).unwrap();
-        assert_eq!(m.as_percent_row(), "100.0% | 100.0% | 100.0% | 0.0% | 0.0%");
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! A Framework to Detect Image-Scaling Attacks on Convolutional Neural
 //! Networks"* (DSN 2021).
 //!
-//! The framework offers three independent detection methods plus an
-//! ensemble:
+//! The framework offers the paper's three independent detection methods,
+//! a fourth frequency-domain score and an ensemble. Each `(method, metric)`
+//! pair is one [`MethodId`]:
 //!
-//! | Method | Signal | Metric | Attack indication |
+//! | [`MethodId`] | Signal | Score | Attack indication |
 //! |---|---|---|---|
-//! | scaling ([`ScalingDetector`]) | downscale→upscale round trip | MSE / SSIM | large MSE / small SSIM |
-//! | filtering ([`FilteringDetector`]) | minimum-filter residual | MSE / SSIM | large MSE / small SSIM |
-//! | steganalysis ([`SteganalysisDetector`]) | centered spectrum points | CSP count | `>= 2` points |
-//! | peak excess ([`PeakExcessDetector`]) | radial spectrum peak excess | log-magnitude excess | large excess |
+//! | [`ScalingMse`](MethodId::ScalingMse), [`ScalingSsim`](MethodId::ScalingSsim) | downscale→upscale round trip | MSE / SSIM | large MSE / small SSIM |
+//! | [`FilteringMse`](MethodId::FilteringMse), [`FilteringSsim`](MethodId::FilteringSsim) | minimum-filter residual | MSE / SSIM | large MSE / small SSIM |
+//! | [`Csp`](MethodId::Csp) | centered spectrum points | CSP count | `>= 2` points |
+//! | [`PeakExcess`](MethodId::PeakExcess) | radial spectrum peak excess | log-magnitude excess | large excess |
 //! | [`Ensemble`] | majority vote of the above | — | majority of members vote attack |
 //!
 //! Each method is registered once in the typed [`MethodId`] registry
@@ -21,9 +22,12 @@
 //!
 //! One scoring path serves every layer: [`DetectionEngine`] scores an
 //! image with all enabled methods in one pass over shared intermediates.
-//! The per-method detector structs hold each method's configuration and
-//! the naive from-scratch reference the engine is tested against
-//! ([`DetectionEngine::reference_score`]).
+//! The engine also holds every method's configuration (target, scaler,
+//! SSIM window, rank filter, CSP pipeline), and
+//! [`DetectionEngine::reference_score`] computes each method naively from
+//! that same configuration, the oracle the pass is tested against.
+//! [`SteganalysisDetector`] supplies the target-tuned CSP configuration
+//! and the universal CSP threshold.
 //!
 //! Thresholds come from two calibration modes mirroring the paper's threat
 //! model: **white-box** ([`threshold::search_whitebox`], labelled
@@ -67,16 +71,13 @@ pub mod engine;
 pub mod ensemble;
 pub mod eval;
 pub mod faults;
-pub mod filtering;
 pub mod method;
 pub mod monitor;
 pub mod parallel;
-pub mod peak_excess;
 pub mod persist;
 pub mod prevention;
 pub mod report;
 pub mod roc;
-pub mod scaling;
 pub mod scan;
 pub mod steganalysis;
 pub mod stream;
@@ -87,11 +88,8 @@ pub use engine::DetectionEngine;
 pub use ensemble::{DegradePolicy, Ensemble};
 pub use error::{DetectError, ScoreError, ScoreFault};
 pub use eval::{evaluate_decisions, evaluate_threshold, ConfusionCounts, EvalMetrics};
-pub use filtering::FilteringDetector;
 pub use method::{MethodId, MethodSet, MetricKind, ScoreColumns, ScoreVector};
-pub use peak_excess::PeakExcessDetector;
 pub use persist::checkpoint::{CorpusFingerprint, QuarantineRecord, ScanCheckpoint};
-pub use scaling::ScalingDetector;
 pub use scan::{scan_shard, ScanReport};
 pub use steganalysis::SteganalysisDetector;
 pub use stream::{

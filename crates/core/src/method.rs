@@ -84,8 +84,8 @@ pub enum MethodId {
     /// Steganalysis: centered-spectrum-point count.
     Csp,
     /// Steganalysis extension: radial peak excess of the unwindowed
-    /// (rectangular-window) spectrum, the one the CSP count reads; see
-    /// [`crate::peak_excess`] for the standalone detector's Hann default.
+    /// spectrum, the one the CSP count reads, outside half the target's
+    /// side (see [`DetectionEngine`](crate::engine::DetectionEngine)).
     PeakExcess,
     /// Test-only seventh method proving the one-registration contract:
     /// scores the image's mean intensity.

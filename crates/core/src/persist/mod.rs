@@ -65,11 +65,6 @@ impl ThresholdSet {
         self.entries.get(&id).copied()
     }
 
-    /// Looks up a threshold by its stable report name (the on-disk key).
-    pub fn get_by_name(&self, name: &str) -> Option<Threshold> {
-        MethodId::from_name(name).and_then(|id| self.get(id))
-    }
-
     /// Number of stored thresholds.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -223,7 +218,6 @@ mod tests {
         assert_eq!(set.get(MethodId::ScalingMse).unwrap().value(), 72.4);
         assert_eq!(set.get(MethodId::FilteringSsim).unwrap().direction(), Direction::BelowIsAttack);
         assert!(set.get(MethodId::Csp).unwrap().is_attack(2.0));
-        assert_eq!(set.get_by_name("scaling/mse"), set.get(MethodId::ScalingMse));
         // Typed iteration reorders into canonical method order.
         let ids: Vec<MethodId> = set.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![MethodId::ScalingMse, MethodId::FilteringSsim, MethodId::Csp]);

@@ -37,19 +37,6 @@ impl RocCurve {
         }
         area
     }
-
-    /// The operating point closest to the perfect corner `(fpr 0, tpr 1)`.
-    pub fn best_point(&self) -> RocPoint {
-        *self
-            .points
-            .iter()
-            .min_by(|a, b| {
-                let da = a.fpr * a.fpr + (1.0 - a.tpr) * (1.0 - a.tpr);
-                let db = b.fpr * b.fpr + (1.0 - b.tpr) * (1.0 - b.tpr);
-                da.partial_cmp(&db).expect("rates are finite")
-            })
-            .expect("curve always has the trivial endpoints")
-    }
 }
 
 /// Computes the ROC curve of a scored corpus.
@@ -106,9 +93,6 @@ mod tests {
     fn separable_scores_have_auc_one() {
         let curve = roc_curve(&[1.0, 2.0, 3.0], &[10.0, 11.0], Direction::AboveIsAttack).unwrap();
         assert!((curve.auc() - 1.0).abs() < 1e-12, "auc {}", curve.auc());
-        let best = curve.best_point();
-        assert_eq!(best.fpr, 0.0);
-        assert_eq!(best.tpr, 1.0);
     }
 
     #[test]

@@ -922,11 +922,6 @@ impl ShardSpec {
         self.count
     }
 
-    /// Whether this is the trivial full partition (`1/1`).
-    pub const fn is_full(&self) -> bool {
-        self.count == 1
-    }
-
     /// Whether `key` belongs to this shard.
     pub fn admits(&self, key: &str) -> bool {
         stable_key_hash(key) % self.count as u64 == self.index as u64
@@ -1696,8 +1691,6 @@ mod tests {
         let spec = ShardSpec::parse("2/3").unwrap();
         assert_eq!((spec.index(), spec.count()), (1, 3));
         assert_eq!(spec.to_string(), "2/3");
-        assert!(!spec.is_full());
-        assert!(ShardSpec::full().is_full());
         assert_eq!(ShardSpec::full().to_string(), "1/1");
         assert_eq!(ShardSpec::parse(" 1 / 1 ").unwrap(), ShardSpec::full());
 

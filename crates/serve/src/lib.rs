@@ -32,7 +32,6 @@
 
 pub mod flags;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod server;
 pub mod service;

@@ -58,6 +58,7 @@ use decamouflage_core::parallel::WorkerPool;
 use decamouflage_core::stream::{ImageDecoder, Pulled, SourceItem};
 use decamouflage_core::{CancelToken, ImageSource};
 use decamouflage_imaging::codec::SampleAlloc;
+use decamouflage_telemetry::escape_json;
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -555,10 +556,7 @@ fn error_response(err: HttpError, token: &CancelToken) -> Option<Response> {
     match err {
         HttpError::BadRequest(detail) => Some(Response::json(
             400,
-            format!(
-                "{{\"error\":\"bad-request\",\"detail\":\"{}\"}}",
-                crate::json::escape(&detail)
-            ),
+            format!("{{\"error\":\"bad-request\",\"detail\":\"{}\"}}", escape_json(&detail)),
         )),
         HttpError::HeadersTooLarge => {
             Some(Response::json(431, "{\"error\":\"headers-too-large\"}".into()))

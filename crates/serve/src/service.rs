@@ -9,7 +9,6 @@
 //! values the server serialises. Keeping it off the socket makes the
 //! status mapping unit-testable without a listener.
 
-use crate::json;
 use decamouflage_core::ensemble::{DegradePolicy, EnsembleDecision, Refusal};
 use decamouflage_core::persist::ThresholdSet;
 use decamouflage_core::stream::ImageDecoder;
@@ -17,6 +16,7 @@ use decamouflage_core::{
     CancelToken, Ensemble, ImageSource, ScoreError, ScoreFault, ScoreVector, StreamConfig,
 };
 use decamouflage_imaging::Size;
+use decamouflage_telemetry::{escape_json, json_number};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -249,7 +249,7 @@ impl CheckOutcome {
                 body.push_str(",\"scores\":{");
                 let rendered: Vec<String> = SERVICE_METHODS
                     .iter()
-                    .map(|&id| format!("\"{}\":{}", id.name(), json::number(scores.get(id))))
+                    .map(|&id| format!("\"{}\":{}", id.name(), json_number(scores.get(id))))
                     .collect();
                 body.push_str(&rendered.join(","));
                 body.push_str("},\"votes\":{");
@@ -263,7 +263,7 @@ impl CheckOutcome {
                 let rendered: Vec<String> = verdict
                     .unavailable
                     .iter()
-                    .map(|(id, reason)| format!("\"{}\":\"{}\"", id.name(), json::escape(reason)))
+                    .map(|(id, reason)| format!("\"{}\":\"{}\"", id.name(), escape_json(reason)))
                     .collect();
                 body.push_str(&rendered.join(","));
                 body.push_str("}}");
@@ -271,10 +271,10 @@ impl CheckOutcome {
             }
             Self::Quarantined { fault, detail } => format!(
                 "{{\"error\":\"quarantined\",\"fault\":\"{fault}\",\"detail\":\"{}\"}}",
-                json::escape(detail)
+                escape_json(detail)
             ),
             Self::Panicked { detail } => {
-                format!("{{\"error\":\"panic\",\"detail\":\"{}\"}}", json::escape(detail))
+                format!("{{\"error\":\"panic\",\"detail\":\"{}\"}}", escape_json(detail))
             }
             Self::Expired => "{\"error\":\"deadline-expired\"}".to_string(),
         }
@@ -317,7 +317,7 @@ impl ScanOutcome {
                 ),
                 ScanEntry::Quarantined { fault, detail } => format!(
                     "{{\"index\":{index},\"quarantined\":\"{fault}\",\"detail\":\"{}\"}}",
-                    json::escape(detail)
+                    escape_json(detail)
                 ),
             })
             .collect();

@@ -4,8 +4,8 @@
 //! An image-scaling attack injects energy at discrete frequencies, which
 //! shows up as samples far above the radial background at their radius.
 //! The [`peak_excess`] statistic quantifies this without any blob counting
-//! — an alternative steganalysis score used by the sensitivity ablations
-//! and a robustness cross-check for the CSP method.
+//! — an alternative steganalysis score (the `steganalysis/peak-excess`
+//! method) and a robustness cross-check for the CSP method.
 
 use decamouflage_imaging::Image;
 
@@ -111,10 +111,11 @@ pub fn radial_profile(spectrum: &Image) -> RadialProfile {
 /// magnitudes).
 ///
 /// Benign spectra are radially smooth, so the excess stays small; attack
-/// peaks tower over their ring's background. Compute this on a *windowed*
-/// spectrum ([`crate::window::apply_window`]) so the boundary-leakage
-/// cross does not masquerade as a peak. Radii below `min_radius` exclude
-/// the DC blob.
+/// peaks tower over their ring's background. The `steganalysis/peak-excess`
+/// method scores the unwindowed spectrum, the one the CSP count reads, so
+/// the boundary-leakage cross counts towards its excess; a window
+/// ([`crate::window::apply_window`]) suppresses the cross but scores on
+/// another scale. Radii below `min_radius` exclude the DC blob.
 pub fn peak_excess(spectrum: &Image, min_radius: usize, max_radius: usize) -> f64 {
     let profile = radial_profile(spectrum);
     let hi = max_radius.min(profile.len().saturating_sub(1));

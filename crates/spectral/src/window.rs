@@ -4,8 +4,10 @@
 //! opposite borders leaks energy into a bright axis-aligned cross in the
 //! centred spectrum. Multiplying the image by a window that decays towards
 //! the borders suppresses that cross, which sharpens the CSP statistic's
-//! central blob. Windowing is optional in the pipeline (the paper does not
-//! window) but exposed for the sensitivity ablations.
+//! central blob. No method score windows: the paper does not, and peak
+//! excess scores the unwindowed spectrum. The windows stay for checking the
+//! CSP count under each of them (`tests/spectral_invariants.rs`) and for
+//! comparing peak excess under a window with the unwindowed score.
 
 use decamouflage_imaging::Image;
 use std::f64::consts::PI;

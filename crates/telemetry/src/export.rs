@@ -54,8 +54,10 @@ fn render_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(value: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: backslash,
+/// double quote, and every control character. The one JSON escaper of the
+/// workspace (the exporter, `serve`'s response bodies, the bench reports).
+pub fn escape_json(value: &str) -> String {
     let mut escaped = String::with_capacity(value.len());
     for ch in value.chars() {
         match ch {
@@ -75,7 +77,7 @@ fn escape_json(value: &str) -> String {
 
 /// Renders an `f64` as a JSON value; non-finite values become strings
 /// (`"NaN"`, `"+Inf"`, `"-Inf"`) since JSON has no literals for them.
-fn json_number(value: f64) -> String {
+pub fn json_number(value: f64) -> String {
     if value.is_finite() {
         format!("{value}")
     } else {
@@ -255,6 +257,19 @@ mod tests {
         registry.counter("decam_odd_total", &[("path", "a\"b\\c\nd")]).inc();
         let text = to_prometheus_text(&registry.snapshot());
         assert!(text.contains("path=\"a\\\"b\\\\c\\nd\""));
+    }
+
+    #[test]
+    fn escapes_specials_and_controls() {
+        assert_eq!(escape_json("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+    }
+
+    #[test]
+    fn json_numbers_spell_out_non_finite_values() {
+        assert_eq!(json_number(1.5), "1.5");
+        assert_eq!(json_number(f64::NAN), "\"NaN\"");
+        assert_eq!(json_number(f64::INFINITY), "\"+Inf\"");
+        assert_eq!(json_number(f64::NEG_INFINITY), "\"-Inf\"");
     }
 
     #[test]

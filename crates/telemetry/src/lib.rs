@@ -42,7 +42,7 @@ pub mod histogram;
 pub mod parse;
 pub mod registry;
 
-pub use export::{to_json, to_prometheus_text};
+pub use export::{escape_json, json_number, to_json, to_prometheus_text};
 pub use histogram::{BucketMismatch, Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS};
 pub use parse::{parse_prometheus_text, FamilyKind, ParseError, ParsedMetrics};
 pub use registry::{CounterCell, GaugeCell, Labels, MetricsRegistry, RegistrySnapshot};
